@@ -23,8 +23,20 @@ from .sim import (
     DeadlockError, InfeasibleError, SimConfig, SimReport, calibrate_compute_rate,
     emit_trace, epoch_time, op_cost, simulate, stall_report, sweep, xfer_cost,
 )
-from .numeric import (
-    GradCheckReport, UseAfterSwapError, equivalence_check, grad_check, run_numeric,
+
+# The numeric oracle needs numpy, which only verification uses; its names
+# are resolved on first access (PEP 562) so that importing swapsim stays cheap.
+_NUMERIC_NAMES = (
+    "GradCheckReport", "UseAfterSwapError", "equivalence_check", "grad_check", "run_numeric",
 )
 
+__all__ = [name for name in dir() if not name.startswith("_")] + ["numeric", *_NUMERIC_NAMES]
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC_NAMES:
+        from . import numeric
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

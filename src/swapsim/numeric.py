@@ -118,21 +118,25 @@ def _execution_order(tg: TrainingGraph) -> list[str]:
     a swap_out after the last forward consumer of its tensor, a swap_in right
     after its trigger node."""
     g = tg.graph
+    positions = tg.positions
+    # Trigger nodes per swap_in, from one pass over the control edges.
+    triggers: dict[str, list[str]] = {n.id: [] for n in g.nodes if n.kind == "swap_in"}
+    for a, b in g.control_edges:
+        if b in triggers and g.node(a).kind != "swap_out":
+            triggers[b].append(a)
     anchored: dict[int, list[tuple[int, str]]] = {}
     for n in g.nodes:
         if n.kind == "swap_out":
             t = g.tensor(n.inputs[0])
             pos = tg.position(t.producer)
             for c in g.consumers(n.inputs[0]):
-                if g.has_node(c) and g.node(c).phase == "forward" and c in tg._positions:
-                    pos = max(pos, tg.position(c))
+                if g.has_node(c) and g.node(c).phase == "forward" and c in positions:
+                    pos = max(pos, positions[c])
             anchored.setdefault(pos, []).append((0, n.id))
         elif n.kind == "swap_in":
-            triggers = [a for a, b in g.control_edges
-                        if b == n.id and g.node(a).kind != "swap_out"]
-            if not triggers:
+            if not triggers[n.id]:
                 raise GraphError(f"swap_in {n.id!r} has no trigger control edge")
-            pos = max(tg.position(t) for t in triggers)
+            pos = max(tg.position(t) for t in triggers[n.id])
             anchored.setdefault(pos, []).append((1, n.id))
     order = []
     for pos, nid in enumerate(tg.serial_order):

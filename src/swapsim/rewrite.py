@@ -388,6 +388,7 @@ def check_rewrite_validity(original: TrainingGraph, rewritten: TrainingGraph,
                              "forward compute order differs from the original"))
 
     first_backward = original.boundary_position + 1
+    control = set(g1.control_edges)
     for tid, entry in sorted(plan.swapped.items()):
         out_id, in_id, trigger = entry
         if not g1.has_node(out_id) or g1.node(out_id).kind != "swap_out":
@@ -398,9 +399,9 @@ def check_rewrite_validity(original: TrainingGraph, rewritten: TrainingGraph,
         if not g1.has_node(in_id) or g1.node(in_id).kind != "swap_in":
             out.append(Violation("missing-swap-in", tid, f"no swap_in node {in_id!r}"))
             continue
-        if (out_id, in_id) not in g1.control_edges:
+        if (out_id, in_id) not in control:
             out.append(Violation("missing-control", tid, "swap_in lacks control edge from swap_out"))
-        if (trigger, in_id) not in g1.control_edges:
+        if (trigger, in_id) not in control:
             out.append(Violation("missing-control", tid, "swap_in lacks control edge from trigger"))
         bw = [c for c in g0.consumers(tid) if g0.node(c).phase == "backward"]
         in_tensor = g1.node(in_id).outputs[0] if g1.node(in_id).outputs else None

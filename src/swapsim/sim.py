@@ -144,15 +144,14 @@ def simulate(tg: TrainingGraph, plan=None, cfg: SimConfig | None = None) -> SimR
     # Earliest backward consumer position per swap_in, for the H2D queue key.
     in_consumer_pos: dict[str, int] = {}
     out_producer_pos: dict[str, int] = {}
+    positions = tg.positions
     for n in swap_nodes:
         if n.kind == "swap_in":
-            cons = [tg.position(c) for t in n.outputs for c in g.consumers(t)
-                    if c in tg._positions]
+            cons = [positions[c] for t in n.outputs for c in g.consumers(t)
+                    if c in positions]
             in_consumer_pos[n.id] = min(cons) if cons else 0
         else:
-            t = g.tensor(n.inputs[0])
-            out_producer_pos[n.id] = (tg.position(t.producer)
-                                      if t.producer in tg._positions else 0)
+            out_producer_pos[n.id] = positions.get(g.tensor(n.inputs[0]).producer, 0)
 
     resident = 0
     mem_deltas: list[tuple[float, int]] = []

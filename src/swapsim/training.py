@@ -3,7 +3,9 @@ schedule-independent liveness / peak-memory estimates."""
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .graph import (
     GraphSpec, NodeSpec, TensorDesc, GraphError,
@@ -37,15 +39,22 @@ class TrainingGraph:
         self.reuse_edges = tuple((a, b) for a, b in self.reuse_edges)
         self.serial_order = tuple(self.serial_order)
         self._positions = {nid: i for i, nid in enumerate(self.serial_order)}
-
-    @property
-    def boundary_position(self) -> int:
-        """Serial position of the last forward-phase node (the loss bridge)."""
+        self._positions_view = MappingProxyType(self._positions)
         last = -1
         for i, nid in enumerate(self.serial_order):
             if self.graph.node(nid).phase == "forward":
                 last = i
-        return last
+        self._boundary_position = last
+
+    @property
+    def positions(self) -> Mapping[str, int]:
+        """Read-only map from each compute node in serial_order to its position."""
+        return self._positions_view
+
+    @property
+    def boundary_position(self) -> int:
+        """Serial position of the last forward-phase node (the loss bridge)."""
+        return self._boundary_position
 
 
 def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
@@ -206,6 +215,7 @@ def _tensor_intervals(tg: TrainingGraph, plan) -> dict[str, list[tuple[int, int]
     [p, p+1) + [cmin - lb_eff, clast); lb_eff = min(lb, cmin - p - 1).
     """
     g = tg.graph
+    positions = tg.positions
     swapped = {}
     lb = 1
     if plan is not None and getattr(plan, "mode", "none") == "swap":
@@ -227,7 +237,7 @@ def _tensor_intervals(tg: TrainingGraph, plan) -> dict[str, list[tuple[int, int]
         prod = g.node(t.producer)
         if prod.kind == "swap_in":
             continue  # folded into the swapped tensor's split residency
-        if t.producer not in tg._positions:
+        if t.producer not in positions:
             continue  # io-produced tensor outside the compute order
         p = tg.position(t.producer)
         if t.id in swapped:
@@ -235,10 +245,10 @@ def _tensor_intervals(tg: TrainingGraph, plan) -> dict[str, list[tuple[int, int]
             swap_in_out = f"{t.id}@in"
             if g.has_tensor(swap_in_out):
                 cons = [tg.position(c) for c in g.consumers(swap_in_out)
-                        if c in tg._positions]
+                        if c in positions]
             else:
                 cons = [tg.position(c) for c in g.consumers(t.id)
-                        if g.node(c).phase == "backward" and c in tg._positions]
+                        if g.node(c).phase == "backward" and c in positions]
             if not cons:
                 intervals[t.id] = [(p, p + 1)]
                 continue
@@ -250,7 +260,7 @@ def _tensor_intervals(tg: TrainingGraph, plan) -> dict[str, list[tuple[int, int]
             intervals[t.id] = ivs
         else:
             cons = [tg.position(c) for c in g.consumers(t.id)
-                    if c in tg._positions and g.node(c).kind not in ("swap_out",)]
+                    if c in positions and g.node(c).kind not in ("swap_out",)]
             end = max(cons) if cons else p + 1
             intervals[t.id] = [(p, max(end, p + 1))]
     return intervals

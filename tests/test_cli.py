@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from swapsim.cli import main, parse_bytes, parse_seed_spec
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -202,3 +208,28 @@ class TestVerify:
                          "--inject-use-after-swap")
         assert rc == 1
         assert "use-after-swap" in err
+
+
+class TestImport:
+    def python(self, code):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_cli_import_does_not_load_numpy(self):
+        assert self.python("import sys, swapsim, swapsim.cli; "
+                           "print('numpy' in sys.modules)") == "False"
+
+    def test_numeric_names_resolve_on_access(self):
+        names = ("GradCheckReport", "UseAfterSwapError", "equivalence_check",
+                 "grad_check", "run_numeric")
+        out = self.python(
+            "import swapsim, swapsim.numeric as n\n"
+            f"names = {names!r}\n"
+            "star = {}\n"
+            "exec('from swapsim import *', star)\n"
+            "print(all(getattr(swapsim, k) is getattr(n, k) is star[k] for k in names))")
+        assert out == "True"

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from swapsim.graph import GraphError
+from swapsim.graph import GraphError, GraphSpec
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.numeric import (
-    UseAfterSwapError, equivalence_check, grad_check, run_numeric,
+    UseAfterSwapError, _execution_order, equivalence_check, grad_check, run_numeric,
 )
 from swapsim.props import make_broken_swap_variant
-from swapsim.rewrite import PRESETS, RewriteConfig, apply_rewrite, resolve_preset
-from swapsim.training import expand_training_graph
+from swapsim.rewrite import (
+    PRESETS, RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset,
+)
+from swapsim.training import TrainingGraph, cross_phase_tensors, expand_training_graph
 
 TOY = UNetParams(dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2,
                  convs_per_level=1)
@@ -134,3 +136,46 @@ class TestResidencyDiscipline:
             grad_of=dict(rewritten.grad_of))
         with pytest.raises(UseAfterSwapError):
             run_numeric(corrupt, plan, seed=1)
+
+
+class TestIoAnchoring:
+    def test_swap_in_without_trigger_edge_is_rejected(self):
+        tg = toy_chain(3)
+        rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
+        _, in_id, trigger = plan.swapped["t1"]
+        g = rewritten.graph
+        no_trigger = TrainingGraph(
+            graph=GraphSpec(nodes=g.nodes, tensors=g.tensors,
+                            control_edges=tuple(e for e in g.control_edges
+                                                if e != (trigger, in_id)),
+                            metadata=dict(g.metadata)),
+            reuse_edges=rewritten.reuse_edges, serial_order=rewritten.serial_order,
+            grad_of=dict(rewritten.grad_of))
+        with pytest.raises(GraphError, match=f"swap_in '{in_id}' has no trigger control edge"):
+            run_numeric(no_trigger, plan, seed=1)
+
+    def test_swap_in_runs_right_after_its_trigger(self):
+        tg = toy_chain(9, kinds=("conv", "activation", "norm"))
+        rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
+        order = _execution_order(rewritten)
+        assert len(plan.swapped) == 9
+        for _, in_id, trigger in plan.swapped.values():
+            i = order.index(in_id) - 1
+            while rewritten.graph.node(order[i]).phase == "io":
+                i -= 1
+            assert order[i] == trigger
+
+    def test_swap_ins_sharing_a_trigger_run_in_id_order(self):
+        # A huge lb clamps every trigger to the first backward node (the
+        # last tensor, read by that node itself, triggers at the loss). With
+        # eleven tensors, id order (t10 < t2) differs from selection order.
+        tg = toy_chain(12)
+        rewritten, plan = insert_swap_nodes(tg, cross_phase_tensors(tg)[:-1], lb=1000)
+        triggers = {trigger for _, _, trigger in plan.swapped.values()}
+        assert len(triggers) == 1
+        order = _execution_order(rewritten)
+        start = order.index(triggers.pop()) + 1
+        swap_ins = order[start:start + len(plan.swapped)]
+        graph_order = [n.id for n in rewritten.graph.nodes if n.kind == "swap_in"]
+        assert swap_ins == sorted(graph_order)
+        assert swap_ins != graph_order

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import deque
 
 import pytest
@@ -228,6 +229,19 @@ def _reachable(g, src):
     return seen
 
 
+def _with_control_edges(tg, control_edges):
+    g = tg.graph
+    return TrainingGraph(
+        graph=GraphSpec(nodes=g.nodes, tensors=g.tensors, control_edges=tuple(control_edges),
+                        metadata=dict(g.metadata)),
+        reuse_edges=tg.reuse_edges, serial_order=tg.serial_order, grad_of=dict(tg.grad_of))
+
+
+def _swap_all_chain(n):
+    tg = expand_training_graph(gen_chain(n))
+    return (tg,) + apply_rewrite(tg, resolve_preset("paper-c1"))
+
+
 class TestValidity:
     def test_generated_swap_plans_are_clean(self):
         tg = expand_training_graph(gen_unet3d(TOY))
@@ -258,6 +272,55 @@ class TestValidity:
             grad_of=dict(rewritten.grad_of))
         codes = {v.code for v in check_rewrite_validity(tg, corrupt, plan)}
         assert "clone-mismatch" in codes
+
+    def test_dropped_swap_out_edge_is_missing_control(self):
+        tg, rewritten, plan = _swap_all_chain(4)
+        out_id, in_id, _ = plan.swapped["t1"]
+        corrupt = _with_control_edges(
+            rewritten, (e for e in rewritten.graph.control_edges if e != (out_id, in_id)))
+        violations = check_rewrite_validity(tg, corrupt, plan)
+        assert [(v.code, v.subject) for v in violations] == [("missing-control", "t1")]
+        assert "from swap_out" in violations[0].message
+
+    def test_dropped_trigger_edge_is_missing_control(self):
+        tg, rewritten, plan = _swap_all_chain(4)
+        _, in_id, trigger = plan.swapped["t0"]
+        corrupt = _with_control_edges(
+            rewritten, (e for e in rewritten.graph.control_edges if e != (trigger, in_id)))
+        violations = check_rewrite_validity(tg, corrupt, plan)
+        assert [(v.code, v.subject) for v in violations] == [("missing-control", "t0")]
+        assert "from trigger" in violations[0].message
+
+    def test_plan_pointing_at_wrong_trigger(self):
+        tg, rewritten, plan = _swap_all_chain(4)
+        out_id, in_id, trigger = plan.swapped["t0"]
+        wrong = rewritten.serial_order[rewritten.boundary_position]
+        assert wrong != trigger
+        plan.swapped["t0"] = (out_id, in_id, wrong)
+        # The plan alone moved: the graph has no edge from the named trigger.
+        assert [(v.code, v.subject) for v in check_rewrite_validity(tg, rewritten, plan)] == \
+            [("missing-control", "t0"), ("trigger-position", "t0")]
+        # Graph and plan moved together: only the position is wrong.
+        moved = _with_control_edges(
+            rewritten, ((wrong, in_id) if e == (trigger, in_id) else e
+                        for e in rewritten.graph.control_edges))
+        violations = check_rewrite_validity(tg, moved, plan)
+        assert [(v.code, v.subject) for v in violations] == [("trigger-position", "t0")]
+        assert repr(trigger) in violations[0].message
+
+    def test_swap_all_check_on_4000_op_chain_is_fast(self):
+        # A tuple scan per control-edge lookup made this check quadratic:
+        # 0.7-1.4 s on a 2-core x86 VM, where the indexed check takes about
+        # 0.06 s, so the bound leaves 5x headroom and still fails the scan.
+        tg = expand_training_graph(gen_chain(4000, kinds=("conv", "norm", "activation")))
+        rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            violations = check_rewrite_validity(tg, rewritten, plan)
+            best = min(best, time.perf_counter() - start)
+        assert violations == []
+        assert best < 0.3
 
     def test_rewrites_preserve_partial_order(self):
         tg = expand_training_graph(gen_unet3d(TOY))
