@@ -208,13 +208,13 @@ def cmd_simulate(args) -> int:
     tg = load_training_graph(args.graph)
     plan = load_plan(args.plan) if args.plan else None
     sim_cfg = _sim_config(args)
-    if args.calibrate_target:
+    if args.calibrate_target is not None:
         sim_cfg.compute_rate = calibrate_compute_rate(tg, plan, sim_cfg,
                                                       float(args.calibrate_target))
         print(f"calibrated compute_rate: {sim_cfg.compute_rate:.6g} units/s")
     report = simulate(tg, plan, sim_cfg)
     _print_report(report)
-    if args.iterations:
+    if args.iterations is not None:
         total = epoch_time(report.makespan, args.iterations, args.host_preproc)
         print(f"epoch estimate: {total:.3f} s over {args.iterations} iterations")
     if args.trace:

@@ -15,18 +15,31 @@ Scheduling rules:
   - device memory is allocated at node start (swap_in included) and a tensor
     is freed when its last consuming event completes (for a swapped tensor
     that last consumer is the swap_out).
+
+Each run works on a private compiled view of the TrainingGraph
+(``_CompiledGraph``): nodes as list indices numbered in id order, with
+per-node channel, cost, tensor indices, output bytes and sorted successor
+lists, plus the initial dependency and reference counts, the serial order
+and the copy-queue keys. ``simulate`` compiles its graph once per call;
+``calibrate_compute_rate`` compiles once for all its probe runs and reads
+only their makespans; ``sweep`` compiles once per rewrite config and reuses
+the view for every SimConfig. Ties on the heap and in the copy queues break
+on (time, channel priority, node id) exactly as on the id strings.
 """
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
-from .graph import NodeSpec, GraphError, tensor_bytes
+from .graph import GraphSpec, NodeSpec, GraphError, tensor_bytes
 from .training import TrainingGraph
 
 CHANNELS = ("compute", "d2h", "h2d")
-_CHANNEL_PRIO = {"compute": 0, "d2h": 1, "h2d": 2}
+# Node kind -> index into CHANNELS, which is also the channel's tie-break
+# priority; every other kind runs on compute (0).
+_KIND_CHANNEL = {"swap_out": 1, "swap_in": 2}
 TRACE_TIDS = {"compute": 0, "d2h": 1, "h2d": 2}
 
 
@@ -54,6 +67,10 @@ class SimConfig:
     enforce_budget: bool = False
 
     def validate(self) -> None:
+        for name in ("compute_rate", "d2h_bw", "h2d_bw", "xfer_latency"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise GraphError(f"{name} must be a finite number, got {value!r}")
         if self.compute_rate <= 0 or self.d2h_bw <= 0 or self.h2d_bw <= 0:
             raise GraphError("compute_rate and bandwidths must be positive")
         if self.xfer_latency < 0:
@@ -111,197 +128,250 @@ def peak_from_deltas(deltas) -> int:
     return peak
 
 
-def simulate(tg: TrainingGraph, plan=None, cfg: SimConfig | None = None) -> SimReport:
-    cfg = cfg or SimConfig()
-    cfg.validate()
-    g = tg.graph
+class _CompiledGraph:
+    """Integer-indexed view of a TrainingGraph, built once per graph and
+    reused for every run on it. Nodes are numbered in ascending id order, so
+    comparing two indices compares the ids: heap, queue and latest-dependency
+    ties break exactly as they would on the id strings."""
 
-    if cfg.enforce_budget and cfg.gpu_budget > 0:
-        for t in g.tensors:
-            nbytes = tensor_bytes(t)
-            if cfg.static_bytes + nbytes > cfg.gpu_budget:
-                raise InfeasibleError(t.id, nbytes, cfg.gpu_budget)
+    __slots__ = ("ids", "phases", "channel", "cost_units", "inputs", "outputs",
+                 "out_bytes", "in_bytes", "succ", "pending", "issue_pending",
+                 "tensor_ids", "tensor_size", "refcount", "serial", "queue_key",
+                 "d2h_seed", "h2d_seed")
 
-    # Dependency bookkeeping over data + control edges. For swap_in nodes the
-    # trigger dependencies (issue) are tracked separately from the swap_out
-    # dependency (data availability).
-    pending: dict[str, int] = {n.id: 0 for n in g.nodes}
-    succ: dict[str, list[str]] = {n.id: [] for n in g.nodes}
-    for a, b in g.edges():
-        pending[b] += 1
-        succ[a].append(b)
-    latest_dep: dict[str, tuple[float, str]] = {}  # node -> (end, dep id)
-    issue_pending: dict[str, int] = {n.id: 0 for n in g.nodes if n.kind == "swap_in"}
-    for a, b in g.edges():
-        if b in issue_pending and g.node(a).kind != "swap_out":
-            issue_pending[b] += 1
+    def __init__(self, tg: TrainingGraph):
+        g = tg.graph
+        nodes = sorted(g.nodes, key=lambda n: n.id)
+        index = {n.id: i for i, n in enumerate(nodes)}
+        tindex = {t.id: k for k, t in enumerate(g.tensors)}
+        self.ids = [n.id for n in nodes]
+        self.phases = {n.id: n.phase for n in g.nodes}
+        self.tensor_ids = [t.id for t in g.tensors]
+        self.tensor_size = size = [tensor_bytes(t) for t in g.tensors]
+        self.refcount = [len(g.consumers(t.id)) for t in g.tensors]
+        self.channel = chan = [_KIND_CHANNEL.get(n.kind, 0) for n in nodes]
+        # op_cost: io nodes cost nothing on the compute channel.
+        self.cost_units = [0.0 if c else n.cost_units for n, c in zip(nodes, chan)]
+        tensor_index = tindex.__getitem__
+        self.inputs = [tuple(map(tensor_index, n.inputs)) for n in nodes]
+        self.outputs = [tuple(map(tensor_index, n.outputs)) for n in nodes]
+        self.out_bytes = [sum(map(size.__getitem__, outs)) for outs in self.outputs]
+        self.in_bytes = [size[ins[0]] if c == 1 else 0
+                         for ins, c in zip(self.inputs, chan)]
 
-    refcount = {t.id: len(g.consumers(t.id)) for t in g.tensors}
-    tensor_size = {t.id: tensor_bytes(t) for t in g.tensors}
-    serial = list(tg.serial_order)
-    swap_nodes = [n for n in g.nodes if n.kind in ("swap_out", "swap_in")]
+        # Dependency counts over data + control edges. A swap_in's trigger
+        # dependencies (issue) are counted apart from its swap_out (data).
+        n = len(nodes)
+        self.succ = succ = [[] for _ in range(n)]
+        self.pending = pending = [0] * n
+        self.issue_pending = issue_pending = [0] * n
+        for a, b in g.edges():
+            ia, ib = index[a], index[b]
+            pending[ib] += 1
+            succ[ia].append(ib)
+            if chan[ib] == 2 and chan[ia] != 1:
+                issue_pending[ib] += 1
+        for s in succ:
+            s.sort()
 
-    # Earliest backward consumer position per swap_in, for the H2D queue key.
-    in_consumer_pos: dict[str, int] = {}
-    out_producer_pos: dict[str, int] = {}
-    positions = tg.positions
-    for n in swap_nodes:
-        if n.kind == "swap_in":
-            cons = [positions[c] for t in n.outputs for c in g.consumers(t)
-                    if c in positions]
-            in_consumer_pos[n.id] = min(cons) if cons else 0
-        else:
-            out_producer_pos[n.id] = positions.get(g.tensor(n.inputs[0]).producer, 0)
+        # Queue keys: a swap_out's producer position, a swap_in's earliest
+        # consumer position.
+        positions = tg.positions
+        self.serial = [index[nid] for nid in tg.serial_order]
+        self.queue_key = key = [0] * n
+        for i, node in enumerate(nodes):
+            if chan[i] == 2:
+                cons = [positions[c] for t in node.outputs for c in g.consumers(t)
+                        if c in positions]
+                key[i] = min(cons) if cons else 0
+            elif chan[i] == 1:
+                key[i] = positions.get(g.tensor(node.inputs[0]).producer, 0)
+        # Transfers whose enqueue conditions are vacuously satisfied.
+        self.d2h_seed = [(0.0, key[i], i) for i in range(n)
+                         if chan[i] == 1 and pending[i] == 0]
+        self.h2d_seed = [(0.0, key[i], i) for i in range(n)
+                         if chan[i] == 2 and issue_pending[i] == 0]
+        heapq.heapify(self.d2h_seed)
+        heapq.heapify(self.h2d_seed)
+
+
+def _check_plan(g: GraphSpec, plan) -> None:
+    """Reject a plan that names a swap or clone node the graph lacks."""
+    if plan is None:
+        return
+    for tid in sorted(plan.swapped):
+        for nid in plan.swapped[tid]:
+            if not g.has_node(nid):
+                raise GraphError(f"plan does not match the graph: swap of tensor {tid!r} "
+                                 f"names node {nid!r}, which the graph lacks")
+    for nid in sorted(plan.clone_map):
+        if not g.has_node(nid):
+            raise GraphError(f"plan does not match the graph: clone node {nid!r} "
+                             f"is missing from the graph")
+
+
+def _run(v: _CompiledGraph, cfg: SimConfig):
+    """Run the event loop on a compiled view. Returns the makespan plus the
+    raw events (start, channel, node index, end) in start order, the
+    resident-bytes deltas, the stalls and busy seconds per channel."""
+    limited = cfg.enforce_budget and cfg.gpu_budget > 0
+    static, budget = cfg.static_bytes, cfg.gpu_budget
+    if limited:
+        for tid, nbytes in zip(v.tensor_ids, v.tensor_size):
+            if static + nbytes > budget:
+                raise InfeasibleError(tid, nbytes, budget)
+    rate, d2h_bw, h2d_bw, latency = cfg.compute_rate, cfg.d2h_bw, cfg.h2d_bw, cfg.xfer_latency
+
+    ids, chan, cost, succ = v.ids, v.channel, v.cost_units, v.succ
+    inputs, outputs, size = v.inputs, v.outputs, v.tensor_size
+    out_bytes, in_bytes, key, serial = v.out_bytes, v.in_bytes, v.queue_key, v.serial
+    pending = v.pending[:]
+    issue_pending = v.issue_pending[:]
+    refcount = v.refcount[:]
+    latest_dep: list = [None] * len(ids)  # node -> (end, dep index)
+    d2h_queue = v.d2h_seed[:]
+    h2d_queue = v.h2d_seed[:]
+    heap: list[tuple[float, int, int]] = []  # (end, channel, node)
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     resident = 0
     mem_deltas: list[tuple[float, int]] = []
-    completed: set[str] = set()
-    events: list[tuple[str, str, float, float]] = []
+    events: list[tuple[float, int, int, float]] = []
     stalls: list[tuple[str, str, float]] = []
-
-    heap: list[tuple[float, int, str, str]] = []  # (end, channel prio, node, channel)
-    d2h_queue: list[tuple[float, int, str]] = []
-    h2d_queue: list[tuple[float, int, str]] = []
-    channel_free = {"compute": True, "d2h": True, "h2d": True}
-    busy_time = {"compute": 0.0, "d2h": 0.0, "h2d": 0.0}
+    free = [True, True, True]
+    busy = [0.0, 0.0, 0.0]
+    n_serial = len(serial)
     compute_idx = 0
     last_compute_end = 0.0
     budget_blocked = False
+    done = 0
     now = 0.0
-
-    def fits(extra: int) -> bool:
-        if not cfg.enforce_budget or cfg.gpu_budget <= 0:
-            return True
-        return cfg.static_bytes + resident + extra <= cfg.gpu_budget
-
-    def allocate(tids, when: float):
-        nonlocal resident
-        for tid in tids:
-            resident += tensor_size[tid]
-            mem_deltas.append((when, tensor_size[tid]))
-
-    def release(tid: str, when: float):
-        nonlocal resident
-        resident -= tensor_size[tid]
-        mem_deltas.append((when, -tensor_size[tid]))
-
-    def finish_outputs(node: NodeSpec, when: float):
-        # Outputs nobody consumes are transient; drop them at completion.
-        for tid in node.outputs:
-            if refcount[tid] == 0:
-                release(tid, when)
-
-    def consume_inputs(node: NodeSpec, when: float):
-        for tid in node.inputs:
-            refcount[tid] -= 1
-            if refcount[tid] == 0:
-                release(tid, when)
-
-    def start(node_id: str, channel: str, start_t: float, dur: float):
-        nonlocal last_compute_end
-        heapq.heappush(heap, (start_t + dur, _CHANNEL_PRIO[channel], node_id, channel))
-        channel_free[channel] = False
-        busy_time[channel] += dur
-        events.append((node_id, channel, start_t, start_t + dur))
-
-    def try_start(when: float) -> bool:
-        nonlocal compute_idx, budget_blocked, last_compute_end
-        progressed = False
-        # Compute channel: strictly the next node in serial order.
-        if channel_free["compute"] and compute_idx < len(serial):
-            nid = serial[compute_idx]
-            node = g.node(nid)
-            if pending[nid] == 0:
-                need = sum(tensor_size[t] for t in node.outputs)
-                if fits(need):
-                    if when > last_compute_end:
-                        blocking = "budget" if budget_blocked else \
-                            latest_dep.get(nid, (0.0, ""))[1]
-                        stalls.append((nid, blocking, when - last_compute_end))
-                    allocate(node.outputs, when)
-                    start(nid, "compute", when, op_cost(node, cfg))
-                    compute_idx += 1
-                    budget_blocked = False
-                    progressed = True
-                else:
-                    budget_blocked = True
-        if channel_free["d2h"] and d2h_queue:
-            ready, _, nid = d2h_queue[0]
-            if ready <= when:
-                heapq.heappop(d2h_queue)
-                node = g.node(nid)
-                nbytes = tensor_size[node.inputs[0]]
-                start(nid, "d2h", when, xfer_cost(nbytes, cfg.d2h_bw, cfg.xfer_latency))
+    while True:
+        # Start everything that can start at `now`, until nothing more can.
+        progressed = True
+        while progressed:
+            progressed = False
+            # Compute channel: strictly the next node in serial order.
+            if free[0] and compute_idx < n_serial:
+                i = serial[compute_idx]
+                if pending[i] == 0:
+                    if not limited or static + resident + out_bytes[i] <= budget:
+                        if now > last_compute_end:
+                            if budget_blocked:
+                                blocking = "budget"
+                            else:
+                                dep = latest_dep[i]
+                                blocking = ids[dep[1]] if dep is not None else ""
+                            stalls.append((ids[i], blocking, now - last_compute_end))
+                        for k in outputs[i]:
+                            resident += size[k]
+                            mem_deltas.append((now, size[k]))
+                        dur = cost[i] / rate
+                        end = now + dur
+                        heappush(heap, (end, 0, i))
+                        free[0] = False
+                        busy[0] += dur
+                        events.append((now, 0, i, end))
+                        compute_idx += 1
+                        budget_blocked = False
+                        progressed = True
+                    else:
+                        budget_blocked = True
+            if free[1] and d2h_queue and d2h_queue[0][0] <= now:
+                i = heappop(d2h_queue)[2]
+                dur = latency + in_bytes[i] / d2h_bw
+                end = now + dur
+                heappush(heap, (end, 1, i))
+                free[1] = False
+                busy[1] += dur
+                events.append((now, 1, i, end))
                 progressed = True
-        if channel_free["h2d"] and h2d_queue:
-            _, _, nid = h2d_queue[0]
-            # Issue-order service: the head may still wait on its swap_out.
-            if pending[nid] == 0:
-                node = g.node(nid)
-                need = sum(tensor_size[t] for t in node.outputs)
-                if fits(need):
-                    heapq.heappop(h2d_queue)
-                    allocate(node.outputs, when)
-                    start(nid, "h2d", when, xfer_cost(need, cfg.h2d_bw, cfg.xfer_latency))
-                    progressed = True
-                else:
-                    budget_blocked = True
-        return progressed
-
-    # Seed transfers whose enqueue conditions are vacuously satisfied.
-    for n in swap_nodes:
-        if n.kind == "swap_out" and pending[n.id] == 0:
-            heapq.heappush(d2h_queue, (0.0, out_producer_pos[n.id], n.id))
-        elif n.kind == "swap_in" and issue_pending[n.id] == 0:
-            heapq.heappush(h2d_queue, (0.0, in_consumer_pos[n.id], n.id))
-
-    while try_start(now):
-        pass
-    total = len(g.nodes)
-    while len(completed) < total:
+            if free[2] and h2d_queue:
+                i = h2d_queue[0][2]
+                # Issue-order service: the head may still wait on its swap_out.
+                if pending[i] == 0:
+                    need = out_bytes[i]
+                    if not limited or static + resident + need <= budget:
+                        heappop(h2d_queue)
+                        for k in outputs[i]:
+                            resident += size[k]
+                            mem_deltas.append((now, size[k]))
+                        dur = latency + need / h2d_bw
+                        end = now + dur
+                        heappush(heap, (end, 2, i))
+                        free[2] = False
+                        busy[2] += dur
+                        events.append((now, 2, i, end))
+                        progressed = True
+                    else:
+                        budget_blocked = True
+        if done == len(ids):
+            break
         if not heap:
             waiting = sorted(set(serial[compute_idx:compute_idx + 1])
-                             | {nid for _, _, nid in d2h_queue}
-                             | {nid for _, _, nid in h2d_queue})
+                             | {i for _, _, i in d2h_queue} | {i for _, _, i in h2d_queue})
             detail = "budget wait with nothing in flight to free" if budget_blocked \
                 else "unsatisfiable dependencies"
-            raise DeadlockError(waiting, detail)
+            raise DeadlockError([ids[i] for i in waiting], detail)
         # Drain every completion at this timestamp before starting new work,
         # so frees at time T are visible to allocations at time T.
         now = heap[0][0]
         while heap and heap[0][0] == now:
-            end, _, nid, channel = heapq.heappop(heap)
-            node = g.node(nid)
-            completed.add(nid)
-            channel_free[channel] = True
-            if channel == "compute":
+            end, channel, i = heappop(heap)
+            done += 1
+            free[channel] = True
+            if channel == 0:
                 last_compute_end = end
-            consume_inputs(node, end)
-            finish_outputs(node, end)
-            for m in sorted(succ[nid]):
+            for k in inputs[i]:
+                refcount[k] -= 1
+                if refcount[k] == 0:
+                    resident -= size[k]
+                    mem_deltas.append((end, -size[k]))
+            # Outputs nobody consumes are transient; drop them at completion.
+            for k in outputs[i]:
+                if refcount[k] == 0:
+                    resident -= size[k]
+                    mem_deltas.append((end, -size[k]))
+            from_swap_out = chan[i] == 1
+            for m in succ[i]:
                 pending[m] -= 1
-                prev = latest_dep.get(m)
-                if prev is None or (end, nid) > prev:
-                    latest_dep[m] = (end, nid)
-                kind_m = g.node(m).kind
-                if kind_m == "swap_out" and pending[m] == 0:
-                    heapq.heappush(d2h_queue, (end, out_producer_pos[m], m))
-                elif kind_m == "swap_in" and node.kind != "swap_out":
+                prev = latest_dep[m]
+                if prev is None or (end, i) > prev:
+                    latest_dep[m] = (end, i)
+                if chan[m] == 1:
+                    if pending[m] == 0:
+                        heappush(d2h_queue, (end, key[m], m))
+                elif chan[m] == 2 and not from_swap_out:
                     issue_pending[m] -= 1
                     if issue_pending[m] == 0:
-                        heapq.heappush(h2d_queue, (end, in_consumer_pos[m], m))
-        while try_start(now):
-            pass
+                        heappush(h2d_queue, (end, key[m], m))
 
     makespan = max((e for _, _, _, e in events), default=0.0)
-    events.sort(key=lambda ev: (ev[2], _CHANNEL_PRIO[ev[1]], ev[0]))
-    busy = {ch: (busy_time[ch] / makespan if makespan > 0 else 0.0) for ch in CHANNELS}
+    return makespan, events, mem_deltas, stalls, busy
+
+
+def _report(v: _CompiledGraph, cfg: SimConfig) -> SimReport:
+    makespan, events, mem_deltas, stalls, busy_time = _run(v, cfg)
+    events.sort()  # (start, channel priority, node id) -- all distinct
+    ids = v.ids
     return SimReport(
-        makespan=makespan, events=events,
+        makespan=makespan,
+        events=[(ids[i], CHANNELS[c], s, e) for s, c, i, e in events],
         peak_resident=peak_from_deltas(mem_deltas) + cfg.static_bytes,
-        stalls=stalls, busy=busy,
-        phases={n.id: n.phase for n in g.nodes},
+        stalls=stalls,
+        busy={ch: (busy_time[c] / makespan if makespan > 0 else 0.0)
+              for c, ch in enumerate(CHANNELS)},
+        phases=v.phases,
     )
+
+
+def simulate(tg: TrainingGraph, plan=None, cfg: SimConfig | None = None) -> SimReport:
+    """Simulate one iteration of ``tg``. ``plan``, when given, must be the
+    plan that produced ``tg``: every node it names has to exist."""
+    cfg = cfg or SimConfig()
+    cfg.validate()
+    _check_plan(tg.graph, plan)
+    return _report(_CompiledGraph(tg), cfg)
 
 
 def stall_report(r: SimReport) -> dict[str, float]:
@@ -360,6 +430,7 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
     rows = []
     for rcfg in rewrite_cfgs:
         rewritten, plan = apply_rewrite(tg, rcfg)
+        view = None
         for scfg in sim_cfgs:
             key = (rcfg.n_tensors, rcfg.lb, rcfg.mode, scfg.d2h_bw, scfg.h2d_bw)
             row = {
@@ -368,7 +439,10 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
                 "swapped": len(plan.swapped),
             }
             try:
-                rep = simulate(rewritten, plan, scfg)
+                scfg.validate()
+                if view is None:
+                    view = _CompiledGraph(rewritten)
+                rep = _report(view, scfg)
                 srep = stall_report(rep)
                 row.update(makespan=rep.makespan, peak_resident=rep.peak_resident,
                            boundary_stall=srep["boundary"],
@@ -384,15 +458,18 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
 def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
                            target_makespan: float, tol: float = 1e-3) -> float:
     """Binary-search the compute_rate that puts the simulated makespan at the
-    target; makespan is monotone non-increasing in compute_rate."""
-    if target_makespan <= 0:
-        raise GraphError("target makespan must be positive")
+    target; makespan is monotone non-increasing in compute_rate. The graph is
+    compiled once and every probe run reads only its makespan."""
+    if not math.isfinite(target_makespan) or target_makespan <= 0:
+        raise GraphError(f"target makespan must be a positive finite number, "
+                         f"got {target_makespan!r}")
+    _check_plan(tg.graph, plan)
+    view = _CompiledGraph(tg)
 
     def run(rate: float) -> float:
-        c = SimConfig(compute_rate=rate, d2h_bw=cfg.d2h_bw, h2d_bw=cfg.h2d_bw,
-                      xfer_latency=cfg.xfer_latency, gpu_budget=cfg.gpu_budget,
-                      static_bytes=cfg.static_bytes, enforce_budget=cfg.enforce_budget)
-        return simulate(tg, plan, c).makespan
+        c = replace(cfg, compute_rate=rate)
+        c.validate()
+        return _run(view, c)[0]
 
     lo, hi = 1.0, 1.0
     while run(hi) > target_makespan:

@@ -233,3 +233,48 @@ class TestImport:
             "exec('from swapsim import *', star)\n"
             "print(all(getattr(swapsim, k) is getattr(n, k) is star[k] for k in names))")
         assert out == "True"
+
+
+@pytest.fixture()
+def probe_files(rewritten, tmp_path, capsys):
+    """A U-Net training graph and plan, plus a chain training graph."""
+    chain = tmp_path / "chain.json"
+    rc, _, _ = run(capsys, "generate", "chain", "--n", "4", "-o", str(chain))
+    assert rc == 0
+    chain_tg, chain_plan = tmp_path / "chain_tg.json", tmp_path / "chain_plan.json"
+    rc, _, _ = run(capsys, "rewrite", str(chain), "--preset", "paper-c1",
+                   "--out-graph", str(chain_tg), "--out-plan", str(chain_plan))
+    assert rc == 0
+    og, op = rewritten
+    return {"tg": str(og), "plan": str(op), "chain_tg": str(chain_tg)}
+
+
+# Each probe must end in a one-line message with exit code 1 or 2, never a
+# traceback or a hang.
+BAD_INPUT_PROBES = {
+    "compute-rate-nan": (["{tg}", "{plan}", "--compute-rate", "nan"], "compute_rate"),
+    "d2h-bw-inf": (["{tg}", "{plan}", "--d2h-bw", "inf"], "d2h_bw"),
+    "latency-nan": (["{tg}", "{plan}", "--latency", "nan"], "xfer_latency"),
+    "calibrate-target-nan": (["{tg}", "{plan}", "--calibrate-target", "nan"], "target makespan"),
+    "calibrate-target-0": (["{tg}", "{plan}", "--calibrate-target", "0"], "target makespan"),
+    "iterations-0": (["{tg}", "{plan}", "--iterations", "0"], "iterations"),
+    "plan-of-other-graph": (["{chain_tg}", "{plan}"], "plan does not match"),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("name", sorted(BAD_INPUT_PROBES))
+    def test_probe_ends_in_one_line_error(self, name, probe_files):
+        argv, needle = BAD_INPUT_PROBES[name]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        code = "import sys; from swapsim.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "simulate"] + [a.format(**probe_files) for a in argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode in (1, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(("error:", "usage error:"))
+        assert needle in lines[0]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,8 +11,8 @@ from swapsim.props import (
 )
 from swapsim.rewrite import RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset
 from swapsim.sim import (
-    DeadlockError, InfeasibleError, SimConfig, emit_trace, epoch_time, op_cost,
-    simulate, stall_report, sweep, xfer_cost,
+    DeadlockError, InfeasibleError, SimConfig, calibrate_compute_rate, emit_trace,
+    epoch_time, op_cost, simulate, stall_report, sweep, xfer_cost,
 )
 from swapsim.training import expand_training_graph
 
@@ -211,3 +212,138 @@ class TestSweep:
                      [SimConfig(gpu_budget=10, enforce_budget=True)])
         assert rows[0]["makespan"] is None
         assert "infeasible" in rows[0]["error"]
+
+
+# SHA-256 of outputs on the toy U-Net, recorded before the simulator ran on a
+# compiled integer-indexed view; any change to scheduling, tie-breaking or
+# float evaluation order shows up here.
+PIN_REWRITES = {p: resolve_preset(p) for p in ("paper-c1", "paper-c2", "paper-c3", "paper-c4")}
+PIN_REWRITES["recompute-speed"] = RewriteConfig(mode="recompute", ckpt_policy="speed")
+PIN_REPORT_SHA = {
+    ("paper-c1", False): "93ae56ab06c1434b5c1520910b0b43f32edb90fc2e9e8737e3ffb0d274f4387c",
+    ("paper-c1", True): "dbfeb010aa29701b534f1e670c5f9889d40601dd4e9c06d5325adc19a9dc3126",
+    ("paper-c2", False): "93ae56ab06c1434b5c1520910b0b43f32edb90fc2e9e8737e3ffb0d274f4387c",
+    ("paper-c2", True): "dbfeb010aa29701b534f1e670c5f9889d40601dd4e9c06d5325adc19a9dc3126",
+    ("paper-c3", False): "f7892d793149a1c5c4ce3a8b6bbfcaf830f6d17dcd2b6dc45d93d23f6a16f3a1",
+    ("paper-c3", True): "b47ff3b5f2466e239f1fd742c8e36e3bcbcc3ae574f6136d6ff4c27a9d17eab2",
+    ("paper-c4", False): "b3f80d55123341bc88ec66283c49a2aee34341963be346b3f3ca41edda445aa3",
+    ("paper-c4", True): "019cac22317a5ef7d12249c6973fcbcade6e1c47169e1a4f5e51d353e239544c",
+    ("recompute-speed", False): "d4f3b2fd90a585a6e8325930488a6175ff503788391ccd5b8d015540a7e74639",
+    ("recompute-speed", True): "886a50bf7abf31fb2d08282fbb2ff7ed3f412a443d917136cd838916bb4e637d",
+}
+PIN_SWEEP_SHA = "25b0cbb1e82a93ccdd38cc77d7814b77d57a2c591d56664067b042227726a239"
+
+
+def _pin_cfg(budget: bool) -> SimConfig:
+    # 16 KiB with 1 KiB static: c1-c4 fit (c4 exactly at the budget),
+    # recompute deadlocks, so both outcomes are pinned.
+    return SimConfig(compute_rate=1e6, d2h_bw=2e4, h2d_bw=1e4, xfer_latency=1e-3,
+                     gpu_budget=16384 if budget else 0,
+                     static_bytes=1024 if budget else 0, enforce_budget=budget)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("budget", [False, True], ids=["free", "budget"])
+    @pytest.mark.parametrize("name", sorted(PIN_REWRITES))
+    def test_report_json_pinned(self, name, budget):
+        tg = expand_training_graph(gen_unet3d(TOY))
+        rewritten, plan = apply_rewrite(tg, PIN_REWRITES[name])
+        try:
+            out = simulate(rewritten, plan, _pin_cfg(budget)).to_json()
+        except GraphError as exc:
+            out = f"error: {exc}"
+        assert _sha(out) == PIN_REPORT_SHA[(name, budget)]
+
+    @pytest.mark.parametrize("budget", [False, True], ids=["free", "budget"])
+    def test_calibrated_rate_pinned(self, budget):
+        tg = expand_training_graph(gen_unet3d(TOY))
+        rewritten, plan = apply_rewrite(tg, PIN_REWRITES["paper-c1"])
+        rate = calibrate_compute_rate(rewritten, plan, _pin_cfg(budget), 10.0)
+        assert repr(rate) == "727226.828641178"
+
+    def test_sweep_rows_pinned(self):
+        tg = expand_training_graph(gen_unet3d(TOY))
+        rows = sweep(tg, PIN_REWRITES.values(), [_pin_cfg(False), _pin_cfg(True)])
+        assert _sha(json.dumps(rows, sort_keys=True)) == PIN_SWEEP_SHA
+
+
+class TestCompileOnce:
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        """Count compiled-view builds and event-loop runs."""
+        import swapsim.sim as sim_mod
+        real_build, real_run = sim_mod._CompiledGraph, sim_mod._run
+        counts = {"builds": 0, "runs": 0}
+
+        def build(tg):
+            counts["builds"] += 1
+            return real_build(tg)
+
+        def run(view, cfg):
+            counts["runs"] += 1
+            return real_run(view, cfg)
+
+        monkeypatch.setattr(sim_mod, "_CompiledGraph", build)
+        monkeypatch.setattr(sim_mod, "_run", run)
+        return counts
+
+    def test_calibrate_builds_one_view(self, counts):
+        tg = expand_training_graph(gen_unet3d(TOY))
+        rewritten, plan = apply_rewrite(tg, PIN_REWRITES["paper-c1"])
+        calibrate_compute_rate(rewritten, plan, _pin_cfg(False), 10.0)
+        assert counts["builds"] == 1
+        assert counts["runs"] > 10
+
+    def test_sweep_builds_one_view_per_rewrite_config(self, counts):
+        tg = expand_training_graph(gen_unet3d(TOY))
+        sim_cfgs = [SimConfig(compute_rate=1e6, d2h_bw=bw, h2d_bw=bw) for bw in (1e4, 2e4, 4e4)]
+        rows = sweep(tg, PIN_REWRITES.values(), sim_cfgs)
+        assert len(rows) == 15
+        assert counts["builds"] == len(PIN_REWRITES)
+        assert counts["runs"] == 15
+
+    def test_simulate_builds_one_view_per_call(self, counts):
+        tg = expand_training_graph(gen_chain(4))
+        simulate(tg, None, SimConfig())
+        simulate(tg, None, SimConfig())
+        assert counts == {"builds": 2, "runs": 2}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("field", ["compute_rate", "d2h_bw", "h2d_bw", "xfer_latency"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_config_rejected(self, field, value):
+        cfg = SimConfig(**{field: value})
+        with pytest.raises(GraphError, match=f"{field} must be a finite number"):
+            cfg.validate()
+        tg = expand_training_graph(gen_chain(2))
+        with pytest.raises(GraphError, match=field):
+            simulate(tg, None, cfg)
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_calibrate_rejects_bad_target(self, target):
+        tg = expand_training_graph(gen_chain(2))
+        with pytest.raises(GraphError, match="target makespan"):
+            calibrate_compute_rate(tg, None, SimConfig(), target)
+
+    def test_plan_from_another_graph_rejected(self):
+        unet = expand_training_graph(gen_unet3d(TOY))
+        _, unet_plan = apply_rewrite(unet, PIN_REWRITES["paper-c1"])
+        chain = expand_training_graph(gen_chain(4))
+        first = unet_plan.swapped[sorted(unet_plan.swapped)[0]][0]
+        with pytest.raises(GraphError, match=f"names node '{first}'"):
+            simulate(chain, unet_plan, SimConfig())
+        with pytest.raises(GraphError, match="plan does not match"):
+            calibrate_compute_rate(chain, unet_plan, SimConfig(), 1.0)
+
+    def test_plan_clone_missing_rejected(self):
+        tg = expand_training_graph(gen_unet3d(TOY))
+        rewritten, plan = apply_rewrite(tg, PIN_REWRITES["recompute-speed"])
+        assert plan.clone_map
+        simulate(rewritten, plan, SimConfig())
+        with pytest.raises(GraphError, match="clone node"):
+            simulate(tg, plan, SimConfig())
