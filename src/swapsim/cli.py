@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .graph import GraphError, load_graph, save_graph
+from .graph import GraphError, dumps_canonical, load_graph, save_graph
 from .models import UNetParams, gen_chain, gen_unet3d
 from .training import (expand_training_graph, load_training_graph,
                        save_training_graph, static_peak_estimate)
@@ -31,11 +32,21 @@ _SI = {"kb": 1e3, "mb": 1e6, "gb": 1e9, "tb": 1e12, "b": 1.0}
 
 
 def parse_bytes(text: str) -> int:
+    """A byte count such as ``512``, ``1.5e9`` or ``16GiB``; finite and >= 0."""
     s = str(text).strip().lower().replace(" ", "")
-    for suffix, mult in sorted({**_IEC, **_SI}.items(), key=lambda kv: -len(kv[0])):
+    number, mult = s, 1.0
+    for suffix, m in sorted({**_IEC, **_SI}.items(), key=lambda kv: -len(kv[0])):
         if s.endswith(suffix):
-            return int(float(s[:-len(suffix)]) * mult)
-    return int(float(s))
+            number, mult = s[:-len(suffix)], m
+            break
+    try:
+        value = float(number) * mult
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise UsageError(f"invalid byte count {text!r}: expected a finite number >= 0 "
+                         f"with an optional unit such as GiB or GB")
+    return int(value)
 
 
 def fmt_bytes(n: int) -> str:
@@ -271,7 +282,7 @@ def cmd_sweep(args) -> int:
     print(table, end="")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"version": 1, "rows": rows}, sort_keys=True, indent=2) + "\n")
+            fh.write(dumps_canonical({"version": 1, "rows": rows}))
         print(f"wrote {args.output}")
     return 0
 

@@ -5,6 +5,7 @@ values can be shared freely across threads and scenario workers.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 from collections import deque
@@ -275,26 +276,30 @@ def bfs_depths(g: GraphSpec) -> dict[str, int]:
 
 # ---------------------------------------------------------------------------
 # On-disk format: a single JSON document with canonical ordering, so that
-# save(load(save(g))) is byte-identical to save(g).
+# save(load(save(g))) is byte-identical to save(g). The documents are written
+# row by row (``graph_text``); ``graph_to_obj`` is the same document as
+# objects, and ``dumps_canonical`` of it is the reference text.
+
+def _node_obj(n: NodeSpec) -> dict:
+    return {
+        "id": n.id, "kind": n.kind, "inputs": list(n.inputs),
+        "outputs": list(n.outputs), "cost_units": n.cost_units,
+        "scope": n.scope, "phase": n.phase,
+    }
+
+
+def _tensor_obj(t: TensorDesc) -> dict:
+    return {
+        "id": t.id, "producer": t.producer, "shape": list(t.shape),
+        "channels": t.channels, "elem_bytes": t.elem_bytes, "scope": t.scope,
+    }
+
 
 def graph_to_obj(g: GraphSpec) -> dict:
     return {
         "version": SCHEMA_VERSION,
-        "nodes": [
-            {
-                "id": n.id, "kind": n.kind, "inputs": list(n.inputs),
-                "outputs": list(n.outputs), "cost_units": n.cost_units,
-                "scope": n.scope, "phase": n.phase,
-            }
-            for n in sorted(g.nodes, key=lambda n: n.id)
-        ],
-        "tensors": [
-            {
-                "id": t.id, "producer": t.producer, "shape": list(t.shape),
-                "channels": t.channels, "elem_bytes": t.elem_bytes, "scope": t.scope,
-            }
-            for t in sorted(g.tensors, key=lambda t: t.id)
-        ],
+        "nodes": [_node_obj(n) for n in sorted(g.nodes, key=lambda n: n.id)],
+        "tensors": [_tensor_obj(t) for t in sorted(g.tensors, key=lambda t: t.id)],
         "control_edges": sorted([list(e) for e in g.control_edges]),
         "metadata": g.metadata,
     }
@@ -332,8 +337,111 @@ def graph_from_obj(obj: dict) -> GraphSpec:
                      control_edges=edges, metadata=obj.get("metadata", {}))
 
 
-def dumps_canonical(obj: dict) -> str:
+def dumps_canonical(obj) -> str:
+    """The one canonical JSON text: sorted keys, 2-space indent, final newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# json.dumps runs its pure-Python encoder whenever ``indent`` is set, so the
+# writers below build the canonical text themselves, row by row, with the C
+# string encoder; every ``pad`` is the indentation of the line a value starts on.
+_ENC = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _scalar(v) -> str:
+    """A JSON scalar exactly as json.dumps writes it; TypeError otherwise."""
+    if isinstance(v, str):
+        return _ENC(v)
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == _INF:
+            return "Infinity"
+        if v == -_INF:
+            return "-Infinity"
+        return float.__repr__(v)
+    raise TypeError(f"not a JSON scalar: {type(v).__name__}")
+
+
+def rows_text(rows, pad: str, brackets: str = "[]") -> str:
+    """A list (or object) whose items are already-encoded texts."""
+    if not rows:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}{brackets[1]}"
+
+
+def value_text(v, pad: str = "") -> str:
+    """``v`` exactly as dumps_canonical writes it, without the final newline.
+
+    Anything the row writer does not know (non-string keys, None, other
+    types) goes through dumps_canonical itself. Encoded JSON has no raw
+    newline inside a string, so every newline there is structural.
+    """
+    try:
+        inner = pad + "  "
+        if isinstance(v, dict):
+            return rows_text([f"{_ENC(k)}: {value_text(x, inner)}" for k, x in sorted(v.items())],
+                             pad, "{}")
+        if isinstance(v, (list, tuple)):
+            return rows_text([value_text(x, inner) for x in v], pad)
+        return _scalar(v)
+    except TypeError:
+        return dumps_canonical(v)[:-1].replace("\n", "\n" + pad)
+
+
+def list_text(items, pad: str, enc=_ENC) -> str:
+    """A list of strings (or of scalars, with ``enc=_scalar``)."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    try:
+        return f"[\n{inner}" + f",\n{inner}".join(map(enc, items)) + f"\n{pad}]"
+    except TypeError:
+        return value_text(list(items), pad)
+
+
+def _node_text(n: NodeSpec, p: str) -> str:
+    """One node object; ``p`` is the indentation of its fields."""
+    try:
+        return (f'{{\n{p}"cost_units": {_scalar(n.cost_units)},\n{p}"id": {_ENC(n.id)},'
+                f'\n{p}"inputs": {list_text(n.inputs, p)},\n{p}"kind": {_ENC(n.kind)},'
+                f'\n{p}"outputs": {list_text(n.outputs, p)},\n{p}"phase": {_ENC(n.phase)},'
+                f'\n{p}"scope": {_ENC(n.scope)}\n{p[:-2]}}}')
+    except TypeError:
+        return value_text(_node_obj(n), p[:-2])
+
+
+def _tensor_text(t: TensorDesc, p: str) -> str:
+    """One tensor object; ``p`` is the indentation of its fields."""
+    try:
+        return (f'{{\n{p}"channels": {_scalar(t.channels)},'
+                f'\n{p}"elem_bytes": {_scalar(t.elem_bytes)},\n{p}"id": {_ENC(t.id)},'
+                f'\n{p}"producer": {_ENC(t.producer)},\n{p}"scope": {_ENC(t.scope)},'
+                f'\n{p}"shape": {list_text(t.shape, p, _scalar)}\n{p[:-2]}}}')
+    except TypeError:
+        return value_text(_tensor_obj(t), p[:-2])
+
+
+def graph_text(g: GraphSpec, pad: str = "") -> str:
+    """dumps_canonical(graph_to_obj(g)) without its final newline, for an
+    object on a line indented by ``pad``; built row by row."""
+    p = pad + "  "
+    fields = p + "    "
+    nodes = [_node_text(n, fields) for n in sorted(g.nodes, key=lambda n: n.id)]
+    tensors = [_tensor_text(t, fields) for t in sorted(g.tensors, key=lambda t: t.id)]
+    edges = [list_text(e, p + "  ") for e in sorted(g.control_edges)]
+    return (f'{{\n{p}"control_edges": {rows_text(edges, p)},'
+            f'\n{p}"metadata": {value_text(g.metadata, p)},'
+            f'\n{p}"nodes": {rows_text(nodes, p)},\n{p}"tensors": {rows_text(tensors, p)},'
+            f'\n{p}"version": {SCHEMA_VERSION}\n{pad}}}')
 
 
 def save_graph(g: GraphSpec, path) -> None:
@@ -341,14 +449,41 @@ def save_graph(g: GraphSpec, path) -> None:
     if violations:
         raise GraphError(f"refusing to save invalid graph: {violations[0]}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(graph_to_obj(g)))
+        fh.write(graph_text(g) + "\n")
+
+
+def load_document(path, kind: str, from_obj):
+    """Parse the JSON document at ``path`` and build it with ``from_obj``.
+
+    Both steps run with the cyclic garbage collector paused: a document is
+    an acyclic tree, so the pause frees nothing late, while full collections
+    would rescan the growing document many times. The caller's GC state is
+    restored on every exit. Every error in the document, including one of
+    the wrong shape (a missing key, a list or null where an object or list
+    belongs), is one GraphError naming the file; the row loops themselves
+    check nothing per field.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return from_obj(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"malformed {kind} file {path}: line {exc.lineno} "
+                         f"column {exc.colno}: {exc.msg}") from None
+    except GraphError as exc:
+        raise GraphError(f"{kind} file {path}: {exc}") from None
+    except KeyError as exc:
+        raise GraphError(f"malformed {kind} file {path}: missing key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError) as exc:
+        raise GraphError(f"malformed {kind} file {path}: wrong value type: {exc}") from None
+    except ValueError as exc:
+        raise GraphError(f"malformed {kind} file {path}: bad value: {exc}") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_graph(path) -> GraphSpec:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"malformed graph file {path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    return graph_from_obj(obj)
+    return load_document(path, "graph", graph_from_obj)

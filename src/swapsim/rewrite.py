@@ -5,13 +5,12 @@ RewritePlan describing what was inserted; the input graph is never mutated.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 from .graph import (
     GraphSpec, NodeSpec, TensorDesc, GraphError, Violation,
-    bfs_depths, scope_matches, validate_graph,
+    bfs_depths, dumps_canonical, load_document, scope_matches, validate_graph,
 )
 from .training import TrainingGraph, cross_phase_tensors
 
@@ -82,10 +81,12 @@ class RewritePlan:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
+        return dumps_canonical(self.to_obj())
 
     @classmethod
     def from_obj(cls, obj: dict) -> "RewritePlan":
+        if not isinstance(obj, dict):
+            raise GraphError("plan document must be a JSON object")
         if obj.get("version") != 1:
             raise GraphError(f"unsupported plan version {obj.get('version')!r}")
         return cls(
@@ -104,12 +105,7 @@ def save_plan(plan: RewritePlan, path) -> None:
 
 
 def load_plan(path) -> RewritePlan:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return RewritePlan.from_obj(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"malformed plan file {path}: line {exc.lineno} "
-                             f"column {exc.colno}: {exc.msg}")
+    return load_document(path, "plan", RewritePlan.from_obj)
 
 
 def _producer_scope(tg: TrainingGraph, tensor_id: str) -> str:

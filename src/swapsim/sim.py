@@ -29,11 +29,10 @@ on (time, channel priority, node id) exactly as on the id strings.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, replace
 
-from .graph import GraphSpec, NodeSpec, GraphError, tensor_bytes
+from .graph import GraphSpec, NodeSpec, GraphError, dumps_canonical, tensor_bytes
 from .training import TrainingGraph
 
 CHANNELS = ("compute", "d2h", "h2d")
@@ -110,7 +109,7 @@ class SimReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
+        return dumps_canonical(self.to_obj())
 
 
 def peak_from_deltas(deltas) -> int:
@@ -151,7 +150,11 @@ class _CompiledGraph:
         self.refcount = [len(g.consumers(t.id)) for t in g.tensors]
         self.channel = chan = [_KIND_CHANNEL.get(n.kind, 0) for n in nodes]
         # op_cost: io nodes cost nothing on the compute channel.
-        self.cost_units = [0.0 if c else n.cost_units for n, c in zip(nodes, chan)]
+        self.cost_units = cost = [0.0 if c else n.cost_units for n, c in zip(nodes, chan)]
+        if not all(map(math.isfinite, cost)) or min(cost, default=0.0) < 0:
+            i = next(i for i, c in enumerate(cost) if not 0 <= c < math.inf)
+            raise GraphError(f"node {nodes[i].id!r} has cost_units {cost[i]!r}; "
+                             f"costs must be finite and >= 0")
         tensor_index = tindex.__getitem__
         self.inputs = [tuple(map(tensor_index, n.inputs)) for n in nodes]
         self.outputs = [tuple(map(tensor_index, n.outputs)) for n in nodes]
@@ -406,7 +409,7 @@ def emit_trace(r: SimReport, path) -> None:
         for nid, channel, start, end in r.events
     ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(trace, sort_keys=True, indent=2) + "\n")
+        fh.write(dumps_canonical(trace))
 
 
 def epoch_time(iter_seconds: float, iterations: int, host_preproc_seconds: float = 0.0) -> float:
@@ -414,6 +417,10 @@ def epoch_time(iter_seconds: float, iterations: int, host_preproc_seconds: float
     each iteration costs the larger of the two."""
     if iterations < 1:
         raise GraphError(f"iterations must be >= 1, got {iterations}")
+    for name, value in (("iter_seconds", iter_seconds),
+                        ("host_preproc_seconds", host_preproc_seconds)):
+        if not math.isfinite(value) or value < 0:
+            raise GraphError(f"{name} must be a finite number >= 0, got {value!r}")
     return iterations * max(iter_seconds, host_preproc_seconds)
 
 

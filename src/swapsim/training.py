@@ -2,14 +2,14 @@
 schedule-independent liveness / peak-memory estimates."""
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .graph import (
-    GraphSpec, NodeSpec, TensorDesc, GraphError,
-    tensor_bytes, topo_order, validate_graph,
+    GraphSpec, NodeSpec, TensorDesc, GraphError, dumps_canonical, graph_from_obj,
+    graph_text, graph_to_obj, list_text, load_document, rows_text, tensor_bytes,
+    topo_order, validate_graph, value_text,
 )
 
 BACKWARD_COST_RATIO = 2.0  # grad op cost relative to its forward counterpart
@@ -41,9 +41,12 @@ class TrainingGraph:
         self._positions = {nid: i for i, nid in enumerate(self.serial_order)}
         self._positions_view = MappingProxyType(self._positions)
         last = -1
-        for i, nid in enumerate(self.serial_order):
-            if self.graph.node(nid).phase == "forward":
-                last = i
+        try:
+            for i, nid in enumerate(self.serial_order):
+                if self.graph.node(nid).phase == "forward":
+                    last = i
+        except KeyError:
+            raise GraphError(f"serial_order names unknown node {nid!r}") from None
         self._boundary_position = last
 
     @property
@@ -202,7 +205,7 @@ class LivenessReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
+        return dumps_canonical(self.to_obj())
 
 
 def _tensor_intervals(tg: TrainingGraph, plan) -> dict[str, list[tuple[int, int]]]:
@@ -306,7 +309,6 @@ def static_peak_estimate(tg: TrainingGraph, plan=None) -> LivenessReport:
 # TrainingGraph serialization (graph document plus the expansion extras).
 
 def training_to_obj(tg: TrainingGraph) -> dict:
-    from .graph import graph_to_obj
     return {
         "version": 1,
         "graph": graph_to_obj(tg.graph),
@@ -317,7 +319,8 @@ def training_to_obj(tg: TrainingGraph) -> dict:
 
 
 def training_from_obj(obj: dict) -> TrainingGraph:
-    from .graph import graph_from_obj
+    if not isinstance(obj, dict):
+        raise GraphError("training-graph document must be a JSON object")
     if obj.get("version") != 1:
         raise GraphError(f"unsupported training-graph version {obj.get('version')!r}")
     return TrainingGraph(
@@ -329,17 +332,16 @@ def training_from_obj(obj: dict) -> TrainingGraph:
 
 
 def save_training_graph(tg: TrainingGraph, path) -> None:
-    from .graph import dumps_canonical
+    """Write dumps_canonical(training_to_obj(tg)), built row by row."""
+    pad = "  "
+    edges = [list_text(e, pad * 2) for e in sorted(tg.reuse_edges)]
+    text = (f'{{\n{pad}"grad_of": {value_text(tg.grad_of, pad)},'
+            f'\n{pad}"graph": {graph_text(tg.graph, pad)},'
+            f'\n{pad}"reuse_edges": {rows_text(edges, pad)},'
+            f'\n{pad}"serial_order": {list_text(tg.serial_order, pad)},\n{pad}"version": 1\n}}\n')
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(training_to_obj(tg)))
+        fh.write(text)
 
 
 def load_training_graph(path) -> TrainingGraph:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"malformed training-graph file {path}: line {exc.lineno} "
-                         f"column {exc.colno}: {exc.msg}")
-    return training_from_obj(obj)
+    return load_document(path, "training-graph", training_from_obj)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from swapsim.cli import main, parse_bytes, parse_seed_spec
+from swapsim.cli import UsageError, main, parse_bytes, parse_seed_spec
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -23,6 +23,12 @@ class TestParsers:
         assert parse_bytes("16GB") == 16 * 10**9
         assert parse_bytes("512") == 512
         assert parse_bytes("1.5e9") == 1_500_000_000
+
+    @pytest.mark.parametrize("text", ["abc", "", "GiB", "inf", "-inf", "nan", "1e400",
+                                      "1e400kib", "-1", "-1GiB", "1x"])
+    def test_bad_byte_counts_are_usage_errors(self, text):
+        with pytest.raises(UsageError, match="invalid byte count"):
+            parse_bytes(text)
 
     def test_seed_specs(self):
         assert parse_seed_spec("1..4") == [1, 2, 3, 4]
@@ -235,9 +241,37 @@ class TestImport:
         assert out == "True"
 
 
+_DROP = object()
+
+
+def edited(path, value=_DROP):
+    """An edit that sets the item at ``path`` (a sequence of keys) to value, or drops it."""
+    def change(doc):
+        *parents, last = path
+        obj = doc
+        for key in parents:
+            obj = obj[key]
+        if value is _DROP:
+            del obj[last]
+        else:
+            obj[last] = value
+        return doc
+    return change
+
+
+def corrupt(src, dst, change):
+    """Write dst as the JSON document of src passed through change."""
+    with open(src, encoding="utf-8") as fh:
+        doc = change(json.load(fh))
+    with open(dst, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return str(dst)
+
+
 @pytest.fixture()
 def probe_files(rewritten, tmp_path, capsys):
-    """A U-Net training graph and plan, plus a chain training graph."""
+    """A U-Net training graph and plan, a chain graph and training graph, and
+    malformed copies of them."""
     chain = tmp_path / "chain.json"
     rc, _, _ = run(capsys, "generate", "chain", "--n", "4", "-o", str(chain))
     assert rc == 0
@@ -246,19 +280,62 @@ def probe_files(rewritten, tmp_path, capsys):
                    "--out-graph", str(chain_tg), "--out-plan", str(chain_plan))
     assert rc == 0
     og, op = rewritten
-    return {"tg": str(og), "plan": str(op), "chain_tg": str(chain_tg)}
+    files = {"tg": str(og), "plan": str(op), "chain_tg": str(chain_tg),
+             "chain_plan": str(chain_plan)}
+    bad = {
+        "node_no_id": (chain, edited(("nodes", 0, "id"))),
+        "node_row_list": (chain, edited(("nodes", 0), ["op0", "conv"])),
+        "tg_list": (chain_tg, lambda doc: []),
+        "tg_row_list": (chain_tg, edited(("graph", "tensors", 1), [])),
+        "tg_no_graph": (chain_tg, edited(("graph",))),
+        "shape_null": (chain_tg, edited(("graph", "tensors", 0, "shape"), None)),
+        "serial_unknown": (chain_tg, edited(("serial_order", 0), "no-such-op")),
+        "cost_nan": (chain_tg, edited(("graph", "nodes", 1, "cost_units"), float("nan"))),
+        "plan_list": (chain_plan, lambda doc: []),
+    }
+    for name, (src, change) in bad.items():
+        files[name] = corrupt(src, tmp_path / f"{name}.json", change)
+    return files
 
 
 # Each probe must end in a one-line message with exit code 1 or 2, never a
-# traceback or a hang.
+# traceback or a hang. The first word is the subcommand.
 BAD_INPUT_PROBES = {
-    "compute-rate-nan": (["{tg}", "{plan}", "--compute-rate", "nan"], "compute_rate"),
-    "d2h-bw-inf": (["{tg}", "{plan}", "--d2h-bw", "inf"], "d2h_bw"),
-    "latency-nan": (["{tg}", "{plan}", "--latency", "nan"], "xfer_latency"),
-    "calibrate-target-nan": (["{tg}", "{plan}", "--calibrate-target", "nan"], "target makespan"),
-    "calibrate-target-0": (["{tg}", "{plan}", "--calibrate-target", "0"], "target makespan"),
-    "iterations-0": (["{tg}", "{plan}", "--iterations", "0"], "iterations"),
-    "plan-of-other-graph": (["{chain_tg}", "{plan}"], "plan does not match"),
+    "compute-rate-nan": (["simulate", "{tg}", "{plan}", "--compute-rate", "nan"], "compute_rate"),
+    "d2h-bw-inf": (["simulate", "{tg}", "{plan}", "--d2h-bw", "inf"], "d2h_bw"),
+    "latency-nan": (["simulate", "{tg}", "{plan}", "--latency", "nan"], "xfer_latency"),
+    "calibrate-target-nan": (["simulate", "{tg}", "{plan}", "--calibrate-target", "nan"],
+                             "target makespan"),
+    "calibrate-target-0": (["simulate", "{tg}", "{plan}", "--calibrate-target", "0"],
+                           "target makespan"),
+    "iterations-0": (["simulate", "{tg}", "{plan}", "--iterations", "0"], "iterations"),
+    "plan-of-other-graph": (["simulate", "{chain_tg}", "{plan}"], "plan does not match"),
+    "budget-abc": (["simulate", "{tg}", "{plan}", "--budget", "abc"], "invalid byte count 'abc'"),
+    "budget-inf": (["simulate", "{tg}", "{plan}", "--budget", "inf", "--enforce-budget"],
+                   "invalid byte count 'inf'"),
+    "budget-negative": (["simulate", "{tg}", "{plan}", "--budget=-1GiB"], "invalid byte count"),
+    "static-bytes-1e400": (["simulate", "{tg}", "{plan}", "--static-bytes", "1e400"],
+                           "invalid byte count '1e400'"),
+    "rewrite-static-bytes-nan": (["rewrite", "{chain_tg}", "--static-bytes", "nan"],
+                                 "invalid byte count 'nan'"),
+    "host-preproc-nan": (["simulate", "{tg}", "{plan}", "--iterations", "3",
+                          "--host-preproc", "nan"], "host_preproc_seconds"),
+    "host-preproc-inf": (["simulate", "{tg}", "{plan}", "--iterations", "3",
+                          "--host-preproc", "inf"], "host_preproc_seconds"),
+    "graph-node-no-id": (["sweep", "{node_no_id}", "--presets", "paper-c1"],
+                         "node_no_id.json: missing key 'id'"),
+    "graph-node-row-list": (["sweep", "{node_row_list}", "--presets", "paper-c1"],
+                            "node_row_list.json: wrong value type"),
+    "training-doc-list": (["simulate", "{tg_list}", "{plan}"], "tg_list.json"),
+    "training-row-list": (["simulate", "{tg_row_list}", "{plan}"],
+                          "tg_row_list.json: wrong value type"),
+    "training-no-graph": (["simulate", "{tg_no_graph}", "{plan}"],
+                          "tg_no_graph.json: missing key 'graph'"),
+    "shape-null": (["simulate", "{shape_null}", "{plan}"], "shape_null.json: wrong value type"),
+    "serial-order-unknown-node": (["simulate", "{serial_unknown}", "{plan}"],
+                                  "unknown node 'no-such-op'"),
+    "plan-list": (["simulate", "{chain_tg}", "{plan_list}"], "plan_list.json"),
+    "cost-units-nan": (["simulate", "{cost_nan}", "{chain_plan}"], "has cost_units nan"),
 }
 
 
@@ -270,7 +347,7 @@ class TestBadInput:
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
         code = "import sys; from swapsim.cli import main; sys.exit(main(sys.argv[1:]))"
         proc = subprocess.run(
-            [sys.executable, "-c", code, "simulate"] + [a.format(**probe_files) for a in argv],
+            [sys.executable, "-c", code] + [a.format(**probe_files) for a in argv],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode in (1, 2), proc.stderr
         assert "Traceback" not in proc.stderr

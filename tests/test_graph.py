@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -5,10 +6,15 @@ import pytest
 
 from swapsim.graph import (
     CycleError, GraphError, GraphSpec, NodeSpec, TensorDesc,
-    bfs_depths, graph_from_obj, graph_to_obj, load_graph, save_graph,
-    tensor_bytes, topo_order, validate_graph,
+    bfs_depths, dumps_canonical, graph_from_obj, graph_to_obj, load_document,
+    load_graph, save_graph, tensor_bytes, topo_order, validate_graph,
 )
-from swapsim.models import UNetParams, gen_unet3d
+from swapsim.models import UNetParams, gen_chain, gen_unet3d
+from swapsim.rewrite import RewriteConfig, apply_rewrite, resolve_preset
+from swapsim.training import (
+    TrainingGraph, expand_training_graph, load_training_graph, save_training_graph,
+    training_to_obj,
+)
 
 
 def chain_graph(ids=("a", "b", "c")):
@@ -235,3 +241,160 @@ class TestProperties:
                 assert ok
             except GraphError:
                 assert not ok
+
+
+# ---------------------------------------------------------------------------
+# The row writers must write exactly dumps_canonical of the object form.
+
+TOY = UNetParams(dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2, convs_per_level=1)
+REWRITES = [resolve_preset(p) for p in ("paper-c1", "paper-c2", "paper-c3", "paper-c4")] + [
+    RewriteConfig(mode="recompute", ckpt_policy=p) for p in ("speed", "sqrt_n")]
+ODD = 'q"b\\s\x00\x1f\t\n\x7f é ✓ 𝄞'
+
+
+def saved_text(save, value, tmp_path):
+    path = tmp_path / "doc.json"
+    save(value, path)
+    return path.read_text(encoding="utf-8")
+
+
+def assert_canonical(g, tmp_path, tg=None):
+    """save_graph(g) and save_training_graph(tg) equal their reference text."""
+    if g is not None:
+        assert saved_text(save_graph, g, tmp_path) == dumps_canonical(graph_to_obj(g))
+    if tg is not None:
+        assert (saved_text(save_training_graph, tg, tmp_path)
+                == dumps_canonical(training_to_obj(tg)))
+
+
+def odd_graph(cost_units=1.0, metadata=None):
+    """Two nodes whose ids, scopes and kinds need escaping."""
+    a, b = f"a{ODD}", f"b{ODD}"
+    return GraphSpec(
+        nodes=(NodeSpec(a, "conv", (), (f"{a}:0",), cost_units, f"s/{ODD}"),
+               NodeSpec(b, "norm", (f"{a}:0",), (f"{b}:0",), 2, ODD)),
+        tensors=(TensorDesc(f"{a}:0", a, (3, 5), 2, 4, ODD),
+                 TensorDesc(f"{b}:0", b, (7,), 1, 2)),
+        control_edges=((a, b),),
+        metadata={"note": ODD} if metadata is None else metadata)
+
+
+class TestCanonicalWriter:
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (192, 192, 192)])
+    def test_unet_unrewritten_and_rewritten(self, dims, tmp_path):
+        params = TOY if dims == (8, 8, 8) else UNetParams(dims=dims)
+        g = gen_unet3d(params)
+        tg = expand_training_graph(g, static_bytes=123)
+        assert_canonical(g, tmp_path, tg)
+        for cfg in REWRITES:
+            rewritten, _ = apply_rewrite(tg, cfg)
+            assert_canonical(rewritten.graph, tmp_path, rewritten)
+
+    def test_chain(self, tmp_path):
+        g = gen_chain(40, 64, 1e5, ("conv", "norm", "activation"))
+        tg = expand_training_graph(g)
+        assert_canonical(g, tmp_path, tg)
+        assert_canonical(None, tmp_path, apply_rewrite(tg, REWRITES[0])[0])
+
+    def test_empty_graph(self, tmp_path):
+        g = GraphSpec()
+        assert_canonical(g, tmp_path, expand_training_graph(g))
+        assert saved_text(save_graph, g, tmp_path) == (
+            '{\n  "control_edges": [],\n  "metadata": {},\n  "nodes": [],\n'
+            '  "tensors": [],\n  "version": 1\n}\n')
+
+    def test_escaped_ids_and_scopes(self, tmp_path):
+        g = odd_graph()
+        tg = TrainingGraph(graph=g, reuse_edges=((g.tensors[0].id, g.nodes[1].id),),
+                           serial_order=tuple(n.id for n in g.nodes),
+                           grad_of={ODD: f"x{ODD}", "plain": "y"})
+        assert_canonical(g, tmp_path, tg)
+        text = saved_text(save_graph, g, tmp_path)
+        assert text.isascii() and "\\u00e9" in text and "\\ud834\\udd1e" in text
+        assert load_graph(tmp_path / "doc.json") == g
+
+    @pytest.mark.parametrize("cost", [0, 3, 2**70, 1.0, 0.1, 1e-300, 1e300, -0.0,
+                                      float("nan"), float("inf")])
+    def test_cost_units_numbers(self, cost, tmp_path):
+        assert_canonical(odd_graph(cost), tmp_path)
+
+    @pytest.mark.parametrize("cost", [True, False, float("-inf"), None])
+    def test_cost_units_beyond_save_graph(self, cost, tmp_path):
+        """Values save_graph refuses or never sees still match json.dumps."""
+        g = odd_graph(cost)
+        assert_canonical(None, tmp_path, TrainingGraph(graph=g, reuse_edges=(), serial_order=()))
+
+    def test_number_subclasses(self, tmp_path):
+        class Int(int):
+            def __repr__(self):
+                return "no"
+
+        class Float(float):
+            def __repr__(self):
+                return "no"
+
+        g = odd_graph(Float(2.5), metadata={"i": Int(7), "f": Float(0.5)})
+        assert_canonical(g, tmp_path)
+        assert '"cost_units": 2.5' in saved_text(save_graph, g, tmp_path)
+
+    def test_nested_metadata(self, tmp_path):
+        meta = {"z": {"deep": [1, [2.5, [None, True]], {"k": "v\n"}], "empty": {}},
+                "a": [], ODD: float("nan"), "tuple": (1, "x"), "neg": float("-inf")}
+        assert_canonical(odd_graph(metadata=meta), tmp_path)
+
+    def test_values_outside_the_row_format(self, tmp_path):
+        """Non-string keys, None and odd containers fall back to dumps_canonical."""
+        g = odd_graph(metadata={1: "one", 2: [None]})
+        nodes = (NodeSpec("n", "conv", (), ("t", 5), 1.0, None),) + g.nodes
+        tensors = (TensorDesc("t", "n", (True, 2.5, [1]), None, 4),) + g.tensors
+        weird = GraphSpec(nodes=nodes, tensors=tensors, control_edges=(("n", 1),),
+                          metadata=g.metadata)
+        tg = TrainingGraph(graph=weird, reuse_edges=(("t", None),), serial_order=("n",),
+                           grad_of={"n": None})
+        assert_canonical(None, tmp_path, tg)
+
+    def test_no_pure_python_encoder(self, tmp_path, monkeypatch):
+        g = gen_unet3d(TOY)
+        rewritten, _ = apply_rewrite(expand_training_graph(g, static_bytes=5), REWRITES[0])
+        expected = (dumps_canonical(graph_to_obj(g)), dumps_canonical(training_to_obj(rewritten)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            dumps_canonical({"a": 1})
+        assert (saved_text(save_graph, g, tmp_path),
+                saved_text(save_training_graph, rewritten, tmp_path)) == expected
+
+
+class TestLoaderGcState:
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        g = gen_chain(6)
+        save_graph(g, tmp_path / "g.json")
+        save_training_graph(expand_training_graph(g), tmp_path / "tg.json")
+        (tmp_path / "bad.json").write_text('{"version": 1, "nodes": [}')
+        (tmp_path / "noid.json").write_text('{"version": 1, "nodes": [{"kind": "conv"}]}')
+        return tmp_path
+
+    @pytest.mark.parametrize("load,good", [(load_graph, "g.json"),
+                                           (load_training_graph, "tg.json")])
+    def test_state_restored(self, gc_state, files, load, good):
+        load(files / good)
+        assert gc.isenabled() is gc_state
+        for bad in ("bad.json", "noid.json"):
+            with pytest.raises(GraphError, match="bad.json|noid.json"):
+                load(files / bad)
+            assert gc.isenabled() is gc_state
+
+    def test_paused_while_building(self, gc_state, files):
+        assert load_document(files / "g.json", "graph", lambda obj: gc.isenabled()) is False
+        assert gc.isenabled() is gc_state

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -175,6 +176,13 @@ class TestEpochTime:
         with pytest.raises(GraphError):
             epoch_time(1.0, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_seconds_validated(self, bad):
+        with pytest.raises(GraphError, match="host_preproc_seconds"):
+            epoch_time(1.0, 3, bad)
+        with pytest.raises(GraphError, match="iter_seconds"):
+            epoch_time(bad, 3)
+
 
 class TestSweep:
     def test_preset_grid_has_four_rows(self):
@@ -323,6 +331,17 @@ class TestInputChecks:
         tg = expand_training_graph(gen_chain(2))
         with pytest.raises(GraphError, match=field):
             simulate(tg, None, cfg)
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -1.0])
+    def test_bad_cost_units_rejected(self, cost):
+        tg = expand_training_graph(gen_chain(3))
+        g = tg.graph
+        nodes = tuple(replace(n, cost_units=cost) if n.id == "op1" else n for n in g.nodes)
+        bad = replace(tg, graph=replace(g, nodes=nodes))
+        with pytest.raises(GraphError, match="'op1' has cost_units"):
+            simulate(bad, None, SimConfig())
+        with pytest.raises(GraphError, match="'op1' has cost_units"):
+            calibrate_compute_rate(bad, None, SimConfig(), 1.0)
 
     @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -1.0])
     def test_calibrate_rejects_bad_target(self, target):
