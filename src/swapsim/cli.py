@@ -5,11 +5,10 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-from .graph import GraphError, dumps_canonical, load_graph, save_graph
+from .graph import GraphError, dumps_canonical, load_document, load_graph, save_graph
 from .models import UNetParams, gen_chain, gen_unet3d
 from .training import (expand_training_graph, load_training_graph,
                        save_training_graph, static_peak_estimate)
@@ -24,8 +23,9 @@ LINKS = {
 }
 
 
-class UsageError(Exception):
-    """Bad invocation rather than a domain failure; exits with code 2."""
+class UsageError(ValueError):
+    """Bad invocation rather than a domain failure; exits with code 2. Raised
+    while a document is loaded, it is a bad value in that file (code 1)."""
 
 _IEC = {"kib": 2**10, "mib": 2**20, "gib": 2**30, "tib": 2**40}
 _SI = {"kb": 1e3, "mb": 1e6, "gb": 1e9, "tb": 1e12, "b": 1.0}
@@ -55,53 +55,60 @@ def fmt_bytes(n: int) -> str:
 
 def parse_seed_spec(text: str) -> list[int]:
     seeds: list[int] = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            seeds.append(int(part))
+    try:
+        for part in str(text).split(","):
+            part = part.strip()
+            if ".." in part:
+                lo, hi = part.split("..")
+                seeds.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                seeds.append(int(part))
+    except ValueError:
+        raise UsageError(f"invalid seed spec {text!r}: expected seeds such as 1..20 "
+                         f"or 1,3,5") from None
     if not seeds:
-        raise GraphError(f"no seeds in spec {text!r}")
+        raise UsageError(f"no seeds in spec {text!r}")
     return seeds
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(x) for x in str(text).split(",") if x.strip()]
+def _csv(text: str, kind: type) -> list:
+    try:
+        return [kind(x) for x in str(text).split(",") if x.strip()]
+    except ValueError:
+        raise UsageError(f"invalid {kind.__name__} list {text!r}") from None
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if x.strip()]
+def _names(value) -> tuple[str, ...]:
+    """Scope patterns or node ids: a comma-separated flag or a scenario list."""
+    if isinstance(value, str):
+        value = value.split(",")
+    return tuple(s for s in value if s)
 
 
-def _rewrite_config(args) -> RewriteConfig:
-    if getattr(args, "preset", None):
-        return resolve_preset(args.preset)
-    return RewriteConfig(
-        mode=args.mode,
-        n_tensors=args.n_tensors,
-        lb=args.lb,
-        excl_scopes=tuple(s for s in (args.excl_scopes or "").split(",") if s),
-        incl_scopes=tuple(s for s in (args.incl_scopes or "").split(",") if s),
-        ckpt_policy=args.ckpt_policy,
-        manual_ckpts=tuple(s for s in (args.manual_ckpts or "").split(",") if s),
-    )
+def _rewrite_config(m) -> RewriteConfig:
+    """A rewrite config from a scenario's ``rewrite`` object or the parsed
+    flags; keys the mapping lacks keep RewriteConfig's defaults."""
+    if m.get("preset") is not None:
+        return resolve_preset(m["preset"])
+    kw = {k: m[k] for k in ("mode", "n_tensors", "lb", "ckpt_policy") if k in m}
+    kw.update({k: _names(m[k]) for k in ("excl_scopes", "incl_scopes", "manual_ckpts")
+               if k in m})
+    return RewriteConfig(**kw)
 
 
-def _sim_config(args) -> SimConfig:
-    d2h, h2d = args.d2h_bw, args.h2d_bw
-    if args.link:
-        if args.link not in LINKS:
-            raise GraphError(f"unknown link preset {args.link!r}; expected one of {sorted(LINKS)}")
-        d2h, h2d = LINKS[args.link]
-    return SimConfig(
-        compute_rate=args.compute_rate, d2h_bw=d2h, h2d_bw=h2d,
-        xfer_latency=args.latency,
-        gpu_budget=parse_bytes(args.budget) if args.budget else 0,
-        static_bytes=parse_bytes(args.static_bytes) if args.static_bytes else 0,
-        enforce_budget=args.enforce_budget,
-    )
+def _sim_config(m) -> SimConfig:
+    """A simulator config from a scenario's ``sim`` object or the parsed
+    flags; keys the mapping lacks keep SimConfig's defaults, and a ``link``
+    preset sets both bandwidths."""
+    kw = {k: m[k] for k in ("compute_rate", "d2h_bw", "h2d_bw", "xfer_latency") if k in m}
+    if m.get("link"):
+        if m["link"] not in LINKS:
+            raise UsageError(f"unknown link preset {m['link']!r}; "
+                             f"expected one of {sorted(LINKS)}")
+        kw["d2h_bw"], kw["h2d_bw"] = LINKS[m["link"]]
+    return SimConfig(**kw, gpu_budget=parse_bytes(m.get("gpu_budget") or 0),
+                     static_bytes=parse_bytes(m.get("static_bytes") or 0),
+                     enforce_budget=bool(m.get("enforce_budget")))
 
 
 def cmd_generate(args) -> int:
@@ -124,8 +131,7 @@ def cmd_rewrite(args) -> int:
     static = parse_bytes(args.static_bytes) if args.static_bytes else 0
     tg = expand_training_graph(g, static_bytes=static,
                                backward_cost_ratio=args.backward_cost_ratio)
-    cfg = _rewrite_config(args)
-    rewritten, plan = apply_rewrite(tg, cfg)
+    rewritten, plan = apply_rewrite(tg, _rewrite_config(vars(args)))
     violations = check_rewrite_validity(tg, rewritten, plan)
     if violations:
         raise GraphError(f"rewrite produced an invalid graph: {violations[0]}")
@@ -145,9 +151,9 @@ def cmd_rewrite(args) -> int:
     return 0
 
 
-def _run_scenario(path: str, args) -> int:
-    with open(path, encoding="utf-8") as fh:
-        sc = json.load(fh)
+def _scenario_from_obj(sc) -> tuple:
+    """A scenario document's training graph, rewrite config, simulator config,
+    calibration (rewrite config, target seconds) or None, and output paths."""
     gen = sc["generator"]
     if gen["kind"] == "unet3d":
         g = gen_unet3d(UNetParams(
@@ -162,44 +168,37 @@ def _run_scenario(path: str, args) -> int:
     else:
         raise GraphError(f"unknown generator kind {gen.get('kind')!r}")
     tg = expand_training_graph(g, static_bytes=int(sc.get("static_bytes", 0)))
-
-    rw = sc.get("rewrite", {})
-    if "preset" in rw:
-        cfg = resolve_preset(rw["preset"])
-    else:
-        cfg = RewriteConfig(
-            mode=rw.get("mode", "none"), n_tensors=rw.get("n_tensors", -1),
-            lb=rw.get("lb", 1), excl_scopes=tuple(rw.get("excl_scopes", ())),
-            incl_scopes=tuple(rw.get("incl_scopes", ())),
-            ckpt_policy=rw.get("ckpt_policy", "speed"),
-            manual_ckpts=tuple(rw.get("manual_ckpts", ())))
-    rewritten, plan = apply_rewrite(tg, cfg)
-
+    cfg = _rewrite_config(sc.get("rewrite", {}))
+    cfg.validate()
     sm = sc.get("sim", {})
-    d2h, h2d = LINKS.get(sm.get("link", ""), (sm.get("d2h_bw", 40e9), sm.get("h2d_bw", 40e9)))
-    sim_cfg = SimConfig(compute_rate=sm.get("compute_rate", 1e12), d2h_bw=d2h, h2d_bw=h2d,
-                        xfer_latency=sm.get("xfer_latency", 0.0),
-                        gpu_budget=parse_bytes(sm["gpu_budget"]) if "gpu_budget" in sm else 0,
-                        static_bytes=parse_bytes(sm["static_bytes"]) if "static_bytes" in sm else 0,
-                        enforce_budget=bool(sm.get("enforce_budget", False)))
+    sim_cfg = _sim_config(sm)
+    sim_cfg.validate()
     cal = sm.get("calibrate")
-    if cal:
-        cal_cfg = resolve_preset(cal["preset"]) if "preset" in cal else RewriteConfig(mode="none")
+    calibration = (_rewrite_config({"preset": cal.get("preset")}),
+                   float(cal["target_seconds"])) if cal else None
+    outputs = sc.get("outputs", {})
+    return tg, cfg, sim_cfg, calibration, outputs.get("trace"), outputs.get("report")
+
+
+def _run_scenario(path: str) -> int:
+    tg, cfg, sim_cfg, calibration, trace, report_path = load_document(
+        path, "scenario", _scenario_from_obj)
+    rewritten, plan = apply_rewrite(tg, cfg)
+    if calibration:
+        cal_cfg, target = calibration
         cal_tg, cal_plan = apply_rewrite(tg, cal_cfg)
-        sim_cfg.compute_rate = calibrate_compute_rate(
-            cal_tg, cal_plan, sim_cfg, float(cal["target_seconds"]))
+        sim_cfg.compute_rate = calibrate_compute_rate(cal_tg, cal_plan, sim_cfg, target)
         print(f"calibrated compute_rate: {sim_cfg.compute_rate:.6g} units/s")
 
     report = simulate(rewritten, plan, sim_cfg)
     _print_report(report)
-    outputs = sc.get("outputs", {})
-    if outputs.get("trace"):
-        emit_trace(report, outputs["trace"])
-        print(f"wrote trace {outputs['trace']}")
-    if outputs.get("report"):
-        with open(outputs["report"], "w", encoding="utf-8") as fh:
+    if trace:
+        emit_trace(report, trace)
+        print(f"wrote trace {trace}")
+    if report_path:
+        with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
-        print(f"wrote report {outputs['report']}")
+        print(f"wrote report {report_path}")
     return 0
 
 
@@ -215,10 +214,10 @@ def _print_report(report) -> None:
 
 def cmd_simulate(args) -> int:
     if args.scenario:
-        return _run_scenario(args.scenario, args)
+        return _run_scenario(args.scenario)
     tg = load_training_graph(args.graph)
     plan = load_plan(args.plan) if args.plan else None
-    sim_cfg = _sim_config(args)
+    sim_cfg = _sim_config(vars(args))
     if args.calibrate_target is not None:
         sim_cfg.compute_rate = calibrate_compute_rate(tg, plan, sim_cfg,
                                                       float(args.calibrate_target))
@@ -247,24 +246,23 @@ def cmd_sweep(args) -> int:
     if args.presets:
         rewrite_cfgs.extend(resolve_preset(p.strip()) for p in args.presets.split(",") if p.strip())
     if args.lb or args.n_tensors:
-        lbs = _csv_ints(args.lb) if args.lb else [1]
-        nts = _csv_ints(args.n_tensors) if args.n_tensors else [-1]
-        excl = tuple(s for s in (args.excl_scopes or "").split(",") if s)
+        lbs = _csv(args.lb, int) if args.lb else [1]
+        nts = _csv(args.n_tensors, int) if args.n_tensors else [-1]
         for nt in nts:
             for lb in lbs:
-                rewrite_cfgs.append(RewriteConfig(mode=args.mode, n_tensors=nt, lb=lb,
-                                                  excl_scopes=excl))
+                rewrite_cfgs.append(_rewrite_config({"mode": args.mode, "n_tensors": nt, "lb": lb,
+                                                     "excl_scopes": args.excl_scopes}))
     if not rewrite_cfgs:
         raise UsageError("empty sweep grid: give --presets or --lb/--n-tensors")
 
+    rate = {"compute_rate": args.compute_rate, "xfer_latency": args.xfer_latency}
     if args.link:
-        bws = [LINKS[l.strip()] for l in args.link.split(",") if l.strip()]
+        sims = [{**rate, "link": name.strip()} for name in args.link.split(",") if name.strip()]
     elif args.bw:
-        bws = [(b, b) for b in _csv_floats(args.bw)]
+        sims = [{**rate, "d2h_bw": b, "h2d_bw": b} for b in _csv(args.bw, float)]
     else:
-        bws = [(40e9, 40e9)]
-    sim_cfgs = [SimConfig(compute_rate=args.compute_rate, d2h_bw=d, h2d_bw=h,
-                          xfer_latency=args.latency) for d, h in bws]
+        sims = [rate]
+    sim_cfgs = [_sim_config(m) for m in sims]
 
     rows = sweep(tg, rewrite_cfgs, sim_cfgs)
     header = ["n_tensors", "lb", "mode", "d2h_bw", "h2d_bw", "swapped",
@@ -288,7 +286,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .models import gen_chain, gen_unet3d, UNetParams
     from .numeric import equivalence_check, grad_check
     from .props import make_broken_swap_variant, run_invariant_suite
 
@@ -296,7 +293,7 @@ def cmd_verify(args) -> int:
     failures: list[str] = []
 
     chain_tg = expand_training_graph(gen_chain(8, bytes_per_tensor=48,
-                                               kinds=("conv", "activation", "norm", "pool")[:3]))
+                                               kinds=("conv", "activation", "norm")))
     unet_tg = expand_training_graph(gen_unet3d(UNetParams(
         dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2, convs_per_level=1)))
 
@@ -305,7 +302,7 @@ def cmd_verify(args) -> int:
         for preset in sorted(PRESETS):
             variants.append((preset,) + apply_rewrite(tg, resolve_preset(preset)))
         for policy in ("speed", "sqrt_n"):
-            cfg = RewriteConfig(mode="recompute", ckpt_policy=policy)
+            cfg = _rewrite_config({"mode": "recompute", "ckpt_policy": policy})
             variants.append((f"recompute-{policy}",) + apply_rewrite(tg, cfg))
         if label == "chain" and args.inject_use_after_swap:
             variants.append(("injected-broken-plan",) + make_broken_swap_variant(chain_tg))
@@ -383,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--d2h-bw", type=float, default=40e9)
     p_sim.add_argument("--h2d-bw", type=float, default=40e9)
     p_sim.add_argument("--link", choices=sorted(LINKS), default=None)
-    p_sim.add_argument("--latency", type=float, default=0.0)
-    p_sim.add_argument("--budget", default="")
+    p_sim.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float, default=0.0)
+    p_sim.add_argument("--budget", dest="gpu_budget", metavar="BUDGET", default="")
     p_sim.add_argument("--enforce-budget", action="store_true")
     p_sim.add_argument("--static-bytes", default="")
     p_sim.add_argument("--calibrate-target", type=float, default=None)
@@ -405,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--bw", default="")
     p_sw.add_argument("--link", default="")
     p_sw.add_argument("--compute-rate", type=float, default=1e12)
-    p_sw.add_argument("--latency", type=float, default=0.0)
+    p_sw.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float, default=0.0)
     p_sw.add_argument("--static-bytes", default="")
     p_sw.add_argument("-o", "--output", default=None)
     p_sw.set_defaults(func=cmd_sweep)

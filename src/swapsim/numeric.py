@@ -3,25 +3,23 @@ arrays, asserting device-residency discipline at every read. This is the
 oracle proving that swap and recompute rewrites preserve computed values
 exactly (same arithmetic, same order, bit-identical results).
 
-Toy op semantics (flat float64 arrays):
-  conv / matmul / upsample  size-mapping elementwise affine
-  activation                max(0, x)
-  norm                      x - mean(x)
-  pool                      block mean (window = n_in / n_out)
-  concat                    concatenation in input order
-  loss                      sum of squares over its input
+Toy op semantics live in one table, ``_TOY_OPS``: for each forward node kind,
+its forward rule and its backward rule on flat float64 arrays. Every walker
+(``run_numeric``, the gradient check's forward-only pass and its kink probe)
+runs ops through it. The loss node sums the squares of its inputs.
 """
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .graph import GraphError, element_count
 from .training import TrainingGraph, cross_phase_tensors
 
-AFFINE_KINDS = ("conv", "matmul", "upsample", "source", "sink", "recompute")
 MAX_ELEMENTS = 10_000
 KINK_TOL = 1e-6
 
@@ -46,20 +44,26 @@ def _base_node_id(node_id: str) -> str:
     return node_id.split("@rc")[0]
 
 
+def _input_nodes(g) -> list:
+    """Forward nodes with no inputs: each one's output is a graph input."""
+    return [n for n in g.nodes if n.phase == "forward" and not n.inputs and n.outputs]
+
+
 def _input_values(g, seed: int, overrides=None):
     values = {}
-    for n in g.nodes:
-        if n.phase == "forward" and not n.inputs and n.outputs:
-            tid = n.outputs[0]
-            if overrides and tid in overrides:
-                values[tid] = np.asarray(overrides[tid], dtype=np.float64).copy()
-            else:
-                rng = np.random.default_rng((seed, zlib.crc32(n.id.encode())))
-                values[tid] = rng.standard_normal(element_count(g.tensor(tid)))
+    for n in _input_nodes(g):
+        tid = n.outputs[0]
+        if overrides and tid in overrides:
+            values[tid] = np.asarray(overrides[tid], dtype=np.float64).copy()
+        else:
+            rng = np.random.default_rng((seed, zlib.crc32(n.id.encode())))
+            values[tid] = rng.standard_normal(element_count(g.tensor(tid)))
     return values
 
 
-def _affine_forward(x: np.ndarray, n_out: int, a: float, b: float) -> np.ndarray:
+def _affine_forward(xs, n_out: int, node_id: str) -> np.ndarray:
+    a, b = _node_params(node_id)
+    x = xs[0]
     n_in = x.size
     if n_in >= n_out:
         reps = -(-n_in // n_out)
@@ -70,15 +74,57 @@ def _affine_forward(x: np.ndarray, n_out: int, a: float, b: float) -> np.ndarray
     return a * np.tile(x, reps)[:n_out] + b
 
 
-def _affine_backward(dy: np.ndarray, n_in: int, a: float) -> np.ndarray:
-    n_out = dy.size
+def _affine_backward(dy: np.ndarray, y, in_sizes, node_id: str) -> list[np.ndarray]:
+    a, _ = _node_params(node_id)
+    n_in, n_out = in_sizes[0], dy.size
     if n_in >= n_out:
         reps = -(-n_in // n_out)
-        return (a * np.tile(dy, reps)[:n_in]).copy()
+        return [(a * np.tile(dy, reps)[:n_in]).copy()]
     reps = -(-n_out // n_in)
     padded = np.zeros(reps * n_in)
     padded[:n_out] = dy
-    return a * padded.reshape(reps, n_in).sum(axis=0)
+    return [a * padded.reshape(reps, n_in).sum(axis=0)]
+
+
+def _pool_forward(xs, n_out: int, node_id: str) -> np.ndarray:
+    k = xs[0].size // n_out
+    return xs[0][:k * n_out].reshape(n_out, k).mean(axis=1)
+
+
+def _pool_backward(dy: np.ndarray, y, in_sizes, node_id: str) -> list[np.ndarray]:
+    k = in_sizes[0] // dy.size
+    return [np.repeat(dy / k, k)[:in_sizes[0]]]
+
+
+def _concat_backward(dy: np.ndarray, y, in_sizes, node_id: str) -> list[np.ndarray]:
+    return [dy[end - size:end].copy() for size, end in zip(in_sizes, accumulate(in_sizes))]
+
+
+class _ToyOp(NamedTuple):
+    # (input values, output size, node id whose coefficients apply) -> output value
+    forward: Callable
+    # (output gradient, output value, input sizes, node id) -> one gradient per input
+    backward: Callable
+
+
+class _OpTable(dict):
+    def __missing__(self, kind: str):
+        raise GraphError(f"no toy semantic for node kind {kind!r}")
+
+
+_TOY_OPS = _OpTable({
+    # size-mapping elementwise affine a*x + b, x folded or tiled to the output size
+    **dict.fromkeys(("conv", "matmul", "upsample", "source", "sink", "recompute"),
+                    _ToyOp(_affine_forward, _affine_backward)),
+    "activation": _ToyOp(lambda xs, n_out, nid: np.maximum(xs[0], 0.0),
+                         lambda dy, y, in_sizes, nid: [dy * (y > 0.0)]),
+    "norm": _ToyOp(lambda xs, n_out, nid: xs[0] - xs[0].mean(),
+                   lambda dy, y, in_sizes, nid: [dy - dy.mean()]),
+    # block mean, window n_in / n_out
+    "pool": _ToyOp(_pool_forward, _pool_backward),
+    # concatenation in input order
+    "concat": _ToyOp(lambda xs, n_out, nid: np.concatenate(xs), _concat_backward),
+})
 
 
 class _Tape:
@@ -87,7 +133,6 @@ class _Tape:
     def __init__(self):
         self.device: dict[str, np.ndarray] = {}
         self.host: dict[str, np.ndarray] = {}
-        self.freed: set[str] = set()
 
     def read(self, tensor_id: str, node_id: str) -> np.ndarray:
         if tensor_id in self.device:
@@ -110,7 +155,24 @@ class _Tape:
 
     def free(self, tensor_id: str) -> None:
         self.device.pop(tensor_id, None)
-        self.freed.add(tensor_id)
+
+
+def _forward_op(g, tape: _Tape, n, params_id: str) -> list[np.ndarray]:
+    """Run forward op ``n`` by its table rule, with the coefficients of node
+    ``params_id``; returns the input values it read."""
+    xs = [tape.read(tid, n.id) for tid in n.inputs]
+    out_id = n.outputs[0]
+    tape.write(out_id, _TOY_OPS[n.kind].forward(xs, element_count(g.tensor(out_id)), params_id))
+    return xs
+
+
+def _loss(tape: _Tape, n) -> float:
+    """The loss node's value: the sum of squares over its inputs."""
+    total = 0.0
+    for tid in n.inputs:
+        x = tape.read(tid, n.id)
+        total += float(np.dot(x, x))
+    return total
 
 
 def _execution_order(tg: TrainingGraph) -> list[str]:
@@ -172,68 +234,37 @@ def run_numeric(tg: TrainingGraph, plan=None, seed: int = 0,
     recompute_free: set[str] = set()
     if plan is not None and getattr(plan, "mode", "none") == "recompute":
         kept = set(plan.checkpoints)
-        input_tensors = {n.outputs[0] for n in g.nodes
-                         if n.phase == "forward" and not n.inputs and n.outputs}
+        input_tensors = {n.outputs[0] for n in _input_nodes(g)}
         recompute_free = set(cross_phase_tensors(tg)) - kept - input_tensors
 
     loss_value = 0.0
-    grads: dict[str, np.ndarray] = {}
-
     for nid in _execution_order(tg):
         n = g.node(nid)
         kind = n.kind
         if kind == "swap_out":
             tape.swap_out(n.inputs[0], nid)
-            continue
-        if kind == "swap_in":
+        elif kind == "swap_in":
             dst = n.outputs[0]
             src = dst[:-len("@in")] if dst.endswith("@in") else dst
             tape.swap_in(src, dst, nid)
-            continue
-        if kind == "loss":
-            total = 0.0
-            for tid in n.inputs:
-                x = tape.read(tid, nid)
-                total += float(np.dot(x, x))
-            loss_value = total
+        elif kind == "loss":
+            loss_value = _loss(tape, n)
             for tid in sorted(recompute_free):
                 tape.free(tid)
-            continue
-        if kind == "grad":
-            _run_grad(tg, n, tape, grads, loss_inputs)
-            continue
-        # Forward compute (or a recompute clone of one).
-        if not n.inputs:
-            continue  # input node; value already on the tape
-        xs = [tape.read(tid, nid) for tid in n.inputs]
-        out_id = n.outputs[0]
-        n_out = element_count(g.tensor(out_id))
-        base = _base_node_id(nid)
-        if kind in AFFINE_KINDS:
-            a, b = _node_params(base)
-            y = _affine_forward(xs[0], n_out, a, b)
-        elif kind == "activation":
-            y = np.maximum(xs[0], 0.0)
-        elif kind == "norm":
-            y = xs[0] - xs[0].mean()
-        elif kind == "pool":
-            k = xs[0].size // n_out
-            y = xs[0][:k * n_out].reshape(n_out, k).mean(axis=1)
-        elif kind == "concat":
-            y = np.concatenate(xs)
-        else:
-            raise GraphError(f"no toy semantic for node kind {kind!r}")
-        tape.write(out_id, y)
+        elif kind == "grad":
+            _run_grad(tg, n, tape, loss_inputs)
+        elif n.inputs:  # a forward op or its recompute clone; input values are on the tape
+            _forward_op(g, tape, n, _base_node_id(nid))
 
-    for n in g.nodes:
-        if n.phase == "forward" and not n.inputs and n.outputs:
-            gid = f"grad/{n.id}:0"
-            if g.has_tensor(gid):
-                grads[n.outputs[0]] = tape.read(gid, "<result>")
+    grads: dict[str, np.ndarray] = {}
+    for n in _input_nodes(g):
+        gid = f"grad/{n.id}:0"
+        if g.has_tensor(gid):
+            grads[n.outputs[0]] = tape.read(gid, "<result>")
     return loss_value, grads
 
 
-def _run_grad(tg: TrainingGraph, n, tape: _Tape, grads, loss_inputs) -> None:
+def _run_grad(tg: TrainingGraph, n, tape: _Tape, loss_inputs) -> None:
     g = tg.graph
     fid = tg.grad_of.get(n.id)
     if fid is None:
@@ -256,32 +287,18 @@ def _run_grad(tg: TrainingGraph, n, tape: _Tape, grads, loss_inputs) -> None:
     if f.outputs and f.outputs[0] in loss_inputs:
         incoming = incoming + 2.0 * reuse_val
 
-    kind = f.kind
     if not f.inputs:
         tape.write(n.outputs[0], incoming)
         return
-    out_sizes = [element_count(g.tensor(t)) for t in n.outputs]
-    if kind in AFFINE_KINDS:
-        a, _ = _node_params(f.id)
-        tape.write(n.outputs[0], _affine_backward(incoming, out_sizes[0], a))
-    elif kind == "activation":
-        tape.write(n.outputs[0], incoming * (reuse_val > 0.0))
-    elif kind == "norm":
-        tape.write(n.outputs[0], incoming - incoming.mean())
-    elif kind == "pool":
-        k = out_sizes[0] // incoming.size
-        tape.write(n.outputs[0], np.repeat(incoming / k, k)[:out_sizes[0]])
-    elif kind == "concat":
-        offset = 0
-        for out_id, size in zip(n.outputs, out_sizes):
-            tape.write(out_id, incoming[offset:offset + size].copy())
-            offset += size
-    else:
-        raise GraphError(f"no toy gradient for node kind {kind!r}")
+    in_sizes = [element_count(g.tensor(t)) for t in n.outputs]
+    for out_id, value in zip(n.outputs, _TOY_OPS[f.kind].backward(incoming, reuse_val,
+                                                                  in_sizes, f.id)):
+        tape.write(out_id, value)
 
 
-def _forward_loss(tg: TrainingGraph, inputs) -> float:
-    """Forward-only evaluation of the loss, used by the finite-difference check."""
+def _forward_loss(tg: TrainingGraph, inputs, look=None) -> float:
+    """Forward-only evaluation of the loss, used by the finite-difference
+    check; ``look(n, xs)``, if given, sees each op with its input values."""
     g = tg.graph
     tape = _Tape()
     for tid, val in _input_values(g, 0, inputs).items():
@@ -292,30 +309,11 @@ def _forward_loss(tg: TrainingGraph, inputs) -> float:
         if n.phase != "forward":
             break
         if n.kind == "loss":
-            for tid in n.inputs:
-                x = tape.read(tid, nid)
-                loss_value += float(np.dot(x, x))
-            continue
-        if not n.inputs:
-            continue
-        xs = [tape.read(tid, nid) for tid in n.inputs]
-        out_id = n.outputs[0]
-        n_out = element_count(g.tensor(out_id))
-        if n.kind in AFFINE_KINDS:
-            a, b = _node_params(n.id)
-            y = _affine_forward(xs[0], n_out, a, b)
-        elif n.kind == "activation":
-            y = np.maximum(xs[0], 0.0)
-        elif n.kind == "norm":
-            y = xs[0] - xs[0].mean()
-        elif n.kind == "pool":
-            k = xs[0].size // n_out
-            y = xs[0][:k * n_out].reshape(n_out, k).mean(axis=1)
-        elif n.kind == "concat":
-            y = np.concatenate(xs)
-        else:
-            raise GraphError(f"no toy semantic for node kind {n.kind!r}")
-        tape.write(out_id, y)
+            loss_value += _loss(tape, n)
+        elif n.inputs:
+            xs = _forward_op(g, tape, n, n.id)
+            if look is not None:
+                look(n, xs)
     return loss_value
 
 
@@ -328,38 +326,14 @@ class GradCheckReport:
 
 def _kink_distance(tg: TrainingGraph, inputs) -> float:
     """Smallest |activation input| reached during a forward pass."""
-    g = tg.graph
-    tape = _Tape()
-    for tid, val in _input_values(g, 0, inputs).items():
-        tape.write(tid, val)
-    closest = float("inf")
-    for nid in tg.serial_order:
-        n = g.node(nid)
-        if n.phase != "forward" or n.kind == "loss":
-            if n.kind == "loss":
-                continue
-            break
-        if not n.inputs:
-            continue
-        xs = [tape.read(tid, nid) for tid in n.inputs]
+    closest = [float("inf")]
+
+    def look(n, xs) -> None:
         if n.kind == "activation":
-            closest = min(closest, float(np.abs(xs[0]).min()))
-        out_id = n.outputs[0]
-        n_out = element_count(g.tensor(out_id))
-        if n.kind in AFFINE_KINDS:
-            a, b = _node_params(n.id)
-            y = _affine_forward(xs[0], n_out, a, b)
-        elif n.kind == "activation":
-            y = np.maximum(xs[0], 0.0)
-        elif n.kind == "norm":
-            y = xs[0] - xs[0].mean()
-        elif n.kind == "pool":
-            k = xs[0].size // n_out
-            y = xs[0][:k * n_out].reshape(n_out, k).mean(axis=1)
-        else:
-            y = np.concatenate(xs)
-        tape.write(out_id, y)
-    return closest
+            closest.append(float(np.abs(xs[0]).min()))
+
+    _forward_loss(tg, inputs, look)
+    return min(closest)
 
 
 def grad_check(tg: TrainingGraph, seed: int = 0, eps: float = 1e-5,

@@ -171,6 +171,25 @@ class TestSimulate:
         assert rc == 0
         assert (tmp_path / "rep.json").exists()
 
+    def test_flags_and_scenario_give_the_same_report(self, tmp_path, capsys):
+        g, og, op = tmp_path / "g.json", tmp_path / "tg.json", tmp_path / "plan.json"
+        assert run(capsys, "generate", "unet", "--dims", "32", "32", "32", "-o", str(g))[0] == 0
+        assert run(capsys, "rewrite", str(g), "--preset", "paper-c4",
+                   "--out-graph", str(og), "--out-plan", str(op))[0] == 0
+        rc, _, _ = run(capsys, "simulate", str(og), str(op), "--link", "nvlink1",
+                       "--latency", "1e-5", "--report", str(tmp_path / "flags.json"))
+        assert rc == 0
+        scenario = {
+            "generator": {"kind": "unet3d", "dims": [32, 32, 32]},
+            "rewrite": {"preset": "paper-c4"},
+            "sim": {"link": "nvlink1", "xfer_latency": 1e-5},
+            "outputs": {"report": str(tmp_path / "scenario.json")},
+        }
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(scenario))
+        assert run(capsys, "simulate", "--scenario", str(path))[0] == 0
+        assert (tmp_path / "scenario.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
+
 
 class TestSweep:
     def test_presets_grid(self, toy_graph, tmp_path, capsys):
@@ -280,7 +299,7 @@ def probe_files(rewritten, tmp_path, capsys):
                    "--out-graph", str(chain_tg), "--out-plan", str(chain_plan))
     assert rc == 0
     og, op = rewritten
-    files = {"tg": str(og), "plan": str(op), "chain_tg": str(chain_tg),
+    files = {"tg": str(og), "plan": str(op), "chain": str(chain), "chain_tg": str(chain_tg),
              "chain_plan": str(chain_plan)}
     bad = {
         "node_no_id": (chain, edited(("nodes", 0, "id"))),
@@ -295,6 +314,17 @@ def probe_files(rewritten, tmp_path, capsys):
     }
     for name, (src, change) in bad.items():
         files[name] = corrupt(src, tmp_path / f"{name}.json", change)
+    chain_scenario = {"generator": {"kind": "chain", "n": 4}}
+    scenarios = {
+        "sc_empty": {},
+        "sc_list": [],
+        "sc_rate_str": {**chain_scenario, "sim": {"compute_rate": "fast"}},
+        "sc_link_unknown": {**chain_scenario, "sim": {"link": "bogus"}},
+    }
+    for name, doc in scenarios.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        with open(files[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
     return files
 
 
@@ -336,6 +366,21 @@ BAD_INPUT_PROBES = {
                                   "unknown node 'no-such-op'"),
     "plan-list": (["simulate", "{chain_tg}", "{plan_list}"], "plan_list.json"),
     "cost-units-nan": (["simulate", "{cost_nan}", "{chain_plan}"], "has cost_units nan"),
+    "scenario-empty": (["simulate", "--scenario", "{sc_empty}"],
+                       "sc_empty.json: missing key 'generator'"),
+    "scenario-list": (["simulate", "--scenario", "{sc_list}"], "sc_list.json: wrong value type"),
+    "scenario-compute-rate-str": (["simulate", "--scenario", "{sc_rate_str}"],
+                                  "sc_rate_str.json: wrong value type"),
+    "scenario-link-unknown": (["simulate", "--scenario", "{sc_link_unknown}"],
+                              "sc_link_unknown.json: bad value: unknown link preset 'bogus'"),
+    "sweep-link-unknown": (["sweep", "{chain}", "--presets", "paper-c1", "--link", "foo"],
+                           "usage error: unknown link preset 'foo'"),
+    "sweep-bw-abc": (["sweep", "{chain}", "--presets", "paper-c1", "--bw", "abc"],
+                     "usage error: invalid float list 'abc'"),
+    "sweep-lb-x": (["sweep", "{chain}", "--lb", "x"], "usage error: invalid int list 'x'"),
+    "verify-seeds-x..y": (["verify", "--seeds", "x..y"], "usage error: invalid seed spec 'x..y'"),
+    "verify-seeds-1..2..3": (["verify", "--seeds", "1..2..3"],
+                             "usage error: invalid seed spec '1..2..3'"),
 }
 
 
@@ -354,4 +399,5 @@ class TestBadInput:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith(("error:", "usage error:"))
+        assert proc.returncode == (2 if lines[0].startswith("usage error:") else 1)
         assert needle in lines[0]
