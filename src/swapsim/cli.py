@@ -111,16 +111,25 @@ def _sim_config(m) -> SimConfig:
                      enforce_budget=bool(m.get("enforce_budget")))
 
 
+def _generated_graph(m):
+    """The forward graph of a scenario's ``generator`` object or the parsed
+    ``generate`` flags; keys the mapping lacks, and empty ``kinds``, keep
+    the defaults of UNetParams and gen_chain."""
+    if m["kind"] == "unet3d":
+        kw = {k: m[k] for k in ("in_channels", "base_filters", "depth", "elem_bytes",
+                                "convs_per_level") if k in m}
+        return gen_unet3d(UNetParams(dims=tuple(m["dims"]), **kw))
+    if m["kind"] == "chain":
+        kw = {k: m[k] for k in ("bytes_per_tensor", "cost_per_op") if k in m}
+        kinds = _names(m.get("kinds", ()))
+        if kinds:
+            kw["kinds"] = kinds
+        return gen_chain(m["n"], **kw)
+    raise GraphError(f"unknown generator kind {m.get('kind')!r}")
+
+
 def cmd_generate(args) -> int:
-    if args.workload == "unet":
-        params = UNetParams(dims=tuple(args.dims), in_channels=args.in_channels,
-                            base_filters=args.base_filters, depth=args.depth,
-                            elem_bytes=args.elem_bytes,
-                            convs_per_level=args.convs_per_level)
-        g = gen_unet3d(params)
-    else:
-        kinds = tuple(k for k in args.kinds.split(",") if k) or ("conv",)
-        g = gen_chain(args.n, args.bytes_per_tensor, args.cost, kinds)
+    g = _generated_graph(vars(args))
     save_graph(g, args.output)
     print(f"wrote {args.output}: {len(g.nodes)} nodes, {len(g.tensors)} tensors")
     return 0
@@ -154,19 +163,7 @@ def cmd_rewrite(args) -> int:
 def _scenario_from_obj(sc) -> tuple:
     """A scenario document's training graph, rewrite config, simulator config,
     calibration (rewrite config, target seconds) or None, and output paths."""
-    gen = sc["generator"]
-    if gen["kind"] == "unet3d":
-        g = gen_unet3d(UNetParams(
-            dims=tuple(gen["dims"]), in_channels=gen.get("in_channels", 4),
-            base_filters=gen.get("base_filters", 64), depth=gen.get("depth", 5),
-            elem_bytes=gen.get("elem_bytes", 4),
-            convs_per_level=gen.get("convs_per_level", 2)))
-    elif gen["kind"] == "chain":
-        g = gen_chain(gen["n"], gen.get("bytes_per_tensor", 1024),
-                      gen.get("cost_per_op", 1.0),
-                      tuple(gen.get("kinds", ["conv"])))
-    else:
-        raise GraphError(f"unknown generator kind {gen.get('kind')!r}")
+    g = _generated_graph(sc["generator"])
     tg = expand_training_graph(g, static_bytes=int(sc.get("static_bytes", 0)))
     cfg = _rewrite_config(sc.get("rewrite", {}))
     cfg.validate()
@@ -338,20 +335,24 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = p_gen.add_subparsers(dest="workload", required=True)
     p_unet = gen_sub.add_parser("unet", help="3D U-Net forward graph")
     p_unet.add_argument("--dims", type=int, nargs=3, required=True)
-    p_unet.add_argument("--in-channels", type=int, default=4)
-    p_unet.add_argument("--base-filters", type=int, default=64)
-    p_unet.add_argument("--depth", type=int, default=5)
-    p_unet.add_argument("--elem-bytes", type=int, default=4)
-    p_unet.add_argument("--convs-per-level", type=int, default=2)
+    # Generator flags left out are absent from the namespace (SUPPRESS), so
+    # that _generated_graph applies the library defaults to flags and
+    # scenario files alike.
+    p_unet.add_argument("--in-channels", type=int, default=argparse.SUPPRESS)
+    p_unet.add_argument("--base-filters", type=int, default=argparse.SUPPRESS)
+    p_unet.add_argument("--depth", type=int, default=argparse.SUPPRESS)
+    p_unet.add_argument("--elem-bytes", type=int, default=argparse.SUPPRESS)
+    p_unet.add_argument("--convs-per-level", type=int, default=argparse.SUPPRESS)
     p_unet.add_argument("-o", "--output", required=True)
-    p_unet.set_defaults(func=cmd_generate)
+    p_unet.set_defaults(func=cmd_generate, kind="unet3d")
     p_chain = gen_sub.add_parser("chain", help="linear chain graph")
     p_chain.add_argument("--n", type=int, required=True)
-    p_chain.add_argument("--bytes-per-tensor", type=int, default=1024)
-    p_chain.add_argument("--cost", type=float, default=1.0)
-    p_chain.add_argument("--kinds", default="conv")
+    p_chain.add_argument("--bytes-per-tensor", type=int, default=argparse.SUPPRESS)
+    p_chain.add_argument("--cost", dest="cost_per_op", metavar="COST", type=float,
+                         default=argparse.SUPPRESS)
+    p_chain.add_argument("--kinds", default=argparse.SUPPRESS)
     p_chain.add_argument("-o", "--output", required=True)
-    p_chain.set_defaults(func=cmd_generate)
+    p_chain.set_defaults(func=cmd_generate, kind="chain")
 
     p_rw = sub.add_parser("rewrite", help="expand to a training graph and apply a rewrite")
     p_rw.add_argument("graph")

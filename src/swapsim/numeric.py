@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .graph import GraphError, element_count
-from .training import TrainingGraph, cross_phase_tensors
+from .training import TrainingGraph, cross_phase_tensors, execution_order
 
 MAX_ELEMENTS = 10_000
 KINK_TOL = 1e-6
@@ -175,39 +175,6 @@ def _loss(tape: _Tape, n) -> float:
     return total
 
 
-def _execution_order(tg: TrainingGraph) -> list[str]:
-    """Serial compute order with io nodes spliced at their anchor positions:
-    a swap_out after the last forward consumer of its tensor, a swap_in right
-    after its trigger node."""
-    g = tg.graph
-    positions = tg.positions
-    # Trigger nodes per swap_in, from one pass over the control edges.
-    triggers: dict[str, list[str]] = {n.id: [] for n in g.nodes if n.kind == "swap_in"}
-    for a, b in g.control_edges:
-        if b in triggers and g.node(a).kind != "swap_out":
-            triggers[b].append(a)
-    anchored: dict[int, list[tuple[int, str]]] = {}
-    for n in g.nodes:
-        if n.kind == "swap_out":
-            t = g.tensor(n.inputs[0])
-            pos = tg.position(t.producer)
-            for c in g.consumers(n.inputs[0]):
-                if g.has_node(c) and g.node(c).phase == "forward" and c in positions:
-                    pos = max(pos, positions[c])
-            anchored.setdefault(pos, []).append((0, n.id))
-        elif n.kind == "swap_in":
-            if not triggers[n.id]:
-                raise GraphError(f"swap_in {n.id!r} has no trigger control edge")
-            pos = max(tg.position(t) for t in triggers[n.id])
-            anchored.setdefault(pos, []).append((1, n.id))
-    order = []
-    for pos, nid in enumerate(tg.serial_order):
-        order.append(nid)
-        for _, io_id in sorted(anchored.get(pos, [])):
-            order.append(io_id)
-    return order
-
-
 def _check_sizes(g) -> None:
     for t in g.tensors:
         n = element_count(t)
@@ -238,7 +205,7 @@ def run_numeric(tg: TrainingGraph, plan=None, seed: int = 0,
         recompute_free = set(cross_phase_tensors(tg)) - kept - input_tensors
 
     loss_value = 0.0
-    for nid in _execution_order(tg):
+    for nid in execution_order(tg):
         n = g.node(nid)
         kind = n.kind
         if kind == "swap_out":

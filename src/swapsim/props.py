@@ -141,9 +141,8 @@ def check_peak_monotonicity(tg: TrainingGraph, rng: random.Random) -> list[str]:
     big = small + rng.sample(extra, rng.randint(1, len(extra)))
 
     def peak(subset):
-        plan = RewritePlan(mode="swap", lb=lb,
-                           swapped={t: ("", "", "") for t in subset})
-        return static_peak_estimate(tg, plan).peak_bytes
+        rewritten, plan = insert_swap_nodes(tg, subset, lb)
+        return static_peak_estimate(rewritten, plan).peak_bytes
 
     p_small, p_big = peak(small), peak(big)
     if p_big > p_small:

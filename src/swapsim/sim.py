@@ -32,8 +32,8 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 
-from .graph import GraphSpec, NodeSpec, GraphError, dumps_canonical, tensor_bytes
-from .training import TrainingGraph
+from .graph import NodeSpec, GraphError, dumps_canonical, tensor_bytes
+from .training import TrainingGraph, check_plan
 
 CHANNELS = ("compute", "d2h", "h2d")
 # Node kind -> index into CHANNELS, which is also the channel's tie-break
@@ -198,21 +198,6 @@ class _CompiledGraph:
         heapq.heapify(self.h2d_seed)
 
 
-def _check_plan(g: GraphSpec, plan) -> None:
-    """Reject a plan that names a swap or clone node the graph lacks."""
-    if plan is None:
-        return
-    for tid in sorted(plan.swapped):
-        for nid in plan.swapped[tid]:
-            if not g.has_node(nid):
-                raise GraphError(f"plan does not match the graph: swap of tensor {tid!r} "
-                                 f"names node {nid!r}, which the graph lacks")
-    for nid in sorted(plan.clone_map):
-        if not g.has_node(nid):
-            raise GraphError(f"plan does not match the graph: clone node {nid!r} "
-                             f"is missing from the graph")
-
-
 def _run(v: _CompiledGraph, cfg: SimConfig):
     """Run the event loop on a compiled view. Returns the makespan plus the
     raw events (start, channel, node index, end) in start order, the
@@ -370,10 +355,11 @@ def _report(v: _CompiledGraph, cfg: SimConfig) -> SimReport:
 
 def simulate(tg: TrainingGraph, plan=None, cfg: SimConfig | None = None) -> SimReport:
     """Simulate one iteration of ``tg``. ``plan``, when given, must be the
-    plan that produced ``tg``: every node it names has to exist."""
+    plan that produced ``tg``: every node and tensor it names has to exist
+    (``check_plan``)."""
     cfg = cfg or SimConfig()
     cfg.validate()
-    _check_plan(tg.graph, plan)
+    check_plan(tg.graph, plan)
     return _report(_CompiledGraph(tg), cfg)
 
 
@@ -470,7 +456,7 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
     if not math.isfinite(target_makespan) or target_makespan <= 0:
         raise GraphError(f"target makespan must be a positive finite number, "
                          f"got {target_makespan!r}")
-    _check_plan(tg.graph, plan)
+    check_plan(tg.graph, plan)
     view = _CompiledGraph(tg)
 
     def run(rate: float) -> float:

@@ -1,5 +1,6 @@
-"""Backward expansion of forward graphs, feature-map reuse edges, and
-schedule-independent liveness / peak-memory estimates."""
+"""Backward expansion of forward graphs, feature-map reuse edges, the
+execution order that places io nodes among the compute nodes, and the static
+liveness / peak-memory estimate over that order."""
 from __future__ import annotations
 
 from collections.abc import Mapping
@@ -7,7 +8,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .graph import (
-    GraphSpec, NodeSpec, TensorDesc, GraphError, dumps_canonical, graph_from_obj,
+    IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, dumps_canonical, graph_from_obj,
     graph_text, graph_to_obj, list_text, load_document, rows_text, tensor_bytes,
     topo_order, validate_graph, value_text,
 )
@@ -19,10 +20,14 @@ BACKWARD_COST_RATIO = 2.0  # grad op cost relative to its forward counterpart
 class TrainingGraph:
     """A forward graph expanded with one grad node per forward op.
 
-    ``serial_order`` is the canonical compute execution order (io nodes are
-    never listed): forward ops in topo order, the loss bridge, then grad ops
-    in exact reverse order of their forward counterparts, with any recompute
-    clones spliced ahead of the grads that need them.
+    ``serial_order`` is the canonical compute execution order, a permutation
+    of the graph's compute nodes (io nodes are never listed; see
+    ``execution_order`` for where they act): forward ops in topo order, the
+    loss bridge, then grad ops in exact reverse order of their forward
+    counterparts, with any recompute clones spliced ahead of the grads that
+    need them. Construction raises GraphError naming the node when
+    ``serial_order`` names an unknown or io node, names a node twice or
+    omits a compute node.
     ``reuse_edges`` are the (forward tensor, backward consumer) pairs that
     make feature maps live across the phase boundary.
     """
@@ -43,10 +48,21 @@ class TrainingGraph:
         last = -1
         try:
             for i, nid in enumerate(self.serial_order):
-                if self.graph.node(nid).phase == "forward":
+                node = self.graph.node(nid)
+                if node.kind in IO_KINDS:
+                    raise GraphError(f"serial_order names io node {nid!r}")
+                if node.phase == "forward":
                     last = i
         except KeyError:
             raise GraphError(f"serial_order names unknown node {nid!r}") from None
+        if len(self._positions) < len(self.serial_order):
+            twice = next(nid for i, nid in enumerate(self.serial_order)
+                         if self._positions[nid] != i)
+            raise GraphError(f"serial_order names node {twice!r} twice")
+        omitted = next((n.id for n in self.graph.nodes
+                        if n.kind not in IO_KINDS and n.id not in self._positions), None)
+        if omitted is not None:
+            raise GraphError(f"serial_order omits compute node {omitted!r}")
         self._boundary_position = last
 
     @property
@@ -189,7 +205,7 @@ def cross_phase_edges(tg: TrainingGraph) -> list[tuple[str, int, int]]:
 
 @dataclass
 class LivenessReport:
-    intervals: dict  # tensor id -> list of [start, end) position pairs
+    intervals: dict  # tensor id -> [[start, end)]: its one residency interval
     peak_bytes: int
     peak_position: int
     static_bytes: int
@@ -208,90 +224,100 @@ class LivenessReport:
         return dumps_canonical(self.to_obj())
 
 
-def _tensor_intervals(tg: TrainingGraph, plan) -> dict[str, list[tuple[int, int]]]:
-    """Half-open residency intervals over serial positions, per tensor.
-
-    A tensor is charged from its producer's position up to (not including)
-    its last consumer's position: the consumer's own outputs are charged at
-    that position instead, which keeps the estimate a positional sum rather
-    than a double-counting one. Swapped tensors get the split residency
-    [p, p+1) + [cmin - lb_eff, clast); lb_eff = min(lb, cmin - p - 1).
-    """
+def execution_order(tg: TrainingGraph) -> list[str]:
+    """Serial compute order with io nodes spliced at their anchor positions:
+    a swap_out after the last forward consumer of its tensor, a swap_in right
+    after its trigger node. This is where io nodes act for the static
+    estimator and the numeric executor alike."""
     g = tg.graph
     positions = tg.positions
-    swapped = {}
-    lb = 1
-    if plan is not None and getattr(plan, "mode", "none") == "swap":
-        swapped = dict(plan.swapped)
-        lb = plan.lb
-        for tid in swapped:
-            if not g.has_tensor(tid):
-                raise GraphError(f"plan references unknown tensor {tid!r}")
-    if plan is not None and getattr(plan, "mode", "none") == "recompute":
-        for tid in plan.checkpoints:
-            if not g.has_tensor(tid):
-                raise GraphError(f"plan references unknown tensor {tid!r}")
-        for clone in plan.clone_map:
-            if not g.has_node(clone):
-                raise GraphError(f"plan references unknown recompute node {clone!r}")
+    # Trigger nodes per swap_in, from one pass over the control edges.
+    triggers: dict[str, list[str]] = {n.id: [] for n in g.nodes if n.kind == "swap_in"}
+    for a, b in g.control_edges:
+        if b in triggers and g.node(a).kind != "swap_out":
+            triggers[b].append(a)
+    anchored: dict[int, list[tuple[int, str]]] = {}
+    for n in g.nodes:
+        if n.kind == "swap_out":
+            t = g.tensor(n.inputs[0])
+            pos = tg.position(t.producer)
+            for c in g.consumers(n.inputs[0]):
+                if g.has_node(c) and g.node(c).phase == "forward" and c in positions:
+                    pos = max(pos, positions[c])
+            anchored.setdefault(pos, []).append((0, n.id))
+        elif n.kind == "swap_in":
+            if not triggers[n.id]:
+                raise GraphError(f"swap_in {n.id!r} has no trigger control edge")
+            pos = max(tg.position(t) for t in triggers[n.id])
+            anchored.setdefault(pos, []).append((1, n.id))
+    order = []
+    for pos, nid in enumerate(tg.serial_order):
+        order.append(nid)
+        for _, io_id in sorted(anchored.get(pos, [])):
+            order.append(io_id)
+    return order
 
-    intervals: dict[str, list[tuple[int, int]]] = {}
-    for t in g.tensors:
-        prod = g.node(t.producer)
-        if prod.kind == "swap_in":
-            continue  # folded into the swapped tensor's split residency
-        if t.producer not in positions:
-            continue  # io-produced tensor outside the compute order
-        p = tg.position(t.producer)
-        if t.id in swapped:
-            entry = swapped[t.id]
-            swap_in_out = f"{t.id}@in"
-            if g.has_tensor(swap_in_out):
-                cons = [tg.position(c) for c in g.consumers(swap_in_out)
-                        if c in positions]
-            else:
-                cons = [tg.position(c) for c in g.consumers(t.id)
-                        if g.node(c).phase == "backward" and c in positions]
-            if not cons:
-                intervals[t.id] = [(p, p + 1)]
-                continue
-            cmin, clast = min(cons), max(cons)
-            lb_eff = min(lb, max(cmin - p - 1, 0))
-            ivs = [(p, p + 1), (cmin - lb_eff, clast)]
-            if ivs[0][1] >= ivs[1][0]:
-                ivs = [(p, max(p + 1, clast))]
-            intervals[t.id] = ivs
-        else:
-            cons = [tg.position(c) for c in g.consumers(t.id)
-                    if c in positions and g.node(c).kind not in ("swap_out",)]
-            end = max(cons) if cons else p + 1
-            intervals[t.id] = [(p, max(end, p + 1))]
-    return intervals
+
+def check_plan(g: GraphSpec, plan) -> None:
+    """Reject a plan that does not belong to ``g``: one that names a swap or
+    clone node, a swapped tensor or a checkpoint that the graph lacks."""
+    if plan is None:
+        return
+    for tid in sorted(plan.swapped):
+        for nid in plan.swapped[tid]:
+            if not g.has_node(nid):
+                raise GraphError(f"plan does not match the graph: swap of tensor {tid!r} "
+                                 f"names node {nid!r}, which the graph lacks")
+    for nid in sorted(plan.clone_map):
+        if not g.has_node(nid):
+            raise GraphError(f"plan does not match the graph: clone node {nid!r} "
+                             f"is missing from the graph")
+    for tid in sorted(plan.swapped) + sorted(plan.checkpoints):
+        if not g.has_tensor(tid):
+            raise GraphError(f"plan does not match the graph: tensor {tid!r} "
+                             f"is missing from the graph")
 
 
 def static_peak_estimate(tg: TrainingGraph, plan=None) -> LivenessReport:
-    """Schedule-independent peak of summed resident tensor bytes.
+    """Peak of summed resident tensor bytes over the serial positions, by the
+    simulator's alloc/free rule with every transfer instant.
 
-    For swap plans the original expanded graph and the rewritten one give the
-    same answer (the split-interval rule models the swap); recompute plans
-    must be evaluated on the rewritten graph so clone re-materialization is
-    accounted.
+    A compute node at serial position p acts over [p, p + 1); an io node that
+    ``execution_order`` splices after position p acts at p + 1, between p and
+    the next position. A tensor is resident from its producer's start to the
+    latest end among its producer and its consumers: through its last
+    consumer's position, or over its producer's position alone if nothing
+    consumes it. With instant transfers, and every op but the loss taking
+    time, this is the simulated peak. ``tg`` must be the graph a rewrite
+    produced, and ``plan``, when given, the plan that produced it
+    (``check_plan``).
     """
+    check_plan(tg.graph, plan)
     g = tg.graph
-    intervals = _tensor_intervals(tg, plan)
     static = int(g.metadata.get("static_bytes", 0))
     npos = len(tg.serial_order)
     if npos == 0:
         return LivenessReport(intervals={}, peak_bytes=static, peak_position=0,
                               static_bytes=static)
+    positions = tg.positions
+    span: dict[str, tuple[int, int]] = {}
+    pos = -1
+    for nid in execution_order(tg):
+        if nid in positions:
+            pos = positions[nid]
+            span[nid] = (pos, pos + 1)
+        else:
+            span[nid] = (pos + 1, pos + 1)
+    intervals = {}
     diff = [0] * (npos + 1)
-    for tid, ivs in intervals.items():
-        nbytes = tensor_bytes(g.tensor(tid))
-        for start, end in ivs:
-            start = max(0, min(start, npos))
-            end = max(start, min(end, npos))
-            diff[start] += nbytes
-            diff[end] -= nbytes
+    for t in g.tensors:
+        start, end = span[t.producer]
+        for c in g.consumers(t.id):
+            end = max(end, span[c][1])
+        intervals[t.id] = [[start, end]]
+        nbytes = tensor_bytes(t)
+        diff[start] += nbytes
+        diff[end] -= nbytes
     peak = -1
     peak_pos = 0
     cur = 0
@@ -300,9 +326,8 @@ def static_peak_estimate(tg: TrainingGraph, plan=None) -> LivenessReport:
         if cur > peak:
             peak = cur
             peak_pos = pos
-    return LivenessReport(intervals={tid: [list(iv) for iv in ivs] for tid, ivs in intervals.items()},
-                          peak_bytes=peak + static, peak_position=peak_pos,
-                          static_bytes=static)
+    return LivenessReport(intervals=intervals, peak_bytes=peak + static,
+                          peak_position=peak_pos, static_bytes=static)
 
 
 # ---------------------------------------------------------------------------

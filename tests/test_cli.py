@@ -190,6 +190,26 @@ class TestSimulate:
         assert run(capsys, "simulate", "--scenario", str(path))[0] == 0
         assert (tmp_path / "scenario.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
 
+    def test_chain_kinds_spellings_give_the_flags_report(self, tmp_path, capsys):
+        g, og, op = tmp_path / "g.json", tmp_path / "tg.json", tmp_path / "plan.json"
+        flags = tmp_path / "flags.json"
+        assert run(capsys, "generate", "chain", "--n", "6", "--kinds", "conv",
+                   "-o", str(g))[0] == 0
+        assert run(capsys, "rewrite", str(g), "--preset", "paper-c1",
+                   "--out-graph", str(og), "--out-plan", str(op))[0] == 0
+        assert run(capsys, "simulate", str(og), str(op), "--report", str(flags))[0] == 0
+        for i, kinds in enumerate(("conv", ["conv"])):
+            report = tmp_path / f"scenario{i}.json"
+            scenario = {
+                "generator": {"kind": "chain", "n": 6, "kinds": kinds},
+                "rewrite": {"preset": "paper-c1"},
+                "outputs": {"report": str(report)},
+            }
+            path = tmp_path / f"sc{i}.json"
+            path.write_text(json.dumps(scenario))
+            assert run(capsys, "simulate", "--scenario", str(path))[0] == 0
+            assert report.read_bytes() == flags.read_bytes()
+
 
 class TestSweep:
     def test_presets_grid(self, toy_graph, tmp_path, capsys):
@@ -309,8 +329,12 @@ def probe_files(rewritten, tmp_path, capsys):
         "tg_no_graph": (chain_tg, edited(("graph",))),
         "shape_null": (chain_tg, edited(("graph", "tensors", 0, "shape"), None)),
         "serial_unknown": (chain_tg, edited(("serial_order", 0), "no-such-op")),
+        "serial_omits": (chain_tg, edited(("serial_order", 1))),
+        "serial_twice": (chain_tg, edited(("serial_order", 1), "op0")),
         "cost_nan": (chain_tg, edited(("graph", "nodes", 1, "cost_units"), float("nan"))),
         "plan_list": (chain_plan, lambda doc: []),
+        "plan_bogus": (chain_plan, lambda doc: {
+            **doc, "swapped": {**doc["swapped"], "bogus": doc["swapped"]["t0"]}}),
     }
     for name, (src, change) in bad.items():
         files[name] = corrupt(src, tmp_path / f"{name}.json", change)
@@ -364,6 +388,12 @@ BAD_INPUT_PROBES = {
     "shape-null": (["simulate", "{shape_null}", "{plan}"], "shape_null.json: wrong value type"),
     "serial-order-unknown-node": (["simulate", "{serial_unknown}", "{plan}"],
                                   "unknown node 'no-such-op'"),
+    "serial-order-omits-node": (["simulate", "{serial_omits}", "{chain_plan}"],
+                                "serial_order omits compute node 'op1'"),
+    "serial-order-node-twice": (["simulate", "{serial_twice}", "{chain_plan}"],
+                                "serial_order names node 'op0' twice"),
+    "plan-unknown-tensor": (["simulate", "{chain_tg}", "{plan_bogus}"],
+                            "tensor 'bogus' is missing from the graph"),
     "plan-list": (["simulate", "{chain_tg}", "{plan_list}"], "plan_list.json"),
     "cost-units-nan": (["simulate", "{cost_nan}", "{chain_plan}"], "has cost_units nan"),
     "scenario-empty": (["simulate", "--scenario", "{sc_empty}"],

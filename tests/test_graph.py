@@ -322,7 +322,8 @@ class TestCanonicalWriter:
     def test_cost_units_beyond_save_graph(self, cost, tmp_path):
         """Values save_graph refuses or never sees still match json.dumps."""
         g = odd_graph(cost)
-        assert_canonical(None, tmp_path, TrainingGraph(graph=g, reuse_edges=(), serial_order=()))
+        assert_canonical(None, tmp_path, TrainingGraph(
+            graph=g, reuse_edges=(), serial_order=tuple(n.id for n in g.nodes)))
 
     def test_number_subclasses(self, tmp_path):
         class Int(int):
@@ -349,8 +350,8 @@ class TestCanonicalWriter:
         tensors = (TensorDesc("t", "n", (True, 2.5, [1]), None, 4),) + g.tensors
         weird = GraphSpec(nodes=nodes, tensors=tensors, control_edges=(("n", 1),),
                           metadata=g.metadata)
-        tg = TrainingGraph(graph=weird, reuse_edges=(("t", None),), serial_order=("n",),
-                           grad_of={"n": None})
+        tg = TrainingGraph(graph=weird, reuse_edges=(("t", None),),
+                           serial_order=tuple(n.id for n in nodes), grad_of={"n": None})
         assert_canonical(None, tmp_path, tg)
 
     def test_no_pure_python_encoder(self, tmp_path, monkeypatch):

@@ -3,16 +3,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from swapsim.graph import GraphError, GraphSpec
+from swapsim.graph import GraphError, GraphSpec, NodeSpec, TensorDesc
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.numeric import (
-    UseAfterSwapError, _execution_order, equivalence_check, grad_check, run_numeric,
+    _TOY_OPS, UseAfterSwapError, equivalence_check, grad_check, run_numeric,
 )
 from swapsim.props import make_broken_swap_variant
 from swapsim.rewrite import (
     PRESETS, RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset,
 )
-from swapsim.training import TrainingGraph, cross_phase_tensors, expand_training_graph
+from swapsim.training import (
+    TrainingGraph, cross_phase_tensors, execution_order, expand_training_graph,
+)
 
 TOY = UNetParams(dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2,
                  convs_per_level=1)
@@ -76,6 +78,31 @@ class TestGradCheck:
         assert rep.resampled
         assert rep.seed_used != 0
         assert rep.max_rel_error < 1e-4
+
+    @staticmethod
+    def unequal_concat():
+        """``src`` feeds convs of widths 12 and 20, a concat joins them and an
+        activation follows, so gradient pieces sent to the wrong concat
+        input change the gradient of ``src``."""
+        widths = {"src": 8, "a": 12, "b": 20, "cat": 32, "act": 32}
+        inputs = {"src": (), "a": ("src:0",), "b": ("src:0",), "cat": ("a:0", "b:0"),
+                  "act": ("cat:0",)}
+        kinds = {"src": "source", "a": "conv", "b": "conv", "cat": "concat",
+                 "act": "activation"}
+        g = GraphSpec(
+            nodes=tuple(NodeSpec(nid, kinds[nid], inputs[nid], (f"{nid}:0",), 1.0, nid)
+                        for nid in widths),
+            tensors=tuple(TensorDesc(f"{nid}:0", nid, (w,), 1, 4, nid)
+                          for nid, w in widths.items()))
+        return expand_training_graph(g)
+
+    def test_concat_backward_routes_pieces_to_their_inputs(self, monkeypatch):
+        tg = self.unequal_concat()
+        assert grad_check(tg, seed=1).max_rel_error < 1e-4
+        concat = _TOY_OPS["concat"]
+        monkeypatch.setitem(_TOY_OPS, "concat", concat._replace(
+            backward=lambda *args: concat.backward(*args)[::-1]))
+        assert grad_check(tg, seed=1).max_rel_error >= 1e-4
 
 
 class TestEquivalence:
@@ -159,7 +186,7 @@ class TestIoAnchoring:
     def test_swap_in_runs_right_after_its_trigger(self):
         tg = toy_chain(9, kinds=("conv", "activation", "norm"))
         rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
-        order = _execution_order(rewritten)
+        order = execution_order(rewritten)
         assert len(plan.swapped) == 9
         for _, in_id, trigger in plan.swapped.values():
             i = order.index(in_id) - 1
@@ -175,7 +202,7 @@ class TestIoAnchoring:
         rewritten, plan = insert_swap_nodes(tg, cross_phase_tensors(tg)[:-1], lb=1000)
         triggers = {trigger for _, _, trigger in plan.swapped.values()}
         assert len(triggers) == 1
-        order = _execution_order(rewritten)
+        order = execution_order(rewritten)
         start = order.index(triggers.pop()) + 1
         swap_ins = order[start:start + len(plan.swapped)]
         graph_order = [n.id for n in rewritten.graph.nodes if n.kind == "swap_in"]

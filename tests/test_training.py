@@ -4,7 +4,11 @@ import pytest
 
 from swapsim.graph import GraphError, tensor_bytes
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
-from swapsim.rewrite import RewritePlan, RewriteConfig, apply_rewrite, resolve_preset
+from swapsim.props import random_instance
+from swapsim.rewrite import (
+    RewritePlan, RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset,
+)
+from swapsim.sim import SimConfig, simulate
 from swapsim.training import (
     cross_phase_edges, cross_phase_tensors, expand_training_graph,
     static_peak_estimate,
@@ -79,21 +83,29 @@ def brute_force_peak(tg, intervals, static):
 
 
 class TestStaticPeak:
-    def test_chain3_no_plan_is_three_tensors(self):
+    def test_chain3_no_plan_is_four_tensors(self):
+        # t0, t1 and t2 are held until their grads read them, and grad/op2's
+        # output is charged at position 4 beside them.
         tg = expand_training_graph(gen_chain(3, bytes_per_tensor=1024))
         rep = static_peak_estimate(tg)
-        assert rep.peak_bytes == 3 * 1024
+        assert rep.peak_bytes == 4 * 1024
 
     def test_chain3_all_swap_lb1_hand_oracle(self):
         # Hand interval enumeration, positions 0..6 over
-        # [op0 op1 op2 loss g2 g1 g0], B = 1024:
-        #   t0: {0} u {5}; t1: {1} u {4}; t2: {2,3} (intervals touch)
-        #   grad outs: g2:{4} g1:{5} g0:{6}
-        # position sums: B,B,B,B,2B,2B,B -> peak 2B
+        # [op0 op1 op2 loss g2 g1 g0], B = 1024; a tensor is held through
+        # its last consumer's position, and an io node spliced after
+        # position p acts at p + 1:
+        #   t0: {0,1}; t1: {1,2}; t2: {2,3} (each swap_out follows the
+        #   last forward reader)
+        #   t2@in: {4}; t1@in: {5}; t0@in: {6} (swap_in after its trigger)
+        #   grad outs: g2:0 {4,5}; g1:0 {5,6}; g0:0 {6}
+        # position sums: B,2B,2B,B,2B,3B,3B -> peak 3B at position 5
+        # (t1@in, g2:0, g1:0)
         tg = expand_training_graph(gen_chain(3, bytes_per_tensor=1024))
         rw, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
         rep = static_peak_estimate(rw, plan)
-        assert rep.peak_bytes == 2 * 1024
+        assert rep.peak_bytes == 3 * 1024
+        assert rep.peak_position == 5
 
     def test_unet_192_exceeds_16_gib(self):
         tg = expand_training_graph(gen_unet3d(UNetParams(dims=(192, 192, 192))))
@@ -124,9 +136,8 @@ class TestStaticPeak:
             lb = rng.randint(1, 5)
 
             def peak(subset):
-                plan = RewritePlan(mode="swap", lb=lb,
-                                   swapped={t: ("", "", "") for t in subset})
-                return static_peak_estimate(tg, plan).peak_bytes
+                rewritten, plan = insert_swap_nodes(tg, subset, lb)
+                return static_peak_estimate(rewritten, plan).peak_bytes
 
             assert peak(big) <= peak(small)
 
@@ -142,19 +153,19 @@ class TestStaticPeak:
                 rc_peak = static_peak_estimate(rc_rw, rc_plan).peak_bytes
                 assert rc_peak >= swap_peak
 
-    def test_swap_peak_same_on_original_and_rewritten_graph(self):
-        # The split-interval rule models the swap, so the estimate must not
-        # depend on whether the io nodes are present.
+    def test_swap_plan_on_unrewritten_graph_rejected(self):
+        # A swap plan is estimated on the graph it produced, whose io nodes
+        # place the transfers; the graph before the rewrite lacks them.
         tg = expand_training_graph(gen_unet3d(UNetParams(
             dims=(16, 16, 16), in_channels=1, base_filters=2, depth=3)))
         for preset in ("paper-c1", "paper-c3", "paper-c4"):
-            rw, plan = apply_rewrite(tg, resolve_preset(preset))
-            assert static_peak_estimate(tg, plan).peak_bytes == \
-                static_peak_estimate(rw, plan).peak_bytes
+            _, plan = apply_rewrite(tg, resolve_preset(preset))
+            with pytest.raises(GraphError, match="plan does not match the graph"):
+                static_peak_estimate(tg, plan)
 
     def test_static_bytes_folded_in(self):
         tg = expand_training_graph(gen_chain(3, bytes_per_tensor=10), static_bytes=1000)
-        assert static_peak_estimate(tg).peak_bytes == 1000 + 30
+        assert static_peak_estimate(tg).peak_bytes == 1000 + 40
 
     def test_unknown_tensor_in_plan(self):
         tg = expand_training_graph(gen_chain(3))
@@ -168,3 +179,30 @@ class TestStaticPeak:
         obj = rep.to_obj()
         assert obj["peak_bytes"] == rep.peak_bytes
         assert set(obj["intervals"]) == {t.id for t in tg.graph.tensors}
+
+
+class TestStaticPeakIsSimulatedPeak:
+    """The estimator and the simulator share one residency rule: with
+    instant transfers, the static peak is the simulated peak exactly."""
+
+    INSTANT = SimConfig(compute_rate=1.0, d2h_bw=1e300, h2d_bw=1e300)
+
+    def assert_same_peak(self, tg, plan):
+        rep = static_peak_estimate(tg, plan)
+        assert rep.peak_bytes == simulate(tg, plan, self.INSTANT).peak_resident
+        assert sorted(rep.intervals) == sorted(t.id for t in tg.graph.tensors)
+        assert all(len(ivs) == 1 for ivs in rep.intervals.values())
+
+    def test_random_instances(self):
+        for seed in range(300):
+            tg, rewritten, plan, _ = random_instance(seed)
+            self.assert_same_peak(tg, None)
+            self.assert_same_peak(rewritten, plan)
+
+    def test_toy_unet_swap_and_recompute(self):
+        tg = expand_training_graph(gen_unet3d(TOY))
+        self.assert_same_peak(tg, None)
+        cfgs = [resolve_preset(f"paper-c{i}") for i in (1, 2, 3, 4)]
+        cfgs += [RewriteConfig(mode="recompute", ckpt_policy=p) for p in ("speed", "sqrt_n")]
+        for cfg in cfgs:
+            self.assert_same_peak(*apply_rewrite(tg, cfg))
