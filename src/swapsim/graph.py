@@ -231,25 +231,31 @@ def _kahn(g: GraphSpec) -> tuple[list[str], set[str]]:
     return order, leftover
 
 
+def validate_graph_order(g: GraphSpec) -> tuple[list[Violation], list[str]]:
+    """All violations found in the graph, and the ``topo_order`` of a valid
+    one (an empty list when there are violations), from one pass."""
+    out = _structural_violations(g)
+    if out:
+        return out, []
+    order, leftover = _kahn(g)
+    if leftover:
+        member = min(leftover)
+        return [Violation("cycle", member, "node participates in a cycle")], []
+    return out, order
+
+
 def validate_graph(g: GraphSpec) -> list[Violation]:
     """All violations found in the graph; an empty list means valid."""
-    out = _structural_violations(g)
-    if not out:
-        _, leftover = _kahn(g)
-        if leftover:
-            member = min(leftover)
-            out.append(Violation("cycle", member, "node participates in a cycle"))
-    return out
+    return validate_graph_order(g)[0]
 
 
 def topo_order(g: GraphSpec) -> list[str]:
     """Dependency-respecting node order, ties broken by ascending node id."""
-    structural = _structural_violations(g)
-    if structural:
-        raise GraphError(f"graph is not valid: {structural[0]}")
-    order, leftover = _kahn(g)
-    if leftover:
-        raise CycleError(min(leftover))
+    violations, order = validate_graph_order(g)
+    if violations and violations[0].code == "cycle":
+        raise CycleError(violations[0].subject)
+    if violations:
+        raise GraphError(f"graph is not valid: {violations[0]}")
     return order
 
 
@@ -324,14 +330,19 @@ def graph_from_obj(obj: dict) -> GraphSpec:
             outputs=tuple(nd.get("outputs", ())), cost_units=float(nd.get("cost_units", 0.0)),
             scope=nd.get("scope", ""), phase=phase,
         ))
-    tensors = [
-        TensorDesc(
-            id=td["id"], producer=td["producer"], shape=tuple(td["shape"]),
-            channels=int(td["channels"]), elem_bytes=int(td["elem_bytes"]),
-            scope=td.get("scope", ""),
-        )
-        for td in obj.get("tensors", [])
-    ]
+    tensors = []
+    for td in obj.get("tensors", []):
+        tid, producer, shape = td["id"], td["producer"], tuple(td["shape"])
+        channels, elem_bytes = td["channels"], td["elem_bytes"]
+        # Sizes must be positive ints (not bools): a NaN, fraction or negative
+        # would flow silently into byte counts that nothing downstream checks.
+        for v in (channels, elem_bytes, *shape):
+            if type(v) is not int or v <= 0:
+                raise GraphError(f"tensor {tid!r} has shape {list(shape)}, channels {channels!r}"
+                                 f" and elem_bytes {elem_bytes!r}; each size must be a "
+                                 f"positive integer")
+        tensors.append(TensorDesc(id=tid, producer=producer, shape=shape, channels=channels,
+                                  elem_bytes=elem_bytes, scope=td.get("scope", "")))
     edges = tuple((a, b) for a, b in obj.get("control_edges", ()))
     return GraphSpec(nodes=tuple(nodes), tensors=tuple(tensors),
                      control_edges=edges, metadata=obj.get("metadata", {}))
@@ -461,7 +472,7 @@ def load_document(path, kind: str, from_obj):
     restored on every exit. Every error in the document, including one of
     the wrong shape (a missing key, a list or null where an object or list
     belongs), is one GraphError naming the file; the row loops themselves
-    check nothing per field.
+    check only the tensor sizes, which must be positive integers.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()

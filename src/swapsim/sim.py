@@ -22,8 +22,9 @@ per-node channel, cost, tensor indices, output bytes and sorted successor
 lists, plus the initial dependency and reference counts, the serial order
 and the copy-queue keys. ``simulate`` compiles its graph once per call;
 ``calibrate_compute_rate`` compiles once for all its probe runs and reads
-only their makespans; ``sweep`` compiles once per rewrite config and reuses
-the view for every SimConfig. Ties on the heap and in the copy queues break
+only their makespans, and in free-run mode it decides a probe whose compute
+time alone exceeds the target without running it; ``sweep`` compiles once
+per rewrite config and reuses the view for every SimConfig. Ties on the heap and in the copy queues break
 on (time, channel priority, node id) exactly as on the id strings.
 """
 from __future__ import annotations
@@ -452,16 +453,31 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
                            target_makespan: float, tol: float = 1e-3) -> float:
     """Binary-search the compute_rate that puts the simulated makespan at the
     target; makespan is monotone non-increasing in compute_rate. The graph is
-    compiled once and every probe run reads only its makespan."""
+    compiled once and every probe run reads only its makespan. Without an
+    enforced budget, a probe rate at which the compute time alone (the sum of
+    the compute costs over the rate) exceeds the target is decided "too slow"
+    without a run; the probes and the returned rate are the same as when
+    every probe runs."""
     if not math.isfinite(target_makespan) or target_makespan <= 0:
         raise GraphError(f"target makespan must be a positive finite number, "
                          f"got {target_makespan!r}")
     check_plan(tg.graph, plan)
     view = _CompiledGraph(tg)
+    # The compute channel runs one node at a time, so no run is shorter than
+    # compute_units / rate. Summing n durations in floats loses at most about
+    # n * 2**-53 of the total, far inside the 1e-9 margin, so a probe past
+    # the margin would have simulated to a makespan above the target. Under
+    # an enforced budget every probe runs, so a DeadlockError or
+    # InfeasibleError is raised at the probe that meets it.
+    compute_units = math.fsum(view.cost_units)
+    free_run = not (cfg.enforce_budget and cfg.gpu_budget > 0)
+    too_slow = target_makespan * (1 + 1e-9)
 
     def run(rate: float) -> float:
         c = replace(cfg, compute_rate=rate)
         c.validate()
+        if free_run and compute_units / rate > too_slow:
+            return math.inf
         return _run(view, c)[0]
 
     lo, hi = 1.0, 1.0

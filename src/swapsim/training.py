@@ -10,7 +10,7 @@ from types import MappingProxyType
 from .graph import (
     IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, dumps_canonical, graph_from_obj,
     graph_text, graph_to_obj, list_text, load_document, rows_text, tensor_bytes,
-    topo_order, validate_graph, value_text,
+    validate_graph_order, value_text,
 )
 
 BACKWARD_COST_RATIO = 2.0  # grad op cost relative to its forward counterpart
@@ -84,7 +84,7 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
     f's consumers plus f's own output tensor (the reuse edge), and produces
     one gradient tensor per input of f (a single one for input nodes).
     """
-    violations = validate_graph(g)
+    violations, forward_order = validate_graph_order(g)
     if violations:
         raise GraphError(f"cannot expand invalid graph: {violations[0]}")
     if any(n.phase != "forward" for n in g.nodes):
@@ -93,7 +93,6 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
         if n.kind != "loss" and len(n.outputs) != 1:
             raise GraphError(f"forward op {n.id!r} must produce exactly one tensor")
 
-    forward_order = topo_order(g)
     nodes = list(g.nodes)
     tensors = list(g.tensors)
     control_edges = list(g.control_edges)

@@ -332,6 +332,10 @@ def probe_files(rewritten, tmp_path, capsys):
         "serial_omits": (chain_tg, edited(("serial_order", 1))),
         "serial_twice": (chain_tg, edited(("serial_order", 1), "op0")),
         "cost_nan": (chain_tg, edited(("graph", "nodes", 1, "cost_units"), float("nan"))),
+        "extent_nan": (chain_tg, edited(("graph", "tensors", 0, "shape", 0), float("nan"))),
+        "extent_frac": (chain_tg, edited(("graph", "tensors", 0, "shape", 0), 2.5)),
+        "elem_bytes_neg": (chain_tg, edited(("graph", "tensors", 0, "elem_bytes"), -4)),
+        "channels_bool": (chain_tg, edited(("graph", "tensors", 0, "channels"), True)),
         "plan_list": (chain_plan, lambda doc: []),
         "plan_bogus": (chain_plan, lambda doc: {
             **doc, "swapped": {**doc["swapped"], "bogus": doc["swapped"]["t0"]}}),
@@ -396,6 +400,14 @@ BAD_INPUT_PROBES = {
                             "tensor 'bogus' is missing from the graph"),
     "plan-list": (["simulate", "{chain_tg}", "{plan_list}"], "plan_list.json"),
     "cost-units-nan": (["simulate", "{cost_nan}", "{chain_plan}"], "has cost_units nan"),
+    "shape-extent-nan": (["simulate", "{extent_nan}", "{chain_plan}"],
+                         "tensor 'grad/op0:0' has shape [nan]"),
+    "shape-extent-fraction": (["simulate", "{extent_frac}", "{chain_plan}"],
+                              "tensor 'grad/op0:0' has shape [2.5]"),
+    "elem-bytes-negative": (["simulate", "{elem_bytes_neg}", "{chain_plan}"],
+                            "elem_bytes -4; each size must be a positive integer"),
+    "channels-bool": (["simulate", "{channels_bool}", "{chain_plan}"],
+                      "channels True and"),
     "scenario-empty": (["simulate", "--scenario", "{sc_empty}"],
                        "sc_empty.json: missing key 'generator'"),
     "scenario-list": (["simulate", "--scenario", "{sc_list}"], "sc_list.json: wrong value type"),

@@ -8,7 +8,7 @@ from swapsim.graph import GraphError, NodeSpec
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import (
     check_dependency_soundness, check_memory_conservation, check_schedule_oracle,
-    check_swap_soundness,
+    check_swap_soundness, random_instance,
 )
 from swapsim.rewrite import RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset
 from swapsim.sim import (
@@ -306,6 +306,16 @@ class TestCompileOnce:
         assert counts["builds"] == 1
         assert counts["runs"] > 10
 
+    def test_calibrate_runs_only_probes_that_can_meet_the_target(self, counts):
+        # 192^3 paper-c1 on NVLink at the README's target: 39 probes, of which
+        # 28 need longer than the target on the compute channel alone.
+        tg = expand_training_graph(gen_unet3d(UNetParams(dims=(192, 192, 192))))
+        rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
+        nvlink = SimConfig(compute_rate=1.0, d2h_bw=40e9, h2d_bw=40e9)
+        calibrate_compute_rate(rewritten, plan, nvlink, 4.726)
+        assert counts["builds"] == 1
+        assert 0 < counts["runs"] <= 12
+
     def test_sweep_builds_one_view_per_rewrite_config(self, counts):
         tg = expand_training_graph(gen_unet3d(TOY))
         sim_cfgs = [SimConfig(compute_rate=1e6, d2h_bw=bw, h2d_bw=bw) for bw in (1e4, 2e4, 4e4)]
@@ -319,6 +329,63 @@ class TestCompileOnce:
         simulate(tg, None, SimConfig())
         simulate(tg, None, SimConfig())
         assert counts == {"builds": 2, "runs": 2}
+
+
+def _reference_calibration(tg, plan, cfg, target, tol=1e-3):
+    """calibrate_compute_rate's bracket and bisection, simulating every probe."""
+    def run(rate):
+        return simulate(tg, plan, replace(cfg, compute_rate=rate)).makespan
+
+    lo, hi = 1.0, 1.0
+    while run(hi) > target:
+        hi *= 4.0
+        if hi > 1e30:
+            raise GraphError("target makespan unreachable: transfers alone exceed it")
+    while run(lo) < target:
+        lo /= 4.0
+        if lo < 1e-30:
+            raise GraphError("target makespan unreachable at any compute rate")
+    for _ in range(80):
+        mid = (lo * hi) ** 0.5
+        if run(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1 + tol:
+            break
+    return (lo * hi) ** 0.5
+
+
+def _outcome(calibrate, *args):
+    try:
+        return repr(calibrate(*args))
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+class TestCalibrationOracle:
+    """Probes decided without a run give the rate, or the error, of
+    simulating every probe."""
+
+    @pytest.mark.parametrize("budget", [False, True], ids=["free", "budget"])
+    @pytest.mark.parametrize("name", sorted(PIN_REWRITES) + ["recompute-sqrt_n"])
+    def test_toy_unet_matches_reference(self, name, budget):
+        rcfg = PIN_REWRITES.get(name) or RewriteConfig(mode="recompute", ckpt_policy="sqrt_n")
+        rewritten, plan = apply_rewrite(expand_training_graph(gen_unet3d(TOY)), rcfg)
+        cfg = _pin_cfg(budget)
+        for target in (1e-3, 0.5, 10.0, 1e4):
+            args = (rewritten, plan, cfg, target)
+            assert _outcome(calibrate_compute_rate, *args) == \
+                _outcome(_reference_calibration, *args)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_instance_matches_reference(self, seed):
+        _, rewritten, plan, cfg = random_instance(seed)
+        makespan = simulate(rewritten, plan, cfg).makespan
+        for target in (0.3 * makespan, 1.7 * makespan):
+            args = (rewritten, plan, cfg, target)
+            assert _outcome(calibrate_compute_rate, *args) == \
+                _outcome(_reference_calibration, *args)
 
 
 class TestInputChecks:
