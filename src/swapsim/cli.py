@@ -8,7 +8,8 @@ import argparse
 import math
 import sys
 
-from .graph import GraphError, dumps_canonical, load_document, load_graph, save_graph
+from .graph import (GraphError, dumps_canonical, load_document, load_graph, save_graph,
+                    validate_graph)
 from .models import UNetParams, gen_chain, gen_unet3d
 from .training import (expand_training_graph, load_training_graph,
                        save_training_graph, static_peak_estimate)
@@ -213,6 +214,9 @@ def cmd_simulate(args) -> int:
     if args.scenario:
         return _run_scenario(args.scenario)
     tg = load_training_graph(args.graph)
+    violations = validate_graph(tg.graph)
+    if violations:
+        raise GraphError(f"training-graph file {args.graph}: invalid graph: {violations[0]}")
     plan = load_plan(args.plan) if args.plan else None
     sim_cfg = _sim_config(vars(args))
     if args.calibrate_target is not None:

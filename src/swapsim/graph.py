@@ -1,16 +1,22 @@
 """Computation-graph data model: nodes, tensors, orderings, validation, JSON I/O.
 
 Graphs are immutable after construction; every function here is pure, so
-values can be shared freely across threads and scenario workers.
+values can be shared freely across threads and scenario workers. Rows are
+named tuples; each graph builds one ``GraphIndex`` of lookups on first use,
+and every stage from validation to simulation reads it.
 """
 from __future__ import annotations
 
 import gc
 import heapq
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fnmatch import fnmatchcase
+from itertools import chain
+from typing import NamedTuple
 
 NODE_KINDS = frozenset({
     "conv", "matmul", "norm", "activation", "concat", "pool", "upsample",
@@ -35,8 +41,7 @@ class CycleError(GraphError):
         self.member = member
 
 
-@dataclass(frozen=True)
-class TensorDesc:
+class TensorDesc(NamedTuple):
     id: str
     producer: str
     shape: tuple[int, ...]
@@ -45,8 +50,7 @@ class TensorDesc:
     scope: str = ""
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     id: str
     kind: str
     inputs: tuple[str, ...] = ()
@@ -83,60 +87,98 @@ class GraphSpec:
         self.nodes = tuple(self.nodes)
         self.tensors = tuple(self.tensors)
         self.control_edges = tuple((a, b) for a, b in self.control_edges)
-        self._node_map = {n.id: n for n in self.nodes}
-        self._tensor_map = {t.id: t for t in self.tensors}
-        consumers: dict[str, list[str]] = {t.id: [] for t in self.tensors}
-        for n in self.nodes:
-            for tid in n.inputs:
-                if tid in consumers:
-                    consumers[tid].append(n.id)
-        self._consumers = {tid: tuple(v) for tid, v in consumers.items()}
+
+    @cached_property
+    def index(self) -> GraphIndex:
+        """This graph's lookups, built on first use."""
+        return GraphIndex(self)
 
     def node(self, node_id: str) -> NodeSpec:
-        return self._node_map[node_id]
+        ix = self.index
+        return ix.nodes[ix.index[node_id]]
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._node_map
+        return node_id in self.index.index
 
     def tensor(self, tensor_id: str) -> TensorDesc:
-        return self._tensor_map[tensor_id]
+        return self.tensors[self.index.tensor_index[tensor_id]]
 
     def has_tensor(self, tensor_id: str) -> bool:
-        return tensor_id in self._tensor_map
+        return tensor_id in self.index.tensor_index
 
     def consumers(self, tensor_id: str) -> tuple[str, ...]:
         """Node ids consuming a tensor via data edges, in node order."""
-        return self._consumers[tensor_id]
+        ix = self.index
+        return tuple(map(ix.ids.__getitem__, ix.consumers[ix.tensor_index[tensor_id]]))
 
     def edges(self) -> list[tuple[str, str]]:
         """All (src, dst) node pairs: data edges first, then control edges."""
-        out = []
-        for n in self.nodes:
-            for tid in n.inputs:
-                t = self._tensor_map.get(tid)
-                if t is not None:
-                    out.append((t.producer, n.id))
-        out.extend(self.control_edges)
-        return out
+        tindex = self.index.tensor_index
+        return [(self.tensors[tindex[tid]].producer, n.id) for n in self.nodes
+                for tid in n.inputs if tid in tindex] + list(self.control_edges)
 
-    def __eq__(self, other):
-        if not isinstance(other, GraphSpec):
-            return NotImplemented
-        return (self.nodes == other.nodes and self.tensors == other.tensors
-                and self.control_edges == other.control_edges
-                and self.metadata == other.metadata)
+
+class GraphIndex:
+    """One graph's lookups. Nodes are numbered in id order, so comparing two
+    indices compares the ids; ``nodes[i]`` is the (last) row of ``ids[i]``.
+    Tensors keep their position in ``GraphSpec.tensors``; per tensor,
+    ``producer`` is a node index (None if no such node) and ``consumers`` the
+    readers' indices in node-list order. Byte sizes are computed on first use.
+    Columns are tuples: the cyclic GC stops scanning a tuple of atomic items.
+    """
+
+    def __init__(self, g: GraphSpec):
+        rows = {n.id: n for n in g.nodes}
+        self.ids = ids = tuple(sorted(rows))
+        self.nodes = tuple(map(rows.__getitem__, ids))
+        numbers = list(range(max(len(ids), len(g.tensors))))  # one int object each, both maps
+        self.index = index = dict(zip(ids, numbers))
+        self.tensor_index = tindex = dict(zip([t.id for t in g.tensors], numbers))
+        self.producer = tuple([index.get(t.producer) for t in g.tensors])
+        readers: list[list[int]] = [[] for _ in g.tensors]
+        for n in g.nodes:
+            i = index[n.id]
+            for tid in n.inputs:
+                k = tindex.get(tid)
+                if k is not None:
+                    readers[k].append(i)
+        self.consumers = tuple(map(tuple, readers))
+        self._tensors = g.tensors
+
+    @cached_property
+    def tensor_bytes(self) -> tuple[int, ...]:
+        """``tensor_bytes`` of every tensor, in tensor order."""
+        distinct: dict[int, int] = {}  # one int object per size: sizes repeat
+        return tuple([distinct.setdefault(n, n) for n in map(tensor_bytes, self._tensors)])
+
+
+def successors(g: GraphSpec) -> list[tuple[int, ...]]:
+    """Per node index, the indices of its successors over data and control
+    edges, one entry per edge; edges to or from an unknown node are left out.
+    Where a node's successors are one tensor's readers, the index's tuple is reused."""
+    ix = g.index
+    succ: list[tuple[int, ...]] = [()] * len(ix.ids)
+    for p, readers in zip(ix.producer, ix.consumers):
+        if readers and p is not None:
+            succ[p] += readers
+    index = ix.index
+    control: dict[int, list[int]] = {}
+    for a, b in g.control_edges:
+        ia, ib = index.get(a), index.get(b)
+        if ia is not None and ib is not None:
+            control.setdefault(ia, []).append(ib)
+    for ia, more in control.items():
+        succ[ia] += tuple(more)
+    return succ
 
 
 def element_count(t: TensorDesc) -> int:
-    n = t.channels
-    for extent in t.shape:
-        n *= extent
-    return n
+    return t.channels * math.prod(t.shape)
 
 
 def tensor_bytes(t: TensorDesc) -> int:
     """product(shape) x channels x elem_bytes, guarded against overflow."""
-    n = element_count(t) * t.elem_bytes
+    n = math.prod(t.shape) * t.channels * t.elem_bytes
     if n > MAX_BYTES:
         raise GraphError(f"tensor {t.id!r} byte size {n} overflows the byte counter")
     return n
@@ -174,7 +216,7 @@ def _structural_violations(g: GraphSpec) -> list[Violation]:
         if t.id in seen_tensors:
             out.append(Violation("duplicate-tensor-id", t.id, "tensor id appears more than once"))
         seen_tensors.add(t.id)
-        if not t.shape or any(e <= 0 for e in t.shape):
+        if not t.shape or min(t.shape) <= 0:
             out.append(Violation("negative-size", t.id, f"non-positive shape {t.shape}"))
         if t.channels <= 0:
             out.append(Violation("negative-size", t.id, f"non-positive channels {t.channels}"))
@@ -197,38 +239,36 @@ def _structural_violations(g: GraphSpec) -> list[Violation]:
             if tid not in seen_tensors:
                 out.append(Violation("dangling-tensor", n.id,
                                      f"produces tensor {tid!r} missing from the tensor table"))
-    node_ids = {n.id for n in g.nodes}
     for a, b in g.control_edges:
         for end in (a, b):
-            if end not in node_ids:
+            if end not in seen_nodes:
                 out.append(Violation("control-edge-unknown-node", end,
                                      f"control edge ({a!r}, {b!r}) references unknown node"))
     return out
 
 
 def _kahn(g: GraphSpec) -> tuple[list[str], set[str]]:
-    """Deterministic Kahn's algorithm; ties broken by ascending node id.
+    """Deterministic Kahn's algorithm on node indices, which follow id order,
+    so ties break by ascending node id.
 
     Returns (order, leftover); a non-empty leftover means a cycle.
     """
-    indeg = {n.id: 0 for n in g.nodes}
-    succ: dict[str, list[str]] = {n.id: [] for n in g.nodes}
-    for a, b in g.edges():
-        if a in indeg and b in indeg:
-            indeg[b] += 1
-            succ[a].append(b)
-    ready = [nid for nid, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
+    ids = g.index.ids
+    succ = successors(g)
+    indeg = [0] * len(ids)
+    for m in chain.from_iterable(succ):
+        indeg[m] += 1
+    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending: already a heap
+    order: list[int] = []
     while ready:
-        nid = heapq.heappop(ready)
-        order.append(nid)
-        for m in succ[nid]:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for m in succ[i]:
             indeg[m] -= 1
             if indeg[m] == 0:
                 heapq.heappush(ready, m)
-    leftover = {nid for nid, d in indeg.items() if d > 0}
-    return order, leftover
+    leftover = {ids[i] for i, d in enumerate(indeg) if d > 0}
+    return list(map(ids.__getitem__, order)), leftover
 
 
 def validate_graph_order(g: GraphSpec) -> tuple[list[Violation], list[str]]:
@@ -239,8 +279,7 @@ def validate_graph_order(g: GraphSpec) -> tuple[list[Violation], list[str]]:
         return out, []
     order, leftover = _kahn(g)
     if leftover:
-        member = min(leftover)
-        return [Violation("cycle", member, "node participates in a cycle")], []
+        return [Violation("cycle", min(leftover), "node participates in a cycle")], []
     return out, order
 
 
@@ -261,21 +300,21 @@ def topo_order(g: GraphSpec) -> list[str]:
 
 def bfs_depths(g: GraphSpec) -> dict[str, int]:
     """Shortest hop count from any source node (a node with no predecessors)."""
-    preds: dict[str, int] = {n.id: 0 for n in g.nodes}
-    succ: dict[str, set[str]] = {n.id: set() for n in g.nodes}
-    for a, b in g.edges():
-        if a in preds and b in preds and b not in succ[a]:
-            succ[a].add(b)
-            preds[b] += 1
-    depths: dict[str, int] = {}
-    frontier = deque(sorted(nid for nid, d in preds.items() if d == 0))
-    for nid in frontier:
-        depths[nid] = 0
+    ids = g.index.ids
+    succ = successors(g)
+    depth: list = [0] * len(ids)  # None: has a predecessor and is not reached yet
+    for s in succ:
+        for m in s:
+            depth[m] = None
+    frontier = deque(i for i, d in enumerate(depth) if d == 0)
+    depths = {ids[i]: 0 for i in frontier}
     while frontier:
-        nid = frontier.popleft()
-        for m in sorted(succ[nid]):
-            if m not in depths:
-                depths[m] = depths[nid] + 1
+        i = frontier.popleft()
+        d = depth[i] + 1
+        for m in sorted(succ[i]):
+            if depth[m] is None:
+                depth[m] = d
+                depths[ids[m]] = d
                 frontier.append(m)
     return depths
 
@@ -287,18 +326,11 @@ def bfs_depths(g: GraphSpec) -> dict[str, int]:
 # objects, and ``dumps_canonical`` of it is the reference text.
 
 def _node_obj(n: NodeSpec) -> dict:
-    return {
-        "id": n.id, "kind": n.kind, "inputs": list(n.inputs),
-        "outputs": list(n.outputs), "cost_units": n.cost_units,
-        "scope": n.scope, "phase": n.phase,
-    }
+    return {**n._asdict(), "inputs": list(n.inputs), "outputs": list(n.outputs)}
 
 
 def _tensor_obj(t: TensorDesc) -> dict:
-    return {
-        "id": t.id, "producer": t.producer, "shape": list(t.shape),
-        "channels": t.channels, "elem_bytes": t.elem_bytes, "scope": t.scope,
-    }
+    return {**t._asdict(), "shape": list(t.shape)}
 
 
 def graph_to_obj(g: GraphSpec) -> dict:
@@ -325,11 +357,13 @@ def graph_from_obj(obj: dict) -> GraphSpec:
         phase = nd.get("phase", "forward")
         if phase not in PHASES:
             raise GraphError(f"unknown phase {phase!r} in node {nd.get('id')!r}")
-        nodes.append(NodeSpec(
-            id=nd["id"], kind=kind, inputs=tuple(nd.get("inputs", ())),
-            outputs=tuple(nd.get("outputs", ())), cost_units=float(nd.get("cost_units", 0.0)),
-            scope=nd.get("scope", ""), phase=phase,
-        ))
+        nid, cost = nd["id"], nd.get("cost_units", 0.0)
+        # A number, not a string or a bool; NaN and inf are left to the
+        # simulator's cost check.
+        if type(cost) is not float and type(cost) is not int:
+            raise GraphError(f"node {nid!r} has cost_units {cost!r}; cost_units must be a number")
+        nodes.append(NodeSpec(nid, kind, tuple(nd.get("inputs", ())), tuple(nd.get("outputs", ())),
+                              float(cost), nd.get("scope", ""), phase))
     tensors = []
     for td in obj.get("tensors", []):
         tid, producer, shape = td["id"], td["producer"], tuple(td["shape"])
@@ -341,8 +375,7 @@ def graph_from_obj(obj: dict) -> GraphSpec:
                 raise GraphError(f"tensor {tid!r} has shape {list(shape)}, channels {channels!r}"
                                  f" and elem_bytes {elem_bytes!r}; each size must be a "
                                  f"positive integer")
-        tensors.append(TensorDesc(id=tid, producer=producer, shape=shape, channels=channels,
-                                  elem_bytes=elem_bytes, scope=td.get("scope", "")))
+        tensors.append(TensorDesc(tid, producer, shape, channels, elem_bytes, td.get("scope", "")))
     edges = tuple((a, b) for a, b in obj.get("control_edges", ()))
     return GraphSpec(nodes=tuple(nodes), tensors=tuple(tensors),
                      control_edges=edges, metadata=obj.get("metadata", {}))
@@ -364,10 +397,8 @@ def _scalar(v) -> str:
     """A JSON scalar exactly as json.dumps writes it; TypeError otherwise."""
     if isinstance(v, str):
         return _ENC(v)
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
+    if v is True or v is False:
+        return "true" if v else "false"
     if isinstance(v, int):
         return int.__repr__(v)
     if isinstance(v, float):
@@ -471,8 +502,8 @@ def load_document(path, kind: str, from_obj):
     would rescan the growing document many times. The caller's GC state is
     restored on every exit. Every error in the document, including one of
     the wrong shape (a missing key, a list or null where an object or list
-    belongs), is one GraphError naming the file; the row loops themselves
-    check only the tensor sizes, which must be positive integers.
+    belongs), is one GraphError naming the file; the row loops check that
+    tensor sizes are positive integers and node costs are numbers.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -489,7 +520,7 @@ def load_document(path, kind: str, from_obj):
         raise GraphError(f"malformed {kind} file {path}: missing key {exc.args[0]!r}") from None
     except (AttributeError, TypeError) as exc:
         raise GraphError(f"malformed {kind} file {path}: wrong value type: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise GraphError(f"malformed {kind} file {path}: bad value: {exc}") from None
     finally:
         if enabled:

@@ -73,14 +73,8 @@ class _Builder:
     def add(self, node_id: str, kind: str, inputs: list[str], shape: tuple[int, ...],
             channels: int, cost: float) -> str:
         out = f"{node_id}:0"
-        self.nodes.append(NodeSpec(
-            id=node_id, kind=kind, inputs=tuple(inputs), outputs=(out,),
-            cost_units=cost, scope=node_id, phase="forward",
-        ))
-        self.tensors.append(TensorDesc(
-            id=out, producer=node_id, shape=shape, channels=channels,
-            elem_bytes=self.elem_bytes, scope=node_id,
-        ))
+        self.nodes.append(NodeSpec(node_id, kind, tuple(inputs), (out,), cost, node_id))
+        self.tensors.append(TensorDesc(out, node_id, shape, channels, self.elem_bytes, node_id))
         return out
 
     def graph(self, metadata: dict) -> GraphSpec:
@@ -146,11 +140,8 @@ def gen_unet3d(p: UNetParams) -> GraphSpec:
         cur = _conv_block(b, f"synthesis/l{k}", cat, voxels(k), extents(k),
                           2 * filters(k), filters(k), p.convs_per_level)
 
-    b.nodes.append(NodeSpec(
-        id="loss", kind="loss", inputs=(cur,), outputs=(),
-        cost_units=_mem_cost(voxels(0) * filters(0), p.elem_bytes, LOSS_PASSES),
-        scope="loss", phase="forward",
-    ))
+    b.nodes.append(NodeSpec("loss", "loss", (cur,), (),
+                            _mem_cost(voxels(0) * filters(0), p.elem_bytes, LOSS_PASSES), "loss"))
     return b.graph({
         "generator": "unet3d",
         "dims": list(p.dims), "in_channels": p.in_channels,
@@ -173,16 +164,11 @@ def gen_chain(n: int, bytes_per_tensor: int = 1024, cost_per_op: float = 1.0,
     nodes = []
     tensors = []
     for i in range(n):
-        kind = kinds[i % len(kinds)]
-        node_id = f"op{i}"
-        tensor_id = f"t{i}"
+        node_id, tensor_id, scope = f"op{i}", f"t{i}", f"chain/op{i}"
         inputs = () if i == 0 else (f"t{i-1}",)
-        nodes.append(NodeSpec(id=node_id, kind=kind, inputs=inputs, outputs=(tensor_id,),
-                              cost_units=cost_per_op, scope=f"chain/{node_id}",
-                              phase="forward"))
-        tensors.append(TensorDesc(id=tensor_id, producer=node_id,
-                                  shape=(bytes_per_tensor,), channels=1, elem_bytes=1,
-                                  scope=f"chain/{node_id}"))
+        nodes.append(NodeSpec(node_id, kinds[i % len(kinds)], inputs, (tensor_id,), cost_per_op,
+                              scope))
+        tensors.append(TensorDesc(tensor_id, node_id, (bytes_per_tensor,), 1, 1, scope))
     return GraphSpec(nodes=tuple(nodes), tensors=tuple(tensors), metadata={
         "generator": "chain", "n": n, "bytes_per_tensor": bytes_per_tensor,
         "cost_per_op": cost_per_op,

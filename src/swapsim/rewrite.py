@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .graph import (
     GraphSpec, NodeSpec, TensorDesc, GraphError, Violation,
@@ -89,9 +90,12 @@ class RewritePlan:
             raise GraphError("plan document must be a JSON object")
         if obj.get("version") != 1:
             raise GraphError(f"unsupported plan version {obj.get('version')!r}")
+        lb = obj.get("lb", 1)
+        if type(lb) is not int or lb < 1:
+            raise GraphError(f"plan lb must be an integer >= 1, got {lb!r}")
         return cls(
             mode=obj.get("mode", "none"),
-            lb=int(obj.get("lb", 1)),
+            lb=lb,
             swapped={t: tuple(v) for t, v in obj.get("swapped", {}).items()},
             checkpoints=tuple(obj.get("checkpoints", ())),
             recompute_segments=tuple((a, tuple(ns)) for a, ns in obj.get("recompute_segments", ())),
@@ -130,8 +134,8 @@ def select_swap_tensors(tg: TrainingGraph, cfg: RewriteConfig) -> list[str]:
         candidates = [t for t in candidates
                       if not scope_matches(_producer_scope(tg, t), cfg.excl_scopes)]
     depths = bfs_depths(tg.graph)
-    candidates.sort(key=lambda t: (depths[tg.graph.tensor(t).producer],
-                                   tg.graph.tensor(t).producer, t))
+    producer = {t: tg.graph.tensor(t).producer for t in candidates}
+    candidates.sort(key=lambda t: (depths[producer[t]], producer[t], t))
     if cfg.n_tensors == -1:
         return candidates
     return candidates[:cfg.n_tensors]
@@ -150,13 +154,16 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: int) -> tuple[TrainingGr
     if lb < 1:
         raise GraphError(f"lb must be >= 1, got {lb}")
     cross = set(cross_phase_tensors(tg))
-    boundary = tg.boundary_position
-    first_backward = boundary + 1
+    first_backward = tg.boundary_position + 1
     if first_backward >= len(tg.serial_order):
         raise GraphError("graph has no backward phase to swap across")
 
     g = tg.graph
-    nodes = {n.id: n for n in g.nodes}
+    ix = g.index
+    rows, ids, positions = ix.nodes, ix.ids, tg.positions
+    rewired: dict[str, NodeSpec] = {}  # backward consumer id -> its rewired row
+    swap_outs: dict[str, NodeSpec] = {}
+    swap_ins: dict[str, NodeSpec] = {}
     tensors = list(g.tensors)
     control_edges = list(g.control_edges)
     plan = RewritePlan(mode="swap", lb=lb)
@@ -164,35 +171,24 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: int) -> tuple[TrainingGr
     for tid in selection:
         if tid not in cross:
             raise GraphError(f"tensor {tid!r} is not a cross-phase tensor")
-        t = g.tensor(tid)
-        bw_consumers = [c for c in g.consumers(tid) if g.node(c).phase == "backward"]
-        cmin = min(tg.position(c) for c in bw_consumers)
-        out_id = f"swap_out/{tid}"
-        in_id = f"swap_in/{tid}"
-        in_tensor = f"{tid}@in"
-        trig_pos = min(cmin - 1, max(first_backward, cmin - lb))
-        trigger = tg.serial_order[trig_pos]
-        nodes[out_id] = NodeSpec(id=out_id, kind="swap_out", inputs=(tid,), outputs=(),
-                                 cost_units=0.0, scope=t.scope, phase="io")
-        nodes[in_id] = NodeSpec(id=in_id, kind="swap_in", inputs=(), outputs=(in_tensor,),
-                                cost_units=0.0, scope=t.scope, phase="io")
-        tensors.append(TensorDesc(id=in_tensor, producer=in_id, shape=t.shape,
-                                  channels=t.channels, elem_bytes=t.elem_bytes,
-                                  scope=t.scope))
-        control_edges.append((out_id, in_id))
-        control_edges.append((trigger, in_id))
+        k = ix.tensor_index[tid]
+        t = g.tensors[k]
+        bw_consumers = [c for c in ix.consumers[k] if rows[c].phase == "backward"]
+        cmin = min(positions[ids[c]] for c in bw_consumers)
+        out_id, in_id, in_tensor = f"swap_out/{tid}", f"swap_in/{tid}", f"{tid}@in"
+        trigger = tg.serial_order[min(cmin - 1, max(first_backward, cmin - lb))]
+        swap_outs[tid] = NodeSpec(out_id, "swap_out", (tid,), (), 0.0, t.scope, "io")
+        swap_ins[tid] = NodeSpec(in_id, "swap_in", (), (in_tensor,), 0.0, t.scope, "io")
+        tensors.append(TensorDesc(in_tensor, in_id, t.shape, t.channels, t.elem_bytes, t.scope))
+        control_edges += [(out_id, in_id), (trigger, in_id)]
         for c in bw_consumers:
-            cn = nodes[c]
-            nodes[c] = NodeSpec(
-                id=cn.id, kind=cn.kind,
-                inputs=tuple(in_tensor if x == tid else x for x in cn.inputs),
-                outputs=cn.outputs, cost_units=cn.cost_units,
-                scope=cn.scope, phase=cn.phase)
+            cn = rewired.get(ids[c], rows[c])
+            rewired[cn.id] = cn._replace(
+                inputs=tuple(in_tensor if x == tid else x for x in cn.inputs))
         plan.swapped[tid] = (out_id, in_id, trigger)
 
-    rewritten = GraphSpec(nodes=tuple(nodes[n.id] if n.id in nodes else n for n in g.nodes)
-                          + tuple(nodes[f"swap_out/{t}"] for t in plan.swapped)
-                          + tuple(nodes[f"swap_in/{t}"] for t in plan.swapped),
+    rewritten = GraphSpec(nodes=tuple(rewired.get(n.id, n) for n in g.nodes)
+                          + tuple(swap_outs.values()) + tuple(swap_ins.values()),
                           tensors=tuple(tensors),
                           control_edges=tuple(control_edges),
                           metadata=dict(g.metadata))
@@ -227,7 +223,7 @@ def plan_checkpoints(tg: TrainingGraph, cfg: RewriteConfig) -> list[str]:
     for n in tg.graph.nodes:
         if n.kind == "loss":
             kept.update(t for t in n.inputs if t in cand_set)
-    return sorted(kept, key=lambda t: (tg.position(tg.graph.tensor(t).producer), t))
+    return [t for t in candidates if t in kept]  # by producer position, as candidates are
 
 
 def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, RewritePlan]:
@@ -250,38 +246,36 @@ def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, Rew
     boundary = tg.boundary_position
     forward_ids = list(tg.serial_order[:boundary + 1])
     backward_ids = list(tg.serial_order[boundary + 1:])
+    ix = g.index
+    rows, index, tindex, producer = ix.nodes, ix.index, ix.tensor_index, ix.producer
 
     def resident(tid: str) -> bool:
         return tid in kept or tid in input_tensors
 
     # Segment index per forward op: a new segment starts after each
-    # checkpoint-producing op.
+    # checkpoint-producing op. anchors[p] is the last checkpoint that
+    # forward_ids[:p] produces ("" if none).
     seg_of: dict[str, int] = {}
+    anchors = [""]
     seg = 0
     for nid in forward_ids:
         seg_of[nid] = seg
-        n = g.node(nid)
-        if n.outputs and n.outputs[0] in kept:
-            seg += 1
+        outs = rows[index[nid]].outputs
+        checkpoint = bool(outs) and outs[0] in kept
+        seg += checkpoint
+        anchors.append(outs[0] if checkpoint else anchors[-1])
 
-    nodes = {n.id: n for n in g.nodes}
+    rewired: dict[str, NodeSpec] = {}  # grad id -> its row with recomputed inputs
     tensors = list(g.tensors)
     new_nodes: list[NodeSpec] = []
+    segments = []
     plan = RewritePlan(mode="recompute", checkpoints=tuple(sorted(kept)))
 
-    # Group grads by the segment of their forward op, preserving global
-    # reverse order within and across groups.
-    groups: list[tuple[int, list[str]]] = []
-    for gid in backward_ids:
-        fwd = tg.grad_of.get(gid)
-        s = seg_of.get(fwd, -1)
-        if groups and groups[-1][0] == s:
-            groups[-1][1].append(gid)
-        else:
-            groups.append((s, [gid]))
-
+    # Group consecutive grads by the segment of their forward op, preserving
+    # global reverse order within and across groups.
     serial_backward: list[str] = []
-    for s, grad_ids in groups:
+    for s, group in groupby(backward_ids, key=lambda gid: seg_of.get(tg.grad_of.get(gid), -1)):
+        grad_ids = list(group)
         mapping: dict[str, str] = {}
         clones: list[str] = []
 
@@ -290,7 +284,8 @@ def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, Rew
                 return tid
             if tid in mapping:
                 return mapping[tid]
-            prod = g.node(g.tensor(tid).producer)
+            k = tindex[tid]
+            prod = rows[producer[k]]
             if prod.phase != "forward" or prod.kind == "loss":
                 return tid  # backward-produced tensors are resident during backward
             if not prod.inputs and not resident(tid):
@@ -298,48 +293,37 @@ def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, Rew
                     f"segment needs tensor {tid!r} with no preceding checkpoint "
                     f"and no graph input to recompute from")
             ins = tuple(resolve(x) for x in prod.inputs)
-            clone_id = f"{prod.id}@rc{s}"
-            out_id = f"{tid}@rc{s}"
-            src = g.tensor(tid)
-            new_nodes.append(NodeSpec(
-                id=clone_id, kind=prod.kind, inputs=ins, outputs=(out_id,),
-                cost_units=prod.cost_units, scope=prod.scope, phase="backward"))
-            tensors.append(TensorDesc(id=out_id, producer=clone_id, shape=src.shape,
-                                      channels=src.channels, elem_bytes=src.elem_bytes,
-                                      scope=src.scope))
+            clone_id, out_id = f"{prod.id}@rc{s}", f"{tid}@rc{s}"
+            src = g.tensors[k]
+            new_nodes.append(NodeSpec(clone_id, prod.kind, ins, (out_id,), prod.cost_units,
+                                      prod.scope, "backward"))
+            tensors.append(TensorDesc(out_id, clone_id, src.shape, src.channels,
+                                      src.elem_bytes, src.scope))
             plan.clone_map[clone_id] = prod.id
             clones.append(clone_id)
             mapping[tid] = out_id
             return out_id
 
         for gid in grad_ids:
-            gn = nodes[gid]
+            gn = rows[index[gid]]
             new_inputs = []
             for tid in gn.inputs:
-                prod = g.tensor(tid).producer if g.has_tensor(tid) else None
-                if (prod is not None and g.node(prod).phase == "forward"
+                k = tindex.get(tid)
+                if (k is not None and rows[producer[k]].phase == "forward"
                         and not resident(tid)):
                     new_inputs.append(resolve(tid))
                 else:
                     new_inputs.append(tid)
-            nodes[gid] = NodeSpec(id=gn.id, kind=gn.kind, inputs=tuple(new_inputs),
-                                  outputs=gn.outputs, cost_units=gn.cost_units,
-                                  scope=gn.scope, phase=gn.phase)
+            rewired[gid] = gn._replace(inputs=tuple(new_inputs))
         if clones:
-            anchor = ""
             first_pos = min(tg.position(plan.clone_map[c]) for c in clones)
-            for nid in reversed(forward_ids[:first_pos]):
-                n = g.node(nid)
-                if n.outputs and n.outputs[0] in kept:
-                    anchor = n.outputs[0]
-                    break
-            plan.recompute_segments += ((anchor, tuple(plan.clone_map[c] for c in clones)),)
+            segments.append((anchors[first_pos], tuple(plan.clone_map[c] for c in clones)))
         serial_backward.extend(clones)
         serial_backward.extend(grad_ids)
+    plan.recompute_segments = tuple(segments)
 
-    all_nodes = [nodes[nid] for nid in (n.id for n in g.nodes)]
     # Clones are spliced into the node list right where they run.
-    rewritten = GraphSpec(nodes=tuple(all_nodes) + tuple(new_nodes),
+    rewritten = GraphSpec(nodes=tuple(rewired.get(n.id, n) for n in g.nodes) + tuple(new_nodes),
                           tensors=tuple(tensors),
                           control_edges=g.control_edges,
                           metadata=dict(g.metadata))
@@ -365,20 +349,24 @@ def check_rewrite_validity(original: TrainingGraph, rewritten: TrainingGraph,
     """Regression guard over a rewrite: structure, bypasses, clone fidelity."""
     out = list(validate_graph(rewritten.graph))
     g0, g1 = original.graph, rewritten.graph
+    ix0, ix1 = g0.index, g1.index
+    rows0, rows1, index1 = ix0.nodes, ix1.nodes, ix1.index
+
+    def node1(nid: str):  # the rewritten graph's row, or None
+        return rows1[index1[nid]] if nid in index1 else None
 
     for n in g0.nodes:
         if n.kind in ("swap_out", "swap_in"):
             continue
-        if not g1.has_node(n.id):
+        m = node1(n.id)
+        if m is None:
             out.append(Violation("missing-node", n.id, "original compute node absent"))
             continue
-        m = g1.node(n.id)
         if (m.kind, m.cost_units, m.phase) != (n.kind, n.cost_units, n.phase):
             out.append(Violation("node-changed", n.id, "kind/cost/phase changed by rewrite"))
 
-    fwd0 = [nid for nid in original.serial_order if g0.node(nid).phase == "forward"]
-    fwd1 = [nid for nid in rewritten.serial_order
-            if g1.has_node(nid) and g1.node(nid).phase == "forward"]
+    fwd0 = [nid for nid in original.serial_order if rows0[ix0.index[nid]].phase == "forward"]
+    fwd1 = [nid for nid in rewritten.serial_order if rows1[index1[nid]].phase == "forward"]
     if fwd0 != fwd1:
         out.append(Violation("forward-order-changed", "serial_order",
                              "forward compute order differs from the original"))
@@ -387,22 +375,24 @@ def check_rewrite_validity(original: TrainingGraph, rewritten: TrainingGraph,
     control = set(g1.control_edges)
     for tid, entry in sorted(plan.swapped.items()):
         out_id, in_id, trigger = entry
-        if not g1.has_node(out_id) or g1.node(out_id).kind != "swap_out":
+        swap_out, swap_in = node1(out_id), node1(in_id)
+        if swap_out is None or swap_out.kind != "swap_out":
             out.append(Violation("missing-swap-out", tid, f"no swap_out node {out_id!r}"))
             continue
-        if tid not in g1.node(out_id).inputs:
+        if tid not in swap_out.inputs:
             out.append(Violation("swap-out-input", tid, "swap_out does not consume the tensor"))
-        if not g1.has_node(in_id) or g1.node(in_id).kind != "swap_in":
+        if swap_in is None or swap_in.kind != "swap_in":
             out.append(Violation("missing-swap-in", tid, f"no swap_in node {in_id!r}"))
             continue
         if (out_id, in_id) not in control:
             out.append(Violation("missing-control", tid, "swap_in lacks control edge from swap_out"))
         if (trigger, in_id) not in control:
             out.append(Violation("missing-control", tid, "swap_in lacks control edge from trigger"))
-        bw = [c for c in g0.consumers(tid) if g0.node(c).phase == "backward"]
-        in_tensor = g1.node(in_id).outputs[0] if g1.node(in_id).outputs else None
+        bw = [ix0.ids[c] for c in ix0.consumers[ix0.tensor_index[tid]]
+              if rows0[c].phase == "backward"]
+        in_tensor = swap_in.outputs[0] if swap_in.outputs else None
         for c in bw:
-            cn = g1.node(c) if g1.has_node(c) else None
+            cn = node1(c)
             if cn is None:
                 continue
             if tid in cn.inputs or in_tensor not in cn.inputs:
@@ -415,10 +405,11 @@ def check_rewrite_validity(original: TrainingGraph, rewritten: TrainingGraph,
                                  f"trigger {trigger!r}, expected {expected!r}"))
 
     for clone, orig in sorted(plan.clone_map.items()):
-        if not g1.has_node(clone):
+        cn = node1(clone)
+        if cn is None:
             out.append(Violation("missing-clone", clone, "recompute clone absent"))
             continue
-        cn, on = g1.node(clone), g0.node(orig)
+        on = g0.node(orig)
         if cn.kind != on.kind:
             out.append(Violation("clone-mismatch", clone,
                                  f"clone kind {cn.kind!r} != original {on.kind!r}"))

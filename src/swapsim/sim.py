@@ -16,16 +16,14 @@ Scheduling rules:
     is freed when its last consuming event completes (for a swapped tensor
     that last consumer is the swap_out).
 
-Each run works on a private compiled view of the TrainingGraph
-(``_CompiledGraph``): nodes as list indices numbered in id order, with
-per-node channel, cost, tensor indices, output bytes and sorted successor
-lists, plus the initial dependency and reference counts, the serial order
-and the copy-queue keys. ``simulate`` compiles its graph once per call;
-``calibrate_compute_rate`` compiles once for all its probe runs and reads
-only their makespans, and in free-run mode it decides a probe whose compute
-time alone exceeds the target without running it; ``sweep`` compiles once
-per rewrite config and reuses the view for every SimConfig. Ties on the heap and in the copy queues break
-on (time, channel priority, node id) exactly as on the id strings.
+Each run works on a compiled view (``_CompiledGraph``): the simulator's own
+columns (channel, cost, tensor indices, allocated bytes, dependency counts,
+copy-queue keys) over the graph's shared index, whose nodes are numbered in
+id order, so ties on the heap and in the copy queues break on (time, channel
+priority, node id) exactly as on the id strings. ``simulate`` compiles once
+per call, ``sweep`` once per rewrite config and ``calibrate_compute_rate``
+once for all its probes; in free-run mode calibration decides a probe whose
+compute time alone exceeds the target without running it.
 """
 from __future__ import annotations
 
@@ -33,7 +31,7 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 
-from .graph import NodeSpec, GraphError, dumps_canonical, tensor_bytes
+from .graph import NodeSpec, GraphError, dumps_canonical, successors
 from .training import TrainingGraph, check_plan
 
 CHANNELS = ("compute", "d2h", "h2d")
@@ -129,74 +127,70 @@ def peak_from_deltas(deltas) -> int:
 
 
 class _CompiledGraph:
-    """Integer-indexed view of a TrainingGraph, built once per graph and
-    reused for every run on it. Nodes are numbered in ascending id order, so
-    comparing two indices compares the ids: heap, queue and latest-dependency
+    """The simulator's columns over a graph's index, reused for every run on
+    it. Node indices follow id order, so heap, queue and latest-dependency
     ties break exactly as they would on the id strings."""
 
-    __slots__ = ("ids", "phases", "channel", "cost_units", "inputs", "outputs",
+    __slots__ = ("graph", "ids", "phases", "channel", "cost_units", "inputs", "outputs",
                  "out_bytes", "in_bytes", "succ", "pending", "issue_pending",
-                 "tensor_ids", "tensor_size", "refcount", "serial", "queue_key",
-                 "d2h_seed", "h2d_seed")
+                 "tensor_size", "refcount", "serial", "queue_key", "d2h_seed", "h2d_seed")
 
     def __init__(self, tg: TrainingGraph):
-        g = tg.graph
-        nodes = sorted(g.nodes, key=lambda n: n.id)
-        index = {n.id: i for i, n in enumerate(nodes)}
-        tindex = {t.id: k for k, t in enumerate(g.tensors)}
-        self.ids = [n.id for n in nodes]
-        self.phases = {n.id: n.phase for n in g.nodes}
-        self.tensor_ids = [t.id for t in g.tensors]
-        self.tensor_size = size = [tensor_bytes(t) for t in g.tensors]
-        self.refcount = [len(g.consumers(t.id)) for t in g.tensors]
-        self.channel = chan = [_KIND_CHANNEL.get(n.kind, 0) for n in nodes]
+        self.graph = g = tg.graph
+        ix = g.index
+        nodes = ix.nodes
+        self.ids = ids = ix.ids
+        n = len(ids)
+        self.phases = dict(zip(ids, [r.phase for r in nodes]))
+        self.tensor_size = size = ix.tensor_bytes
+        self.refcount = list(map(len, ix.consumers))
+        self.channel = chan = [_KIND_CHANNEL.get(r.kind, 0) for r in nodes]
         # op_cost: io nodes cost nothing on the compute channel.
-        self.cost_units = cost = [0.0 if c else n.cost_units for n, c in zip(nodes, chan)]
+        self.cost_units = cost = [0.0 if c else r.cost_units for r, c in zip(nodes, chan)]
         if not all(map(math.isfinite, cost)) or min(cost, default=0.0) < 0:
             i = next(i for i, c in enumerate(cost) if not 0 <= c < math.inf)
-            raise GraphError(f"node {nodes[i].id!r} has cost_units {cost[i]!r}; "
+            raise GraphError(f"node {ids[i]!r} has cost_units {cost[i]!r}; "
                              f"costs must be finite and >= 0")
-        tensor_index = tindex.__getitem__
-        self.inputs = [tuple(map(tensor_index, n.inputs)) for n in nodes]
-        self.outputs = [tuple(map(tensor_index, n.outputs)) for n in nodes]
-        self.out_bytes = [sum(map(size.__getitem__, outs)) for outs in self.outputs]
-        self.in_bytes = [size[ins[0]] if c == 1 else 0
-                         for ins, c in zip(self.inputs, chan)]
+        # Per node: the tensors it reads and writes, and the bytes it allocates.
+        self.inputs = inputs = [()] * n
+        self.outputs = outputs = [()] * n
+        self.out_bytes = out_bytes = [0] * n
+        for k, p, readers in zip(range(len(size)), ix.producer, ix.consumers):
+            outputs[p] += (k,)
+            out_bytes[p] += size[k]
+            for c in readers:
+                inputs[c] += (k,)
+        self.in_bytes = [size[ins[0]] if c == 1 else 0 for ins, c in zip(inputs, chan)]
 
         # Dependency counts over data + control edges. A swap_in's trigger
         # dependencies (issue) are counted apart from its swap_out (data).
-        n = len(nodes)
-        self.succ = succ = [[] for _ in range(n)]
+        self.succ = succ = successors(g)
         self.pending = pending = [0] * n
         self.issue_pending = issue_pending = [0] * n
-        for a, b in g.edges():
-            ia, ib = index[a], index[b]
-            pending[ib] += 1
-            succ[ia].append(ib)
-            if chan[ib] == 2 and chan[ia] != 1:
-                issue_pending[ib] += 1
-        for s in succ:
-            s.sort()
+        for ia, s in enumerate(succ):
+            for ib in s:
+                pending[ib] += 1
+                if chan[ib] == 2 and chan[ia] != 1:
+                    issue_pending[ib] += 1
 
         # Queue keys: a swap_out's producer position, a swap_in's earliest
-        # consumer position.
-        positions = tg.positions
-        self.serial = [index[nid] for nid in tg.serial_order]
+        # consumer position (0 when there is none).
+        self.serial = serial = list(map(ix.index.__getitem__, tg.serial_order))
+        position: list = [None] * n
+        for p, i in enumerate(serial):
+            position[i] = p
         self.queue_key = key = [0] * n
-        for i, node in enumerate(nodes):
-            if chan[i] == 2:
-                cons = [positions[c] for t in node.outputs for c in g.consumers(t)
-                        if c in positions]
-                key[i] = min(cons) if cons else 0
-            elif chan[i] == 1:
-                key[i] = positions.get(g.tensor(node.inputs[0]).producer, 0)
-        # Transfers whose enqueue conditions are vacuously satisfied.
-        self.d2h_seed = [(0.0, key[i], i) for i in range(n)
-                         if chan[i] == 1 and pending[i] == 0]
-        self.h2d_seed = [(0.0, key[i], i) for i in range(n)
-                         if chan[i] == 2 and issue_pending[i] == 0]
-        heapq.heapify(self.d2h_seed)
-        heapq.heapify(self.h2d_seed)
+        for i, c in enumerate(chan):
+            if c == 2:
+                key[i] = min((position[j] for k in outputs[i] for j in ix.consumers[k]
+                              if position[j] is not None), default=0)
+            elif c == 1:
+                key[i] = position[ix.producer[inputs[i][0]]] or 0
+        # Transfers whose enqueue conditions hold from the start; sorted, so heaps.
+        self.d2h_seed = sorted((0.0, key[i], i) for i in range(n)
+                               if chan[i] == 1 and pending[i] == 0)
+        self.h2d_seed = sorted((0.0, key[i], i) for i in range(n)
+                               if chan[i] == 2 and issue_pending[i] == 0)
 
 
 def _run(v: _CompiledGraph, cfg: SimConfig):
@@ -206,9 +200,9 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
     limited = cfg.enforce_budget and cfg.gpu_budget > 0
     static, budget = cfg.static_bytes, cfg.gpu_budget
     if limited:
-        for tid, nbytes in zip(v.tensor_ids, v.tensor_size):
+        for t, nbytes in zip(v.graph.tensors, v.tensor_size):
             if static + nbytes > budget:
-                raise InfeasibleError(tid, nbytes, budget)
+                raise InfeasibleError(t.id, nbytes, budget)
     rate, d2h_bw, h2d_bw, latency = cfg.compute_rate, cfg.d2h_bw, cfg.h2d_bw, cfg.xfer_latency
 
     ids, chan, cost, succ = v.ids, v.channel, v.cost_units, v.succ

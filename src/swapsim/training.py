@@ -5,12 +5,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import MappingProxyType
 
 from .graph import (
     IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, dumps_canonical, graph_from_obj,
-    graph_text, graph_to_obj, list_text, load_document, rows_text, tensor_bytes,
-    validate_graph_order, value_text,
+    graph_text, graph_to_obj, list_text, load_document, rows_text, validate_graph_order,
+    value_text,
 )
 
 BACKWARD_COST_RATIO = 2.0  # grad op cost relative to its forward counterpart
@@ -44,17 +45,17 @@ class TrainingGraph:
         self.reuse_edges = tuple((a, b) for a, b in self.reuse_edges)
         self.serial_order = tuple(self.serial_order)
         self._positions = {nid: i for i, nid in enumerate(self.serial_order)}
-        self._positions_view = MappingProxyType(self._positions)
+        self._cross = None  # cross_phase_tensors, derived on first use
+        ix = self.graph.index
         last = -1
-        try:
-            for i, nid in enumerate(self.serial_order):
-                node = self.graph.node(nid)
-                if node.kind in IO_KINDS:
-                    raise GraphError(f"serial_order names io node {nid!r}")
-                if node.phase == "forward":
-                    last = i
-        except KeyError:
-            raise GraphError(f"serial_order names unknown node {nid!r}") from None
+        for i, nid in enumerate(self.serial_order):
+            if nid not in ix.index:
+                raise GraphError(f"serial_order names unknown node {nid!r}")
+            node = ix.nodes[ix.index[nid]]
+            if node.kind in IO_KINDS:
+                raise GraphError(f"serial_order names io node {nid!r}")
+            if node.phase == "forward":
+                last = i
         if len(self._positions) < len(self.serial_order):
             twice = next(nid for i, nid in enumerate(self.serial_order)
                          if self._positions[nid] != i)
@@ -68,7 +69,7 @@ class TrainingGraph:
     @property
     def positions(self) -> Mapping[str, int]:
         """Read-only map from each compute node in serial_order to its position."""
-        return self._positions_view
+        return MappingProxyType(self._positions)
 
     @property
     def boundary_position(self) -> int:
@@ -108,8 +109,7 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
         terminals = tuple(t.id for t in g.tensors if t.id not in consumed)
         if not terminals:
             raise GraphError("no terminal tensor to attach a loss node to")
-        loss = NodeSpec(id="loss", kind="loss", inputs=terminals, outputs=(),
-                        cost_units=0.0, scope="loss", phase="forward")
+        loss = NodeSpec("loss", "loss", terminals, (), 0.0, "loss", "forward")
         nodes.append(loss)
         forward_order.append(loss.id)
     else:
@@ -117,7 +117,9 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
                              reuse_edges=(), serial_order=())
 
     loss_inputs = set(loss.inputs)
-    forward_ops = [g.node(nid) for nid in forward_order if nid != loss.id]
+    ix = g.index
+    rows, index, tindex = ix.nodes, ix.index, ix.tensor_index
+    forward_ops = [rows[index[nid]] for nid in forward_order if nid != loss.id]
 
     reuse_edges = []
     grad_of = {}
@@ -125,33 +127,20 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
     for f in reversed(forward_ops):
         t_out = f.outputs[0]
         gid = f"grad/{f.id}"
+        scope = f"grad/{f.scope}"
         contribs = []
-        for c in g.consumers(t_out):
-            cn = g.node(c)
-            if cn.kind == "loss":
-                continue
-            k = cn.inputs.index(t_out)
-            contribs.append(f"grad/{c}:{k}")
+        for c in ix.consumers[tindex[t_out]]:
+            cn = rows[c]
+            if cn.kind != "loss":
+                contribs.append(f"grad/{cn.id}:{cn.inputs.index(t_out)}")
         inputs = tuple(contribs) + (t_out,)
-        src = g.tensor(t_out)
-        if f.inputs:
-            outputs = tuple(f"{gid}:{k}" for k in range(len(f.inputs)))
-            for k, tid in enumerate(f.inputs):
-                ref = g.tensor(tid)
-                tensors.append(TensorDesc(
-                    id=f"{gid}:{k}", producer=gid, shape=ref.shape,
-                    channels=ref.channels, elem_bytes=ref.elem_bytes,
-                    scope=f"grad/{f.scope}"))
-        else:
-            outputs = (f"{gid}:0",)
-            tensors.append(TensorDesc(
-                id=f"{gid}:0", producer=gid, shape=src.shape,
-                channels=src.channels, elem_bytes=src.elem_bytes,
-                scope=f"grad/{f.scope}"))
-        nodes.append(NodeSpec(
-            id=gid, kind="grad", inputs=inputs, outputs=outputs,
-            cost_units=backward_cost_ratio * f.cost_units,
-            scope=f"grad/{f.scope}", phase="backward"))
+        refs = f.inputs or (t_out,)
+        outputs = tuple(f"{gid}:{k}" for k in range(len(refs)))
+        for out, tid in zip(outputs, refs):
+            ref = g.tensors[tindex[tid]]
+            tensors.append(TensorDesc(out, gid, ref.shape, ref.channels, ref.elem_bytes, scope))
+        nodes.append(NodeSpec(gid, "grad", inputs, outputs, backward_cost_ratio * f.cost_units,
+                              scope, "backward"))
         grad_of[gid] = f.id
         grad_order.append(gid)
         reuse_edges.append((t_out, gid))
@@ -164,7 +153,7 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
     expanded = GraphSpec(nodes=tuple(nodes), tensors=tuple(tensors),
                          control_edges=tuple(control_edges), metadata=metadata)
     serial = tuple(forward_order) + tuple(grad_order)
-    reuse_edges.sort(key=lambda e: expanded.tensor(e[0]).producer)
+    reuse_edges.sort(key=lambda e: g.tensors[tindex[e[0]]].producer)
     return TrainingGraph(graph=expanded, reuse_edges=tuple(reuse_edges),
                          serial_order=serial, grad_of=grad_of)
 
@@ -177,34 +166,37 @@ def count_feature_maps(tg: TrainingGraph) -> int:
 
 
 def cross_phase_tensors(tg: TrainingGraph) -> list[str]:
-    """Cross-boundary tensor ids ordered by producer serial position."""
-    out = []
-    for t in tg.graph.tensors:
-        prod = tg.graph.node(t.producer)
-        if prod.phase != "forward":
-            continue
-        if any(tg.graph.node(c).phase == "backward" for c in tg.graph.consumers(t.id)):
-            out.append(t.id)
-    out.sort(key=lambda tid: (tg.position(tg.graph.tensor(tid).producer), tid))
-    return out
+    """Cross-boundary tensor ids ordered by producer serial position; derived
+    once per TrainingGraph, and each call returns a new list."""
+    if tg._cross is None:
+        tg._cross = _cross_phase(tg)
+    return list(tg._cross)
+
+
+def _cross_phase(tg: TrainingGraph) -> tuple[str, ...]:
+    """Forward-produced tensors that a backward node reads, by (producer
+    position, id)."""
+    ix = tg.graph.index
+    rows, ids, positions = ix.nodes, ix.ids, tg._positions
+    keyed = [(positions[ids[p]], t.id)
+             for t, p, readers in zip(tg.graph.tensors, ix.producer, ix.consumers)
+             if rows[p].phase == "forward" and any(rows[c].phase == "backward" for c in readers)]
+    keyed.sort()
+    return tuple(tid for _, tid in keyed)
 
 
 def cross_phase_edges(tg: TrainingGraph) -> list[tuple[str, int, int]]:
     """(tensor id, producer position, earliest backward-consumer position),
     sorted by producer position ascending."""
-    rows = []
-    for tid in cross_phase_tensors(tg):
-        t = tg.graph.tensor(tid)
-        cons = [tg.position(c) for c in tg.graph.consumers(tid)
-                if tg.graph.node(c).phase == "backward"]
-        rows.append((tid, tg.position(t.producer), min(cons)))
-    rows.sort(key=lambda r: (r[1], r[0]))
-    return rows
+    g = tg.graph
+    return [(tid, tg.position(g.tensor(tid).producer),
+             min(tg.position(c) for c in g.consumers(tid) if g.node(c).phase == "backward"))
+            for tid in cross_phase_tensors(tg)]
 
 
 @dataclass
 class LivenessReport:
-    intervals: dict  # tensor id -> [[start, end)]: its one residency interval
+    intervals: dict  # tensor id -> ((start, end),): its one residency interval, [start, end)
     peak_bytes: int
     peak_position: int
     static_bytes: int
@@ -229,25 +221,26 @@ def execution_order(tg: TrainingGraph) -> list[str]:
     after its trigger node. This is where io nodes act for the static
     estimator and the numeric executor alike."""
     g = tg.graph
-    positions = tg.positions
+    ix = g.index
+    rows, ids, index, positions = ix.nodes, ix.ids, ix.index, tg._positions
     # Trigger nodes per swap_in, from one pass over the control edges.
     triggers: dict[str, list[str]] = {n.id: [] for n in g.nodes if n.kind == "swap_in"}
     for a, b in g.control_edges:
-        if b in triggers and g.node(a).kind != "swap_out":
+        if b in triggers and rows[index[a]].kind != "swap_out":
             triggers[b].append(a)
     anchored: dict[int, list[tuple[int, str]]] = {}
     for n in g.nodes:
         if n.kind == "swap_out":
-            t = g.tensor(n.inputs[0])
-            pos = tg.position(t.producer)
-            for c in g.consumers(n.inputs[0]):
-                if g.has_node(c) and g.node(c).phase == "forward" and c in positions:
-                    pos = max(pos, positions[c])
+            k = ix.tensor_index[n.inputs[0]]
+            pos = positions[ids[ix.producer[k]]]
+            for c in ix.consumers[k]:
+                if rows[c].phase == "forward":
+                    pos = max(pos, positions.get(ids[c], pos))
             anchored.setdefault(pos, []).append((0, n.id))
         elif n.kind == "swap_in":
             if not triggers[n.id]:
                 raise GraphError(f"swap_in {n.id!r} has no trigger control edge")
-            pos = max(tg.position(t) for t in triggers[n.id])
+            pos = max(positions[t] for t in triggers[n.id])
             anchored.setdefault(pos, []).append((1, n.id))
     order = []
     for pos, nid in enumerate(tg.serial_order):
@@ -298,35 +291,35 @@ def static_peak_estimate(tg: TrainingGraph, plan=None) -> LivenessReport:
     if npos == 0:
         return LivenessReport(intervals={}, peak_bytes=static, peak_position=0,
                               static_bytes=static)
-    positions = tg.positions
-    span: dict[str, tuple[int, int]] = {}
+    positions = tg._positions
+    ix = g.index
+    index = ix.index
+    # Per node index: where it starts and ends on the serial positions.
+    starts = [0] * len(ix.ids)
+    ends = starts[:]
     pos = -1
     for nid in execution_order(tg):
-        if nid in positions:
-            pos = positions[nid]
-            span[nid] = (pos, pos + 1)
+        i = index[nid]
+        p = positions.get(nid)
+        if p is None:
+            starts[i] = ends[i] = pos + 1
         else:
-            span[nid] = (pos + 1, pos + 1)
+            pos = starts[i] = p
+            ends[i] = p + 1
     intervals = {}
     diff = [0] * (npos + 1)
-    for t in g.tensors:
-        start, end = span[t.producer]
-        for c in g.consumers(t.id):
-            end = max(end, span[c][1])
-        intervals[t.id] = [[start, end]]
-        nbytes = tensor_bytes(t)
+    for t, p, readers, nbytes in zip(g.tensors, ix.producer, ix.consumers, ix.tensor_bytes):
+        start, end = starts[p], ends[p]
+        for c in readers:
+            if ends[c] > end:
+                end = ends[c]
+        intervals[t.id] = ((start, end),)
         diff[start] += nbytes
         diff[end] -= nbytes
-    peak = -1
-    peak_pos = 0
-    cur = 0
-    for pos in range(npos):
-        cur += diff[pos]
-        if cur > peak:
-            peak = cur
-            peak_pos = pos
+    resident = list(accumulate(diff[:npos]))
+    peak = max(resident)
     return LivenessReport(intervals=intervals, peak_bytes=peak + static,
-                          peak_position=peak_pos, static_bytes=static)
+                          peak_position=resident.index(peak), static_bytes=static)
 
 
 # ---------------------------------------------------------------------------

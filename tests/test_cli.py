@@ -332,6 +332,14 @@ def probe_files(rewritten, tmp_path, capsys):
         "serial_omits": (chain_tg, edited(("serial_order", 1))),
         "serial_twice": (chain_tg, edited(("serial_order", 1), "op0")),
         "cost_nan": (chain_tg, edited(("graph", "nodes", 1, "cost_units"), float("nan"))),
+        "cost_str": (chain_tg, edited(("graph", "nodes", 1, "cost_units"), "1e3")),
+        "cost_bool": (chain_tg, edited(("graph", "nodes", 1, "cost_units"), True)),
+        "cost_huge": (chain_tg, edited(("graph", "nodes", 1, "cost_units"), 10 ** 400)),
+        "plan_lb_neg": (chain_plan, edited(("lb",), -3)),
+        "plan_lb_frac": (chain_plan, edited(("lb",), 2.7)),
+        "plan_lb_bool": (chain_plan, edited(("lb",), True)),
+        "input_ghost": (chain_tg, edited(("graph", "nodes", 0, "inputs"), ["ghost"])),
+        "producer_ghost": (chain_tg, edited(("graph", "tensors", 0, "producer"), "ghost")),
         "extent_nan": (chain_tg, edited(("graph", "tensors", 0, "shape", 0), float("nan"))),
         "extent_frac": (chain_tg, edited(("graph", "tensors", 0, "shape", 0), 2.5)),
         "elem_bytes_neg": (chain_tg, edited(("graph", "tensors", 0, "elem_bytes"), -4)),
@@ -400,6 +408,22 @@ BAD_INPUT_PROBES = {
                             "tensor 'bogus' is missing from the graph"),
     "plan-list": (["simulate", "{chain_tg}", "{plan_list}"], "plan_list.json"),
     "cost-units-nan": (["simulate", "{cost_nan}", "{chain_plan}"], "has cost_units nan"),
+    "cost-units-string": (["simulate", "{cost_str}", "{chain_plan}"],
+                          "node 'grad/op1' has cost_units '1e3'; cost_units must be a number"),
+    "cost-units-bool": (["simulate", "{cost_bool}", "{chain_plan}"],
+                        "node 'grad/op1' has cost_units True"),
+    "cost-units-huge": (["simulate", "{cost_huge}", "{chain_plan}"],
+                        "bad value: int too large to convert to float"),
+    "plan-lb-negative": (["simulate", "{chain_tg}", "{plan_lb_neg}"],
+                         "plan lb must be an integer >= 1, got -3"),
+    "plan-lb-fraction": (["simulate", "{chain_tg}", "{plan_lb_frac}"],
+                         "plan lb must be an integer >= 1, got 2.7"),
+    "plan-lb-bool": (["simulate", "{chain_tg}", "{plan_lb_bool}"],
+                     "plan lb must be an integer >= 1, got True"),
+    "graph-input-unknown": (["simulate", "{input_ghost}", "{chain_plan}"],
+                            "[dangling-tensor] grad/op0: consumes tensor 'ghost'"),
+    "graph-producer-unknown": (["simulate", "{producer_ghost}", "{chain_plan}"],
+                               "[producer-mismatch] grad/op0:0: declared producer 'ghost'"),
     "shape-extent-nan": (["simulate", "{extent_nan}", "{chain_plan}"],
                          "tensor 'grad/op0:0' has shape [nan]"),
     "shape-extent-fraction": (["simulate", "{extent_frac}", "{chain_plan}"],

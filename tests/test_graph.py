@@ -1,18 +1,25 @@
 import gc
+import heapq
 import json
 import random
+from collections import Counter, deque
 
 import pytest
 
+from swapsim import graph as graph_mod
+from swapsim import training as training_mod
 from swapsim.graph import (
     CycleError, GraphError, GraphSpec, NodeSpec, TensorDesc,
     bfs_depths, dumps_canonical, graph_from_obj, graph_to_obj, load_document,
     load_graph, save_graph, tensor_bytes, topo_order, validate_graph,
 )
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
-from swapsim.rewrite import RewriteConfig, apply_rewrite, resolve_preset
+from swapsim.props import random_instance
+from swapsim.rewrite import RewriteConfig, apply_rewrite, check_rewrite_validity, resolve_preset
+from swapsim.sim import simulate
 from swapsim.training import (
-    TrainingGraph, expand_training_graph, load_training_graph, save_training_graph,
+    TrainingGraph, count_feature_maps, cross_phase_edges, cross_phase_tensors,
+    expand_training_graph, load_training_graph, save_training_graph, static_peak_estimate,
     training_to_obj,
 )
 
@@ -399,3 +406,141 @@ class TestLoaderGcState:
     def test_paused_while_building(self, gc_state, files):
         assert load_document(files / "g.json", "graph", lambda obj: gc.isenabled()) is False
         assert gc.isenabled() is gc_state
+
+
+# ---------------------------------------------------------------------------
+# The per-graph index: rows, and the orders and lookups derived from it,
+# checked against references written on the id strings.
+
+TOY = UNetParams(dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2, convs_per_level=1)
+TOY_REWRITES = [resolve_preset(f"paper-c{i}") for i in (1, 2, 3, 4)] + [
+    RewriteConfig(mode="recompute", ckpt_policy=p) for p in ("speed", "sqrt_n")]
+
+
+def reference_edges(g):
+    """(src, dst) pairs read from the rows alone: data edges, then control."""
+    producer = {t.id: t.producer for t in g.tensors}
+    return [(producer[tid], n.id) for n in g.nodes for tid in n.inputs
+            if tid in producer] + list(g.control_edges)
+
+
+def reference_topo(g):
+    """Kahn's algorithm on id strings, ties broken by ascending id."""
+    indeg = {n.id: 0 for n in g.nodes}
+    succ = {n.id: [] for n in g.nodes}
+    for a, b in reference_edges(g):
+        indeg[b] += 1
+        succ[a].append(b)
+    ready = sorted(nid for nid, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for m in succ[nid]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                heapq.heappush(ready, m)
+    assert len(order) == len(indeg)
+    return order
+
+
+def reference_depths(g):
+    """Breadth-first hop counts from the nodes without predecessors,
+    visiting successors in id order."""
+    succ = {n.id: set() for n in g.nodes}
+    for a, b in reference_edges(g):
+        succ[a].add(b)
+    has_pred = {b for s in succ.values() for b in s}
+    depths = {nid: 0 for nid in sorted(succ) if nid not in has_pred}
+    frontier = deque(depths)
+    while frontier:
+        nid = frontier.popleft()
+        for m in sorted(succ[nid]):
+            if m not in depths:
+                depths[m] = depths[nid] + 1
+                frontier.append(m)
+    return depths
+
+
+def indexed_graphs():
+    """Random instances 0..99 (unrewritten and rewritten) and the toy U-Net,
+    unrewritten and under every preset and recompute policy."""
+    for seed in range(100):
+        tg, rewritten, _, _ = random_instance(seed)
+        yield f"random-{seed}", tg.graph
+        yield f"random-{seed}-rewritten", rewritten.graph
+    tg = expand_training_graph(gen_unet3d(TOY))
+    yield "unet", tg.graph
+    for cfg in TOY_REWRITES:
+        yield f"unet-{cfg.mode}-{cfg.n_tensors}-{cfg.lb}-{cfg.ckpt_policy}", \
+            apply_rewrite(tg, cfg)[0].graph
+
+
+class TestGraphIndex:
+    def test_orders_and_lookups_match_the_string_references(self):
+        for name, g in indexed_graphs():
+            assert g.edges() == reference_edges(g), name
+            assert topo_order(g) == reference_topo(g), name
+            assert list(bfs_depths(g).items()) == list(reference_depths(g).items()), name
+            for t in g.tensors:
+                assert g.consumers(t.id) == tuple(n.id for n in g.nodes for tid in n.inputs
+                                                  if tid == t.id), name
+            assert [g.node(n.id) for n in g.nodes] == list(g.nodes), name
+            assert g.index.tensor_bytes == tuple(map(tensor_bytes, g.tensors)), name
+
+    def test_rows_are_immutable_values(self):
+        n = NodeSpec("x", "conv", ("a:0",), ("x:0",), 2.0, "s")
+        t = TensorDesc("x:0", "x", (2, 3), 4, 4, "s")
+        for row, name in ((n, "kind"), (n, "inputs"), (t, "shape"), (t, "elem_bytes")):
+            with pytest.raises(AttributeError):
+                setattr(row, name, None)
+        same = NodeSpec(id="x", kind="conv", inputs=("a:0",), outputs=("x:0",),
+                        cost_units=2.0, scope="s")
+        assert n == same and hash(n) == hash(same) and len({n, same, t}) == 2
+        assert n != n._replace(cost_units=3.0)
+        assert t == TensorDesc(id="x:0", producer="x", shape=(2, 3), channels=4, elem_bytes=4,
+                               scope="s")
+        assert repr(n) == ("NodeSpec(id='x', kind='conv', inputs=('a:0',), outputs=('x:0',), "
+                           "cost_units=2.0, scope='s', phase='forward')")
+        assert repr(t) == ("TensorDesc(id='x:0', producer='x', shape=(2, 3), channels=4, "
+                           "elem_bytes=4, scope='s')")
+        assert NodeSpec("y", "loss") == NodeSpec("y", "loss", (), (), 0.0, "", "forward")
+
+    def test_one_index_per_graph(self, monkeypatch):
+        built = Counter()
+
+        class CountingIndex(graph_mod.GraphIndex):
+            def __init__(self, g):
+                built[id(g)] += 1
+                super().__init__(g)
+
+        monkeypatch.setattr(graph_mod, "GraphIndex", CountingIndex)
+        forward = gen_unet3d(TOY)
+        tg = expand_training_graph(forward)
+        graphs = [forward, tg.graph]
+        for cfg in TOY_REWRITES:
+            rewritten, plan = apply_rewrite(tg, cfg)
+            assert check_rewrite_validity(tg, rewritten, plan) == []
+            static_peak_estimate(rewritten, plan)
+            simulate(rewritten, plan)
+            graphs.append(rewritten.graph)
+        assert built == Counter({id(g): 1 for g in graphs})
+
+    def test_cross_phase_tensors_derived_once(self, monkeypatch):
+        derived = Counter()
+        real = training_mod._cross_phase
+
+        def counting(tg):
+            derived[id(tg)] += 1
+            return real(tg)
+
+        monkeypatch.setattr(training_mod, "_cross_phase", counting)
+        tg = expand_training_graph(gen_unet3d(TOY))
+        first = cross_phase_tensors(tg)
+        first.append("not-a-tensor")  # each call returns its own list
+        for cfg in TOY_REWRITES:
+            apply_rewrite(tg, cfg)
+        count_feature_maps(tg)
+        cross_phase_edges(tg)
+        assert derived == Counter({id(tg): 1})
+        assert cross_phase_tensors(tg) == first[:-1]

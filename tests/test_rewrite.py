@@ -213,6 +213,31 @@ class TestInsertRecompute:
         with pytest.raises(GraphError, match="cross-phase"):
             insert_recompute(tg, ["grad/op0:0"])
 
+    @pytest.mark.parametrize("graph,cfg", [
+        ("unet", RewriteConfig(mode="recompute", ckpt_policy="speed")),
+        ("unet", RewriteConfig(mode="recompute", ckpt_policy="sqrt_n")),
+        ("chain", RewriteConfig(mode="recompute", ckpt_policy="speed")),
+        ("chain", RewriteConfig(mode="recompute", ckpt_policy="sqrt_n")),
+        ("chain", RewriteConfig(mode="recompute", ckpt_policy="manual",
+                                manual_ckpts=("t4", "t5", "t17", "t30"))),
+    ])
+    def test_segment_anchor_is_the_last_checkpoint_before_its_clones(self, graph, cfg):
+        # Reference: scan the forward order backwards from the segment's
+        # earliest cloned op for the last checkpoint produced before it.
+        g = gen_unet3d(TOY) if graph == "unet" else gen_chain(
+            40, kinds=("conv", "norm", "activation", "pool"))
+        tg = expand_training_graph(g)
+        _, plan = apply_rewrite(tg, cfg)
+        produced = [tg.graph.node(nid).outputs[:1] for nid in tg.serial_order]
+        anchors = []
+        for anchor, originals in plan.recompute_segments:
+            first_pos = min(tg.position(o) for o in originals)
+            expected = next((out[0] for out in reversed(produced[:first_pos])
+                             if out and out[0] in plan.checkpoints), "")
+            assert anchor == expected
+            anchors.append(anchor)
+        assert len(anchors) > 1 and any(anchors)
+
 
 def _reachable(g, src):
     succ = {}

@@ -403,7 +403,7 @@ class TestInputChecks:
     def test_bad_cost_units_rejected(self, cost):
         tg = expand_training_graph(gen_chain(3))
         g = tg.graph
-        nodes = tuple(replace(n, cost_units=cost) if n.id == "op1" else n for n in g.nodes)
+        nodes = tuple(n._replace(cost_units=cost) if n.id == "op1" else n for n in g.nodes)
         bad = replace(tg, graph=replace(g, nodes=nodes))
         with pytest.raises(GraphError, match="'op1' has cost_units"):
             simulate(bad, None, SimConfig())
