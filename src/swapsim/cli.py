@@ -239,9 +239,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    g = load_graph(args.graph)
-    static = parse_bytes(args.static_bytes) if args.static_bytes else 0
-    tg = expand_training_graph(g, static_bytes=static)
+    tg = expand_training_graph(load_graph(args.graph))
 
     rewrite_cfgs: list[RewriteConfig] = []
     if args.presets:
@@ -256,7 +254,8 @@ def cmd_sweep(args) -> int:
     if not rewrite_cfgs:
         raise UsageError("empty sweep grid: give --presets or --lb/--n-tensors")
 
-    rate = {"compute_rate": args.compute_rate, "xfer_latency": args.xfer_latency}
+    rate = {"compute_rate": args.compute_rate, "xfer_latency": args.xfer_latency,
+            "static_bytes": args.static_bytes}
     if args.link:
         sims = [{**rate, "link": name.strip()} for name in args.link.split(",") if name.strip()]
     elif args.bw:

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .graph import GraphError, element_count
-from .training import TrainingGraph, cross_phase_tensors, execution_order
+from .training import TrainingGraph, cross_phase_tensors, execution_order, input_nodes
 
 MAX_ELEMENTS = 10_000
 KINK_TOL = 1e-6
@@ -44,14 +44,9 @@ def _base_node_id(node_id: str) -> str:
     return node_id.split("@rc")[0]
 
 
-def _input_nodes(g) -> list:
-    """Forward nodes with no inputs: each one's output is a graph input."""
-    return [n for n in g.nodes if n.phase == "forward" and not n.inputs and n.outputs]
-
-
 def _input_values(g, seed: int, overrides=None):
     values = {}
-    for n in _input_nodes(g):
+    for n in input_nodes(g):
         tid = n.outputs[0]
         if overrides and tid in overrides:
             values[tid] = np.asarray(overrides[tid], dtype=np.float64).copy()
@@ -201,7 +196,7 @@ def run_numeric(tg: TrainingGraph, plan=None, seed: int = 0,
     recompute_free: set[str] = set()
     if plan is not None and getattr(plan, "mode", "none") == "recompute":
         kept = set(plan.checkpoints)
-        input_tensors = {n.outputs[0] for n in _input_nodes(g)}
+        input_tensors = {n.outputs[0] for n in input_nodes(g)}
         recompute_free = set(cross_phase_tensors(tg)) - kept - input_tensors
 
     loss_value = 0.0
@@ -224,7 +219,7 @@ def run_numeric(tg: TrainingGraph, plan=None, seed: int = 0,
             _forward_op(g, tape, n, _base_node_id(nid))
 
     grads: dict[str, np.ndarray] = {}
-    for n in _input_nodes(g):
+    for n in input_nodes(g):
         gid = f"grad/{n.id}:0"
         if g.has_tensor(gid):
             grads[n.outputs[0]] = tape.read(gid, "<result>")

@@ -8,7 +8,9 @@ import itertools
 import random
 
 from .graph import GraphSpec, NodeSpec, TensorDesc, tensor_bytes
-from .training import TrainingGraph, expand_training_graph, cross_phase_tensors, static_peak_estimate
+from .training import (
+    TrainingGraph, cross_phase_tensors, expand_training_graph, residency, static_peak_estimate,
+)
 from .rewrite import RewriteConfig, RewritePlan, select_swap_tensors, insert_swap_nodes
 from .sim import SimConfig, simulate
 
@@ -78,20 +80,16 @@ def check_dependency_soundness(tg: TrainingGraph, report) -> list[str]:
 
 
 def derive_resident_trace(tg: TrainingGraph, report) -> list[tuple[float, int]]:
-    """(time, resident bytes) trace re-derived from events alone: a tensor is
-    resident over the half-open interval from its producing event's start to
-    its last consuming event's end (its own end if unconsumed). Deltas at one
-    instant are netted, matching the simulator's sampling convention."""
+    """(time, resident bytes) trace re-derived from events alone: each tensor
+    is resident over its ``residency`` interval on the events' start and end
+    times. Deltas at one instant are netted, matching the simulator's
+    sampling convention."""
     g = tg.graph
     ev = _event_map(report)
+    starts = [ev[nid][0] for nid in g.index.ids]
+    ends = [ev[nid][1] for nid in g.index.ids]
     per_time: dict[float, int] = {}
-    for t in g.tensors:
-        if t.producer not in ev:
-            continue
-        nbytes = tensor_bytes(t)
-        start = ev[t.producer][0]
-        ends = [ev[c][1] for c in g.consumers(t.id) if c in ev]
-        end = max(ends) if ends else ev[t.producer][1]
+    for (start, end), nbytes in zip(residency(g, starts, ends), g.index.tensor_bytes):
         per_time[start] = per_time.get(start, 0) + nbytes
         per_time[end] = per_time.get(end, 0) - nbytes
     trace = []

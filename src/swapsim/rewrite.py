@@ -13,7 +13,7 @@ from .graph import (
     GraphSpec, NodeSpec, TensorDesc, GraphError, Violation,
     bfs_depths, dumps_canonical, load_document, scope_matches, validate_graph,
 )
-from .training import TrainingGraph, cross_phase_tensors
+from .training import TrainingGraph, cross_phase_tensors, input_nodes
 
 MODES = ("swap", "recompute", "none")
 CKPT_POLICIES = ("speed", "sqrt_n", "manual")
@@ -160,7 +160,7 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: int) -> tuple[TrainingGr
 
     g = tg.graph
     ix = g.index
-    rows, ids, positions = ix.nodes, ix.ids, tg.positions
+    rows, ids, position = ix.nodes, ix.ids, tg.position
     rewired: dict[str, NodeSpec] = {}  # backward consumer id -> its rewired row
     swap_outs: dict[str, NodeSpec] = {}
     swap_ins: dict[str, NodeSpec] = {}
@@ -174,7 +174,7 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: int) -> tuple[TrainingGr
         k = ix.tensor_index[tid]
         t = g.tensors[k]
         bw_consumers = [c for c in ix.consumers[k] if rows[c].phase == "backward"]
-        cmin = min(positions[ids[c]] for c in bw_consumers)
+        cmin = min(position(ids[c]) for c in bw_consumers)
         out_id, in_id, in_tensor = f"swap_out/{tid}", f"swap_in/{tid}", f"{tid}@in"
         trigger = tg.serial_order[min(cmin - 1, max(first_backward, cmin - lb))]
         swap_outs[tid] = NodeSpec(out_id, "swap_out", (tid,), (), 0.0, t.scope, "io")
@@ -241,8 +241,7 @@ def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, Rew
         if t not in cross:
             raise GraphError(f"checkpoint {t!r} is not a cross-phase tensor")
     kept = set(checkpoints)
-    input_tensors = {n.outputs[0] for n in g.nodes
-                     if n.phase == "forward" and not n.inputs and n.outputs}
+    input_tensors = {n.outputs[0] for n in input_nodes(g)}
     boundary = tg.boundary_position
     forward_ids = list(tg.serial_order[:boundary + 1])
     backward_ids = list(tg.serial_order[boundary + 1:])

@@ -14,7 +14,10 @@ Scheduling rules:
     copy stream behaves, and it is what makes makespan monotone in lb;
   - device memory is allocated at node start (swap_in included) and a tensor
     is freed when its last consuming event completes (for a swapped tensor
-    that last consumer is the swap_out).
+    that last consumer is the swap_out);
+  - the peak is sampled once per instant, after that instant's frees and
+    allocations, so a tensor alive for zero time never registers (tensors
+    live over the half-open interval [alloc, free)).
 
 Each run works on a compiled view (``_CompiledGraph``): the simulator's own
 columns (channel, cost, tensor indices, allocated bytes, dependency counts,
@@ -111,21 +114,6 @@ class SimReport:
         return dumps_canonical(self.to_obj())
 
 
-def peak_from_deltas(deltas) -> int:
-    """Peak of a resident-bytes trace, sampled between timestamps: deltas at
-    one instant are netted first, so zero-duration residency never registers
-    (tensors live over the half-open interval [alloc, free))."""
-    per_time: dict[float, int] = {}
-    for when, delta in deltas:
-        per_time[when] = per_time.get(when, 0) + delta
-    peak = 0
-    cur = 0
-    for when in sorted(per_time):
-        cur += per_time[when]
-        peak = max(peak, cur)
-    return peak
-
-
 class _CompiledGraph:
     """The simulator's columns over a graph's index, reused for every run on
     it. Node indices follow id order, so heap, queue and latest-dependency
@@ -138,12 +126,21 @@ class _CompiledGraph:
     def __init__(self, tg: TrainingGraph):
         self.graph = g = tg.graph
         ix = g.index
+        # A name the graph lacks would be a None index or a skipped input;
+        # these O(n) checks stand in for a validate_graph per run.
+        if None in ix.producer:
+            t = g.tensors[ix.producer.index(None)]
+            raise GraphError(f"tensor {t.id!r} names producer {t.producer!r}, "
+                             f"which the graph lacks")
+        self.refcount = refcount = list(map(len, ix.consumers))
+        if sum(refcount) != sum(len(r.inputs) for r in g.nodes):
+            nid, tid = next((r.id, t) for r in g.nodes for t in r.inputs if not g.has_tensor(t))
+            raise GraphError(f"node {nid!r} reads tensor {tid!r}, which the graph lacks")
         nodes = ix.nodes
         self.ids = ids = ix.ids
         n = len(ids)
         self.phases = dict(zip(ids, [r.phase for r in nodes]))
         self.tensor_size = size = ix.tensor_bytes
-        self.refcount = list(map(len, ix.consumers))
         self.channel = chan = [_KIND_CHANNEL.get(r.kind, 0) for r in nodes]
         # op_cost: io nodes cost nothing on the compute channel.
         self.cost_units = cost = [0.0 if c else r.cost_units for r, c in zip(nodes, chan)]
@@ -195,8 +192,9 @@ class _CompiledGraph:
 
 def _run(v: _CompiledGraph, cfg: SimConfig):
     """Run the event loop on a compiled view. Returns the makespan plus the
-    raw events (start, channel, node index, end) in start order, the
-    resident-bytes deltas, the stalls and busy seconds per channel."""
+    raw events (start, channel, node index, end) in start order, the peak
+    resident bytes (static bytes excluded), the stalls and busy seconds per
+    channel."""
     limited = cfg.enforce_budget and cfg.gpu_budget > 0
     static, budget = cfg.static_bytes, cfg.gpu_budget
     if limited:
@@ -218,7 +216,7 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
     heappush, heappop = heapq.heappush, heapq.heappop
 
     resident = 0
-    mem_deltas: list[tuple[float, int]] = []
+    peak = 0
     events: list[tuple[float, int, int, float]] = []
     stalls: list[tuple[str, str, float]] = []
     free = [True, True, True]
@@ -246,9 +244,7 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
                                 dep = latest_dep[i]
                                 blocking = ids[dep[1]] if dep is not None else ""
                             stalls.append((ids[i], blocking, now - last_compute_end))
-                        for k in outputs[i]:
-                            resident += size[k]
-                            mem_deltas.append((now, size[k]))
+                        resident += out_bytes[i]
                         dur = cost[i] / rate
                         end = now + dur
                         heappush(heap, (end, 0, i))
@@ -276,9 +272,7 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
                     need = out_bytes[i]
                     if not limited or static + resident + need <= budget:
                         heappop(h2d_queue)
-                        for k in outputs[i]:
-                            resident += size[k]
-                            mem_deltas.append((now, size[k]))
+                        resident += need
                         dur = latency + need / h2d_bw
                         end = now + dur
                         heappush(heap, (end, 2, i))
@@ -296,6 +290,9 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
             detail = "budget wait with nothing in flight to free" if budget_blocked \
                 else "unsatisfiable dependencies"
             raise DeadlockError([ids[i] for i in waiting], detail)
+        # Every free and allocation at `now` is done once the clock moves on.
+        if heap[0][0] != now and resident > peak:
+            peak = resident
         # Drain every completion at this timestamp before starting new work,
         # so frees at time T are visible to allocations at time T.
         now = heap[0][0]
@@ -309,12 +306,10 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
                 refcount[k] -= 1
                 if refcount[k] == 0:
                     resident -= size[k]
-                    mem_deltas.append((end, -size[k]))
             # Outputs nobody consumes are transient; drop them at completion.
             for k in outputs[i]:
                 if refcount[k] == 0:
                     resident -= size[k]
-                    mem_deltas.append((end, -size[k]))
             from_swap_out = chan[i] == 1
             for m in succ[i]:
                 pending[m] -= 1
@@ -330,17 +325,17 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
                         heappush(h2d_queue, (end, key[m], m))
 
     makespan = max((e for _, _, _, e in events), default=0.0)
-    return makespan, events, mem_deltas, stalls, busy
+    return makespan, events, max(peak, resident), stalls, busy
 
 
 def _report(v: _CompiledGraph, cfg: SimConfig) -> SimReport:
-    makespan, events, mem_deltas, stalls, busy_time = _run(v, cfg)
+    makespan, events, peak, stalls, busy_time = _run(v, cfg)
     events.sort()  # (start, channel priority, node id) -- all distinct
     ids = v.ids
     return SimReport(
         makespan=makespan,
         events=[(ids[i], CHANNELS[c], s, e) for s, c, i, e in events],
-        peak_resident=peak_from_deltas(mem_deltas) + cfg.static_bytes,
+        peak_resident=peak + cfg.static_bytes,
         stalls=stalls,
         busy={ch: (busy_time[c] / makespan if makespan > 0 else 0.0)
               for c, ch in enumerate(CHANNELS)},

@@ -3,10 +3,8 @@ execution order that places io nodes among the compute nodes, and the static
 liveness / peak-memory estimate over that order."""
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate
-from types import MappingProxyType
 
 from .graph import (
     IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, dumps_canonical, graph_from_obj,
@@ -65,11 +63,6 @@ class TrainingGraph:
         if omitted is not None:
             raise GraphError(f"serial_order omits compute node {omitted!r}")
         self._boundary_position = last
-
-    @property
-    def positions(self) -> Mapping[str, int]:
-        """Read-only map from each compute node in serial_order to its position."""
-        return MappingProxyType(self._positions)
 
     @property
     def boundary_position(self) -> int:
@@ -163,6 +156,11 @@ def count_feature_maps(tg: TrainingGraph) -> int:
     if not any(n.phase == "backward" for n in tg.graph.nodes):
         raise GraphError("graph is not expanded: no backward nodes present")
     return len(cross_phase_tensors(tg))
+
+
+def input_nodes(g: GraphSpec) -> list[NodeSpec]:
+    """Forward nodes with no inputs and an output: each one's output is a graph input."""
+    return [n for n in g.nodes if n.phase == "forward" and not n.inputs and n.outputs]
 
 
 def cross_phase_tensors(tg: TrainingGraph) -> list[str]:
@@ -270,19 +268,34 @@ def check_plan(g: GraphSpec, plan) -> None:
                              f"is missing from the graph")
 
 
+def residency(g: GraphSpec, starts, ends) -> list[tuple]:
+    """Each tensor's residency interval [start, end), in tensor order, given
+    every node's start and end per node index (``g.index``): from its
+    producer's start to the latest end among its producer and its consumers.
+    This is the simulator's alloc/free rule over any timeline; the static
+    estimator and the memory-conservation check both read it."""
+    ix = g.index
+    out = []
+    for p, readers in zip(ix.producer, ix.consumers):
+        end = ends[p]
+        for c in readers:
+            if ends[c] > end:
+                end = ends[c]
+        out.append((starts[p], end))
+    return out
+
+
 def static_peak_estimate(tg: TrainingGraph, plan=None) -> LivenessReport:
     """Peak of summed resident tensor bytes over the serial positions, by the
-    simulator's alloc/free rule with every transfer instant.
+    simulator's alloc/free rule (``residency``) with every transfer instant.
 
     A compute node at serial position p acts over [p, p + 1); an io node that
     ``execution_order`` splices after position p acts at p + 1, between p and
-    the next position. A tensor is resident from its producer's start to the
-    latest end among its producer and its consumers: through its last
-    consumer's position, or over its producer's position alone if nothing
-    consumes it. With instant transfers, and every op but the loss taking
-    time, this is the simulated peak. ``tg`` must be the graph a rewrite
-    produced, and ``plan``, when given, the plan that produced it
-    (``check_plan``).
+    the next position. So a tensor is resident through its last consumer's
+    position, or over its producer's position alone if nothing consumes it.
+    With instant transfers, and every op but the loss taking time, this is
+    the simulated peak. ``tg`` must be the graph a rewrite produced, and
+    ``plan``, when given, the plan that produced it (``check_plan``).
     """
     check_plan(tg.graph, plan)
     g = tg.graph
@@ -308,11 +321,7 @@ def static_peak_estimate(tg: TrainingGraph, plan=None) -> LivenessReport:
             ends[i] = p + 1
     intervals = {}
     diff = [0] * (npos + 1)
-    for t, p, readers, nbytes in zip(g.tensors, ix.producer, ix.consumers, ix.tensor_bytes):
-        start, end = starts[p], ends[p]
-        for c in readers:
-            if ends[c] > end:
-                end = ends[c]
+    for t, (start, end), nbytes in zip(g.tensors, residency(g, starts, ends), ix.tensor_bytes):
         intervals[t.id] = ((start, end),)
         diff[start] += nbytes
         diff[end] -= nbytes

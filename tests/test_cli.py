@@ -231,6 +231,19 @@ class TestSweep:
         spans = [float(l.split()[6]) for l in lines]
         assert spans == sorted(spans, reverse=True)
 
+    def test_static_bytes_add_to_every_peak(self, toy_graph, tmp_path, capsys):
+        tables = []
+        for extra in ([], ["--static-bytes", "1GiB"]):
+            out = tmp_path / f"table{len(tables)}.json"
+            rc, _, _ = run(capsys, "sweep", str(toy_graph), "--lb", "1,2",
+                           "--compute-rate", "1e4", "-o", str(out), *extra)
+            assert rc == 0
+            tables.append(json.loads(out.read_text())["rows"])
+        plain, static = tables
+        assert len(plain) == len(static) == 2
+        assert [r["peak_resident"] + 2**30 for r in plain] == \
+            [r["peak_resident"] for r in static]
+
     def test_empty_grid_usage_error(self, toy_graph, capsys):
         rc, _, err = run(capsys, "sweep", str(toy_graph))
         assert rc == 2

@@ -100,6 +100,46 @@ class TestSimulate:
         cfg = SimConfig(compute_rate=1.0, d2h_bw=1500.0, h2d_bw=800.0)
         assert check_schedule_oracle(tg, rewritten, plan, cfg) == []
 
+    def test_conservation_flags_a_peak_one_byte_off(self):
+        _, rewritten, plan, cfg = random_instance(0)
+        r = simulate(rewritten, plan, cfg)
+        assert check_memory_conservation(rewritten, r, cfg) == []
+        for off in (-1, 1):
+            bad = replace(r, peak_resident=r.peak_resident + off)
+            assert check_memory_conservation(rewritten, bad, cfg) == [
+                f"derived peak {r.peak_resident} != reported {bad.peak_resident}"]
+
+
+class TestZeroCostNetting:
+    """Ops that take no time: the peak at an instant nets every free and
+    allocation made at it. The peaks were pinned from the earlier simulator,
+    which netted a logged (time, delta) trace after the run."""
+
+    @staticmethod
+    def free_of_cost(g, node_ids):
+        return replace(g, nodes=tuple(n._replace(cost_units=0.0) if n.id in node_ids else n
+                                      for n in g.nodes))
+
+    def test_chain_middle_op(self):
+        tg = expand_training_graph(self.free_of_cost(gen_chain(3), {"op1"}))
+        cfg = SimConfig(compute_rate=1.0)
+        r = simulate(tg, None, cfg)
+        # grad/op1 frees grad/op2:0 and t1 at the instant grad/op1:0 is born.
+        assert [(s, e) for nid, _, s, e in r.events if nid == "grad/op1"] == [(4.0, 4.0)]
+        assert r.peak_resident == 4096
+        assert check_memory_conservation(tg, r, cfg) == []
+
+    @pytest.mark.parametrize("seed, peak", [(0, 1484), (1, 496), (8, 1072), (9, 1340),
+                                            (10, 656)])
+    def test_random_instances(self, seed, peak):
+        _, rewritten, plan, cfg = random_instance(seed)
+        free = [nid for nid in rewritten.serial_order
+                if rewritten.graph.node(nid).kind != "loss"][::3]
+        tg = replace(rewritten, graph=self.free_of_cost(rewritten.graph, set(free)))
+        r = simulate(tg, plan, cfg)
+        assert r.peak_resident == peak
+        assert check_memory_conservation(tg, r, cfg) == []
+
 
 class TestBudget:
     def test_single_tensor_never_fits(self):
@@ -408,6 +448,25 @@ class TestInputChecks:
         with pytest.raises(GraphError, match="'op1' has cost_units"):
             simulate(bad, None, SimConfig())
         with pytest.raises(GraphError, match="'op1' has cost_units"):
+            calibrate_compute_rate(bad, None, SimConfig(), 1.0)
+
+    @pytest.mark.parametrize("missing, message", [
+        ("producer", "tensor 't1' names producer 'ghost', which the graph lacks"),
+        ("input", "node 'op2' reads tensor 'ghost', which the graph lacks"),
+    ])
+    def test_graph_naming_what_it_lacks_rejected(self, missing, message):
+        tg = expand_training_graph(gen_chain(4))
+        g = tg.graph
+        if missing == "producer":
+            g = replace(g, tensors=tuple(t._replace(producer="ghost") if t.id == "t1" else t
+                                         for t in g.tensors))
+        else:
+            g = replace(g, nodes=tuple(n._replace(inputs=("ghost",)) if n.id == "op2" else n
+                                       for n in g.nodes))
+        bad = replace(tg, graph=g)
+        with pytest.raises(GraphError, match=message):
+            simulate(bad, None, SimConfig())
+        with pytest.raises(GraphError, match=message):
             calibrate_compute_rate(bad, None, SimConfig(), 1.0)
 
     @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -1.0])

@@ -4,7 +4,7 @@ import pytest
 
 from swapsim.graph import GraphError, tensor_bytes
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
-from swapsim.props import random_instance
+from swapsim.props import check_memory_conservation, derive_resident_trace, random_instance
 from swapsim.rewrite import (
     RewritePlan, RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset,
 )
@@ -183,13 +183,17 @@ class TestStaticPeak:
 
 class TestStaticPeakIsSimulatedPeak:
     """The estimator and the simulator share one residency rule: with
-    instant transfers, the static peak is the simulated peak exactly."""
+    instant transfers, the static peak is the simulated peak exactly, and
+    the conservation check re-derives that peak from the events."""
 
     INSTANT = SimConfig(compute_rate=1.0, d2h_bw=1e300, h2d_bw=1e300)
 
     def assert_same_peak(self, tg, plan):
         rep = static_peak_estimate(tg, plan)
-        assert rep.peak_bytes == simulate(tg, plan, self.INSTANT).peak_resident
+        report = simulate(tg, plan, self.INSTANT)
+        assert rep.peak_bytes == report.peak_resident
+        assert check_memory_conservation(tg, report, self.INSTANT) == []
+        assert max(r for _, r in derive_resident_trace(tg, report)) == rep.peak_bytes
         assert sorted(rep.intervals) == sorted(t.id for t in tg.graph.tensors)
         assert all(len(ivs) == 1 for ivs in rep.intervals.values())
 
