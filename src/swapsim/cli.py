@@ -11,7 +11,7 @@ import sys
 from .graph import (GraphError, dumps_canonical, load_document, load_graph, save_graph,
                     validate_graph)
 from .models import UNetParams, gen_chain, gen_unet3d
-from .training import (expand_training_graph, load_training_graph,
+from .training import (BACKWARD_COST_RATIO, expand_training_graph, load_training_graph,
                        save_training_graph, static_peak_estimate)
 from .rewrite import (PRESETS, RewriteConfig, apply_rewrite, check_rewrite_validity,
                       load_plan, resolve_preset, save_plan)
@@ -108,7 +108,6 @@ def _sim_config(m) -> SimConfig:
                              f"expected one of {sorted(LINKS)}")
         kw["d2h_bw"], kw["h2d_bw"] = LINKS[m["link"]]
     return SimConfig(**kw, gpu_budget=parse_bytes(m.get("gpu_budget") or 0),
-                     static_bytes=parse_bytes(m.get("static_bytes") or 0),
                      enforce_budget=bool(m.get("enforce_budget")))
 
 
@@ -137,9 +136,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_rewrite(args) -> int:
-    g = load_graph(args.graph)
-    static = parse_bytes(args.static_bytes) if args.static_bytes else 0
-    tg = expand_training_graph(g, static_bytes=static,
+    tg = expand_training_graph(load_graph(args.graph), static_bytes=parse_bytes(args.static_bytes),
                                backward_cost_ratio=args.backward_cost_ratio)
     rewritten, plan = apply_rewrite(tg, _rewrite_config(vars(args)))
     violations = check_rewrite_validity(tg, rewritten, plan)
@@ -165,10 +162,12 @@ def _scenario_from_obj(sc) -> tuple:
     """A scenario document's training graph, rewrite config, simulator config,
     calibration (rewrite config, target seconds) or None, and output paths."""
     g = _generated_graph(sc["generator"])
-    tg = expand_training_graph(g, static_bytes=int(sc.get("static_bytes", 0)))
+    tg = expand_training_graph(g, static_bytes=parse_bytes(sc.get("static_bytes", 0)))
     cfg = _rewrite_config(sc.get("rewrite", {}))
     cfg.validate()
     sm = sc.get("sim", {})
+    if "static_bytes" in sm:
+        raise GraphError('"sim.static_bytes" moved to the top-level "static_bytes"')
     sim_cfg = _sim_config(sm)
     sim_cfg.validate()
     cal = sm.get("calibrate")
@@ -178,18 +177,42 @@ def _scenario_from_obj(sc) -> tuple:
     return tg, cfg, sim_cfg, calibration, outputs.get("trace"), outputs.get("report")
 
 
-def _run_scenario(path: str) -> int:
-    tg, cfg, sim_cfg, calibration, trace, report_path = load_document(
-        path, "scenario", _scenario_from_obj)
-    rewritten, plan = apply_rewrite(tg, cfg)
+def cmd_simulate(args) -> int:
+    """Flags and a scenario file each give a graph, its plan, a simulator
+    config, a calibration (graph, plan, target seconds) or None, and output
+    paths; one path runs them. A scenario calibrates on its own rewrite."""
+    calibration = None
+    if args.scenario:
+        tg, cfg, sim_cfg, calibration, trace, report_path = load_document(
+            args.scenario, "scenario", _scenario_from_obj)
+        if calibration:  # (rewrite config, target seconds)
+            calibration = (*apply_rewrite(tg, calibration[0]), calibration[1])
+        tg, plan = apply_rewrite(tg, cfg)
+    else:
+        tg = load_training_graph(args.graph)
+        violations = validate_graph(tg.graph)
+        if violations:
+            raise GraphError(f"training-graph file {args.graph}: invalid graph: {violations[0]}")
+        plan = load_plan(args.plan) if args.plan else None
+        sim_cfg = _sim_config(vars(args))
+        if args.calibrate_target is not None:
+            calibration = (tg, plan, args.calibrate_target)
+        trace, report_path = args.trace, args.report
     if calibration:
-        cal_cfg, target = calibration
-        cal_tg, cal_plan = apply_rewrite(tg, cal_cfg)
+        cal_tg, cal_plan, target = calibration
         sim_cfg.compute_rate = calibrate_compute_rate(cal_tg, cal_plan, sim_cfg, target)
         print(f"calibrated compute_rate: {sim_cfg.compute_rate:.6g} units/s")
-
-    report = simulate(rewritten, plan, sim_cfg)
-    _print_report(report)
+    report = simulate(tg, plan, sim_cfg)
+    phases = stall_report(report)
+    print(f"makespan: {report.makespan:.6f} s")
+    print(f"peak resident: {fmt_bytes(report.peak_resident)}")
+    print(f"stalls: forward {phases['forward']:.6f} s, "
+          f"boundary {phases['boundary']:.6f} s, backward {phases['backward']:.6f} s")
+    for ch in ("compute", "d2h", "h2d"):
+        print(f"busy[{ch}]: {report.busy[ch]:.3f}")
+    if not args.scenario and args.iterations is not None:
+        total = epoch_time(report.makespan, args.iterations, args.host_preproc)
+        print(f"epoch estimate: {total:.3f} s over {args.iterations} iterations")
     if trace:
         emit_trace(report, trace)
         print(f"wrote trace {trace}")
@@ -200,69 +223,30 @@ def _run_scenario(path: str) -> int:
     return 0
 
 
-def _print_report(report) -> None:
-    phases = stall_report(report)
-    print(f"makespan: {report.makespan:.6f} s")
-    print(f"peak resident: {fmt_bytes(report.peak_resident)}")
-    print(f"stalls: forward {phases['forward']:.6f} s, "
-          f"boundary {phases['boundary']:.6f} s, backward {phases['backward']:.6f} s")
-    for ch in ("compute", "d2h", "h2d"):
-        print(f"busy[{ch}]: {report.busy[ch]:.3f}")
-
-
-def cmd_simulate(args) -> int:
-    if args.scenario:
-        return _run_scenario(args.scenario)
-    tg = load_training_graph(args.graph)
-    violations = validate_graph(tg.graph)
-    if violations:
-        raise GraphError(f"training-graph file {args.graph}: invalid graph: {violations[0]}")
-    plan = load_plan(args.plan) if args.plan else None
-    sim_cfg = _sim_config(vars(args))
-    if args.calibrate_target is not None:
-        sim_cfg.compute_rate = calibrate_compute_rate(tg, plan, sim_cfg,
-                                                      float(args.calibrate_target))
-        print(f"calibrated compute_rate: {sim_cfg.compute_rate:.6g} units/s")
-    report = simulate(tg, plan, sim_cfg)
-    _print_report(report)
-    if args.iterations is not None:
-        total = epoch_time(report.makespan, args.iterations, args.host_preproc)
-        print(f"epoch estimate: {total:.3f} s over {args.iterations} iterations")
-    if args.trace:
-        emit_trace(report, args.trace)
-        print(f"wrote trace {args.trace}")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        print(f"wrote report {args.report}")
-    return 0
-
-
 def cmd_sweep(args) -> int:
-    tg = expand_training_graph(load_graph(args.graph))
+    tg = expand_training_graph(load_graph(args.graph), static_bytes=parse_bytes(args.static_bytes))
 
     rewrite_cfgs: list[RewriteConfig] = []
     if args.presets:
         rewrite_cfgs.extend(resolve_preset(p.strip()) for p in args.presets.split(",") if p.strip())
     if args.lb or args.n_tensors:
-        lbs = _csv(args.lb, int) if args.lb else [1]
-        nts = _csv(args.n_tensors, int) if args.n_tensors else [-1]
+        # A grid axis left out keeps RewriteConfig's default.
+        lbs = [{"lb": lb} for lb in _csv(args.lb, int)] if args.lb else [{}]
+        nts = [{"n_tensors": nt} for nt in _csv(args.n_tensors, int)] if args.n_tensors else [{}]
         for nt in nts:
             for lb in lbs:
-                rewrite_cfgs.append(_rewrite_config({"mode": args.mode, "n_tensors": nt, "lb": lb,
+                rewrite_cfgs.append(_rewrite_config({"mode": args.mode, **nt, **lb,
                                                      "excl_scopes": args.excl_scopes}))
     if not rewrite_cfgs:
         raise UsageError("empty sweep grid: give --presets or --lb/--n-tensors")
 
-    rate = {"compute_rate": args.compute_rate, "xfer_latency": args.xfer_latency,
-            "static_bytes": args.static_bytes}
     if args.link:
-        sims = [{**rate, "link": name.strip()} for name in args.link.split(",") if name.strip()]
+        sims = [{"link": name.strip()} for name in args.link.split(",") if name.strip()]
     elif args.bw:
-        sims = [{**rate, "d2h_bw": b, "h2d_bw": b} for b in _csv(args.bw, float)]
+        sims = [{"d2h_bw": b, "h2d_bw": b} for b in _csv(args.bw, float)]
     else:
-        sims = [rate]
-    sim_cfgs = [_sim_config(m) for m in sims]
+        sims = [{}]
+    sim_cfgs = [_sim_config({**vars(args), **m}) for m in sims]
 
     rows = sweep(tg, rewrite_cfgs, sim_cfgs)
     header = ["n_tensors", "lb", "mode", "d2h_bw", "h2d_bw", "swapped",
@@ -360,15 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_rw = sub.add_parser("rewrite", help="expand to a training graph and apply a rewrite")
     p_rw.add_argument("graph")
     p_rw.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    # As for generate: flags left out keep the config dataclasses' defaults,
+    # except --mode, whose CLI default is swap.
     p_rw.add_argument("--mode", choices=["swap", "recompute", "none"], default="swap")
-    p_rw.add_argument("--n-tensors", type=int, default=-1)
-    p_rw.add_argument("--lb", type=int, default=1)
-    p_rw.add_argument("--excl-scopes", default="")
-    p_rw.add_argument("--incl-scopes", default="")
-    p_rw.add_argument("--ckpt-policy", choices=["speed", "sqrt_n", "manual"], default="speed")
-    p_rw.add_argument("--manual-ckpts", default="")
-    p_rw.add_argument("--static-bytes", default="")
-    p_rw.add_argument("--backward-cost-ratio", type=float, default=2.0)
+    p_rw.add_argument("--n-tensors", type=int, default=argparse.SUPPRESS)
+    p_rw.add_argument("--lb", type=int, default=argparse.SUPPRESS)
+    p_rw.add_argument("--excl-scopes", default=argparse.SUPPRESS)
+    p_rw.add_argument("--incl-scopes", default=argparse.SUPPRESS)
+    p_rw.add_argument("--ckpt-policy", choices=["speed", "sqrt_n", "manual"],
+                      default=argparse.SUPPRESS)
+    p_rw.add_argument("--manual-ckpts", default=argparse.SUPPRESS)
+    p_rw.add_argument("--static-bytes", default="0")
+    p_rw.add_argument("--backward-cost-ratio", type=float, default=BACKWARD_COST_RATIO)
     p_rw.add_argument("--out-graph", default="training_graph.json")
     p_rw.add_argument("--out-plan", default="plan.json")
     p_rw.add_argument("--liveness", default=None,
@@ -380,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("plan", nargs="?")
     p_sim.add_argument("--scenario", default=None,
                        help="scenario file binding generator, rewrite and sim configs")
-    p_sim.add_argument("--compute-rate", type=float, default=1e12)
-    p_sim.add_argument("--d2h-bw", type=float, default=40e9)
-    p_sim.add_argument("--h2d-bw", type=float, default=40e9)
+    p_sim.add_argument("--compute-rate", type=float, default=argparse.SUPPRESS)
+    p_sim.add_argument("--d2h-bw", type=float, default=argparse.SUPPRESS)
+    p_sim.add_argument("--h2d-bw", type=float, default=argparse.SUPPRESS)
     p_sim.add_argument("--link", choices=sorted(LINKS), default=None)
-    p_sim.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float, default=0.0)
+    p_sim.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float,
+                       default=argparse.SUPPRESS)
     p_sim.add_argument("--budget", dest="gpu_budget", metavar="BUDGET", default="")
     p_sim.add_argument("--enforce-budget", action="store_true")
-    p_sim.add_argument("--static-bytes", default="")
     p_sim.add_argument("--calibrate-target", type=float, default=None)
     p_sim.add_argument("--trace", default=None)
     p_sim.add_argument("--report", default=None)
@@ -405,9 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--excl-scopes", default="")
     p_sw.add_argument("--bw", default="")
     p_sw.add_argument("--link", default="")
-    p_sw.add_argument("--compute-rate", type=float, default=1e12)
-    p_sw.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float, default=0.0)
-    p_sw.add_argument("--static-bytes", default="")
+    p_sw.add_argument("--compute-rate", type=float, default=argparse.SUPPRESS)
+    p_sw.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float,
+                      default=argparse.SUPPRESS)
+    p_sw.add_argument("--static-bytes", default="0")
     p_sw.add_argument("-o", "--output", default=None)
     p_sw.set_defaults(func=cmd_sweep)
 

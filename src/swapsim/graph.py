@@ -154,19 +154,26 @@ class GraphIndex:
 
 def successors(g: GraphSpec) -> list[tuple[int, ...]]:
     """Per node index, the indices of its successors over data and control
-    edges, one entry per edge; edges to or from an unknown node are left out.
-    Where a node's successors are one tensor's readers, the index's tuple is reused."""
+    edges, one entry per edge; an edge naming a node or tensor the graph lacks
+    raises GraphError. A node's successors may reuse the index's tuples."""
     ix = g.index
+    if sum(map(len, ix.consumers)) != sum(len(r.inputs) for r in g.nodes):
+        nid, tid = next((r.id, t) for r in g.nodes for t in r.inputs if not g.has_tensor(t))
+        raise GraphError(f"node {nid!r} reads tensor {tid!r}, which the graph lacks")
     succ: list[tuple[int, ...]] = [()] * len(ix.ids)
-    for p, readers in zip(ix.producer, ix.consumers):
-        if readers and p is not None:
+    for t, p, readers in zip(g.tensors, ix.producer, ix.consumers):
+        if p is None:
+            raise GraphError(f"tensor {t.id!r} names producer {t.producer!r}, which the graph lacks")
+        if readers:
             succ[p] += readers
     index = ix.index
     control: dict[int, list[int]] = {}
     for a, b in g.control_edges:
         ia, ib = index.get(a), index.get(b)
-        if ia is not None and ib is not None:
-            control.setdefault(ia, []).append(ib)
+        if ia is None or ib is None:
+            raise GraphError(f"control edge ({a!r}, {b!r}) names node "
+                             f"{(a if ia is None else b)!r}, which the graph lacks")
+        control.setdefault(ia, []).append(ib)
     for ia, more in control.items():
         succ[ia] += tuple(more)
     return succ

@@ -15,6 +15,7 @@ from .rewrite import RewriteConfig, RewritePlan, select_swap_tensors, insert_swa
 from .sim import SimConfig, simulate
 
 _SCOPES = ("a/x", "a/y", "b/x", "b/y")
+LB_GRID = (1, 2, 3, 5, 8)  # the lookaheads check_lb_monotonicity simulates
 
 
 def random_forward_graph(rng: random.Random) -> GraphSpec:
@@ -105,7 +106,7 @@ def check_memory_conservation(tg: TrainingGraph, report, cfg: SimConfig) -> list
     bad = []
     if any(resident < 0 for _, resident in trace):
         bad.append("derived resident bytes went negative")
-    derived_peak = max((resident for _, resident in trace), default=0) + cfg.static_bytes
+    derived_peak = max((resident for _, resident in trace), default=0) + tg.static_bytes
     if derived_peak != report.peak_resident:
         bad.append(f"derived peak {derived_peak} != reported {report.peak_resident}")
     if cfg.enforce_budget and cfg.gpu_budget > 0 and report.peak_resident > cfg.gpu_budget:
@@ -148,10 +149,9 @@ def check_peak_monotonicity(tg: TrainingGraph, rng: random.Random) -> list[str]:
     return []
 
 
-def check_lb_monotonicity(tg: TrainingGraph, selection, sim_cfg: SimConfig,
-                          lbs=(1, 2, 3, 5, 8)) -> list[str]:
+def check_lb_monotonicity(tg: TrainingGraph, selection, sim_cfg: SimConfig) -> list[str]:
     makespans = []
-    for lb in lbs:
+    for lb in LB_GRID:
         rewritten, plan = insert_swap_nodes(tg, selection, lb)
         makespans.append(simulate(rewritten, plan, sim_cfg).makespan)
     for prev, cur in zip(makespans, makespans[1:]):

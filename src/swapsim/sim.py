@@ -17,7 +17,9 @@ Scheduling rules:
     that last consumer is the swap_out);
   - the peak is sampled once per instant, after that instant's frees and
     allocations, so a tensor alive for zero time never registers (tensors
-    live over the half-open interval [alloc, free)).
+    live over the half-open interval [alloc, free));
+  - the model's static bytes (``TrainingGraph.static_bytes``) are resident
+    throughout; ``SimConfig`` describes only the machine.
 
 Each run works on a compiled view (``_CompiledGraph``): the simulator's own
 columns (channel, cost, tensor indices, allocated bytes, dependency counts,
@@ -41,7 +43,7 @@ CHANNELS = ("compute", "d2h", "h2d")
 # Node kind -> index into CHANNELS, which is also the channel's tie-break
 # priority; every other kind runs on compute (0).
 _KIND_CHANNEL = {"swap_out": 1, "swap_in": 2}
-TRACE_TIDS = {"compute": 0, "d2h": 1, "h2d": 2}
+CALIBRATION_TOL = 1e-3  # relative width of the final compute_rate bracket
 
 
 class InfeasibleError(GraphError):
@@ -64,7 +66,6 @@ class SimConfig:
     h2d_bw: float = 40e9
     xfer_latency: float = 0.0      # seconds per transfer
     gpu_budget: int = 0            # bytes; 0 = unlimited
-    static_bytes: int = 0
     enforce_budget: bool = False
 
     def validate(self) -> None:
@@ -119,28 +120,23 @@ class _CompiledGraph:
     it. Node indices follow id order, so heap, queue and latest-dependency
     ties break exactly as they would on the id strings."""
 
-    __slots__ = ("graph", "ids", "phases", "channel", "cost_units", "inputs", "outputs",
-                 "out_bytes", "in_bytes", "succ", "pending", "issue_pending",
+    __slots__ = ("graph", "static_bytes", "ids", "phases", "channel", "cost_units", "inputs",
+                 "outputs", "out_bytes", "in_bytes", "succ", "pending", "issue_pending",
                  "tensor_size", "refcount", "serial", "queue_key", "d2h_seed", "h2d_seed")
 
     def __init__(self, tg: TrainingGraph):
         self.graph = g = tg.graph
+        self.static_bytes = tg.static_bytes
         ix = g.index
-        # A name the graph lacks would be a None index or a skipped input;
-        # these O(n) checks stand in for a validate_graph per run.
-        if None in ix.producer:
-            t = g.tensors[ix.producer.index(None)]
-            raise GraphError(f"tensor {t.id!r} names producer {t.producer!r}, "
-                             f"which the graph lacks")
-        self.refcount = refcount = list(map(len, ix.consumers))
-        if sum(refcount) != sum(len(r.inputs) for r in g.nodes):
-            nid, tid = next((r.id, t) for r in g.nodes for t in r.inputs if not g.has_tensor(t))
-            raise GraphError(f"node {nid!r} reads tensor {tid!r}, which the graph lacks")
         nodes = ix.nodes
+        # O(n) checks in place of a validate_graph per run: successors resolves
+        # every edge; the column loop checks that each producer outputs its tensor.
+        self.succ = succ = successors(g)
         self.ids = ids = ix.ids
         n = len(ids)
         self.phases = dict(zip(ids, [r.phase for r in nodes]))
         self.tensor_size = size = ix.tensor_bytes
+        self.refcount = list(map(len, ix.consumers))
         self.channel = chan = [_KIND_CHANNEL.get(r.kind, 0) for r in nodes]
         # op_cost: io nodes cost nothing on the compute channel.
         self.cost_units = cost = [0.0 if c else r.cost_units for r, c in zip(nodes, chan)]
@@ -152,7 +148,10 @@ class _CompiledGraph:
         self.inputs = inputs = [()] * n
         self.outputs = outputs = [()] * n
         self.out_bytes = out_bytes = [0] * n
-        for k, p, readers in zip(range(len(size)), ix.producer, ix.consumers):
+        for k, t, p, readers in zip(range(len(size)), g.tensors, ix.producer, ix.consumers):
+            if t.id not in nodes[p].outputs:
+                raise GraphError(f"tensor {t.id!r} names producer {t.producer!r}, "
+                                 f"which does not output it")
             outputs[p] += (k,)
             out_bytes[p] += size[k]
             for c in readers:
@@ -161,7 +160,6 @@ class _CompiledGraph:
 
         # Dependency counts over data + control edges. A swap_in's trigger
         # dependencies (issue) are counted apart from its swap_out (data).
-        self.succ = succ = successors(g)
         self.pending = pending = [0] * n
         self.issue_pending = issue_pending = [0] * n
         for ia, s in enumerate(succ):
@@ -196,7 +194,7 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
     resident bytes (static bytes excluded), the stalls and busy seconds per
     channel."""
     limited = cfg.enforce_budget and cfg.gpu_budget > 0
-    static, budget = cfg.static_bytes, cfg.gpu_budget
+    static, budget = v.static_bytes, cfg.gpu_budget
     if limited:
         for t, nbytes in zip(v.graph.tensors, v.tensor_size):
             if static + nbytes > budget:
@@ -335,7 +333,7 @@ def _report(v: _CompiledGraph, cfg: SimConfig) -> SimReport:
     return SimReport(
         makespan=makespan,
         events=[(ids[i], CHANNELS[c], s, e) for s, c, i, e in events],
-        peak_resident=peak + cfg.static_bytes,
+        peak_resident=peak + v.static_bytes,
         stalls=stalls,
         busy={ch: (busy_time[c] / makespan if makespan > 0 else 0.0)
               for c, ch in enumerate(CHANNELS)},
@@ -375,12 +373,12 @@ def stall_report(r: SimReport) -> dict[str, float]:
 
 def emit_trace(r: SimReport, path) -> None:
     """Chrome trace event format: one complete ("X") event per sim event,
-    one tid per channel, timestamps in microseconds."""
+    one tid per channel (its index in CHANNELS), timestamps in microseconds."""
     trace = [
         {
             "name": nid, "ph": "X",
             "ts": start * 1e6, "dur": (end - start) * 1e6,
-            "pid": 0, "tid": TRACE_TIDS[channel],
+            "pid": 0, "tid": CHANNELS.index(channel),
         }
         for nid, channel, start, end in r.events
     ]
@@ -415,7 +413,6 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
         rewritten, plan = apply_rewrite(tg, rcfg)
         view = None
         for scfg in sim_cfgs:
-            key = (rcfg.n_tensors, rcfg.lb, rcfg.mode, scfg.d2h_bw, scfg.h2d_bw)
             row = {
                 "n_tensors": rcfg.n_tensors, "lb": rcfg.lb, "mode": rcfg.mode,
                 "d2h_bw": scfg.d2h_bw, "h2d_bw": scfg.h2d_bw,
@@ -433,20 +430,20 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
             except GraphError as exc:
                 row.update(makespan=None, peak_resident=None,
                            boundary_stall=None, backward_stall=None, error=str(exc))
-            rows.append((key, row))
-    rows.sort(key=lambda kr: kr[0])
-    return [row for _, row in rows]
+            rows.append(row)
+    rows.sort(key=lambda r: (r["n_tensors"], r["lb"], r["mode"], r["d2h_bw"], r["h2d_bw"]))
+    return rows
 
 
 def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
-                           target_makespan: float, tol: float = 1e-3) -> float:
+                           target_makespan: float) -> float:
     """Binary-search the compute_rate that puts the simulated makespan at the
-    target; makespan is monotone non-increasing in compute_rate. The graph is
-    compiled once and every probe run reads only its makespan. Without an
-    enforced budget, a probe rate at which the compute time alone (the sum of
-    the compute costs over the rate) exceeds the target is decided "too slow"
-    without a run; the probes and the returned rate are the same as when
-    every probe runs."""
+    target, to within CALIBRATION_TOL; makespan is monotone non-increasing
+    in compute_rate. The graph is compiled once and every probe run reads
+    only its makespan. Without an enforced budget, a probe rate at which the
+    compute time alone (the sum of the compute costs over the rate) exceeds
+    the target is decided "too slow" without a run; the probes and the
+    returned rate are the same as when every probe runs."""
     if not math.isfinite(target_makespan) or target_makespan <= 0:
         raise GraphError(f"target makespan must be a positive finite number, "
                          f"got {target_makespan!r}")
@@ -484,6 +481,6 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
             lo = mid
         else:
             hi = mid
-        if hi / lo < 1 + tol:
+        if hi / lo < 1 + CALIBRATION_TOL:
             break
     return (lo * hi) ** 0.5

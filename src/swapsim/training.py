@@ -1,6 +1,7 @@
 """Backward expansion of forward graphs, feature-map reuse edges, the
 execution order that places io nodes among the compute nodes, and the static
-liveness / peak-memory estimate over that order."""
+liveness / peak-memory estimate over that order. The training graph is the
+one home of the model's static bytes (``TrainingGraph.static_bytes``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -29,6 +30,9 @@ class TrainingGraph:
     omits a compute node.
     ``reuse_edges`` are the (forward tensor, backward consumer) pairs that
     make feature maps live across the phase boundary.
+    ``static_bytes``, the bytes that never leave the device (weights,
+    gradients, optimizer state), is the graph's ``metadata["static_bytes"]``
+    (0 if absent), read once here and checked to be an int >= 0.
     """
 
     graph: GraphSpec
@@ -63,6 +67,9 @@ class TrainingGraph:
         if omitted is not None:
             raise GraphError(f"serial_order omits compute node {omitted!r}")
         self._boundary_position = last
+        self.static_bytes = self.graph.metadata.get("static_bytes", 0)
+        if type(self.static_bytes) is not int or self.static_bytes < 0:
+            raise GraphError(f"static_bytes must be an integer >= 0, got {self.static_bytes!r}")
 
     @property
     def boundary_position(self) -> int:
@@ -77,6 +84,7 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
     grad(f) consumes the gradient contributions produced by the grads of
     f's consumers plus f's own output tensor (the reuse edge), and produces
     one gradient tensor per input of f (a single one for input nodes).
+    Both keyword values go into the metadata, which every rewrite copies.
     """
     violations, forward_order = validate_graph_order(g)
     if violations:
@@ -90,6 +98,8 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
     nodes = list(g.nodes)
     tensors = list(g.tensors)
     control_edges = list(g.control_edges)
+    metadata = {**g.metadata, "static_bytes": static_bytes,
+                "backward_cost_ratio": backward_cost_ratio}
 
     loss_nodes = [n for n in g.nodes if n.kind == "loss"]
     if len(loss_nodes) > 1:
@@ -106,8 +116,8 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
         nodes.append(loss)
         forward_order.append(loss.id)
     else:
-        return TrainingGraph(graph=GraphSpec(metadata=dict(g.metadata)),
-                             reuse_edges=(), serial_order=())
+        return TrainingGraph(graph=GraphSpec(metadata=metadata), reuse_edges=(),
+                             serial_order=())
 
     loss_inputs = set(loss.inputs)
     ix = g.index
@@ -140,9 +150,6 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
         if t_out in loss_inputs:
             control_edges.append((loss.id, gid))
 
-    metadata = dict(g.metadata)
-    metadata["static_bytes"] = static_bytes
-    metadata["backward_cost_ratio"] = backward_cost_ratio
     expanded = GraphSpec(nodes=tuple(nodes), tensors=tuple(tensors),
                          control_edges=tuple(control_edges), metadata=metadata)
     serial = tuple(forward_order) + tuple(grad_order)
@@ -299,7 +306,7 @@ def static_peak_estimate(tg: TrainingGraph, plan=None) -> LivenessReport:
     """
     check_plan(tg.graph, plan)
     g = tg.graph
-    static = int(g.metadata.get("static_bytes", 0))
+    static = tg.static_bytes
     npos = len(tg.serial_order)
     if npos == 0:
         return LivenessReport(intervals={}, peak_bytes=static, peak_position=0,

@@ -190,6 +190,40 @@ class TestSimulate:
         assert run(capsys, "simulate", "--scenario", str(path))[0] == 0
         assert (tmp_path / "scenario.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
 
+    def test_static_bytes_set_at_rewrite_reach_simulate(self, tmp_path, capsys):
+        g, og, op = tmp_path / "g.json", tmp_path / "tg.json", tmp_path / "plan.json"
+        assert run(capsys, "generate", "chain", "--n", "4", "-o", str(g))[0] == 0
+        assert run(capsys, "rewrite", str(g), "--preset", "paper-c1", "--static-bytes", "1GiB",
+                   "--out-graph", str(og), "--out-plan", str(op))[0] == 0
+        rc, stdout, _ = run(capsys, "simulate", str(og), str(op))
+        assert rc == 0
+        assert f"peak resident: {2**30 + 4096} B" in stdout
+        rc, _, err = run(capsys, "simulate", str(og), str(op), "--budget", "1GiB",
+                         "--enforce-budget")
+        assert rc == 1
+        assert err.startswith("error: infeasible")
+
+    def test_simulate_has_no_static_bytes_flag(self, rewritten, capsys):
+        og, op = rewritten
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(og), str(op), "--static-bytes", "1GiB"])
+        assert exc.value.code == 2
+
+    def test_scenario_static_bytes_reach_the_report(self, tmp_path, capsys):
+        report = tmp_path / "rep.json"
+        scenario = {
+            "generator": {"kind": "chain", "n": 4},
+            "rewrite": {"preset": "paper-c1"},
+            "static_bytes": "1GiB",
+            "outputs": {"report": str(report)},
+        }
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(scenario))
+        rc, stdout, _ = run(capsys, "simulate", "--scenario", str(path))
+        assert rc == 0
+        assert f"peak resident: {2**30 + 4096} B" in stdout
+        assert json.loads(report.read_text())["peak_resident"] == 2**30 + 4096
+
     def test_chain_kinds_spellings_give_the_flags_report(self, tmp_path, capsys):
         g, og, op = tmp_path / "g.json", tmp_path / "tg.json", tmp_path / "plan.json"
         flags = tmp_path / "flags.json"
@@ -357,6 +391,9 @@ def probe_files(rewritten, tmp_path, capsys):
         "extent_frac": (chain_tg, edited(("graph", "tensors", 0, "shape", 0), 2.5)),
         "elem_bytes_neg": (chain_tg, edited(("graph", "tensors", 0, "elem_bytes"), -4)),
         "channels_bool": (chain_tg, edited(("graph", "tensors", 0, "channels"), True)),
+        "static_str": (chain_tg, edited(("graph", "metadata", "static_bytes"), "abc")),
+        "static_neg": (chain_tg, edited(("graph", "metadata", "static_bytes"), -1)),
+        "static_bool": (chain_tg, edited(("graph", "metadata", "static_bytes"), True)),
         "plan_list": (chain_plan, lambda doc: []),
         "plan_bogus": (chain_plan, lambda doc: {
             **doc, "swapped": {**doc["swapped"], "bogus": doc["swapped"]["t0"]}}),
@@ -369,6 +406,8 @@ def probe_files(rewritten, tmp_path, capsys):
         "sc_list": [],
         "sc_rate_str": {**chain_scenario, "sim": {"compute_rate": "fast"}},
         "sc_link_unknown": {**chain_scenario, "sim": {"link": "bogus"}},
+        "sc_sim_static": {**chain_scenario, "sim": {"static_bytes": "1GiB"}},
+        "sc_static_abc": {**chain_scenario, "static_bytes": "abc"},
     }
     for name, doc in scenarios.items():
         files[name] = str(tmp_path / f"{name}.json")
@@ -393,8 +432,14 @@ BAD_INPUT_PROBES = {
     "budget-inf": (["simulate", "{tg}", "{plan}", "--budget", "inf", "--enforce-budget"],
                    "invalid byte count 'inf'"),
     "budget-negative": (["simulate", "{tg}", "{plan}", "--budget=-1GiB"], "invalid byte count"),
-    "static-bytes-1e400": (["simulate", "{tg}", "{plan}", "--static-bytes", "1e400"],
-                           "invalid byte count '1e400'"),
+    "static-bytes-1e400": (["sweep", "{chain}", "--presets", "paper-c1", "--static-bytes",
+                            "1e400"], "invalid byte count '1e400'"),
+    "graph-static-bytes-str": (["simulate", "{static_str}", "{chain_plan}"],
+                               "static_str.json: static_bytes must be an integer >= 0, got 'abc'"),
+    "graph-static-bytes-negative": (["simulate", "{static_neg}", "{chain_plan}"],
+                                    "static_bytes must be an integer >= 0, got -1"),
+    "graph-static-bytes-bool": (["simulate", "{static_bool}", "{chain_plan}"],
+                                "static_bytes must be an integer >= 0, got True"),
     "rewrite-static-bytes-nan": (["rewrite", "{chain_tg}", "--static-bytes", "nan"],
                                  "invalid byte count 'nan'"),
     "host-preproc-nan": (["simulate", "{tg}", "{plan}", "--iterations", "3",
@@ -452,6 +497,11 @@ BAD_INPUT_PROBES = {
                                   "sc_rate_str.json: wrong value type"),
     "scenario-link-unknown": (["simulate", "--scenario", "{sc_link_unknown}"],
                               "sc_link_unknown.json: bad value: unknown link preset 'bogus'"),
+    "scenario-sim-static-bytes": (["simulate", "--scenario", "{sc_sim_static}"],
+                                  'sc_sim_static.json: "sim.static_bytes" moved to the '
+                                  'top-level "static_bytes"'),
+    "scenario-static-bytes-abc": (["simulate", "--scenario", "{sc_static_abc}"],
+                                  "sc_static_abc.json: bad value: invalid byte count 'abc'"),
     "sweep-link-unknown": (["sweep", "{chain}", "--presets", "paper-c1", "--link", "foo"],
                            "usage error: unknown link preset 'foo'"),
     "sweep-bw-abc": (["sweep", "{chain}", "--presets", "paper-c1", "--bw", "abc"],

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -282,12 +283,15 @@ PIN_REPORT_SHA = {
 PIN_SWEEP_SHA = "25b0cbb1e82a93ccdd38cc77d7814b77d57a2c591d56664067b042227726a239"
 
 
-def _pin_cfg(budget: bool) -> SimConfig:
+def _pin_tg(budget: bool):
     # 16 KiB with 1 KiB static: c1-c4 fit (c4 exactly at the budget),
     # recompute deadlocks, so both outcomes are pinned.
+    return expand_training_graph(gen_unet3d(TOY), static_bytes=1024 if budget else 0)
+
+
+def _pin_cfg(budget: bool) -> SimConfig:
     return SimConfig(compute_rate=1e6, d2h_bw=2e4, h2d_bw=1e4, xfer_latency=1e-3,
-                     gpu_budget=16384 if budget else 0,
-                     static_bytes=1024 if budget else 0, enforce_budget=budget)
+                     gpu_budget=16384 if budget else 0, enforce_budget=budget)
 
 
 def _sha(text: str) -> str:
@@ -298,8 +302,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("budget", [False, True], ids=["free", "budget"])
     @pytest.mark.parametrize("name", sorted(PIN_REWRITES))
     def test_report_json_pinned(self, name, budget):
-        tg = expand_training_graph(gen_unet3d(TOY))
-        rewritten, plan = apply_rewrite(tg, PIN_REWRITES[name])
+        rewritten, plan = apply_rewrite(_pin_tg(budget), PIN_REWRITES[name])
         try:
             out = simulate(rewritten, plan, _pin_cfg(budget)).to_json()
         except GraphError as exc:
@@ -308,14 +311,16 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("budget", [False, True], ids=["free", "budget"])
     def test_calibrated_rate_pinned(self, budget):
-        tg = expand_training_graph(gen_unet3d(TOY))
-        rewritten, plan = apply_rewrite(tg, PIN_REWRITES["paper-c1"])
+        rewritten, plan = apply_rewrite(_pin_tg(budget), PIN_REWRITES["paper-c1"])
         rate = calibrate_compute_rate(rewritten, plan, _pin_cfg(budget), 10.0)
         assert repr(rate) == "727226.828641178"
 
     def test_sweep_rows_pinned(self):
-        tg = expand_training_graph(gen_unet3d(TOY))
-        rows = sweep(tg, PIN_REWRITES.values(), [_pin_cfg(False), _pin_cfg(True)])
+        # Static bytes belong to the graph, so the free and budget cells are
+        # two sweeps; rows were pinned interleaved, free first, per key.
+        free, budget = (sweep(_pin_tg(b), PIN_REWRITES.values(), [_pin_cfg(b)])
+                        for b in (False, True))
+        rows = [row for pair in zip(free, budget) for row in pair]
         assert _sha(json.dumps(rows, sort_keys=True)) == PIN_SWEEP_SHA
 
 
@@ -411,7 +416,7 @@ class TestCalibrationOracle:
     @pytest.mark.parametrize("name", sorted(PIN_REWRITES) + ["recompute-sqrt_n"])
     def test_toy_unet_matches_reference(self, name, budget):
         rcfg = PIN_REWRITES.get(name) or RewriteConfig(mode="recompute", ckpt_policy="sqrt_n")
-        rewritten, plan = apply_rewrite(expand_training_graph(gen_unet3d(TOY)), rcfg)
+        rewritten, plan = apply_rewrite(_pin_tg(budget), rcfg)
         cfg = _pin_cfg(budget)
         for target in (1e-3, 0.5, 10.0, 1e4):
             args = (rewritten, plan, cfg, target)
@@ -453,20 +458,26 @@ class TestInputChecks:
     @pytest.mark.parametrize("missing, message", [
         ("producer", "tensor 't1' names producer 'ghost', which the graph lacks"),
         ("input", "node 'op2' reads tensor 'ghost', which the graph lacks"),
+        ("control-edge", "control edge ('ghost', 'op2') names node 'ghost', "
+                         "which the graph lacks"),
+        ("declared-producer", "tensor 't1' names producer 'op0', which does not output it"),
     ])
     def test_graph_naming_what_it_lacks_rejected(self, missing, message):
         tg = expand_training_graph(gen_chain(4))
         g = tg.graph
-        if missing == "producer":
-            g = replace(g, tensors=tuple(t._replace(producer="ghost") if t.id == "t1" else t
+        if missing in ("producer", "declared-producer"):
+            producer = "ghost" if missing == "producer" else "op0"
+            g = replace(g, tensors=tuple(t._replace(producer=producer) if t.id == "t1" else t
                                          for t in g.tensors))
-        else:
+        elif missing == "input":
             g = replace(g, nodes=tuple(n._replace(inputs=("ghost",)) if n.id == "op2" else n
                                        for n in g.nodes))
+        else:
+            g = replace(g, control_edges=g.control_edges + (("ghost", "op2"),))
         bad = replace(tg, graph=g)
-        with pytest.raises(GraphError, match=message):
+        with pytest.raises(GraphError, match=re.escape(message)):
             simulate(bad, None, SimConfig())
-        with pytest.raises(GraphError, match=message):
+        with pytest.raises(GraphError, match=re.escape(message)):
             calibrate_compute_rate(bad, None, SimConfig(), 1.0)
 
     @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -1.0])

@@ -4,7 +4,9 @@ import pytest
 
 from swapsim.graph import GraphError, tensor_bytes
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
-from swapsim.props import check_memory_conservation, derive_resident_trace, random_instance
+from swapsim.props import (
+    check_memory_conservation, derive_resident_trace, random_forward_graph, random_instance,
+)
 from swapsim.rewrite import (
     RewritePlan, RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset,
 )
@@ -193,7 +195,8 @@ class TestStaticPeakIsSimulatedPeak:
         report = simulate(tg, plan, self.INSTANT)
         assert rep.peak_bytes == report.peak_resident
         assert check_memory_conservation(tg, report, self.INSTANT) == []
-        assert max(r for _, r in derive_resident_trace(tg, report)) == rep.peak_bytes
+        trace_peak = max(r for _, r in derive_resident_trace(tg, report))
+        assert trace_peak + tg.static_bytes == rep.peak_bytes
         assert sorted(rep.intervals) == sorted(t.id for t in tg.graph.tensors)
         assert all(len(ivs) == 1 for ivs in rep.intervals.values())
 
@@ -203,10 +206,28 @@ class TestStaticPeakIsSimulatedPeak:
             self.assert_same_peak(tg, None)
             self.assert_same_peak(rewritten, plan)
 
-    def test_toy_unet_swap_and_recompute(self):
-        tg = expand_training_graph(gen_unet3d(TOY))
+    def test_random_instances_with_static_bytes(self):
+        # The same instances, expanded with static bytes: every peak moves
+        # by the same amount, in the estimate, the simulator and the check.
+        for seed in range(0, 300, 3):
+            _, rewritten, plan, _ = random_instance(seed)
+            tg = expand_training_graph(random_forward_graph(random.Random(seed)),
+                                       static_bytes=1000 + seed)
+            self.assert_same_peak(tg, None)
+            rewritten_static, plan = insert_swap_nodes(tg, list(plan.swapped), plan.lb)
+            assert rewritten_static.graph.nodes == rewritten.graph.nodes
+            self.assert_same_peak(rewritten_static, plan)
+
+    def assert_toy_unet(self, static):
+        tg = expand_training_graph(gen_unet3d(TOY), static_bytes=static)
         self.assert_same_peak(tg, None)
         cfgs = [resolve_preset(f"paper-c{i}") for i in (1, 2, 3, 4)]
         cfgs += [RewriteConfig(mode="recompute", ckpt_policy=p) for p in ("speed", "sqrt_n")]
         for cfg in cfgs:
             self.assert_same_peak(*apply_rewrite(tg, cfg))
+
+    def test_toy_unet_swap_and_recompute(self):
+        self.assert_toy_unet(0)
+
+    def test_toy_unet_with_static_bytes(self):
+        self.assert_toy_unet(3 * 2**20 + 7)
