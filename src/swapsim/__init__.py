@@ -10,9 +10,8 @@ from .graph import (
 )
 from .models import UNetParams, gen_chain, gen_unet3d
 from .training import (
-    LivenessReport, TrainingGraph, count_feature_maps, cross_phase_edges,
-    cross_phase_tensors, expand_training_graph, load_training_graph,
-    save_training_graph, static_peak_estimate,
+    LivenessReport, TrainingGraph, cross_phase_tensors, expand_training_graph,
+    load_training_graph, save_training_graph, static_peak_estimate,
 )
 from .rewrite import (
     PRESETS, RewriteConfig, RewritePlan, apply_rewrite, check_rewrite_validity,

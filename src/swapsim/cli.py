@@ -7,13 +7,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from argparse import SUPPRESS
+from typing import Literal
 
-from .graph import (GraphError, dumps_canonical, load_document, load_graph, save_graph,
-                    validate_graph)
+from .graph import (GraphError, Schema, check, check_value, dumps_canonical, load_document,
+                    load_graph, save_graph, validate_graph)
 from .models import UNetParams, gen_chain, gen_unet3d
 from .training import (BACKWARD_COST_RATIO, expand_training_graph, load_training_graph,
                        save_training_graph, static_peak_estimate)
-from .rewrite import (PRESETS, RewriteConfig, apply_rewrite, check_rewrite_validity,
+from .rewrite import (CKPT_POLICIES, MODES, PRESETS, RewriteConfig, apply_rewrite, check_rewrite_validity,
                       load_plan, resolve_preset, save_plan)
 from .sim import (SimConfig, calibrate_compute_rate, emit_trace, epoch_time,
                   simulate, stall_report, sweep)
@@ -22,6 +24,10 @@ LINKS = {
     "nvlink1": (40e9, 40e9),  # 80 GB/s bidirectional split across directions
     "pcie3": (16e9, 16e9),    # 32 GB/s bidirectional split across directions
 }
+
+
+# simulate arguments whose name is not their option's
+_FLAGS = {"graph": "GRAPH", "plan": "PLAN", "xfer_latency": "--latency", "gpu_budget": "--budget"}
 
 
 class UsageError(ValueError):
@@ -86,14 +92,31 @@ def _names(value) -> tuple[str, ...]:
     return tuple(s for s in value if s)
 
 
+# A scenario's sections take the fields of the configs they build, under
+# the same names, plus the keys that exist only in scenario files.
+_REWRITE = Schema(RewriteConfig, preset=str)
+_SIM = Schema(SimConfig, gpu_budget=str | float, link=str, calibrate=Schema(
+    None, ("preset", "target_seconds"), preset=str, target_seconds=float))
+_GENERATORS = {"unet3d": Schema(UNetParams, ("kind",), kind=str),
+               # kinds also takes the comma-separated spelling of the flag
+               "chain": Schema(gen_chain, ("kind",), kind=str, kinds=str | tuple[str, ...])}
+_SCENARIO = Schema(None, ("generator",), generator=dict, rewrite=_REWRITE, sim=_SIM,
+                   static_bytes=str | float, outputs=Schema(None, trace=str, report=str))
+
+
 def _rewrite_config(m) -> RewriteConfig:
     """A rewrite config from a scenario's ``rewrite`` object or the parsed
-    flags; keys the mapping lacks keep RewriteConfig's defaults."""
+    flags; keys the mapping lacks keep RewriteConfig's defaults. A preset
+    sets every key, so it takes none of them beside it."""
+    kw = {k: m[k] for k in _REWRITE.types if k != "preset" and k in m}
     if m.get("preset") is not None:
+        if kw:
+            raise UsageError(f"preset {m['preset']!r} sets every rewrite key, so it takes "
+                             f"no {', '.join(kw)}")
         return resolve_preset(m["preset"])
-    kw = {k: m[k] for k in ("mode", "n_tensors", "lb", "ckpt_policy") if k in m}
-    kw.update({k: _names(m[k]) for k in ("excl_scopes", "incl_scopes", "manual_ckpts")
-               if k in m})
+    for k in ("excl_scopes", "incl_scopes", "manual_ckpts"):
+        if k in kw:
+            kw[k] = _names(kw[k])
     return RewriteConfig(**kw)
 
 
@@ -101,31 +124,27 @@ def _sim_config(m) -> SimConfig:
     """A simulator config from a scenario's ``sim`` object or the parsed
     flags; keys the mapping lacks keep SimConfig's defaults, and a ``link``
     preset sets both bandwidths."""
-    kw = {k: m[k] for k in ("compute_rate", "d2h_bw", "h2d_bw", "xfer_latency") if k in m}
+    kw = {k: m[k] for k in ("compute_rate", "d2h_bw", "h2d_bw", "xfer_latency", "enforce_budget")
+          if k in m}
     if m.get("link"):
         if m["link"] not in LINKS:
             raise UsageError(f"unknown link preset {m['link']!r}; "
                              f"expected one of {sorted(LINKS)}")
         kw["d2h_bw"], kw["h2d_bw"] = LINKS[m["link"]]
-    return SimConfig(**kw, gpu_budget=parse_bytes(m.get("gpu_budget") or 0),
-                     enforce_budget=bool(m.get("enforce_budget")))
+    return SimConfig(**kw, gpu_budget=parse_bytes(m.get("gpu_budget") or 0))
 
 
 def _generated_graph(m):
     """The forward graph of a scenario's ``generator`` object or the parsed
     ``generate`` flags; keys the mapping lacks, and empty ``kinds``, keep
     the defaults of UNetParams and gen_chain."""
+    kw = {k: m[k] for k in _GENERATORS[m["kind"]].types if k != "kind" and k in m}
     if m["kind"] == "unet3d":
-        kw = {k: m[k] for k in ("in_channels", "base_filters", "depth", "elem_bytes",
-                                "convs_per_level") if k in m}
-        return gen_unet3d(UNetParams(dims=tuple(m["dims"]), **kw))
-    if m["kind"] == "chain":
-        kw = {k: m[k] for k in ("bytes_per_tensor", "cost_per_op") if k in m}
-        kinds = _names(m.get("kinds", ()))
-        if kinds:
-            kw["kinds"] = kinds
-        return gen_chain(m["n"], **kw)
-    raise GraphError(f"unknown generator kind {m.get('kind')!r}")
+        return gen_unet3d(UNetParams(**kw | {"dims": tuple(kw["dims"])}))
+    kinds = _names(kw.pop("kinds", ()))
+    if kinds:
+        kw["kinds"] = kinds
+    return gen_chain(**kw)
 
 
 def cmd_generate(args) -> int:
@@ -136,9 +155,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_rewrite(args) -> int:
-    tg = expand_training_graph(load_graph(args.graph), static_bytes=parse_bytes(args.static_bytes),
+    static_bytes = parse_bytes(args.static_bytes)
+    tg = expand_training_graph(load_graph(args.graph), static_bytes=static_bytes,
                                backward_cost_ratio=args.backward_cost_ratio)
-    rewritten, plan = apply_rewrite(tg, _rewrite_config(vars(args)))
+    m = vars(args)
+    if m["preset"] is None:
+        m.setdefault("mode", "swap")  # the CLI's own default; the library's is none
+    rewritten, plan = apply_rewrite(tg, _rewrite_config(m))
     violations = check_rewrite_validity(tg, rewritten, plan)
     if violations:
         raise GraphError(f"rewrite produced an invalid graph: {violations[0]}")
@@ -161,18 +184,18 @@ def cmd_rewrite(args) -> int:
 def _scenario_from_obj(sc) -> tuple:
     """A scenario document's training graph, rewrite config, simulator config,
     calibration (rewrite config, target seconds) or None, and output paths."""
-    g = _generated_graph(sc["generator"])
+    gen = check(sc, _SCENARIO)["generator"]
+    check_value(gen.get("kind"), Literal[tuple(_GENERATORS)], "generator.kind")
+    g = _generated_graph(check(gen, _GENERATORS[gen["kind"]], "generator"))
     tg = expand_training_graph(g, static_bytes=parse_bytes(sc.get("static_bytes", 0)))
     cfg = _rewrite_config(sc.get("rewrite", {}))
     cfg.validate()
     sm = sc.get("sim", {})
-    if "static_bytes" in sm:
-        raise GraphError('"sim.static_bytes" moved to the top-level "static_bytes"')
     sim_cfg = _sim_config(sm)
     sim_cfg.validate()
     cal = sm.get("calibrate")
-    calibration = (_rewrite_config({"preset": cal.get("preset")}),
-                   float(cal["target_seconds"])) if cal else None
+    calibration = (_rewrite_config({"preset": cal["preset"]}), cal["target_seconds"]) if cal \
+        else None
     outputs = sc.get("outputs", {})
     return tg, cfg, sim_cfg, calibration, outputs.get("trace"), outputs.get("report")
 
@@ -180,24 +203,31 @@ def _scenario_from_obj(sc) -> tuple:
 def cmd_simulate(args) -> int:
     """Flags and a scenario file each give a graph, its plan, a simulator
     config, a calibration (graph, plan, target seconds) or None, and output
-    paths; one path runs them. A scenario calibrates on its own rewrite."""
+    paths; one path runs them. A scenario calibrates on its own rewrite, and
+    it takes no other simulate argument: every simulate option but
+    ``--scenario`` is absent from ``args`` unless given."""
+    m = vars(args)
     calibration = None
     if args.scenario:
+        given = sorted(_FLAGS.get(k, "--" + k.replace("_", "-"))
+                       for k in m.keys() - {"command", "func", "scenario"})
+        if given:
+            raise UsageError(f"--scenario takes no other simulate argument; got {', '.join(given)}")
         tg, cfg, sim_cfg, calibration, trace, report_path = load_document(
             args.scenario, "scenario", _scenario_from_obj)
         if calibration:  # (rewrite config, target seconds)
             calibration = (*apply_rewrite(tg, calibration[0]), calibration[1])
         tg, plan = apply_rewrite(tg, cfg)
     else:
-        tg = load_training_graph(args.graph)
+        tg = load_training_graph(m["graph"])
         violations = validate_graph(tg.graph)
         if violations:
-            raise GraphError(f"training-graph file {args.graph}: invalid graph: {violations[0]}")
-        plan = load_plan(args.plan) if args.plan else None
-        sim_cfg = _sim_config(vars(args))
-        if args.calibrate_target is not None:
-            calibration = (tg, plan, args.calibrate_target)
-        trace, report_path = args.trace, args.report
+            raise GraphError(f"training-graph file {m['graph']}: invalid graph: {violations[0]}")
+        plan = load_plan(m["plan"]) if "plan" in m else None
+        sim_cfg = _sim_config(m)
+        if "calibrate_target" in m:
+            calibration = (tg, plan, m["calibrate_target"])
+        trace, report_path = m.get("trace"), m.get("report")
     if calibration:
         cal_tg, cal_plan, target = calibration
         sim_cfg.compute_rate = calibrate_compute_rate(cal_tg, cal_plan, sim_cfg, target)
@@ -210,9 +240,9 @@ def cmd_simulate(args) -> int:
           f"boundary {phases['boundary']:.6f} s, backward {phases['backward']:.6f} s")
     for ch in ("compute", "d2h", "h2d"):
         print(f"busy[{ch}]: {report.busy[ch]:.3f}")
-    if not args.scenario and args.iterations is not None:
-        total = epoch_time(report.makespan, args.iterations, args.host_preproc)
-        print(f"epoch estimate: {total:.3f} s over {args.iterations} iterations")
+    if "iterations" in m:
+        total = epoch_time(report.makespan, m["iterations"], m.get("host_preproc", 0.0))
+        print(f"epoch estimate: {total:.3f} s over {m['iterations']} iterations")
     if trace:
         emit_trace(report, trace)
         print(f"wrote trace {trace}")
@@ -320,40 +350,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="generate a workload graph file")
     gen_sub = p_gen.add_subparsers(dest="workload", required=True)
-    p_unet = gen_sub.add_parser("unet", help="3D U-Net forward graph")
+    # A flag without a default of its own is absent from the namespace
+    # unless given (SUPPRESS), so the builders above apply the library
+    # defaults to flags and scenario files alike.
+    p_unet = gen_sub.add_parser("unet", help="3D U-Net forward graph", argument_default=SUPPRESS)
     p_unet.add_argument("--dims", type=int, nargs=3, required=True)
-    # Generator flags left out are absent from the namespace (SUPPRESS), so
-    # that _generated_graph applies the library defaults to flags and
-    # scenario files alike.
-    p_unet.add_argument("--in-channels", type=int, default=argparse.SUPPRESS)
-    p_unet.add_argument("--base-filters", type=int, default=argparse.SUPPRESS)
-    p_unet.add_argument("--depth", type=int, default=argparse.SUPPRESS)
-    p_unet.add_argument("--elem-bytes", type=int, default=argparse.SUPPRESS)
-    p_unet.add_argument("--convs-per-level", type=int, default=argparse.SUPPRESS)
+    p_unet.add_argument("--in-channels", type=int)
+    p_unet.add_argument("--base-filters", type=int)
+    p_unet.add_argument("--depth", type=int)
+    p_unet.add_argument("--elem-bytes", type=int)
+    p_unet.add_argument("--convs-per-level", type=int)
     p_unet.add_argument("-o", "--output", required=True)
     p_unet.set_defaults(func=cmd_generate, kind="unet3d")
-    p_chain = gen_sub.add_parser("chain", help="linear chain graph")
+    p_chain = gen_sub.add_parser("chain", help="linear chain graph", argument_default=SUPPRESS)
     p_chain.add_argument("--n", type=int, required=True)
-    p_chain.add_argument("--bytes-per-tensor", type=int, default=argparse.SUPPRESS)
-    p_chain.add_argument("--cost", dest="cost_per_op", metavar="COST", type=float,
-                         default=argparse.SUPPRESS)
-    p_chain.add_argument("--kinds", default=argparse.SUPPRESS)
+    p_chain.add_argument("--bytes-per-tensor", type=int)
+    p_chain.add_argument("--cost", dest="cost_per_op", metavar="COST", type=float)
+    p_chain.add_argument("--kinds")
     p_chain.add_argument("-o", "--output", required=True)
     p_chain.set_defaults(func=cmd_generate, kind="chain")
 
-    p_rw = sub.add_parser("rewrite", help="expand to a training graph and apply a rewrite")
+    p_rw = sub.add_parser("rewrite", help="expand to a training graph and apply a rewrite",
+                          argument_default=SUPPRESS)
     p_rw.add_argument("graph")
     p_rw.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    # As for generate: flags left out keep the config dataclasses' defaults,
-    # except --mode, whose CLI default is swap.
-    p_rw.add_argument("--mode", choices=["swap", "recompute", "none"], default="swap")
-    p_rw.add_argument("--n-tensors", type=int, default=argparse.SUPPRESS)
-    p_rw.add_argument("--lb", type=int, default=argparse.SUPPRESS)
-    p_rw.add_argument("--excl-scopes", default=argparse.SUPPRESS)
-    p_rw.add_argument("--incl-scopes", default=argparse.SUPPRESS)
-    p_rw.add_argument("--ckpt-policy", choices=["speed", "sqrt_n", "manual"],
-                      default=argparse.SUPPRESS)
-    p_rw.add_argument("--manual-ckpts", default=argparse.SUPPRESS)
+    p_rw.add_argument("--mode", choices=MODES)  # the CLI's default is swap (cmd_rewrite)
+    p_rw.add_argument("--n-tensors", type=int)
+    p_rw.add_argument("--lb", type=int)
+    p_rw.add_argument("--excl-scopes")
+    p_rw.add_argument("--incl-scopes")
+    p_rw.add_argument("--ckpt-policy", choices=CKPT_POLICIES)
+    p_rw.add_argument("--manual-ckpts")
     p_rw.add_argument("--static-bytes", default="0")
     p_rw.add_argument("--backward-cost-ratio", type=float, default=BACKWARD_COST_RATIO)
     p_rw.add_argument("--out-graph", default="training_graph.json")
@@ -362,39 +389,40 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the per-tensor residency intervals as JSON")
     p_rw.set_defaults(func=cmd_rewrite)
 
-    p_sim = sub.add_parser("simulate", help="simulate a rewritten training graph")
+    # Every simulate argument but --scenario is absent unless given.
+    p_sim = sub.add_parser("simulate", help="simulate a rewritten training graph",
+                           argument_default=SUPPRESS)
     p_sim.add_argument("graph", nargs="?")
     p_sim.add_argument("plan", nargs="?")
     p_sim.add_argument("--scenario", default=None,
                        help="scenario file binding generator, rewrite and sim configs")
-    p_sim.add_argument("--compute-rate", type=float, default=argparse.SUPPRESS)
-    p_sim.add_argument("--d2h-bw", type=float, default=argparse.SUPPRESS)
-    p_sim.add_argument("--h2d-bw", type=float, default=argparse.SUPPRESS)
-    p_sim.add_argument("--link", choices=sorted(LINKS), default=None)
-    p_sim.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float,
-                       default=argparse.SUPPRESS)
-    p_sim.add_argument("--budget", dest="gpu_budget", metavar="BUDGET", default="")
+    p_sim.add_argument("--compute-rate", type=float)
+    p_sim.add_argument("--d2h-bw", type=float)
+    p_sim.add_argument("--h2d-bw", type=float)
+    p_sim.add_argument("--link", choices=sorted(LINKS))
+    p_sim.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float)
+    p_sim.add_argument("--budget", dest="gpu_budget", metavar="BUDGET")
     p_sim.add_argument("--enforce-budget", action="store_true")
-    p_sim.add_argument("--calibrate-target", type=float, default=None)
-    p_sim.add_argument("--trace", default=None)
-    p_sim.add_argument("--report", default=None)
-    p_sim.add_argument("--iterations", type=int, default=None,
+    p_sim.add_argument("--calibrate-target", type=float)
+    p_sim.add_argument("--trace")
+    p_sim.add_argument("--report")
+    p_sim.add_argument("--iterations", type=int,
                        help="also print the epoch-time estimate for N iterations")
-    p_sim.add_argument("--host-preproc", type=float, default=0.0)
+    p_sim.add_argument("--host-preproc", type=float)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_sw = sub.add_parser("sweep", help="simulate a grid of rewrite/sim configurations")
+    p_sw = sub.add_parser("sweep", help="simulate a grid of rewrite/sim configurations",
+                          argument_default=SUPPRESS)
     p_sw.add_argument("graph")
     p_sw.add_argument("--presets", default="")
-    p_sw.add_argument("--mode", choices=["swap", "recompute", "none"], default="swap")
+    p_sw.add_argument("--mode", choices=MODES, default="swap")
     p_sw.add_argument("--n-tensors", default="")
     p_sw.add_argument("--lb", default="")
     p_sw.add_argument("--excl-scopes", default="")
     p_sw.add_argument("--bw", default="")
     p_sw.add_argument("--link", default="")
-    p_sw.add_argument("--compute-rate", type=float, default=argparse.SUPPRESS)
-    p_sw.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float,
-                      default=argparse.SUPPRESS)
+    p_sw.add_argument("--compute-rate", type=float)
+    p_sw.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float)
     p_sw.add_argument("--static-bytes", default="0")
     p_sw.add_argument("-o", "--output", default=None)
     p_sw.set_defaults(func=cmd_sweep)
@@ -411,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and not args.scenario and not args.graph:
+    if args.command == "simulate" and not args.scenario and "graph" not in vars(args):
         parser.error("simulate needs GRAPH PLAN or --scenario")
     try:
         return args.func(args)

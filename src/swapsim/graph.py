@@ -1,4 +1,5 @@
-"""Computation-graph data model: nodes, tensors, orderings, validation, JSON I/O.
+"""Computation-graph data model: nodes, tensors, orderings, validation, JSON I/O
+and the schemas that every document the tool reads is checked against.
 
 Graphs are immutable after construction; every function here is pure, so
 values can be shared freely across threads and scenario workers. Rows are
@@ -15,8 +16,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from fnmatch import fnmatchcase
-from itertools import chain
-from typing import NamedTuple
+from inspect import Parameter, signature
+from itertools import chain, compress
+from operator import attrgetter
+from types import UnionType
+from typing import Literal, NamedTuple, get_args, get_origin, get_type_hints
 
 NODE_KINDS = frozenset({
     "conv", "matmul", "norm", "activation", "concat", "pool", "upsample",
@@ -29,6 +33,8 @@ SCHEMA_VERSION = 1
 
 # Guard for the byte counter; anything past this is a modeling mistake.
 MAX_BYTES = 1 << 62
+_INF = float("inf")
+_is_str = str.__instancecheck__
 
 
 class GraphError(ValueError):
@@ -92,6 +98,12 @@ class GraphSpec:
     def index(self) -> GraphIndex:
         """This graph's lookups, built on first use."""
         return GraphIndex(self)
+
+    @cached_property
+    def field_violations(self) -> list[tuple[str, Violation]]:
+        """(row path, violation) for every row value that breaks its field's
+        rule (``_field_violations``), found on first use."""
+        return _field_violations(self)
 
     def node(self, node_id: str) -> NodeSpec:
         ix = self.index
@@ -195,21 +207,90 @@ def scope_matches(scope: str, patterns) -> bool:
     return any(fnmatchcase(scope, p) for p in patterns)
 
 
+def _strs(items) -> bool:
+    return all(map(_is_str, items))
+
+
+def _members(items, allowed: frozenset) -> bool:
+    try:
+        return allowed.issuperset(items)
+    except TypeError:  # an unhashable item
+        return False
+
+
+def _finite_non_negative(numbers) -> bool:
+    numbers = list(numbers)
+    try:
+        return all(issubclass(t, float) for t in {*map(type, numbers)} - {int}) \
+            and all(map(math.isfinite, numbers)) and min(numbers, default=0) >= 0
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _positive_ints(items: list) -> bool:
+    return {*map(type, items)} <= {int} and min(items, default=1) > 0
+
+
+_KIND, _PHASE, _COST, _SHAPE = map(attrgetter, ("kind", "phase", "cost_units", "shape"))
+_NODE_STRS, _REFS = attrgetter("id", "scope"), attrgetter("inputs", "outputs")
+_TENSOR_STRS, _SIZES = attrgetter("id", "producer", "scope"), attrgetter("channels", "elem_bytes")
+
+# Each graph field's value rule, stated once: (violation code, whether a
+# sequence of rows keeps the rule, the message for a row that breaks it).
+# A rule tests all rows in a few passes, and one row at a time only to name
+# the rows that break it. Rules run in order, and the first one that fails
+# ends its row type's checks, since later rules read the fields it rejects.
+_NODE_RULES = (
+    ("bad-id", lambda ns: _strs(chain(chain.from_iterable(map(_NODE_STRS, ns)),
+                                      chain.from_iterable(chain.from_iterable(map(_REFS, ns))))),
+     lambda n: f"node {n.id!r} has scope {n.scope!r}, inputs {list(n.inputs)} and outputs "
+               f"{list(n.outputs)}; ids and scopes must be strings"),
+    ("unknown-kind", lambda ns: _members(map(_KIND, ns), NODE_KINDS),
+     lambda n: f"unknown node kind {n.kind!r}"),
+    ("unknown-phase", lambda ns: _members(map(_PHASE, ns), PHASES),
+     lambda n: f"unknown phase {n.phase!r}"),
+    ("bad-cost", lambda ns: _finite_non_negative(map(_COST, ns)),
+     lambda n: f"node {n.id!r} has cost_units {n.cost_units!r}; cost_units must be a number, "
+               f"finite and >= 0"),
+    ("io-cost", lambda ns: not any(compress(map(_COST, ns), map(IO_KINDS.__contains__,
+                                                                  map(_KIND, ns)))),
+     lambda n: "io node carries nonzero compute cost"),
+)
+_TENSOR_RULES = (
+    ("bad-id", lambda ts: _strs(chain.from_iterable(map(_TENSOR_STRS, ts))),
+     lambda t: f"tensor {t.id!r} has producer {t.producer!r} and scope {t.scope!r}; ids and "
+               f"scopes must be strings"),
+    ("negative-size", lambda ts: all(map(_SHAPE, ts)) and _positive_ints(
+        [*chain.from_iterable(map(_SIZES, ts)), *chain.from_iterable(map(_SHAPE, ts))]),
+     lambda t: f"tensor {t.id!r} has shape {list(t.shape)}, channels {t.channels!r} and "
+               f"elem_bytes {t.elem_bytes!r}; each size must be a positive integer"),
+)
+
+
+def _field_violations(g: GraphSpec) -> list[tuple[str, Violation]]:
+    """(row path, violation) for each row that breaks a field rule. The
+    loaders, ``validate_graph`` and the simulator's compiled view read it."""
+    out = []
+    for name, rows, rules in (("nodes", g.nodes, _NODE_RULES), ("tensors", g.tensors, _TENSOR_RULES)):
+        for code, holds, message in rules:
+            if not holds(rows):
+                out += [(f"{name}[{i}]", Violation(code, str(r.id), message(r)))
+                        for i, r in enumerate(rows) if not holds((r,))]
+                break
+    return out
+
+
 def _structural_violations(g: GraphSpec) -> list[Violation]:
-    out: list[Violation] = []
+    """Field-rule violations, or, on rows that keep every field rule, the
+    structural ones: duplicate ids, producers, dangling ids and edges."""
+    out = [v for _, v in g.field_violations]
+    if out:
+        return out
     seen_nodes: set[str] = set()
     for n in g.nodes:
         if n.id in seen_nodes:
             out.append(Violation("duplicate-node-id", n.id, "node id appears more than once"))
         seen_nodes.add(n.id)
-        if n.kind not in NODE_KINDS:
-            out.append(Violation("unknown-kind", n.id, f"unknown node kind {n.kind!r}"))
-        if n.phase not in PHASES:
-            out.append(Violation("unknown-phase", n.id, f"unknown phase {n.phase!r}"))
-        if n.cost_units < 0:
-            out.append(Violation("negative-cost", n.id, f"cost_units {n.cost_units} < 0"))
-        if n.kind in IO_KINDS and n.cost_units != 0:
-            out.append(Violation("io-cost", n.id, "io node carries nonzero compute cost"))
 
     seen_tensors: set[str] = set()
     producers: dict[str, str] = {}
@@ -223,12 +304,6 @@ def _structural_violations(g: GraphSpec) -> list[Violation]:
         if t.id in seen_tensors:
             out.append(Violation("duplicate-tensor-id", t.id, "tensor id appears more than once"))
         seen_tensors.add(t.id)
-        if not t.shape or min(t.shape) <= 0:
-            out.append(Violation("negative-size", t.id, f"non-positive shape {t.shape}"))
-        if t.channels <= 0:
-            out.append(Violation("negative-size", t.id, f"non-positive channels {t.channels}"))
-        if t.elem_bytes <= 0:
-            out.append(Violation("negative-size", t.id, f"non-positive elem_bytes {t.elem_bytes}"))
         prod = producers.get(t.id)
         if prod is None:
             out.append(Violation("no-producer", t.id, "no node lists this tensor as an output"))
@@ -350,42 +425,146 @@ def graph_to_obj(g: GraphSpec) -> dict:
     }
 
 
-def graph_from_obj(obj: dict) -> GraphSpec:
-    if not isinstance(obj, dict):
-        raise GraphError("graph document must be a JSON object")
-    version = obj.get("version")
-    if version != SCHEMA_VERSION:
-        raise GraphError(f"unsupported schema version {version!r}, expected {SCHEMA_VERSION}")
-    nodes = []
-    for nd in obj.get("nodes", []):
-        kind = nd.get("kind")
-        if kind not in NODE_KINDS:
-            raise GraphError(f"unknown node kind {kind!r} in node {nd.get('id')!r}")
-        phase = nd.get("phase", "forward")
-        if phase not in PHASES:
-            raise GraphError(f"unknown phase {phase!r} in node {nd.get('id')!r}")
-        nid, cost = nd["id"], nd.get("cost_units", 0.0)
-        # A number, not a string or a bool; NaN and inf are left to the
-        # simulator's cost check.
-        if type(cost) is not float and type(cost) is not int:
-            raise GraphError(f"node {nid!r} has cost_units {cost!r}; cost_units must be a number")
-        nodes.append(NodeSpec(nid, kind, tuple(nd.get("inputs", ())), tuple(nd.get("outputs", ())),
-                              float(cost), nd.get("scope", ""), phase))
-    tensors = []
-    for td in obj.get("tensors", []):
-        tid, producer, shape = td["id"], td["producer"], tuple(td["shape"])
-        channels, elem_bytes = td["channels"], td["elem_bytes"]
-        # Sizes must be positive ints (not bools): a NaN, fraction or negative
-        # would flow silently into byte counts that nothing downstream checks.
-        for v in (channels, elem_bytes, *shape):
-            if type(v) is not int or v <= 0:
-                raise GraphError(f"tensor {tid!r} has shape {list(shape)}, channels {channels!r}"
-                                 f" and elem_bytes {elem_bytes!r}; each size must be a "
-                                 f"positive integer")
-        tensors.append(TensorDesc(tid, producer, shape, channels, elem_bytes, td.get("scope", "")))
-    edges = tuple((a, b) for a, b in obj.get("control_edges", ()))
-    return GraphSpec(nodes=tuple(nodes), tensors=tuple(tensors),
-                     control_edges=edges, metadata=obj.get("metadata", {}))
+# ---------------------------------------------------------------------------
+# Document schemas: each key of a JSON object, with its type, read off the
+# annotations of the row, config or function that declares the key. A field
+# without a default is a required key; a key left out keeps its default. A
+# float is a finite number >= 0, a str or int excludes bools, a tuple is a
+# JSON list, and a Literal lists the values allowed.
+
+class Schema:
+    """The keys that ``decl`` (a NamedTuple, dataclass or function, or None)
+    declares, plus the document-only keys ``extra``, optional unless named
+    in ``required``; an ``extra`` type replaces the declared one. ``decl`` is
+    read on first use, which keeps it out of the import."""
+
+    def __init__(self, decl=None, required=(), **extra):
+        self._decl, self._extra, self._required = decl, extra, frozenset(required)
+
+    @cached_property
+    def types(self) -> dict:
+        if self._decl is None:
+            return self._extra
+        hints = get_type_hints(self._decl)
+        return {k: hints[k] for k in signature(self._decl).parameters} | self._extra
+
+    @cached_property
+    def required(self) -> frozenset:
+        params = signature(self._decl).parameters if self._decl else {}
+        return self._required.union(k for k, p in params.items() if p.default is Parameter.empty)
+
+
+_NAMES = {str: "a string", int: "an integer", bool: "true or false", float: "a finite number >= 0",
+          dict: "an object", list: "a list"}
+
+
+def _wrong(value, hint, path: str) -> GraphError:
+    got = (f"a list of {len(value)} items" if type(value) is list
+           else "an object" if type(value) is dict else repr(value))
+    return GraphError(f"wrong value type{' at ' + path if path else ''}: expected "
+                      f"{_NAMES.get(hint) or str(hint).replace('typing.', '')}, got {got}")
+
+
+def check_keys(obj, schema: Schema, path: str) -> None:
+    """Raise GraphError unless ``obj`` is an object with the schema's
+    required keys and no key the schema lacks."""
+    if type(obj) is not dict:
+        raise _wrong(obj, dict, path)
+    for problem, keys in (("unknown", obj.keys() - schema.types.keys()),
+                          ("missing", schema.required - obj.keys())):
+        if keys:
+            raise GraphError(f"{problem} key {min(keys)!r}{' in ' + path if path else ''}")
+
+
+def check_value(value, hint, path: str) -> None:
+    """Raise GraphError naming ``path`` unless the JSON ``value`` has the type
+    ``hint`` (a Schema or an annotation)."""
+    if isinstance(hint, Schema):
+        check(value, hint, path)
+    elif not _fits(value, hint):
+        raise _wrong(value, hint, path)
+
+
+def _fits(value, hint) -> bool:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_fits(value, h) for h in args)
+    if origin is Literal:
+        return any(type(value) is type(a) and value == a for a in args)
+    if origin is dict:
+        return type(value) is dict and _all_fit(value.values(), args[1])
+    if origin is tuple:
+        return type(value) is list and (_all_fit(value, args[0]) if args[-1] is ... else
+                                        len(value) == len(args) and all(map(_fits, value, args)))
+    if hint is float:
+        return type(value) in (int, float) and 0 <= value < _INF
+    return type(value) is hint
+
+
+def _all_fit(values, hint) -> bool:
+    """Whether each of ``values`` has the type ``hint``; a long list or map
+    of strs, ints or lists of strs takes a few passes."""
+    if hint in (str, int):
+        return {*map(type, values)} <= {hint}
+    args = get_args(hint)
+    if get_origin(hint) is tuple and {*args} - {...} == {str} and {*map(type, values)} <= {list} \
+            and (args[-1] is ... or {*map(len, values)} <= {len(args)}):
+        return {*map(type, chain.from_iterable(values))} <= {str}
+    return all(_fits(v, hint) for v in values)
+
+
+def check(obj, schema: Schema, path: str = "") -> dict:
+    """``obj``, once it is an object with the schema's keys, each with a
+    value of its type; else a GraphError names the first key path that is
+    not (``path`` is where ``obj`` sits in its document)."""
+    check_keys(obj, schema, path)
+    for k, v in obj.items():
+        check_value(v, schema.types[k], f"{path}.{k}" if path else k)
+    return obj
+
+
+NODE_SCHEMA, TENSOR_SCHEMA = Schema(NodeSpec), Schema(TensorDesc)
+GRAPH_SCHEMA = Schema(GraphSpec, ("version",), version=Literal[SCHEMA_VERSION],
+                      nodes=list, tensors=list)  # rows: checked by _row_objs and the field rules
+
+
+def _row_objs(objs, schema: Schema, row, path: str):
+    """(position, object) of each row object of a document's list: one
+    key-set test per row; a key left out gets its declared default, as a
+    list where the row holds a tuple."""
+    keys = schema.types.keys()
+    defaults = {k: list(v) if type(v) is tuple else v for k, v in row._field_defaults.items()}
+    for i, obj in enumerate(objs):
+        if type(obj) is not dict or obj.keys() != keys:
+            check_keys(obj, schema, f"{path}[{i}]")
+            obj = defaults | obj
+        yield i, obj
+
+
+def graph_from_obj(obj, path: str = "") -> GraphSpec:
+    """The graph of a graph document that sits at key path ``path`` of its
+    file. Raises GraphError naming the first key path that breaks the graph
+    or row schemas, or the first row that breaks a field rule."""
+    at = f"{path}." if path else ""
+    kw = {k: v for k, v in check(obj, GRAPH_SCHEMA, path).items() if k != "version"}
+    nodes, tensors = [], []
+    for i, nd in _row_objs(kw.get("nodes", ()), NODE_SCHEMA, NodeSpec, f"{at}nodes"):
+        inputs, outputs, cost = nd["inputs"], nd["outputs"], nd["cost_units"]
+        if type(inputs) is not list or type(outputs) is not list:
+            key = "outputs" if type(inputs) is list else "inputs"
+            raise _wrong(nd[key], list, f"{at}nodes[{i}].{key}")
+        nodes.append(NodeSpec(nd["id"], nd["kind"], tuple(inputs), tuple(outputs),
+                              float(cost) if type(cost) is int else cost, nd["scope"], nd["phase"]))
+    for i, td in _row_objs(kw.get("tensors", ()), TENSOR_SCHEMA, TensorDesc, f"{at}tensors"):
+        if type(td["shape"]) is not list:
+            raise _wrong(td["shape"], list, f"{at}tensors[{i}].shape")
+        tensors.append(TensorDesc(td["id"], td["producer"], tuple(td["shape"]), td["channels"],
+                                  td["elem_bytes"], td["scope"]))
+    g = GraphSpec(**kw | {"nodes": nodes, "tensors": tensors})
+    if g.field_violations:
+        row, v = g.field_violations[0]
+        raise GraphError(f"{at}{row}: {v.message}")
+    return g
 
 
 def dumps_canonical(obj) -> str:
@@ -397,7 +576,6 @@ def dumps_canonical(obj) -> str:
 # writers below build the canonical text themselves, row by row, with the C
 # string encoder; every ``pad`` is the indentation of the line a value starts on.
 _ENC = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
 
 def _scalar(v) -> str:
@@ -507,10 +685,9 @@ def load_document(path, kind: str, from_obj):
     Both steps run with the cyclic garbage collector paused: a document is
     an acyclic tree, so the pause frees nothing late, while full collections
     would rescan the growing document many times. The caller's GC state is
-    restored on every exit. Every error in the document, including one of
-    the wrong shape (a missing key, a list or null where an object or list
-    belongs), is one GraphError naming the file; the row loops check that
-    tensor sizes are positive integers and node costs are numbers.
+    restored on every exit. Every error in the document is one GraphError
+    naming the file: ``from_obj`` checks the document against its schema
+    before it reads it (``check``).
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -523,10 +700,6 @@ def load_document(path, kind: str, from_obj):
                          f"column {exc.colno}: {exc.msg}") from None
     except GraphError as exc:
         raise GraphError(f"{kind} file {path}: {exc}") from None
-    except KeyError as exc:
-        raise GraphError(f"malformed {kind} file {path}: missing key {exc.args[0]!r}") from None
-    except (AttributeError, TypeError) as exc:
-        raise GraphError(f"malformed {kind} file {path}: wrong value type: {exc}") from None
     except (ValueError, OverflowError) as exc:
         raise GraphError(f"malformed {kind} file {path}: bad value: {exc}") from None
     finally:

@@ -151,7 +151,7 @@ def gen_unet3d(p: UNetParams) -> GraphSpec:
 
 
 def gen_chain(n: int, bytes_per_tensor: int = 1024, cost_per_op: float = 1.0,
-              kinds=("conv",)) -> GraphSpec:
+              kinds: tuple[str, ...] = ("conv",)) -> GraphSpec:
     """Linear forward chain of n op nodes with uniform tensor sizes and costs.
 
     ``kinds`` is cycled over the ops, so mixed chains (e.g. conv/activation)

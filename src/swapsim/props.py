@@ -315,8 +315,7 @@ def make_broken_swap_variant(tg: TrainingGraph):
                         tensors=tuple(t for t in g.tensors if t.id != in_tensor),
                         control_edges=tuple(e for e in g.control_edges if in_id not in e),
                         metadata=dict(g.metadata)),
-        reuse_edges=rewritten.reuse_edges, serial_order=rewritten.serial_order,
-        grad_of=dict(rewritten.grad_of))
+        serial_order=rewritten.serial_order, grad_of=dict(rewritten.grad_of))
     return broken, plan
 
 

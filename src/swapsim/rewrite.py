@@ -8,26 +8,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import Literal, get_args
 
 from .graph import (
     GraphSpec, NodeSpec, TensorDesc, GraphError, Violation,
-    bfs_depths, dumps_canonical, load_document, scope_matches, validate_graph,
+    Schema, bfs_depths, check, dumps_canonical, load_document, scope_matches, validate_graph,
 )
 from .training import TrainingGraph, cross_phase_tensors, input_nodes
 
-MODES = ("swap", "recompute", "none")
-CKPT_POLICIES = ("speed", "sqrt_n", "manual")
+Mode = Literal["swap", "recompute", "none"]
+CkptPolicy = Literal["speed", "sqrt_n", "manual"]
+MODES, CKPT_POLICIES = get_args(Mode), get_args(CkptPolicy)
 CKPT_KINDS = ("conv", "matmul")  # 'speed' policy keeps these outputs
 
 
 @dataclass
 class RewriteConfig:
-    mode: str = "none"
+    mode: Mode = "none"
     n_tensors: int = -1
     lb: int = 1
     excl_scopes: tuple[str, ...] = ()
     incl_scopes: tuple[str, ...] = ()
-    ckpt_policy: str = "speed"
+    ckpt_policy: CkptPolicy = "speed"
     manual_ckpts: tuple[str, ...] = ()
 
     def validate(self) -> None:
@@ -58,17 +60,24 @@ def resolve_preset(name: str) -> RewriteConfig:
 
 @dataclass
 class RewritePlan:
-    mode: str = "none"
+    """What a rewrite inserted. Construction turns the JSON lists of a plan
+    document into tuples and raises GraphError for an ``lb`` below 1."""
+
+    mode: Mode = "none"
     lb: int = 1
     # tensor id -> (swap_out node, swap_in node, trigger node)
-    swapped: dict = field(default_factory=dict)
+    swapped: dict[str, tuple[str, str, str]] = field(default_factory=dict)
     checkpoints: tuple[str, ...] = ()
     # (anchor checkpoint tensor or "", original node ids cloned in order)
-    recompute_segments: tuple = ()
-    clone_map: dict = field(default_factory=dict)  # clone node id -> original node id
+    recompute_segments: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    clone_map: dict[str, str] = field(default_factory=dict)  # clone node id -> original node id
 
-    def added_cost_units(self, tg: TrainingGraph) -> float:
-        return sum(tg.graph.node(c).cost_units for c in self.clone_map)
+    def __post_init__(self):
+        if self.lb < 1:
+            raise GraphError(f"plan lb must be an integer >= 1, got {self.lb!r}")
+        self.swapped = {t: tuple(v) for t, v in self.swapped.items()}
+        self.checkpoints = tuple(self.checkpoints)
+        self.recompute_segments = tuple((a, tuple(ns)) for a, ns in self.recompute_segments)
 
     def to_obj(self) -> dict:
         return {
@@ -85,22 +94,11 @@ class RewritePlan:
         return dumps_canonical(self.to_obj())
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "RewritePlan":
-        if not isinstance(obj, dict):
-            raise GraphError("plan document must be a JSON object")
-        if obj.get("version") != 1:
-            raise GraphError(f"unsupported plan version {obj.get('version')!r}")
-        lb = obj.get("lb", 1)
-        if type(lb) is not int or lb < 1:
-            raise GraphError(f"plan lb must be an integer >= 1, got {lb!r}")
-        return cls(
-            mode=obj.get("mode", "none"),
-            lb=lb,
-            swapped={t: tuple(v) for t, v in obj.get("swapped", {}).items()},
-            checkpoints=tuple(obj.get("checkpoints", ())),
-            recompute_segments=tuple((a, tuple(ns)) for a, ns in obj.get("recompute_segments", ())),
-            clone_map=dict(obj.get("clone_map", {})),
-        )
+    def from_obj(cls, obj) -> "RewritePlan":
+        return cls(**{k: v for k, v in check(obj, PLAN_SCHEMA).items() if k != "version"})
+
+
+PLAN_SCHEMA = Schema(RewritePlan, ("version",), version=Literal[1])
 
 
 def save_plan(plan: RewritePlan, path) -> None:
@@ -151,8 +149,7 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: int) -> tuple[TrainingGr
     consumer; for a tensor consumed by the very first backward node that
     lands on the phase-boundary (loss) node.
     """
-    if lb < 1:
-        raise GraphError(f"lb must be >= 1, got {lb}")
+    plan = RewritePlan(mode="swap", lb=lb)
     cross = set(cross_phase_tensors(tg))
     first_backward = tg.boundary_position + 1
     if first_backward >= len(tg.serial_order):
@@ -166,7 +163,6 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: int) -> tuple[TrainingGr
     swap_ins: dict[str, NodeSpec] = {}
     tensors = list(g.tensors)
     control_edges = list(g.control_edges)
-    plan = RewritePlan(mode="swap", lb=lb)
 
     for tid in selection:
         if tid not in cross:
@@ -187,14 +183,22 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: int) -> tuple[TrainingGr
                 inputs=tuple(in_tensor if x == tid else x for x in cn.inputs))
         plan.swapped[tid] = (out_id, in_id, trigger)
 
-    rewritten = GraphSpec(nodes=tuple(rewired.get(n.id, n) for n in g.nodes)
-                          + tuple(swap_outs.values()) + tuple(swap_ins.values()),
-                          tensors=tuple(tensors),
-                          control_edges=tuple(control_edges),
-                          metadata=dict(g.metadata))
-    new_tg = TrainingGraph(graph=rewritten, reuse_edges=tg.reuse_edges,
-                           serial_order=tg.serial_order, grad_of=dict(tg.grad_of))
+    rewritten = _derived(g, nodes=tuple(rewired.get(n.id, n) for n in g.nodes)
+                         + tuple(swap_outs.values()) + tuple(swap_ins.values()),
+                         tensors=tuple(tensors), control_edges=tuple(control_edges))
+    new_tg = TrainingGraph(graph=rewritten, serial_order=tg.serial_order, grad_of=dict(tg.grad_of))
     return new_tg, plan
+
+
+def _derived(base: GraphSpec, **rows) -> GraphSpec:
+    """A rewrite's graph, with ``base``'s metadata. Each of its rows copies
+    the field values of a row of ``base`` or takes constants that keep the
+    field rules, so when ``base`` keeps them it does too, and the rules are
+    not run on it again."""
+    g = GraphSpec(**rows, metadata=dict(base.metadata))
+    if not base.field_violations:
+        g.field_violations = []
+    return g
 
 
 def plan_checkpoints(tg: TrainingGraph, cfg: RewriteConfig) -> list[str]:
@@ -322,13 +326,10 @@ def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, Rew
     plan.recompute_segments = tuple(segments)
 
     # Clones are spliced into the node list right where they run.
-    rewritten = GraphSpec(nodes=tuple(rewired.get(n.id, n) for n in g.nodes) + tuple(new_nodes),
-                          tensors=tuple(tensors),
-                          control_edges=g.control_edges,
-                          metadata=dict(g.metadata))
+    rewritten = _derived(g, nodes=tuple(rewired.get(n.id, n) for n in g.nodes) + tuple(new_nodes),
+                         tensors=tuple(tensors), control_edges=g.control_edges)
     serial = tuple(forward_ids) + tuple(serial_backward)
-    new_tg = TrainingGraph(graph=rewritten, reuse_edges=tg.reuse_edges,
-                           serial_order=serial, grad_of=dict(tg.grad_of))
+    new_tg = TrainingGraph(graph=rewritten, serial_order=serial, grad_of=dict(tg.grad_of))
     return new_tg, plan
 
 

@@ -80,9 +80,8 @@ class SimConfig:
 
 
 def op_cost(n: NodeSpec, cfg: SimConfig) -> float:
-    """Seconds on the compute channel; io nodes are charged on copy channels."""
-    if n.kind in ("swap_out", "swap_in"):
-        return 0.0
+    """Seconds on the compute channel; io nodes, which the field rules hold
+    to cost 0, are charged on copy channels."""
     return n.cost_units / cfg.compute_rate
 
 
@@ -127,10 +126,14 @@ class _CompiledGraph:
     def __init__(self, tg: TrainingGraph):
         self.graph = g = tg.graph
         self.static_bytes = tg.static_bytes
+        if g.field_violations:
+            raise GraphError(str(g.field_violations[0][1]))
         ix = g.index
         nodes = ix.nodes
-        # O(n) checks in place of a validate_graph per run: successors resolves
-        # every edge; the column loop checks that each producer outputs its tensor.
+        # O(n) checks in place of a validate_graph per run: the field rules
+        # above; successors resolves every edge; the column loop checks that
+        # each producer outputs its tensor, and a count that each node's
+        # outputs are tensors it produces.
         self.succ = succ = successors(g)
         self.ids = ids = ix.ids
         n = len(ids)
@@ -138,12 +141,7 @@ class _CompiledGraph:
         self.tensor_size = size = ix.tensor_bytes
         self.refcount = list(map(len, ix.consumers))
         self.channel = chan = [_KIND_CHANNEL.get(r.kind, 0) for r in nodes]
-        # op_cost: io nodes cost nothing on the compute channel.
-        self.cost_units = cost = [0.0 if c else r.cost_units for r, c in zip(nodes, chan)]
-        if not all(map(math.isfinite, cost)) or min(cost, default=0.0) < 0:
-            i = next(i for i, c in enumerate(cost) if not 0 <= c < math.inf)
-            raise GraphError(f"node {ids[i]!r} has cost_units {cost[i]!r}; "
-                             f"costs must be finite and >= 0")
+        self.cost_units = [r.cost_units for r in nodes]  # 0 on io nodes, by the field rule
         # Per node: the tensors it reads and writes, and the bytes it allocates.
         self.inputs = inputs = [()] * n
         self.outputs = outputs = [()] * n
@@ -156,6 +154,10 @@ class _CompiledGraph:
             out_bytes[p] += size[k]
             for c in readers:
                 inputs[c] += (k,)
+        if sum(map(len, outputs)) != sum(len(r.outputs) for r in nodes):
+            i = next(i for i, r in enumerate(nodes) if len(r.outputs) != len(outputs[i]))
+            raise GraphError(f"node {ids[i]!r} lists outputs {list(nodes[i].outputs)}, but produces "
+                             f"{[g.tensors[k].id for k in outputs[i]]} in the graph's tensor table")
         self.in_bytes = [size[ins[0]] if c == 1 else 0 for ins, c in zip(inputs, chan)]
 
         # Dependency counts over data + control edges. A swap_in's trigger

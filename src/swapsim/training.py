@@ -1,15 +1,16 @@
-"""Backward expansion of forward graphs, feature-map reuse edges, the
-execution order that places io nodes among the compute nodes, and the static
-liveness / peak-memory estimate over that order. The training graph is the
-one home of the model's static bytes (``TrainingGraph.static_bytes``)."""
+"""Backward expansion of forward graphs, the execution order that places io
+nodes among the compute nodes, and the static liveness / peak-memory
+estimate over that order. The training graph is the one home of the model's
+static bytes (``TrainingGraph.static_bytes``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Literal
 
 from .graph import (
-    IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, dumps_canonical, graph_from_obj,
-    graph_text, graph_to_obj, list_text, load_document, rows_text, validate_graph_order,
+    IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, Schema, check, dumps_canonical,
+    graph_from_obj, graph_text, graph_to_obj, list_text, load_document, validate_graph_order,
     value_text,
 )
 
@@ -28,23 +29,19 @@ class TrainingGraph:
     need them. Construction raises GraphError naming the node when
     ``serial_order`` names an unknown or io node, names a node twice or
     omits a compute node.
-    ``reuse_edges`` are the (forward tensor, backward consumer) pairs that
-    make feature maps live across the phase boundary.
     ``static_bytes``, the bytes that never leave the device (weights,
     gradients, optimizer state), is the graph's ``metadata["static_bytes"]``
     (0 if absent), read once here and checked to be an int >= 0.
     """
 
     graph: GraphSpec
-    reuse_edges: tuple[tuple[str, str], ...]
     serial_order: tuple[str, ...]
-    grad_of: dict = field(default_factory=dict)  # grad node id -> forward node id
+    grad_of: dict[str, str] = field(default_factory=dict)  # grad node id -> forward node id
 
     def position(self, node_id: str) -> int:
         return self._positions[node_id]
 
     def __post_init__(self):
-        self.reuse_edges = tuple((a, b) for a, b in self.reuse_edges)
         self.serial_order = tuple(self.serial_order)
         self._positions = {nid: i for i, nid in enumerate(self.serial_order)}
         self._cross = None  # cross_phase_tensors, derived on first use
@@ -75,6 +72,13 @@ class TrainingGraph:
     def boundary_position(self) -> int:
         """Serial position of the last forward-phase node (the loss bridge)."""
         return self._boundary_position
+
+    @property
+    def reuse_edges(self) -> tuple[tuple[str, str], ...]:
+        """(forward op's output, grad id), one pair per ``grad_of`` entry: the
+        feature map that each grad reads across the phase boundary."""
+        node = self.graph.node
+        return tuple((node(f).outputs[0], gid) for gid, f in self.grad_of.items())
 
 
 def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
@@ -116,15 +120,13 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
         nodes.append(loss)
         forward_order.append(loss.id)
     else:
-        return TrainingGraph(graph=GraphSpec(metadata=metadata), reuse_edges=(),
-                             serial_order=())
+        return TrainingGraph(graph=GraphSpec(metadata=metadata), serial_order=())
 
     loss_inputs = set(loss.inputs)
     ix = g.index
     rows, index, tindex = ix.nodes, ix.index, ix.tensor_index
     forward_ops = [rows[index[nid]] for nid in forward_order if nid != loss.id]
 
-    reuse_edges = []
     grad_of = {}
     grad_order = []
     for f in reversed(forward_ops):
@@ -146,23 +148,13 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
                               scope, "backward"))
         grad_of[gid] = f.id
         grad_order.append(gid)
-        reuse_edges.append((t_out, gid))
         if t_out in loss_inputs:
             control_edges.append((loss.id, gid))
 
     expanded = GraphSpec(nodes=tuple(nodes), tensors=tuple(tensors),
                          control_edges=tuple(control_edges), metadata=metadata)
     serial = tuple(forward_order) + tuple(grad_order)
-    reuse_edges.sort(key=lambda e: g.tensors[tindex[e[0]]].producer)
-    return TrainingGraph(graph=expanded, reuse_edges=tuple(reuse_edges),
-                         serial_order=serial, grad_of=grad_of)
-
-
-def count_feature_maps(tg: TrainingGraph) -> int:
-    """Forward-phase tensors consumed by backward-phase nodes (swap candidates)."""
-    if not any(n.phase == "backward" for n in tg.graph.nodes):
-        raise GraphError("graph is not expanded: no backward nodes present")
-    return len(cross_phase_tensors(tg))
+    return TrainingGraph(graph=expanded, serial_order=serial, grad_of=grad_of)
 
 
 def input_nodes(g: GraphSpec) -> list[NodeSpec]:
@@ -188,15 +180,6 @@ def _cross_phase(tg: TrainingGraph) -> tuple[str, ...]:
              if rows[p].phase == "forward" and any(rows[c].phase == "backward" for c in readers)]
     keyed.sort()
     return tuple(tid for _, tid in keyed)
-
-
-def cross_phase_edges(tg: TrainingGraph) -> list[tuple[str, int, int]]:
-    """(tensor id, producer position, earliest backward-consumer position),
-    sorted by producer position ascending."""
-    g = tg.graph
-    return [(tid, tg.position(g.tensor(tid).producer),
-             min(tg.position(c) for c in g.consumers(tid) if g.node(c).phase == "backward"))
-            for tid in cross_phase_tensors(tg)]
 
 
 @dataclass
@@ -345,32 +328,25 @@ def training_to_obj(tg: TrainingGraph) -> dict:
     return {
         "version": 1,
         "graph": graph_to_obj(tg.graph),
-        "reuse_edges": sorted([list(e) for e in tg.reuse_edges]),
         "serial_order": list(tg.serial_order),
         "grad_of": dict(sorted(tg.grad_of.items())),
     }
 
 
-def training_from_obj(obj: dict) -> TrainingGraph:
-    if not isinstance(obj, dict):
-        raise GraphError("training-graph document must be a JSON object")
-    if obj.get("version") != 1:
-        raise GraphError(f"unsupported training-graph version {obj.get('version')!r}")
-    return TrainingGraph(
-        graph=graph_from_obj(obj["graph"]),
-        reuse_edges=tuple((a, b) for a, b in obj.get("reuse_edges", ())),
-        serial_order=tuple(obj.get("serial_order", ())),
-        grad_of=dict(obj.get("grad_of", {})),
-    )
+# The graph is checked by graph_from_obj.
+TRAINING_SCHEMA = Schema(TrainingGraph, ("version",), version=Literal[1], graph=dict)
+
+
+def training_from_obj(obj) -> TrainingGraph:
+    kw = {k: v for k, v in check(obj, TRAINING_SCHEMA).items() if k != "version"}
+    return TrainingGraph(**kw | {"graph": graph_from_obj(kw["graph"], "graph")})
 
 
 def save_training_graph(tg: TrainingGraph, path) -> None:
     """Write dumps_canonical(training_to_obj(tg)), built row by row."""
     pad = "  "
-    edges = [list_text(e, pad * 2) for e in sorted(tg.reuse_edges)]
     text = (f'{{\n{pad}"grad_of": {value_text(tg.grad_of, pad)},'
             f'\n{pad}"graph": {graph_text(tg.graph, pad)},'
-            f'\n{pad}"reuse_edges": {rows_text(edges, pad)},'
             f'\n{pad}"serial_order": {list_text(tg.serial_order, pad)},\n{pad}"version": 1\n}}\n')
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

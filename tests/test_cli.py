@@ -1,12 +1,16 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from swapsim.cli import UsageError, main, parse_bytes, parse_seed_spec
+from swapsim.cli import UsageError, _scenario_from_obj, main, parse_bytes, parse_seed_spec
+from swapsim.graph import load_document, load_graph
+from swapsim.rewrite import load_plan
+from swapsim.training import load_training_graph
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -327,6 +331,31 @@ class TestImport:
         assert out == "True"
 
 
+class TestDocumentsMeetTheirSchemas:
+    def test_written_documents_and_readme_scenario_load(self, toy_graph, tmp_path, capsys):
+        """What generate and rewrite write, and the README's scenario, pass
+        the strict loaders, so the writers, the docs and the schemas agree."""
+        assert len(load_graph(toy_graph).nodes) == 17
+        og, op = tmp_path / "tg.json", tmp_path / "plan.json"
+        for mode, flags in (("swap", ["--preset", "paper-c4"]),
+                            ("recompute", ["--mode", "recompute", "--ckpt-policy", "sqrt_n"])):
+            assert run(capsys, "rewrite", str(toy_graph), *flags, "--static-bytes", "1KiB",
+                       "--out-graph", str(og), "--out-plan", str(op))[0] == 0
+            tg, plan = load_training_graph(og), load_plan(op)
+            assert (tg.static_bytes, plan.mode) == (1024, mode)
+            assert sorted(tg.reuse_edges) == sorted(
+                (tg.graph.node(f).outputs[0], gid) for gid, f in tg.grad_of.items())
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "scenario.json"
+        path.write_text(blocks[0], encoding="utf-8")
+        _, cfg, sim_cfg, calibration, trace, report = load_document(
+            path, "scenario", _scenario_from_obj)
+        assert (cfg.lb, sim_cfg.xfer_latency, calibration[1], trace, report) == \
+            (20, 1e-5, 4.726, "trace.json", "report.json")
+
+
 _DROP = object()
 
 
@@ -397,6 +426,13 @@ def probe_files(rewritten, tmp_path, capsys):
         "plan_list": (chain_plan, lambda doc: []),
         "plan_bogus": (chain_plan, lambda doc: {
             **doc, "swapped": {**doc["swapped"], "bogus": doc["swapped"]["t0"]}}),
+        "node_cost_unit": (chain_tg, edited(("graph", "nodes", 0, "cost_unit"), 1.0)),
+        "node_scope_int": (chain_tg, edited(("graph", "nodes", 0, "scope"), 3)),
+        "tg_reuse_edges": (chain_tg, edited(("reuse_edges",), [["t0", "grad/op0"]])),
+        "plan_banana": (chain_plan, edited(("mode",), "banana")),
+        "plan_swaped": (chain_plan, lambda doc: {
+            **{k: v for k, v in doc.items() if k != "swapped"}, "swaped": doc["swapped"]}),
+        "plan_two_items": (chain_plan, edited(("swapped", "t0"), ["swap_out/t0", "swap_in/t0"])),
     }
     for name, (src, change) in bad.items():
         files[name] = corrupt(src, tmp_path / f"{name}.json", change)
@@ -408,6 +444,16 @@ def probe_files(rewritten, tmp_path, capsys):
         "sc_link_unknown": {**chain_scenario, "sim": {"link": "bogus"}},
         "sc_sim_static": {**chain_scenario, "sim": {"static_bytes": "1GiB"}},
         "sc_static_abc": {**chain_scenario, "static_bytes": "abc"},
+        "sc_rewrte": {**chain_scenario, "rewrte": {"mode": "swap"}},
+        "sc_bugdet": {**chain_scenario, "sim": {"enforce_bugdet": True}},
+        "sc_enforce_str": {**chain_scenario, "sim": {"enforce_budget": "false",
+                                                     "gpu_budget": "4KiB"}},
+        "sc_report_int": {**chain_scenario, "outputs": {"report": 1}},
+        "sc_n_bool": {"generator": {"kind": "chain", "n": True}},
+        "sc_bytes_frac": {"generator": {"kind": "chain", "n": 4, "bytes_per_tensor": 1.5}},
+        "sc_calibrate_no_preset": {**chain_scenario,
+                                   "sim": {"calibrate": {"target_seconds": 1.0}}},
+        "sc_preset_lb": {**chain_scenario, "rewrite": {"preset": "paper-c4", "lb": 3}},
     }
     for name, doc in scenarios.items():
         files[name] = str(tmp_path / f"{name}.json")
@@ -475,9 +521,9 @@ BAD_INPUT_PROBES = {
     "plan-lb-negative": (["simulate", "{chain_tg}", "{plan_lb_neg}"],
                          "plan lb must be an integer >= 1, got -3"),
     "plan-lb-fraction": (["simulate", "{chain_tg}", "{plan_lb_frac}"],
-                         "plan lb must be an integer >= 1, got 2.7"),
+                         "plan_lb_frac.json: wrong value type at lb: expected an integer, got 2.7"),
     "plan-lb-bool": (["simulate", "{chain_tg}", "{plan_lb_bool}"],
-                     "plan lb must be an integer >= 1, got True"),
+                     "plan_lb_bool.json: wrong value type at lb: expected an integer, got True"),
     "graph-input-unknown": (["simulate", "{input_ghost}", "{chain_plan}"],
                             "[dangling-tensor] grad/op0: consumes tensor 'ghost'"),
     "graph-producer-unknown": (["simulate", "{producer_ghost}", "{chain_plan}"],
@@ -498,10 +544,49 @@ BAD_INPUT_PROBES = {
     "scenario-link-unknown": (["simulate", "--scenario", "{sc_link_unknown}"],
                               "sc_link_unknown.json: bad value: unknown link preset 'bogus'"),
     "scenario-sim-static-bytes": (["simulate", "--scenario", "{sc_sim_static}"],
-                                  'sc_sim_static.json: "sim.static_bytes" moved to the '
-                                  'top-level "static_bytes"'),
+                                  "sc_sim_static.json: unknown key 'static_bytes' in sim"),
     "scenario-static-bytes-abc": (["simulate", "--scenario", "{sc_static_abc}"],
                                   "sc_static_abc.json: bad value: invalid byte count 'abc'"),
+    "scenario-key-misspelt": (["simulate", "--scenario", "{sc_rewrte}"],
+                              "sc_rewrte.json: unknown key 'rewrte'"),
+    "scenario-sim-key-misspelt": (["simulate", "--scenario", "{sc_bugdet}"],
+                                  "sc_bugdet.json: unknown key 'enforce_bugdet' in sim"),
+    "scenario-enforce-budget-str": (["simulate", "--scenario", "{sc_enforce_str}"],
+                                    "wrong value type at sim.enforce_budget: expected true or "
+                                    "false, got 'false'"),
+    "scenario-report-int": (["simulate", "--scenario", "{sc_report_int}"],
+                            "wrong value type at outputs.report: expected a string, got 1"),
+    "scenario-chain-n-bool": (["simulate", "--scenario", "{sc_n_bool}"],
+                              "wrong value type at generator.n: expected an integer, got True"),
+    "scenario-bytes-per-tensor-fraction": (["simulate", "--scenario", "{sc_bytes_frac}"],
+                                           "wrong value type at generator.bytes_per_tensor: "
+                                           "expected an integer, got 1.5"),
+    "scenario-calibrate-no-preset": (["simulate", "--scenario", "{sc_calibrate_no_preset}"],
+                                     "missing key 'preset' in sim.calibrate"),
+    "scenario-preset-and-lb": (["simulate", "--scenario", "{sc_preset_lb}"],
+                               "bad value: preset 'paper-c4' sets every rewrite key, so it "
+                               "takes no lb"),
+    "rewrite-preset-and-lb": (["rewrite", "{chain}", "--preset", "paper-c4", "--lb", "3"],
+                              "usage error: preset 'paper-c4' sets every rewrite key, so it "
+                              "takes no lb"),
+    "scenario-and-report": (["simulate", "--scenario", "{sc_rewrte}", "--report", "r.json"],
+                            "usage error: --scenario takes no other simulate argument; "
+                            "got --report"),
+    "training-node-unknown-key": (["simulate", "{node_cost_unit}", "{chain_plan}"],
+                                  "node_cost_unit.json: unknown key 'cost_unit' in "
+                                  "graph.nodes[0]"),
+    "training-node-scope-int": (["simulate", "{node_scope_int}", "{chain_plan}"],
+                                "graph.nodes[0]: node 'grad/op0' has scope 3"),
+    "training-reuse-edges": (["simulate", "{tg_reuse_edges}", "{chain_plan}"],
+                             "tg_reuse_edges.json: unknown key 'reuse_edges'"),
+    "plan-mode-unknown": (["simulate", "{chain_tg}", "{plan_banana}"],
+                          "wrong value type at mode: expected Literal['swap', 'recompute', "
+                          "'none'], got 'banana'"),
+    "plan-key-misspelt": (["simulate", "{chain_tg}", "{plan_swaped}"],
+                          "plan_swaped.json: unknown key 'swaped'"),
+    "plan-swapped-two-items": (["simulate", "{chain_tg}", "{plan_two_items}"],
+                               "wrong value type at swapped: expected "
+                               "dict[str, tuple[str, str, str]], got an object"),
     "sweep-link-unknown": (["sweep", "{chain}", "--presets", "paper-c1", "--link", "foo"],
                            "usage error: unknown link preset 'foo'"),
     "sweep-bw-abc": (["sweep", "{chain}", "--presets", "paper-c1", "--bw", "abc"],

@@ -18,8 +18,7 @@ from swapsim.props import random_instance
 from swapsim.rewrite import RewriteConfig, apply_rewrite, check_rewrite_validity, resolve_preset
 from swapsim.sim import simulate
 from swapsim.training import (
-    TrainingGraph, count_feature_maps, cross_phase_edges, cross_phase_tensors,
-    expand_training_graph, load_training_graph, save_training_graph, static_peak_estimate,
+    TrainingGraph, cross_phase_tensors, expand_training_graph, load_training_graph, save_training_graph, static_peak_estimate,
     training_to_obj,
 )
 
@@ -74,6 +73,22 @@ class TestValidate:
                      phase="io")
         codes = {v.code for v in validate_graph(GraphSpec(nodes=(n,)))}
         assert "io-cost" in codes
+
+    @pytest.mark.parametrize("field, value, code", [
+        ("cost_units", float("nan"), "bad-cost"), ("cost_units", float("inf"), "bad-cost"),
+        ("cost_units", "1", "bad-cost"), ("scope", 3, "bad-id"), ("kind", ["conv"], "unknown-kind"),
+        ("shape", (1.5,), "negative-size"), ("channels", True, "negative-size"),
+    ])
+    def test_field_rule_broken(self, field, value, code):
+        g = chain_graph()
+        node, tensor = g.nodes[0], g.tensors[0]
+        if field in NodeSpec._fields:
+            node = node._replace(**{field: value})
+        else:
+            tensor = tensor._replace(**{field: value})
+        bad = GraphSpec(nodes=(node,) + g.nodes[1:], tensors=(tensor,) + g.tensors[1:])
+        subject = "a" if field in NodeSpec._fields else "a:0"
+        assert [(v.code, v.subject) for v in validate_graph(bad)] == [(code, subject)]
 
 
 class TestTopoOrder:
@@ -312,25 +327,24 @@ class TestCanonicalWriter:
 
     def test_escaped_ids_and_scopes(self, tmp_path):
         g = odd_graph()
-        tg = TrainingGraph(graph=g, reuse_edges=((g.tensors[0].id, g.nodes[1].id),),
-                           serial_order=tuple(n.id for n in g.nodes),
+        tg = TrainingGraph(graph=g, serial_order=tuple(n.id for n in g.nodes),
                            grad_of={ODD: f"x{ODD}", "plain": "y"})
         assert_canonical(g, tmp_path, tg)
         text = saved_text(save_graph, g, tmp_path)
         assert text.isascii() and "\\u00e9" in text and "\\ud834\\udd1e" in text
         assert load_graph(tmp_path / "doc.json") == g
 
-    @pytest.mark.parametrize("cost", [0, 3, 2**70, 1.0, 0.1, 1e-300, 1e300, -0.0,
-                                      float("nan"), float("inf")])
+    @pytest.mark.parametrize("cost", [0, 3, 2**70, 1.0, 0.1, 1e-300, 1e300, -0.0])
     def test_cost_units_numbers(self, cost, tmp_path):
         assert_canonical(odd_graph(cost), tmp_path)
 
-    @pytest.mark.parametrize("cost", [True, False, float("-inf"), None])
+    @pytest.mark.parametrize("cost", [True, False, float("-inf"), None,
+                                      float("nan"), float("inf")])
     def test_cost_units_beyond_save_graph(self, cost, tmp_path):
         """Values save_graph refuses or never sees still match json.dumps."""
         g = odd_graph(cost)
         assert_canonical(None, tmp_path, TrainingGraph(
-            graph=g, reuse_edges=(), serial_order=tuple(n.id for n in g.nodes)))
+            graph=g, serial_order=tuple(n.id for n in g.nodes)))
 
     def test_number_subclasses(self, tmp_path):
         class Int(int):
@@ -357,8 +371,8 @@ class TestCanonicalWriter:
         tensors = (TensorDesc("t", "n", (True, 2.5, [1]), None, 4),) + g.tensors
         weird = GraphSpec(nodes=nodes, tensors=tensors, control_edges=(("n", 1),),
                           metadata=g.metadata)
-        tg = TrainingGraph(graph=weird, reuse_edges=(("t", None),),
-                           serial_order=tuple(n.id for n in nodes), grad_of={"n": None})
+        tg = TrainingGraph(graph=weird, serial_order=tuple(n.id for n in nodes),
+                           grad_of={"n": None})
         assert_canonical(None, tmp_path, tg)
 
     def test_no_pure_python_encoder(self, tmp_path, monkeypatch):
@@ -540,7 +554,5 @@ class TestGraphIndex:
         first.append("not-a-tensor")  # each call returns its own list
         for cfg in TOY_REWRITES:
             apply_rewrite(tg, cfg)
-        count_feature_maps(tg)
-        cross_phase_edges(tg)
         assert derived == Counter({id(tg): 1})
         assert cross_phase_tensors(tg) == first[:-1]

@@ -2,7 +2,7 @@ import pytest
 
 from swapsim.graph import GraphError, graph_to_obj, tensor_bytes
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
-from swapsim.training import count_feature_maps, expand_training_graph
+from swapsim.training import cross_phase_tensors, expand_training_graph
 
 
 TOY = UNetParams(dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2,
@@ -104,7 +104,7 @@ class TestChain:
 class TestCountFeatureMaps:
     def test_expanded_chain(self):
         tg = expand_training_graph(gen_chain(3))
-        assert count_feature_maps(tg) == 3
+        assert len(cross_phase_tensors(tg)) == 3
 
     def test_toy_unet_equals_forward_tensor_count(self):
         # Every forward op output is reused by its grad, so the count is the
@@ -112,17 +112,10 @@ class TestCountFeatureMaps:
         tg = expand_training_graph(gen_unet3d(TOY))
         forward_tensors = [t for t in tg.graph.tensors
                            if tg.graph.node(t.producer).phase == "forward"]
-        assert count_feature_maps(tg) == len(forward_tensors) == 16
+        assert len(cross_phase_tensors(tg)) == len(forward_tensors) == 16
 
     def test_invariant_under_io_round_trip(self):
         from swapsim.training import training_from_obj, training_to_obj
         tg = expand_training_graph(gen_chain(5))
         tg2 = training_from_obj(training_to_obj(tg))
-        assert count_feature_maps(tg2) == count_feature_maps(tg)
-
-    def test_unexpanded_graph_rejected(self):
-        from swapsim.training import TrainingGraph
-        g = gen_chain(3)
-        fake = TrainingGraph(graph=g, reuse_edges=(), serial_order=tuple(n.id for n in g.nodes))
-        with pytest.raises(GraphError, match="not expanded"):
-            count_feature_maps(fake)
+        assert cross_phase_tensors(tg2) == cross_phase_tensors(tg)

@@ -161,8 +161,7 @@ class TestResidencyDiscipline:
         corrupt = TrainingGraph(
             graph=GraphSpec(nodes=nodes, tensors=g.tensors,
                             control_edges=g.control_edges, metadata=dict(g.metadata)),
-            reuse_edges=rewritten.reuse_edges, serial_order=rewritten.serial_order,
-            grad_of=dict(rewritten.grad_of))
+            serial_order=rewritten.serial_order, grad_of=dict(rewritten.grad_of))
         with pytest.raises(UseAfterSwapError):
             run_numeric(corrupt, plan, seed=1)
 
@@ -178,8 +177,7 @@ class TestIoAnchoring:
                             control_edges=tuple(e for e in g.control_edges
                                                 if e != (trigger, in_id)),
                             metadata=dict(g.metadata)),
-            reuse_edges=rewritten.reuse_edges, serial_order=rewritten.serial_order,
-            grad_of=dict(rewritten.grad_of))
+            serial_order=rewritten.serial_order, grad_of=dict(rewritten.grad_of))
         with pytest.raises(GraphError, match=f"swap_in '{in_id}' has no trigger control edge"):
             run_numeric(no_trigger, plan, seed=1)
 

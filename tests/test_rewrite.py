@@ -126,7 +126,6 @@ class TestInsertSwap:
         shared = TrainingGraph(
             graph=GraphSpec(nodes=tuple(nodes), tensors=g.tensors,
                             control_edges=g.control_edges, metadata=dict(g.metadata)),
-            reuse_edges=tg.reuse_edges + (("t0", "grad/op1"),),
             serial_order=tg.serial_order, grad_of=dict(tg.grad_of))
         rewritten, plan = insert_swap_nodes(shared, ["t0"], lb=1)
         swap_ins = [n for n in rewritten.graph.nodes if n.kind == "swap_in"]
@@ -196,7 +195,7 @@ class TestInsertRecompute:
         cps = plan_checkpoints(tg, RewriteConfig(mode="recompute", ckpt_policy="sqrt_n"))
         rewritten, plan = insert_recompute(tg, cps)
         assert sorted(plan.clone_map.values()) == ["op1", "op3", "op4", "op6", "op7"]
-        assert plan.added_cost_units(rewritten) == 5.0
+        assert sum(rewritten.graph.node(c).cost_units for c in plan.clone_map) == 5.0
 
     def test_clones_match_kind_and_cost(self):
         tg = expand_training_graph(gen_unet3d(TOY))
@@ -259,7 +258,7 @@ def _with_control_edges(tg, control_edges):
     return TrainingGraph(
         graph=GraphSpec(nodes=g.nodes, tensors=g.tensors, control_edges=tuple(control_edges),
                         metadata=dict(g.metadata)),
-        reuse_edges=tg.reuse_edges, serial_order=tg.serial_order, grad_of=dict(tg.grad_of))
+        serial_order=tg.serial_order, grad_of=dict(tg.grad_of))
 
 
 def _swap_all_chain(n):
@@ -293,8 +292,7 @@ class TestValidity:
         corrupt = TrainingGraph(
             graph=GraphSpec(nodes=corrupt_nodes, tensors=g.tensors,
                             control_edges=g.control_edges, metadata=dict(g.metadata)),
-            reuse_edges=rewritten.reuse_edges, serial_order=rewritten.serial_order,
-            grad_of=dict(rewritten.grad_of))
+            serial_order=rewritten.serial_order, grad_of=dict(rewritten.grad_of))
         codes = {v.code for v in check_rewrite_validity(tg, corrupt, plan)}
         assert "clone-mismatch" in codes
 

@@ -461,6 +461,8 @@ class TestInputChecks:
         ("control-edge", "control edge ('ghost', 'op2') names node 'ghost', "
                          "which the graph lacks"),
         ("declared-producer", "tensor 't1' names producer 'op0', which does not output it"),
+        ("output", "node 'op1' lists outputs ['t1', 'ghost'], but produces ['t1'] in the "
+                   "graph's tensor table"),
     ])
     def test_graph_naming_what_it_lacks_rejected(self, missing, message):
         tg = expand_training_graph(gen_chain(4))
@@ -472,6 +474,9 @@ class TestInputChecks:
         elif missing == "input":
             g = replace(g, nodes=tuple(n._replace(inputs=("ghost",)) if n.id == "op2" else n
                                        for n in g.nodes))
+        elif missing == "output":
+            g = replace(g, nodes=tuple(n._replace(outputs=n.outputs + ("ghost",))
+                                       if n.id == "op1" else n for n in g.nodes))
         else:
             g = replace(g, control_edges=g.control_edges + (("ghost", "op2"),))
         bad = replace(tg, graph=g)

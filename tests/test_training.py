@@ -12,7 +12,7 @@ from swapsim.rewrite import (
 )
 from swapsim.sim import SimConfig, simulate
 from swapsim.training import (
-    cross_phase_edges, cross_phase_tensors, expand_training_graph,
+    cross_phase_tensors, expand_training_graph,
     static_peak_estimate,
 )
 
@@ -52,21 +52,27 @@ class TestExpand:
         assert sorted(t for t, _ in tg.reuse_edges) == sorted(fwd_outputs)
 
 
+def phase_gaps(tg):
+    """Per cross-phase tensor, in producer order: the serial positions from
+    its producer to its earliest backward consumer."""
+    g = tg.graph
+    return {tid: min(tg.position(c) for c in g.consumers(tid) if g.node(c).phase == "backward")
+            - tg.position(g.tensor(tid).producer) for tid in cross_phase_tensors(tg)}
+
+
 class TestCrossPhaseEdges:
     def test_first_tensor_has_widest_gap(self):
-        rows = cross_phase_edges(expand_training_graph(gen_chain(3)))
-        gaps = {tid: cons - prod for tid, prod, cons in rows}
+        gaps = phase_gaps(expand_training_graph(gen_chain(3)))
         assert gaps["t0"] == max(gaps.values())
 
     def test_empty_graph(self):
         from swapsim.graph import GraphSpec
         tg = expand_training_graph(GraphSpec())
-        assert cross_phase_edges(tg) == []
+        assert cross_phase_tensors(tg) == []
 
     def test_gap_strictly_decreases_along_chains(self):
         for n in (1, 2, 5, 17, 50):
-            rows = cross_phase_edges(expand_training_graph(gen_chain(n)))
-            gaps = [cons - prod for _, prod, cons in rows]
+            gaps = list(phase_gaps(expand_training_graph(gen_chain(n))).values())
             assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
