@@ -75,6 +75,9 @@ def parse_seed_spec(text: str) -> list[int]:
                          f"or 1,3,5") from None
     if not seeds:
         raise UsageError(f"no seeds in spec {text!r}")
+    if min(seeds) < 0:
+        raise UsageError(f"invalid seed spec {text!r}: seed {min(seeds)} is negative; "
+                         f"seeds are integers >= 0")
     return seeds
 
 
@@ -156,8 +159,11 @@ def cmd_generate(args) -> int:
 
 def cmd_rewrite(args) -> int:
     static_bytes = parse_bytes(args.static_bytes)
+    ratio = args.backward_cost_ratio
+    if not (math.isfinite(ratio) and ratio >= 0):
+        raise UsageError(f"invalid --backward-cost-ratio {ratio}: expected a finite number >= 0")
     tg = expand_training_graph(load_graph(args.graph), static_bytes=static_bytes,
-                               backward_cost_ratio=args.backward_cost_ratio)
+                               backward_cost_ratio=ratio)
     m = vars(args)
     if m["preset"] is None:
         m.setdefault("mode", "swap")  # the CLI's own default; the library's is none
@@ -304,6 +310,8 @@ def cmd_verify(args) -> int:
     from .props import make_broken_swap_variant, run_invariant_suite
 
     seeds = parse_seed_spec(args.seeds)
+    if args.instances < 0:
+        raise UsageError(f"--instances must be >= 0, got {args.instances}")
     failures: list[str] = []
 
     chain_tg = expand_training_graph(gen_chain(8, bytes_per_tensor=48,

@@ -4,9 +4,19 @@ oracle proving that swap and recompute rewrites preserve computed values
 exactly (same arithmetic, same order, bit-identical results).
 
 Toy op semantics live in one table, ``_TOY_OPS``: for each forward node kind,
-its forward rule and its backward rule on flat float64 arrays. Every walker
-(``run_numeric``, the gradient check's forward-only pass and its kink probe)
-runs ops through it. The loss node sums the squares of its inputs.
+its forward rule and its backward rule. Every value is a row block, a 2-D
+float64 array of shape (rows, width) holding one sample per row, and row r of
+each output depends only on row r of the inputs: the rules reduce along
+axis 1 and tile, repeat and concatenate along it. One walk, ``_execute``,
+carries a block through the tape, the loss and the kink probe.
+``run_numeric`` runs a one-row block; ``grad_check`` evaluates its central
+differences ``_BLOCK_ROWS`` perturbations per forward pass, and
+``equivalence_check`` runs its seeds ``_BLOCK_ROWS`` at a time.
+
+The loss node sums the squares of its inputs with one ``np.dot`` per row, so
+every row carries the bits a single sample gets. Row-wise ``sum`` and
+``mean`` over axis 1 keep those bits as well; ``einsum`` over the block does
+not match ``np.dot``.
 """
 from __future__ import annotations
 
@@ -22,6 +32,8 @@ from .training import TrainingGraph, cross_phase_tensors, execution_order, input
 
 MAX_ELEMENTS = 10_000
 KINK_TOL = 1e-6
+# Rows per forward pass: grad_check's perturbations, equivalence_check's seeds.
+_BLOCK_ROWS = 64
 
 
 class UseAfterSwapError(GraphError):
@@ -44,61 +56,68 @@ def _base_node_id(node_id: str) -> str:
     return node_id.split("@rc")[0]
 
 
-def _input_values(g, seed: int, overrides=None):
+def _input_block(g, seeds, overrides=None) -> dict[str, np.ndarray]:
+    """One row per seed for each graph input; an override (a 1-D value)
+    fills every row of its input."""
+    negative = [s for s in seeds if s < 0]
+    if negative:
+        raise GraphError(f"seed {negative[0]} is negative; seeds are integers >= 0")
     values = {}
     for n in input_nodes(g):
         tid = n.outputs[0]
         if overrides and tid in overrides:
-            values[tid] = np.asarray(overrides[tid], dtype=np.float64).copy()
+            values[tid] = np.tile(np.asarray(overrides[tid], dtype=np.float64), (len(seeds), 1))
         else:
-            rng = np.random.default_rng((seed, zlib.crc32(n.id.encode())))
-            values[tid] = rng.standard_normal(element_count(g.tensor(tid)))
+            key, width = zlib.crc32(n.id.encode()), element_count(g.tensor(tid))
+            values[tid] = np.stack([np.random.default_rng((s, key)).standard_normal(width)
+                                    for s in seeds])
     return values
 
 
 def _affine_forward(xs, n_out: int, node_id: str) -> np.ndarray:
     a, b = _node_params(node_id)
     x = xs[0]
-    n_in = x.size
+    rows, n_in = x.shape
     if n_in >= n_out:
         reps = -(-n_in // n_out)
-        padded = np.zeros(reps * n_out)
-        padded[:n_in] = x
-        return a * padded.reshape(reps, n_out).sum(axis=0) + b
+        padded = np.zeros((rows, reps * n_out))
+        padded[:, :n_in] = x
+        return a * padded.reshape(rows, reps, n_out).sum(axis=1) + b
     reps = -(-n_out // n_in)
-    return a * np.tile(x, reps)[:n_out] + b
+    return a * np.tile(x, (1, reps))[:, :n_out] + b
 
 
 def _affine_backward(dy: np.ndarray, y, in_sizes, node_id: str) -> list[np.ndarray]:
     a, _ = _node_params(node_id)
-    n_in, n_out = in_sizes[0], dy.size
+    (rows, n_out), n_in = dy.shape, in_sizes[0]
     if n_in >= n_out:
         reps = -(-n_in // n_out)
-        return [(a * np.tile(dy, reps)[:n_in]).copy()]
+        return [a * np.tile(dy, (1, reps))[:, :n_in]]
     reps = -(-n_out // n_in)
-    padded = np.zeros(reps * n_in)
-    padded[:n_out] = dy
-    return [a * padded.reshape(reps, n_in).sum(axis=0)]
+    padded = np.zeros((rows, reps * n_in))
+    padded[:, :n_out] = dy
+    return [a * padded.reshape(rows, reps, n_in).sum(axis=1)]
 
 
 def _pool_forward(xs, n_out: int, node_id: str) -> np.ndarray:
-    k = xs[0].size // n_out
-    return xs[0][:k * n_out].reshape(n_out, k).mean(axis=1)
+    rows, n_in = xs[0].shape
+    k = n_in // n_out
+    return xs[0][:, :k * n_out].reshape(rows, n_out, k).mean(axis=2)
 
 
 def _pool_backward(dy: np.ndarray, y, in_sizes, node_id: str) -> list[np.ndarray]:
-    k = in_sizes[0] // dy.size
-    return [np.repeat(dy / k, k)[:in_sizes[0]]]
+    k = in_sizes[0] // dy.shape[1]
+    return [np.repeat(dy / k, k, axis=1)[:, :in_sizes[0]]]
 
 
 def _concat_backward(dy: np.ndarray, y, in_sizes, node_id: str) -> list[np.ndarray]:
-    return [dy[end - size:end].copy() for size, end in zip(in_sizes, accumulate(in_sizes))]
+    return [dy[:, end - size:end].copy() for size, end in zip(in_sizes, accumulate(in_sizes))]
 
 
 class _ToyOp(NamedTuple):
-    # (input values, output size, node id whose coefficients apply) -> output value
+    # (input blocks, output width, node id whose coefficients apply) -> output block
     forward: Callable
-    # (output gradient, output value, input sizes, node id) -> one gradient per input
+    # (output gradient block, output block, input widths, node id) -> one gradient block per input
     backward: Callable
 
 
@@ -113,12 +132,12 @@ _TOY_OPS = _OpTable({
                     _ToyOp(_affine_forward, _affine_backward)),
     "activation": _ToyOp(lambda xs, n_out, nid: np.maximum(xs[0], 0.0),
                          lambda dy, y, in_sizes, nid: [dy * (y > 0.0)]),
-    "norm": _ToyOp(lambda xs, n_out, nid: xs[0] - xs[0].mean(),
-                   lambda dy, y, in_sizes, nid: [dy - dy.mean()]),
+    "norm": _ToyOp(lambda xs, n_out, nid: xs[0] - xs[0].mean(axis=1, keepdims=True),
+                   lambda dy, y, in_sizes, nid: [dy - dy.mean(axis=1, keepdims=True)]),
     # block mean, window n_in / n_out
     "pool": _ToyOp(_pool_forward, _pool_backward),
     # concatenation in input order
-    "concat": _ToyOp(lambda xs, n_out, nid: np.concatenate(xs), _concat_backward),
+    "concat": _ToyOp(lambda xs, n_out, nid: np.concatenate(xs, axis=1), _concat_backward),
 })
 
 
@@ -161,12 +180,11 @@ def _forward_op(g, tape: _Tape, n, params_id: str) -> list[np.ndarray]:
     return xs
 
 
-def _loss(tape: _Tape, n) -> float:
-    """The loss node's value: the sum of squares over its inputs."""
-    total = 0.0
+def _loss(tape: _Tape, n, rows: int) -> np.ndarray:
+    """The loss node's value per row: the sum of squares over its inputs."""
+    total = np.zeros(rows)
     for tid in n.inputs:
-        x = tape.read(tid, n.id)
-        total += float(np.dot(x, x))
+        total += [np.dot(x, x) for x in tape.read(tid, n.id)]
     return total
 
 
@@ -178,17 +196,16 @@ def _check_sizes(g) -> None:
                              f"executor is capped at {MAX_ELEMENTS}")
 
 
-def run_numeric(tg: TrainingGraph, plan=None, seed: int = 0,
-                inputs=None) -> tuple[float, dict[str, np.ndarray]]:
-    """Execute the graph on toy tensors; returns (loss, per-input gradients).
-
-    Gradient keys are the output tensors of the graph's input nodes. Any
-    read of a swapped-out or freed tensor raises UseAfterSwapError.
-    """
+def _execute(tg: TrainingGraph, block, rows: int, plan=None, backward: bool = True,
+             look=None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Walk the graph once on a block of ``rows`` input rows; returns (loss
+    per row, gradient block per graph input). Without ``backward`` the walk
+    stops at the first backward node and returns no gradients; ``look(n,
+    xs)``, if given, sees each forward op with its input values."""
     g = tg.graph
     _check_sizes(g)
     tape = _Tape()
-    for tid, val in _input_values(g, seed, inputs).items():
+    for tid, val in block.items():
         tape.write(tid, val)
 
     loss_node = next((n for n in g.nodes if n.kind == "loss"), None)
@@ -199,10 +216,12 @@ def run_numeric(tg: TrainingGraph, plan=None, seed: int = 0,
         input_tensors = {n.outputs[0] for n in input_nodes(g)}
         recompute_free = set(cross_phase_tensors(tg)) - kept - input_tensors
 
-    loss_value = 0.0
+    loss = np.zeros(rows)
     for nid in execution_order(tg):
         n = g.node(nid)
         kind = n.kind
+        if n.phase == "backward" and not backward:
+            return loss, {}
         if kind == "swap_out":
             tape.swap_out(n.inputs[0], nid)
         elif kind == "swap_in":
@@ -210,20 +229,34 @@ def run_numeric(tg: TrainingGraph, plan=None, seed: int = 0,
             src = dst[:-len("@in")] if dst.endswith("@in") else dst
             tape.swap_in(src, dst, nid)
         elif kind == "loss":
-            loss_value = _loss(tape, n)
+            loss = _loss(tape, n, rows)
             for tid in sorted(recompute_free):
                 tape.free(tid)
         elif kind == "grad":
             _run_grad(tg, n, tape, loss_inputs)
         elif n.inputs:  # a forward op or its recompute clone; input values are on the tape
-            _forward_op(g, tape, n, _base_node_id(nid))
+            xs = _forward_op(g, tape, n, _base_node_id(nid))
+            if look is not None:
+                look(n, xs)
 
     grads: dict[str, np.ndarray] = {}
-    for n in input_nodes(g):
-        gid = f"grad/{n.id}:0"
-        if g.has_tensor(gid):
-            grads[n.outputs[0]] = tape.read(gid, "<result>")
-    return loss_value, grads
+    if backward:
+        for n in input_nodes(g):
+            gid = f"grad/{n.id}:0"
+            if g.has_tensor(gid):
+                grads[n.outputs[0]] = tape.read(gid, "<result>")
+    return loss, grads
+
+
+def run_numeric(tg: TrainingGraph, plan=None, seed: int = 0,
+                inputs=None) -> tuple[float, dict[str, np.ndarray]]:
+    """Execute the graph on toy tensors; returns (loss, per-input gradients).
+
+    Gradient keys are the output tensors of the graph's input nodes. Any
+    read of a swapped-out or freed tensor raises UseAfterSwapError.
+    """
+    loss, grads = _execute(tg, _input_block(tg.graph, [seed], inputs), 1, plan)
+    return float(loss[0]), {tid: grad[0] for tid, grad in grads.items()}
 
 
 def _run_grad(tg: TrainingGraph, n, tape: _Tape, loss_inputs) -> None:
@@ -258,27 +291,6 @@ def _run_grad(tg: TrainingGraph, n, tape: _Tape, loss_inputs) -> None:
         tape.write(out_id, value)
 
 
-def _forward_loss(tg: TrainingGraph, inputs, look=None) -> float:
-    """Forward-only evaluation of the loss, used by the finite-difference
-    check; ``look(n, xs)``, if given, sees each op with its input values."""
-    g = tg.graph
-    tape = _Tape()
-    for tid, val in _input_values(g, 0, inputs).items():
-        tape.write(tid, val)
-    loss_value = 0.0
-    for nid in tg.serial_order:
-        n = g.node(nid)
-        if n.phase != "forward":
-            break
-        if n.kind == "loss":
-            loss_value += _loss(tape, n)
-        elif n.inputs:
-            xs = _forward_op(g, tape, n, n.id)
-            if look is not None:
-                look(n, xs)
-    return loss_value
-
-
 @dataclass
 class GradCheckReport:
     max_rel_error: float
@@ -286,7 +298,7 @@ class GradCheckReport:
     resampled: bool
 
 
-def _kink_distance(tg: TrainingGraph, inputs) -> float:
+def _kink_distance(tg: TrainingGraph, point) -> float:
     """Smallest |activation input| reached during a forward pass."""
     closest = [float("inf")]
 
@@ -294,7 +306,7 @@ def _kink_distance(tg: TrainingGraph, inputs) -> float:
         if n.kind == "activation":
             closest.append(float(np.abs(xs[0]).min()))
 
-    _forward_loss(tg, inputs, look)
+    _execute(tg, point, 1, backward=False, look=look)
     return min(closest)
 
 
@@ -308,63 +320,66 @@ def grad_check(tg: TrainingGraph, seed: int = 0, eps: float = 1e-5,
     if eps <= 0:
         raise GraphError("eps must be positive")
     g = tg.graph
-    _check_sizes(g)
-
     seed_used = seed
     resampled = False
-    point = dict(_input_values(g, seed, inputs))
+    point = _input_block(g, [seed], inputs)
     for _ in range(16):
         if _kink_distance(tg, point) > max(KINK_TOL, 2 * eps):
             break
         resampled = True
         seed_used += 101
-        point = dict(_input_values(g, seed_used, None))
-    _, analytic = run_numeric(tg, None, seed_used, inputs=point)
+        point = _input_block(g, [seed_used])
+    _, analytic = _execute(tg, point, 1)
 
+    # One block per run of input elements: rows [0, k) bump element lo + r
+    # up by eps, rows [k, 2k) bump it down.
     worst = 0.0
+    step = _BLOCK_ROWS // 2
     for tid, garr in sorted(analytic.items()):
-        base = point[tid]
-        for j in range(base.size):
-            bumped = dict(point)
-            plus = base.copy(); plus[j] += eps
-            minus = base.copy(); minus[j] -= eps
-            bumped[tid] = plus
-            lp = _forward_loss(tg, bumped)
-            bumped[tid] = minus
-            lm = _forward_loss(tg, bumped)
-            numeric = (lp - lm) / (2 * eps)
-            denom = max(abs(garr[j]), abs(numeric), 1e-12)
-            worst = max(worst, abs(garr[j] - numeric) / denom)
-    if not np.isfinite(worst):
-        raise GraphError("gradient check produced non-finite values")
+        width = garr.shape[1]
+        for lo in range(0, width, step):
+            js = np.arange(lo, min(lo + step, width))
+            k = js.size
+            block = {t: np.repeat(v, 2 * k, axis=0) for t, v in point.items()}
+            block[tid][np.arange(k), js] += eps
+            block[tid][np.arange(k, 2 * k), js] -= eps
+            loss, _ = _execute(tg, block, 2 * k, backward=False)
+            numeric = (loss[:k] - loss[k:]) / (2 * eps)
+            exact = garr[0, js]
+            denom = np.maximum(np.maximum(np.abs(exact), np.abs(numeric)), 1e-12)
+            block_worst = (np.abs(exact - numeric) / denom).max()
+            if not np.isfinite(block_worst):
+                raise GraphError("gradient check produced non-finite values")
+            worst = max(worst, block_worst)
     return GradCheckReport(max_rel_error=worst, seed_used=seed_used, resampled=resampled)
 
 
 def equivalence_check(tg: TrainingGraph, variants, seeds) -> list[dict]:
-    """Run baseline and each (label, rewritten graph, plan) variant per seed;
-    deviation is the max abs difference over the loss and all gradients.
-    Use-after-swap failures surface in the row's ``error`` field."""
-    rows = []
-    baselines = {s: run_numeric(tg, None, s) for s in seeds}
-    for label, var_tg, plan in variants:
-        worst = 0.0
-        error = ""
-        for s in seeds:
-            base_loss, base_grads = baselines[s]
+    """Run baseline and each (label, rewritten graph, plan) variant on every
+    seed, ``_BLOCK_ROWS`` seeds per pass; deviation is the max abs
+    difference over the loss and all gradients. Use-after-swap failures
+    surface in the row's ``error`` field."""
+    variants, seeds = list(variants), list(seeds)
+    rows = [{"label": label, "deviation": 0.0, "error": ""} for label, _, _ in variants]
+    for lo in range(0, len(seeds), _BLOCK_ROWS):
+        chunk = seeds[lo:lo + _BLOCK_ROWS]
+        base_loss, base_grads = _execute(tg, _input_block(tg.graph, chunk), len(chunk))
+        for row, (_, var_tg, plan) in zip(rows, variants):
+            if row["error"]:
+                continue
             try:
-                loss, grads = run_numeric(var_tg, plan, s)
+                loss, grads = _execute(var_tg, _input_block(var_tg.graph, chunk), len(chunk),
+                                       plan)
             except GraphError as exc:
-                error = str(exc)
-                worst = float("inf")
-                break
-            worst = max(worst, abs(loss - base_loss))
-            for tid, arr in base_grads.items():
-                if tid not in grads:
-                    error = f"missing gradient for {tid!r}"
-                    worst = float("inf")
-                    break
-                worst = max(worst, float(np.max(np.abs(arr - grads[tid]))) if arr.size else 0.0)
-            if error:
-                break
-        rows.append({"label": label, "deviation": worst, "error": error})
+                row.update(deviation=float("inf"), error=str(exc))
+                continue
+            missing = [tid for tid in base_grads if tid not in grads]
+            if missing:
+                row.update(deviation=float("inf"), error=f"missing gradient for {missing[0]!r}")
+                continue
+            # np.max and np.maximum keep a NaN, which Python's max would drop.
+            deviation = np.max([np.abs(loss - base_loss).max(),
+                                *(np.abs(arr - grads[tid]).max()
+                                  for tid, arr in base_grads.items() if arr.size)])
+            row["deviation"] = float(np.maximum(row["deviation"], deviation))
     return rows

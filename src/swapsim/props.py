@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graph import GraphSpec, NodeSpec, TensorDesc, tensor_bytes
+from .graph import GraphError, GraphSpec, NodeSpec, TensorDesc, tensor_bytes
 from .training import (
     TrainingGraph, cross_phase_tensors, expand_training_graph, residency, static_peak_estimate,
 )
@@ -321,6 +321,8 @@ def make_broken_swap_variant(tg: TrainingGraph):
 
 def run_invariant_suite(instances: int = 200, seed: int = 0) -> dict:
     """Run all randomized checks; returns counts plus failure descriptions."""
+    if instances < 0:
+        raise GraphError(f"instances must be >= 0, got {instances}")
     failures: list[str] = []
     checks = 0
     oracle_runs = 0

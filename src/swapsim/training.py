@@ -4,6 +4,7 @@ estimate over that order. The training graph is the one home of the model's
 static bytes (``TrainingGraph.static_bytes``)."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Literal
@@ -88,8 +89,12 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
     grad(f) consumes the gradient contributions produced by the grads of
     f's consumers plus f's own output tensor (the reuse edge), and produces
     one gradient tensor per input of f (a single one for input nodes).
-    Both keyword values go into the metadata, which every rewrite copies.
+    Both keyword values go into the metadata, which every rewrite copies;
+    ``backward_cost_ratio`` must be a finite number >= 0.
     """
+    if not (math.isfinite(backward_cost_ratio) and backward_cost_ratio >= 0):
+        raise GraphError(f"backward_cost_ratio must be a finite number >= 0, "
+                         f"got {backward_cost_ratio!r}")
     violations, forward_order = validate_graph_order(g)
     if violations:
         raise GraphError(f"cannot expand invalid graph: {violations[0]}")

@@ -595,6 +595,22 @@ BAD_INPUT_PROBES = {
     "verify-seeds-x..y": (["verify", "--seeds", "x..y"], "usage error: invalid seed spec 'x..y'"),
     "verify-seeds-1..2..3": (["verify", "--seeds", "1..2..3"],
                              "usage error: invalid seed spec '1..2..3'"),
+    "verify-seeds-negative": (["verify", "--seeds=-1"],
+                              "usage error: invalid seed spec '-1': seed -1 is negative"),
+    "verify-seeds-negative-range": (["verify", "--seeds=-3..-1"],
+                                    "usage error: invalid seed spec '-3..-1': seed -3 is "
+                                    "negative"),
+    "verify-instances-negative": (["verify", "--seeds", "1", "--instances=-3"],
+                                  "usage error: --instances must be >= 0, got -3"),
+    "rewrite-backward-cost-ratio-nan": (["rewrite", "{chain}", "--preset", "paper-c1",
+                                         "--backward-cost-ratio", "nan"],
+                                        "usage error: invalid --backward-cost-ratio nan"),
+    "rewrite-backward-cost-ratio-negative": (["rewrite", "{chain}", "--preset", "paper-c1",
+                                              "--backward-cost-ratio=-1"],
+                                             "usage error: invalid --backward-cost-ratio -1.0"),
+    "rewrite-backward-cost-ratio-inf": (["rewrite", "{chain}", "--preset", "paper-c1",
+                                         "--backward-cost-ratio", "inf"],
+                                        "usage error: invalid --backward-cost-ratio inf"),
 }
 
 

@@ -1,19 +1,20 @@
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
 
-from swapsim.graph import GraphError, GraphSpec, NodeSpec, TensorDesc
+from swapsim.graph import GraphError, GraphSpec, NodeSpec, TensorDesc, element_count
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.numeric import (
-    _TOY_OPS, UseAfterSwapError, equivalence_check, grad_check, run_numeric,
+    _BLOCK_ROWS, _TOY_OPS, UseAfterSwapError, equivalence_check, grad_check, run_numeric,
 )
 from swapsim.props import make_broken_swap_variant
 from swapsim.rewrite import (
     PRESETS, RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset,
 )
 from swapsim.training import (
-    TrainingGraph, cross_phase_tensors, execution_order, expand_training_graph,
+    TrainingGraph, cross_phase_tensors, execution_order, expand_training_graph, input_nodes,
 )
 
 TOY = UNetParams(dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2,
@@ -123,12 +124,92 @@ class TestEquivalence:
         rows = equivalence_check(tg, self.variants_for(tg), seeds=[5, 6])
         assert all(row["deviation"] == 0.0 and not row["error"] for row in rows)
 
+    def test_nan_result_is_a_deviation(self, monkeypatch):
+        # The variant's matmul ops yield NaN; the baseline has convs only.
+        tg = toy_chain(3)
+        nan_ops = toy_chain(3, kinds=("conv", "matmul"))
+        monkeypatch.setitem(_TOY_OPS, "matmul", _TOY_OPS["matmul"]._replace(
+            forward=lambda xs, n_out, nid: xs[0] * np.nan))
+        rows = equivalence_check(tg, [("nan", nan_ops, None)], seeds=[1, 2])
+        assert np.isnan(rows[0]["deviation"])
+
     def test_broken_plan_surfaces_use_after_swap(self):
         tg = toy_chain(3)
         broken, plan = make_broken_swap_variant(tg)
         rows = equivalence_check(tg, [("broken", broken, plan)], seeds=[1])
         assert rows[0]["error"]
         assert "use-after-swap" in rows[0]["error"]
+
+
+def row_at_a_time_grad_check(tg, seed, eps=1e-5):
+    """The gradient check one sample per forward pass: the reference that
+    the row-block check must match bit for bit."""
+    g = tg.graph
+    point = {n.outputs[0]: np.random.default_rng((seed, zlib.crc32(n.id.encode())))
+             .standard_normal(element_count(g.tensor(n.outputs[0]))) for n in input_nodes(g)}
+    _, analytic = run_numeric(tg, None, seed, inputs=point)
+    worst = 0.0
+    for tid, garr in sorted(analytic.items()):
+        for j in range(garr.size):
+            losses = []
+            for step in (eps, -eps):
+                bumped = dict(point)
+                bumped[tid] = point[tid].copy()
+                bumped[tid][j] += step
+                losses.append(run_numeric(tg, None, seed, inputs=bumped)[0])
+            numeric = (losses[0] - losses[1]) / (2 * eps)
+            denom = max(abs(garr[j]), abs(numeric), 1e-12)
+            worst = max(worst, abs(garr[j] - numeric) / denom)
+    return worst
+
+
+class TestRowBlocks:
+    """Blocks of samples per forward pass give what one sample per pass gives."""
+
+    def test_equivalence_over_two_blocks_matches_one_call_per_seed(self):
+        tg = toy_chain(3, kinds=("conv", "activation", "norm"))
+        variants = TestEquivalence().variants_for(tg)
+        # Same inputs, other ops: a deviation that differs from seed to seed.
+        variants.append(("other-ops", toy_chain(3, kinds=("conv", "norm", "activation")), None))
+        variants.append(("broken",) + make_broken_swap_variant(tg))
+        seeds = list(range(_BLOCK_ROWS + 1))
+        per_seed = [equivalence_check(tg, variants, [s]) for s in seeds]
+        expected = [{"label": label,
+                     "deviation": max(rows[i]["deviation"] for rows in per_seed),
+                     "error": next((rows[i]["error"] for rows in per_seed if rows[i]["error"]),
+                                   "")}
+                    for i, (label, _, _) in enumerate(variants)]
+        got = equivalence_check(tg, variants, seeds)
+        assert got == expected
+        assert 0.0 < got[-2]["deviation"] < float("inf")
+        assert got[-1]["error"].startswith("use-after-swap: ")
+
+    def test_grad_check_matches_row_at_a_time_reference(self):
+        # 100 input elements: neither a multiple of the block nor of its half.
+        tg = expand_training_graph(gen_chain(4, bytes_per_tensor=400,
+                                             kinds=("conv", "activation", "norm", "matmul")))
+        assert element_count(tg.graph.tensor("t0")) % (_BLOCK_ROWS // 2) != 0
+        for seed in (1, 2):
+            rep = grad_check(tg, seed=seed)
+            assert not rep.resampled
+            assert repr(rep.max_rel_error) == repr(row_at_a_time_grad_check(tg, seed))
+
+    @pytest.mark.parametrize("graph", ["chain", "unet-toy"])
+    def test_norm_mean_over_the_whole_block_is_caught(self, graph, monkeypatch):
+        tg = PIN_GRAPHS[graph]()
+        norm = _TOY_OPS["norm"]
+        monkeypatch.setitem(_TOY_OPS, "norm", norm._replace(
+            forward=lambda xs, n_out, nid: xs[0] - xs[0].mean()))
+        assert grad_check(tg, seed=1).max_rel_error >= 1e-4
+
+    @pytest.mark.parametrize("check", [
+        lambda tg: run_numeric(tg, None, seed=-1),
+        lambda tg: grad_check(tg, seed=-1),
+        lambda tg: equivalence_check(tg, [], seeds=[3, -1]),
+    ])
+    def test_negative_seed_rejected(self, check):
+        with pytest.raises(GraphError, match="seed -1 is negative; seeds are integers >= 0"):
+            check(toy_chain(2))
 
 
 class TestResidencyDiscipline:

@@ -9,7 +9,7 @@ from swapsim.graph import GraphError, NodeSpec
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import (
     check_dependency_soundness, check_memory_conservation, check_schedule_oracle,
-    check_swap_soundness, random_instance,
+    check_swap_soundness, random_instance, run_invariant_suite,
 )
 from swapsim.rewrite import RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset
 from swapsim.sim import (
@@ -434,6 +434,10 @@ class TestCalibrationOracle:
 
 
 class TestInputChecks:
+    def test_negative_instance_count_rejected(self):
+        with pytest.raises(GraphError, match="instances must be >= 0, got -3"):
+            run_invariant_suite(instances=-3)
+
     @pytest.mark.parametrize("field", ["compute_rate", "d2h_bw", "h2d_bw", "xfer_latency"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_config_rejected(self, field, value):

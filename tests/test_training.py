@@ -45,6 +45,12 @@ class TestExpand:
         for gid, fid in tg.grad_of.items():
             assert tg.graph.node(gid).cost_units == 2.0 * tg.graph.node(fid).cost_units
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -1.0])
+    def test_bad_grad_cost_ratio_rejected(self, ratio):
+        with pytest.raises(GraphError, match=f"backward_cost_ratio must be a finite number "
+                                             f">= 0, got {ratio!r}"):
+            expand_training_graph(gen_chain(3), backward_cost_ratio=ratio)
+
     def test_unet_toy_feature_maps_equal_forward_outputs(self):
         tg = expand_training_graph(gen_unet3d(TOY))
         fwd_outputs = [t.id for t in tg.graph.tensors
