@@ -8,6 +8,7 @@ import argparse
 import math
 import sys
 from argparse import SUPPRESS
+from dataclasses import replace
 from typing import Literal
 
 from .graph import (GraphError, Schema, check, check_value, dumps_canonical, load_document,
@@ -127,8 +128,7 @@ def _sim_config(m) -> SimConfig:
     """A simulator config from a scenario's ``sim`` object or the parsed
     flags; keys the mapping lacks keep SimConfig's defaults, and a ``link``
     preset sets both bandwidths."""
-    kw = {k: m[k] for k in ("compute_rate", "d2h_bw", "h2d_bw", "xfer_latency", "enforce_budget")
-          if k in m}
+    kw = {k: m[k] for k in _SIM.types if k not in ("gpu_budget", "link", "calibrate") and k in m}
     if m.get("link"):
         if m["link"] not in LINKS:
             raise UsageError(f"unknown link preset {m['link']!r}; "
@@ -195,10 +195,8 @@ def _scenario_from_obj(sc) -> tuple:
     g = _generated_graph(check(gen, _GENERATORS[gen["kind"]], "generator"))
     tg = expand_training_graph(g, static_bytes=parse_bytes(sc.get("static_bytes", 0)))
     cfg = _rewrite_config(sc.get("rewrite", {}))
-    cfg.validate()
     sm = sc.get("sim", {})
     sim_cfg = _sim_config(sm)
-    sim_cfg.validate()
     cal = sm.get("calibrate")
     calibration = (_rewrite_config({"preset": cal["preset"]}), cal["target_seconds"]) if cal \
         else None
@@ -235,8 +233,8 @@ def cmd_simulate(args) -> int:
             calibration = (tg, plan, m["calibrate_target"])
         trace, report_path = m.get("trace"), m.get("report")
     if calibration:
-        cal_tg, cal_plan, target = calibration
-        sim_cfg.compute_rate = calibrate_compute_rate(cal_tg, cal_plan, sim_cfg, target)
+        *cal, target = calibration  # (graph, plan), target seconds
+        sim_cfg = replace(sim_cfg, compute_rate=calibrate_compute_rate(*cal, sim_cfg, target))
         print(f"calibrated compute_rate: {sim_cfg.compute_rate:.6g} units/s")
     report = simulate(tg, plan, sim_cfg)
     phases = stall_report(report)

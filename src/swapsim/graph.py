@@ -1,5 +1,5 @@
 """Computation-graph data model: nodes, tensors, orderings, validation, JSON I/O
-and the schemas that every document the tool reads is checked against.
+and the schemas and value types that every document and config must meet.
 
 Graphs are immutable after construction; every function here is pure, so
 values can be shared freely across threads and scenario workers. Rows are
@@ -14,13 +14,13 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fnmatch import fnmatchcase
 from inspect import Parameter, signature
 from itertools import chain, compress
 from operator import attrgetter
 from types import UnionType
-from typing import Literal, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Literal, NamedTuple, NewType, Union, get_args, get_origin, get_type_hints
 
 NODE_KINDS = frozenset({
     "conv", "matmul", "norm", "activation", "concat", "pool", "upsample",
@@ -34,6 +34,7 @@ SCHEMA_VERSION = 1
 # Guard for the byte counter; anything past this is a modeling mistake.
 MAX_BYTES = 1 << 62
 _INF = float("inf")
+_MAX_FLOAT = math.nextafter(_INF, 0)  # a larger int overflows a float
 _is_str = str.__instancecheck__
 
 
@@ -430,7 +431,19 @@ def graph_to_obj(g: GraphSpec) -> dict:
 # annotations of the row, config or function that declares the key. A field
 # without a default is a required key; a key left out keeps its default. A
 # float is a finite number >= 0, a str or int excludes bools, a tuple is a
-# JSON list, and a Literal lists the values allowed.
+# JSON list or a tuple, and a Literal lists the values allowed. A config
+# checks its own fields by the same rules when it is built (``check_fields``).
+
+Positive = NewType("Positive", float)  # a finite number > 0
+Count = NewType("Count", int)          # an integer >= 1
+Size = NewType("Size", int)            # an integer >= 0
+
+
+@cache
+def _hints(decl) -> dict:
+    """The resolved annotations of a class or function, read once."""
+    return get_type_hints(decl)
+
 
 class Schema:
     """The keys that ``decl`` (a NamedTuple, dataclass or function, or None)
@@ -445,7 +458,7 @@ class Schema:
     def types(self) -> dict:
         if self._decl is None:
             return self._extra
-        hints = get_type_hints(self._decl)
+        hints = _hints(self._decl)
         return {k: hints[k] for k in signature(self._decl).parameters} | self._extra
 
     @cached_property
@@ -455,14 +468,30 @@ class Schema:
 
 
 _NAMES = {str: "a string", int: "an integer", bool: "true or false", float: "a finite number >= 0",
-          dict: "an object", list: "a list"}
+          dict: "an object", list: "a list", Positive: "a finite number > 0",
+          Count: "an integer >= 1", Size: "an integer >= 0"}
+
+
+def _name(hint) -> str:
+    if get_origin(hint) is Union:
+        return " or ".join(map(_name, get_args(hint)))
+    return _NAMES.get(hint) or str(hint).replace("typing.", "").replace(f"{__name__}.", "")
 
 
 def _wrong(value, hint, path: str) -> GraphError:
     got = (f"a list of {len(value)} items" if type(value) is list
            else "an object" if type(value) is dict else repr(value))
     return GraphError(f"wrong value type{' at ' + path if path else ''}: expected "
-                      f"{_NAMES.get(hint) or str(hint).replace('typing.', '')}, got {got}")
+                      f"{_name(hint)}, got {got}")
+
+
+def check_fields(decl, values) -> None:
+    """Raise GraphError naming the first annotated field or parameter of
+    ``decl`` whose value in the mapping ``values`` lacks its type; a config
+    runs it on ``vars(self)`` when it is built."""
+    for name, hint in _hints(decl).items():
+        if name in values:
+            check_value(values[name], hint, name)
 
 
 def check_keys(obj, schema: Schema, path: str) -> None:
@@ -486,18 +515,23 @@ def check_value(value, hint, path: str) -> None:
 
 
 def _fits(value, hint) -> bool:
+    if hint is float:  # NaN fails every comparison
+        return type(value) in (int, float) and 0 <= value <= _MAX_FLOAT
+    if hint is Positive:
+        return type(value) in (int, float) and 0 < value <= _MAX_FLOAT
+    if hint is Count or hint is Size:
+        return type(value) is int and value >= (hint is Count)
     origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:
+    if origin in (UnionType, Union):
         return any(_fits(value, h) for h in args)
     if origin is Literal:
         return any(type(value) is type(a) and value == a for a in args)
     if origin is dict:
         return type(value) is dict and _all_fit(value.values(), args[1])
     if origin is tuple:
-        return type(value) is list and (_all_fit(value, args[0]) if args[-1] is ... else
-                                        len(value) == len(args) and all(map(_fits, value, args)))
-    if hint is float:
-        return type(value) in (int, float) and 0 <= value < _INF
+        return type(value) in (list, tuple) and (
+            _all_fit(value, args[0]) if args[-1] is ... else
+            len(value) == len(args) and all(map(_fits, value, args)))
     return type(value) is hint
 
 

@@ -3,13 +3,14 @@
 Costs are abstract work units on a roofline-style model: compute-bound ops
 are charged their flops, memory-bound ops the bytes they move scaled by a
 flops-per-byte balance. The constants below are the calibration surface for
-timing scenarios; byte sizes are exact per tensor shape.
+timing scenarios; byte sizes are exact per tensor shape. Every size a generator
+takes is a ``Count`` (an integer >= 1), checked on entry by its annotation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import GraphSpec, NodeSpec, TensorDesc, GraphError
+from .graph import Count, GraphSpec, NodeSpec, TensorDesc, GraphError, check_fields
 
 # Device balance: abstract flops per byte moved. Memory-bound ops cost
 # bytes * MEM_BALANCE so they compare sanely against conv flops.
@@ -39,24 +40,19 @@ def upsample_cost(voxels_in: int, c_in: int, c_out: int) -> float:
     return 2.0 * UPSAMPLE_KERNEL * voxels_in * c_in * c_out
 
 
-@dataclass
+@dataclass(frozen=True)
 class UNetParams:
-    dims: tuple[int, int, int]
-    in_channels: int = 4
-    base_filters: int = 64
-    depth: int = 5
-    elem_bytes: int = 4
-    convs_per_level: int = 2
+    dims: tuple[Count, Count, Count]
+    in_channels: Count = 4
+    base_filters: Count = 64
+    depth: Count = 5
+    elem_bytes: Count = 4
+    convs_per_level: Count = 2
 
-    def validate(self) -> None:
-        if len(self.dims) != 3 or any(d <= 0 for d in self.dims):
-            raise GraphError(f"dims must be 3 positive extents, got {self.dims}")
+    def __post_init__(self):
+        check_fields(UNetParams, vars(self))
         if self.depth < 2:
             raise GraphError(f"depth must be >= 2, got {self.depth}")
-        if self.in_channels <= 0 or self.base_filters <= 0 or self.convs_per_level <= 0:
-            raise GraphError("in_channels, base_filters and convs_per_level must be positive")
-        if self.elem_bytes <= 0:
-            raise GraphError("elem_bytes must be positive")
         divisor = 2 ** (self.depth - 1)
         for d in self.dims:
             if d % divisor:
@@ -102,7 +98,6 @@ def gen_unet3d(p: UNetParams) -> GraphSpec:
     mirrors that, with a shortcut concat from the same-numbered analysis
     level. Output is deterministic for equal params.
     """
-    p.validate()
     b = _Builder(p.elem_bytes)
 
     def extents(level: int) -> tuple[int, int, int]:
@@ -150,17 +145,14 @@ def gen_unet3d(p: UNetParams) -> GraphSpec:
     })
 
 
-def gen_chain(n: int, bytes_per_tensor: int = 1024, cost_per_op: float = 1.0,
+def gen_chain(n: Count, bytes_per_tensor: Count = 1024, cost_per_op: float = 1.0,
               kinds: tuple[str, ...] = ("conv",)) -> GraphSpec:
     """Linear forward chain of n op nodes with uniform tensor sizes and costs.
 
     ``kinds`` is cycled over the ops, so mixed chains (e.g. conv/activation)
     can be produced for checkpoint-policy tests.
     """
-    if n < 1:
-        raise GraphError(f"chain length must be >= 1, got {n}")
-    if bytes_per_tensor < 1:
-        raise GraphError("bytes_per_tensor must be >= 1")
+    check_fields(gen_chain, locals())
     nodes = []
     tensors = []
     for i in range(n):

@@ -161,9 +161,8 @@ def check_lb_monotonicity(tg: TrainingGraph, selection, sim_cfg: SimConfig) -> l
 
 
 def check_determinism(tg: TrainingGraph, plan, sim_cfg: SimConfig) -> list[str]:
-    a = simulate(tg, plan, sim_cfg).to_json()
-    b = simulate(tg, plan, sim_cfg).to_json()
-    return [] if a == b else ["reruns produced different SimReports"]
+    same = simulate(tg, plan, sim_cfg) == simulate(tg, plan, sim_cfg)
+    return [] if same else ["reruns produced different SimReports"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 Both passes are pure transformations: they return a new TrainingGraph and a
 RewritePlan describing what was inserted; the input graph is never mutated.
+A RewriteConfig is frozen and checks its fields' annotations when it is built.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from itertools import groupby
 from typing import Literal, get_args
 
 from .graph import (
-    GraphSpec, NodeSpec, TensorDesc, GraphError, Violation,
-    Schema, bfs_depths, check, dumps_canonical, load_document, scope_matches, validate_graph,
+    Count, GraphSpec, NodeSpec, TensorDesc, GraphError, Violation, Schema, bfs_depths, check,
+    check_fields, dumps_canonical, load_document, scope_matches, validate_graph,
 )
 from .training import TrainingGraph, cross_phase_tensors, input_nodes
 
@@ -22,25 +23,18 @@ MODES, CKPT_POLICIES = get_args(Mode), get_args(CkptPolicy)
 CKPT_KINDS = ("conv", "matmul")  # 'speed' policy keeps these outputs
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewriteConfig:
     mode: Mode = "none"
-    n_tensors: int = -1
-    lb: int = 1
+    n_tensors: Literal[-1] | Count = -1  # -1: every candidate
+    lb: Count = 1
     excl_scopes: tuple[str, ...] = ()
     incl_scopes: tuple[str, ...] = ()
     ckpt_policy: CkptPolicy = "speed"
     manual_ckpts: tuple[str, ...] = ()
 
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise GraphError(f"unknown rewrite mode {self.mode!r}")
-        if self.lb < 1:
-            raise GraphError(f"lb must be >= 1, got {self.lb}")
-        if self.mode != "none" and (self.n_tensors < -1 or self.n_tensors == 0):
-            raise GraphError(f"n_tensors must be -1 or positive, got {self.n_tensors}")
-        if self.ckpt_policy not in CKPT_POLICIES:
-            raise GraphError(f"unknown checkpoint policy {self.ckpt_policy!r}")
+    def __post_init__(self):
+        check_fields(RewriteConfig, vars(self))
 
 
 # Table-style tuning presets: (n_tensors, lb, excl_scopes).
@@ -60,11 +54,11 @@ def resolve_preset(name: str) -> RewriteConfig:
 
 @dataclass
 class RewritePlan:
-    """What a rewrite inserted. Construction turns the JSON lists of a plan
-    document into tuples and raises GraphError for an ``lb`` below 1."""
+    """What a rewrite inserted. Construction checks ``lb`` by its annotation
+    and turns the JSON lists of a plan document into tuples."""
 
     mode: Mode = "none"
-    lb: int = 1
+    lb: Count = 1
     # tensor id -> (swap_out node, swap_in node, trigger node)
     swapped: dict[str, tuple[str, str, str]] = field(default_factory=dict)
     checkpoints: tuple[str, ...] = ()
@@ -73,8 +67,7 @@ class RewritePlan:
     clone_map: dict[str, str] = field(default_factory=dict)  # clone node id -> original node id
 
     def __post_init__(self):
-        if self.lb < 1:
-            raise GraphError(f"plan lb must be an integer >= 1, got {self.lb!r}")
+        check_fields(RewritePlan, {"lb": self.lb})  # the rewrites fill in the rest
         self.swapped = {t: tuple(v) for t, v in self.swapped.items()}
         self.checkpoints = tuple(self.checkpoints)
         self.recompute_segments = tuple((a, tuple(ns)) for a, ns in self.recompute_segments)
@@ -121,7 +114,6 @@ def select_swap_tensors(tg: TrainingGraph, cfg: RewriteConfig) -> list[str]:
     whitelist applied before the excl_scopes blacklist. The first n_tensors
     are taken (-1 means all); asking for more than exist is not an error.
     """
-    cfg.validate()
     if cfg.mode != "swap":
         raise GraphError(f"select_swap_tensors requires mode 'swap', got {cfg.mode!r}")
     candidates = cross_phase_tensors(tg)
@@ -139,7 +131,7 @@ def select_swap_tensors(tg: TrainingGraph, cfg: RewriteConfig) -> list[str]:
     return candidates[:cfg.n_tensors]
 
 
-def insert_swap_nodes(tg: TrainingGraph, selection, lb: int) -> tuple[TrainingGraph, RewritePlan]:
+def insert_swap_nodes(tg: TrainingGraph, selection, lb: Count) -> tuple[TrainingGraph, RewritePlan]:
     """Insert one swap_out/swap_in pair per selected tensor.
 
     The swap_in carries a data edge to every backward consumer (one swap_in
@@ -208,7 +200,6 @@ def plan_checkpoints(tg: TrainingGraph, cfg: RewriteConfig) -> list[str]:
     cross-phase tensor in serial order; manual: cfg.manual_ckpts. The
     loss-adjacent tensor is always kept.
     """
-    cfg.validate()
     if cfg.mode != "recompute":
         raise GraphError(f"plan_checkpoints requires mode 'recompute', got {cfg.mode!r}")
     candidates = cross_phase_tensors(tg)
@@ -334,7 +325,6 @@ def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, Rew
 
 
 def apply_rewrite(tg: TrainingGraph, cfg: RewriteConfig) -> tuple[TrainingGraph, RewritePlan]:
-    cfg.validate()
     if cfg.mode == "none":
         return tg, RewritePlan(mode="none", lb=cfg.lb)
     if cfg.mode == "swap":

@@ -19,7 +19,8 @@ Scheduling rules:
     allocations, so a tensor alive for zero time never registers (tensors
     live over the half-open interval [alloc, free));
   - the model's static bytes (``TrainingGraph.static_bytes``) are resident
-    throughout; ``SimConfig`` describes only the machine.
+    throughout; ``SimConfig`` describes only the machine, and its field
+    annotations are its value rules, checked when it is built.
 
 Each run works on a compiled view (``_CompiledGraph``): the simulator's own
 columns (channel, cost, tensor indices, allocated bytes, dependency counts,
@@ -36,7 +37,8 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 
-from .graph import NodeSpec, GraphError, dumps_canonical, successors
+from .graph import (Count, NodeSpec, GraphError, Positive, Size, check_fields, dumps_canonical,
+                    successors)
 from .training import TrainingGraph, check_plan
 
 CHANNELS = ("compute", "d2h", "h2d")
@@ -59,24 +61,17 @@ class DeadlockError(GraphError):
         self.waiting = waiting
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    compute_rate: float = 1e12     # cost units per second
-    d2h_bw: float = 40e9           # bytes per second
-    h2d_bw: float = 40e9
+    compute_rate: Positive = 1e12  # cost units per second
+    d2h_bw: Positive = 40e9        # bytes per second
+    h2d_bw: Positive = 40e9
     xfer_latency: float = 0.0      # seconds per transfer
-    gpu_budget: int = 0            # bytes; 0 = unlimited
+    gpu_budget: Size = 0           # bytes; 0 = unlimited
     enforce_budget: bool = False
 
-    def validate(self) -> None:
-        for name in ("compute_rate", "d2h_bw", "h2d_bw", "xfer_latency"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise GraphError(f"{name} must be a finite number, got {value!r}")
-        if self.compute_rate <= 0 or self.d2h_bw <= 0 or self.h2d_bw <= 0:
-            raise GraphError("compute_rate and bandwidths must be positive")
-        if self.xfer_latency < 0:
-            raise GraphError("xfer_latency must be >= 0")
+    def __post_init__(self):
+        check_fields(SimConfig, vars(self))
 
 
 def op_cost(n: NodeSpec, cfg: SimConfig) -> float:
@@ -348,7 +343,6 @@ def simulate(tg: TrainingGraph, plan=None, cfg: SimConfig | None = None) -> SimR
     plan that produced ``tg``: every node and tensor it names has to exist
     (``check_plan``)."""
     cfg = cfg or SimConfig()
-    cfg.validate()
     check_plan(tg.graph, plan)
     return _report(_CompiledGraph(tg), cfg)
 
@@ -388,15 +382,10 @@ def emit_trace(r: SimReport, path) -> None:
         fh.write(dumps_canonical(trace))
 
 
-def epoch_time(iter_seconds: float, iterations: int, host_preproc_seconds: float = 0.0) -> float:
+def epoch_time(iter_seconds: float, iterations: Count, host_preproc_seconds: float = 0.0) -> float:
     """Epoch wall time: host preprocessing pipelines with device compute, so
     each iteration costs the larger of the two."""
-    if iterations < 1:
-        raise GraphError(f"iterations must be >= 1, got {iterations}")
-    for name, value in (("iter_seconds", iter_seconds),
-                        ("host_preproc_seconds", host_preproc_seconds)):
-        if not math.isfinite(value) or value < 0:
-            raise GraphError(f"{name} must be a finite number >= 0, got {value!r}")
+    check_fields(epoch_time, locals())
     return iterations * max(iter_seconds, host_preproc_seconds)
 
 
@@ -421,7 +410,6 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
                 "swapped": len(plan.swapped),
             }
             try:
-                scfg.validate()
                 if view is None:
                     view = _CompiledGraph(rewritten)
                 rep = _report(view, scfg)
@@ -444,8 +432,8 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
     in compute_rate. The graph is compiled once and every probe run reads
     only its makespan. Without an enforced budget, a probe rate at which the
     compute time alone (the sum of the compute costs over the rate) exceeds
-    the target is decided "too slow" without a run; the probes and the
-    returned rate are the same as when every probe runs."""
+    the target is decided "too slow" without a run or a config; the probes
+    and the returned rate are the same as when every probe runs."""
     if not math.isfinite(target_makespan) or target_makespan <= 0:
         raise GraphError(f"target makespan must be a positive finite number, "
                          f"got {target_makespan!r}")
@@ -462,11 +450,9 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
     too_slow = target_makespan * (1 + 1e-9)
 
     def run(rate: float) -> float:
-        c = replace(cfg, compute_rate=rate)
-        c.validate()
         if free_run and compute_units / rate > too_slow:
             return math.inf
-        return _run(view, c)[0]
+        return _run(view, replace(cfg, compute_rate=rate))[0]
 
     lo, hi = 1.0, 1.0
     while run(hi) > target_makespan:

@@ -441,6 +441,7 @@ def probe_files(rewritten, tmp_path, capsys):
         "sc_empty": {},
         "sc_list": [],
         "sc_rate_str": {**chain_scenario, "sim": {"compute_rate": "fast"}},
+        "sc_rate_huge": {**chain_scenario, "sim": {"compute_rate": 10**400}},
         "sc_link_unknown": {**chain_scenario, "sim": {"link": "bogus"}},
         "sc_sim_static": {**chain_scenario, "sim": {"static_bytes": "1GiB"}},
         "sc_static_abc": {**chain_scenario, "static_bytes": "abc"},
@@ -519,11 +520,14 @@ BAD_INPUT_PROBES = {
     "cost-units-huge": (["simulate", "{cost_huge}", "{chain_plan}"],
                         "bad value: int too large to convert to float"),
     "plan-lb-negative": (["simulate", "{chain_tg}", "{plan_lb_neg}"],
-                         "plan lb must be an integer >= 1, got -3"),
+                         "plan_lb_neg.json: wrong value type at lb: expected an integer >= 1, "
+                         "got -3"),
     "plan-lb-fraction": (["simulate", "{chain_tg}", "{plan_lb_frac}"],
-                         "plan_lb_frac.json: wrong value type at lb: expected an integer, got 2.7"),
+                         "plan_lb_frac.json: wrong value type at lb: expected an integer >= 1, "
+                         "got 2.7"),
     "plan-lb-bool": (["simulate", "{chain_tg}", "{plan_lb_bool}"],
-                     "plan_lb_bool.json: wrong value type at lb: expected an integer, got True"),
+                     "plan_lb_bool.json: wrong value type at lb: expected an integer >= 1, "
+                     "got True"),
     "graph-input-unknown": (["simulate", "{input_ghost}", "{chain_plan}"],
                             "[dangling-tensor] grad/op0: consumes tensor 'ghost'"),
     "graph-producer-unknown": (["simulate", "{producer_ghost}", "{chain_plan}"],
@@ -541,6 +545,9 @@ BAD_INPUT_PROBES = {
     "scenario-list": (["simulate", "--scenario", "{sc_list}"], "sc_list.json: wrong value type"),
     "scenario-compute-rate-str": (["simulate", "--scenario", "{sc_rate_str}"],
                                   "sc_rate_str.json: wrong value type"),
+    "scenario-compute-rate-huge-int": (["simulate", "--scenario", "{sc_rate_huge}"],
+                                       "wrong value type at sim.compute_rate: expected a "
+                                       "finite number > 0, got 1000"),
     "scenario-link-unknown": (["simulate", "--scenario", "{sc_link_unknown}"],
                               "sc_link_unknown.json: bad value: unknown link preset 'bogus'"),
     "scenario-sim-static-bytes": (["simulate", "--scenario", "{sc_sim_static}"],
@@ -557,10 +564,11 @@ BAD_INPUT_PROBES = {
     "scenario-report-int": (["simulate", "--scenario", "{sc_report_int}"],
                             "wrong value type at outputs.report: expected a string, got 1"),
     "scenario-chain-n-bool": (["simulate", "--scenario", "{sc_n_bool}"],
-                              "wrong value type at generator.n: expected an integer, got True"),
+                              "wrong value type at generator.n: expected an integer >= 1, "
+                              "got True"),
     "scenario-bytes-per-tensor-fraction": (["simulate", "--scenario", "{sc_bytes_frac}"],
                                            "wrong value type at generator.bytes_per_tensor: "
-                                           "expected an integer, got 1.5"),
+                                           "expected an integer >= 1, got 1.5"),
     "scenario-calibrate-no-preset": (["simulate", "--scenario", "{sc_calibrate_no_preset}"],
                                      "missing key 'preset' in sim.calibrate"),
     "scenario-preset-and-lb": (["simulate", "--scenario", "{sc_preset_lb}"],
@@ -592,6 +600,11 @@ BAD_INPUT_PROBES = {
     "sweep-bw-abc": (["sweep", "{chain}", "--presets", "paper-c1", "--bw", "abc"],
                      "usage error: invalid float list 'abc'"),
     "sweep-lb-x": (["sweep", "{chain}", "--lb", "x"], "usage error: invalid int list 'x'"),
+    "sweep-compute-rate-0": (["sweep", "{chain}", "--presets", "paper-c1", "--compute-rate", "0"],
+                             "error: wrong value type at compute_rate: expected a finite number "
+                             "> 0, got 0.0"),
+    "sweep-bw-0": (["sweep", "{chain}", "--presets", "paper-c1", "--bw", "0"],
+                   "error: wrong value type at d2h_bw: expected a finite number > 0, got 0.0"),
     "verify-seeds-x..y": (["verify", "--seeds", "x..y"], "usage error: invalid seed spec 'x..y'"),
     "verify-seeds-1..2..3": (["verify", "--seeds", "1..2..3"],
                              "usage error: invalid seed spec '1..2..3'"),

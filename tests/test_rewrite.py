@@ -1,6 +1,7 @@
 import random
 import time
 from collections import deque
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -359,6 +360,16 @@ class TestValidity:
         assert resolve_preset("paper-c3").excl_scopes == ("synthesis/*",)
         with pytest.raises(GraphError, match="unknown preset"):
             resolve_preset("c9")
+
+    def test_presets_are_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            resolve_preset("paper-c1").lb = 7
+        assert resolve_preset("paper-c1").lb == 1
+
+    def test_insert_swap_nodes_checks_lb(self):
+        tg = expand_training_graph(gen_chain(3))
+        with pytest.raises(GraphError, match="at lb: expected an integer >= 1, got 0"):
+            insert_swap_nodes(tg, ["t0"], 0)
 
     def test_plan_round_trip(self, tmp_path):
         from swapsim.rewrite import load_plan, save_plan

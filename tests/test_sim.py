@@ -5,13 +5,15 @@ from dataclasses import replace
 
 import pytest
 
+from swapsim.cli import _scenario_from_obj
 from swapsim.graph import GraphError, NodeSpec
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import (
     check_dependency_soundness, check_memory_conservation, check_schedule_oracle,
     check_swap_soundness, random_instance, run_invariant_suite,
 )
-from swapsim.rewrite import RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset
+from swapsim.rewrite import (RewriteConfig, RewritePlan, apply_rewrite, insert_swap_nodes,
+                             resolve_preset)
 from swapsim.sim import (
     DeadlockError, InfeasibleError, SimConfig, calibrate_compute_rate, emit_trace,
     epoch_time, op_cost, simulate, stall_report, sweep, xfer_cost,
@@ -441,12 +443,50 @@ class TestInputChecks:
     @pytest.mark.parametrize("field", ["compute_rate", "d2h_bw", "h2d_bw", "xfer_latency"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_config_rejected(self, field, value):
-        cfg = SimConfig(**{field: value})
-        with pytest.raises(GraphError, match=f"{field} must be a finite number"):
-            cfg.validate()
-        tg = expand_training_graph(gen_chain(2))
-        with pytest.raises(GraphError, match=field):
-            simulate(tg, None, cfg)
+        with pytest.raises(GraphError, match=f"wrong value type at {field}: expected a finite "
+                                             f"number .*, got {value!r}$"):
+            SimConfig(**{field: value})
+
+    # Each setting's rule is its annotation, checked where the config is
+    # built: by the library, from flags, or from a scenario file's key path.
+    BAD_SETTINGS = {
+        "rewrite-lb-fraction": (lambda: RewriteConfig(mode="swap", lb=2.5),
+                                "at lb: expected an integer >= 1, got 2.5"),
+        "rewrite-n-tensors-0": (lambda: RewriteConfig(mode="swap", n_tensors=0),
+                                "at n_tensors: expected Literal[-1] or an integer >= 1, got 0"),
+        "rewrite-mode-unknown": (lambda: RewriteConfig(mode="swop"),
+                                 "at mode: expected Literal['swap', 'recompute', 'none'], "
+                                 "got 'swop'"),
+        "plan-lb-0": (lambda: RewritePlan(mode="swap", lb=0),
+                      "at lb: expected an integer >= 1, got 0"),
+        "sim-budget-negative": (lambda: SimConfig(gpu_budget=-1, enforce_budget=True),
+                                "at gpu_budget: expected an integer >= 0, got -1"),
+        "sim-enforce-str": (lambda: SimConfig(enforce_budget="false"),
+                            "at enforce_budget: expected true or false, got 'false'"),
+        "sim-compute-rate-0": (lambda: SimConfig(compute_rate=0),
+                               "at compute_rate: expected a finite number > 0, got 0"),
+        "sim-latency-past-float": (lambda: SimConfig(xfer_latency=2**1024),
+                                   f"at xfer_latency: expected a finite number >= 0, "
+                                   f"got {2**1024}"),
+        "unet-dims-float": (lambda: UNetParams(dims=(16.0, 16, 16)),
+                            "at dims: expected tuple[Count, Count, Count], got (16.0, 16, 16)"),
+        "unet-depth-1": (lambda: UNetParams(dims=(16, 16, 16), depth=1),
+                         "depth must be >= 2, got 1"),
+        "chain-bytes-fraction": (lambda: gen_chain(3, bytes_per_tensor=2.5),
+                                 "at bytes_per_tensor: expected an integer >= 1, got 2.5"),
+        "scenario-lb-0": (lambda: _scenario_from_obj({"generator": {"kind": "chain", "n": 4},
+                                                      "rewrite": {"lb": 0}}),
+                          "at rewrite.lb: expected an integer >= 1, got 0"),
+        "scenario-compute-rate-0": (lambda: _scenario_from_obj({
+            "generator": {"kind": "chain", "n": 4}, "sim": {"compute_rate": 0}}),
+            "at sim.compute_rate: expected a finite number > 0, got 0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_SETTINGS))
+    def test_bad_setting_rejected_when_built(self, name):
+        build, message = self.BAD_SETTINGS[name]
+        with pytest.raises(GraphError, match=re.escape(message) + "$"):
+            build()
 
     @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -1.0])
     def test_bad_cost_units_rejected(self, cost):
