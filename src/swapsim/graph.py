@@ -5,6 +5,14 @@ Graphs are immutable after construction; every function here is pure, so
 values can be shared freely across threads and scenario workers. Rows are
 named tuples; each graph builds one ``GraphIndex`` of lookups on first use,
 and every stage from validation to simulation reads it.
+
+Every stage that builds or walks a whole graph (loading, saving,
+validation, generation, expansion, rewriting, liveness and simulation) runs
+with the cyclic garbage collector paused (``gc_paused``). The rows and
+indices are acyclic, so reference counting frees them, and a collection
+would only rescan them. The pause is process-wide: a stage restores only
+what it changed, so stages running in two threads at once may spend part of
+their run with the collector on, which costs speed but never correctness.
 """
 from __future__ import annotations
 
@@ -14,7 +22,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from fnmatch import fnmatchcase
 from inspect import Parameter, signature
 from itertools import chain, compress
@@ -46,6 +54,28 @@ class CycleError(GraphError):
     def __init__(self, member: str):
         super().__init__(f"graph contains a cycle through node {member!r}")
         self.member = member
+
+
+def gc_paused(stage):
+    """``stage``, run with the cyclic garbage collector paused.
+
+    A stage may pause the collector only when nothing it builds is a
+    reference cycle, since cyclic garbage waits for a collection that the
+    pause defers. If the collector is on when the stage starts, it is off
+    until the stage returns or raises, and then on again; if it is already
+    off, the stage leaves it alone. Nothing turns it off on the way out, so
+    a thread can never leave it off for another.
+    """
+    @wraps(stage)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return stage(*args, **kwargs)
+        gc.disable()
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class TensorDesc(NamedTuple):
@@ -366,6 +396,7 @@ def validate_graph_order(g: GraphSpec) -> tuple[list[Violation], list[str]]:
     return out, order
 
 
+@gc_paused
 def validate_graph(g: GraphSpec) -> list[Violation]:
     """All violations found in the graph; an empty list means valid."""
     return validate_graph_order(g)[0]
@@ -479,6 +510,16 @@ def _name(hint) -> str:
 
 
 def _wrong(value, hint, path: str) -> GraphError:
+    """The error for a ``value`` that lacks the type ``hint``. In a list or
+    tuple of the right length, it names the first item that breaks its own
+    rule, by its index (``dims[0]``), and so on down nested tuples."""
+    if get_origin(hint) is tuple and type(value) in (list, tuple):
+        args = get_args(hint)
+        items = args[:1] * len(value) if args[-1] is ... else args
+        if len(items) == len(value):
+            for i, (item, rule) in enumerate(zip(value, items)):
+                if not _fits(item, rule):
+                    return _wrong(item, rule, f"{path}[{i}]")
     got = (f"a list of {len(value)} items" if type(value) is list
            else "an object" if type(value) is dict else repr(value))
     return GraphError(f"wrong value type{' at ' + path if path else ''}: expected "
@@ -705,6 +746,7 @@ def graph_text(g: GraphSpec, pad: str = "") -> str:
             f'\n{p}"version": {SCHEMA_VERSION}\n{pad}}}')
 
 
+@gc_paused
 def save_graph(g: GraphSpec, path) -> None:
     violations = validate_graph(g)
     if violations:
@@ -713,20 +755,17 @@ def save_graph(g: GraphSpec, path) -> None:
         fh.write(graph_text(g) + "\n")
 
 
+@gc_paused
 def load_document(path, kind: str, from_obj):
-    """Parse the JSON document at ``path`` and build it with ``from_obj``.
-
-    Both steps run with the cyclic garbage collector paused: a document is
-    an acyclic tree, so the pause frees nothing late, while full collections
-    would rescan the growing document many times. The caller's GC state is
-    restored on every exit. Every error in the document is one GraphError
-    naming the file: ``from_obj`` checks the document against its schema
-    before it reads it (``check``).
+    """Parse the JSON document at ``path`` and build it with ``from_obj``,
+    with the cyclic collector paused (``gc_paused``): a document is an
+    acyclic tree, while full collections would rescan the growing document
+    many times. Every error in the document is one GraphError naming the
+    file: ``from_obj`` checks the document against its schema before it
+    reads it (``check``).
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         return from_obj(json.loads(text))
     except json.JSONDecodeError as exc:
@@ -736,9 +775,6 @@ def load_document(path, kind: str, from_obj):
         raise GraphError(f"{kind} file {path}: {exc}") from None
     except (ValueError, OverflowError) as exc:
         raise GraphError(f"malformed {kind} file {path}: bad value: {exc}") from None
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def load_graph(path) -> GraphSpec:

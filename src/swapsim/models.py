@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Count, GraphSpec, NodeSpec, TensorDesc, GraphError, check_fields
+from .graph import Count, GraphSpec, NodeSpec, TensorDesc, GraphError, check_fields, gc_paused
 
 # Device balance: abstract flops per byte moved. Memory-bound ops cost
 # bytes * MEM_BALANCE so they compare sanely against conv flops.
@@ -91,6 +91,7 @@ def _conv_block(b: _Builder, scope: str, cur: str, voxels: int, shape, c_in: int
     return cur
 
 
+@gc_paused
 def gen_unet3d(p: UNetParams) -> GraphSpec:
     """Forward-only 3D U-Net: analysis path, bottleneck, synthesis path, loss.
 
@@ -145,6 +146,7 @@ def gen_unet3d(p: UNetParams) -> GraphSpec:
     })
 
 
+@gc_paused
 def gen_chain(n: Count, bytes_per_tensor: Count = 1024, cost_per_op: float = 1.0,
               kinds: tuple[str, ...] = ("conv",)) -> GraphSpec:
     """Linear forward chain of n op nodes with uniform tensor sizes and costs.
@@ -153,6 +155,8 @@ def gen_chain(n: Count, bytes_per_tensor: Count = 1024, cost_per_op: float = 1.0
     can be produced for checkpoint-policy tests.
     """
     check_fields(gen_chain, locals())
+    if not kinds:
+        raise GraphError(f"kinds must name at least one node kind, got {kinds!r}")
     nodes = []
     tensors = []
     for i in range(n):

@@ -16,6 +16,9 @@ from .sim import SimConfig, simulate
 
 _SCOPES = ("a/x", "a/y", "b/x", "b/y")
 LB_GRID = (1, 2, 3, 5, 8)  # the lookaheads check_lb_monotonicity simulates
+# The largest rewrite the brute-force schedule oracle enumerates: its
+# orderings grow as (swaps!)^2, and each one is scheduled over every node.
+ORACLE_MAX_SWAPS, ORACLE_MAX_NODES = 3, 30
 
 
 def random_forward_graph(rng: random.Random) -> GraphSpec:
@@ -238,9 +241,19 @@ def _fifo_realizable(order, ready, pos, times) -> bool:
     return True
 
 
+def _oracle_reaches(tg: TrainingGraph, plan: RewritePlan) -> bool:
+    """Whether the rewrite is small enough for ``brute_force_makespans``."""
+    return len(plan.swapped) <= ORACLE_MAX_SWAPS and len(tg.graph.nodes) <= ORACLE_MAX_NODES
+
+
 def brute_force_makespans(tg: TrainingGraph, plan: RewritePlan, cfg: SimConfig) -> list[float]:
-    """Makespans of every FIFO-realizable transfer ordering (exhaustive)."""
+    """Makespans of every FIFO-realizable transfer ordering (exhaustive), for
+    a rewrite within the oracle's reach (``_oracle_reaches``)."""
     g = tg.graph
+    if not _oracle_reaches(tg, plan):
+        raise GraphError(f"schedule oracle: {len(plan.swapped)} swaps and {len(g.nodes)} nodes "
+                         f"exceed its limit of {ORACLE_MAX_SWAPS} swaps and "
+                         f"{ORACLE_MAX_NODES} nodes")
     outs = sorted(v[0] for v in plan.swapped.values())
     ins = sorted(v[1] for v in plan.swapped.values())
     prod_pos = {}
@@ -278,7 +291,7 @@ def brute_force_makespans(tg: TrainingGraph, plan: RewritePlan, cfg: SimConfig) 
 
 def check_schedule_oracle(tg: TrainingGraph, rewritten: TrainingGraph,
                           plan: RewritePlan, cfg: SimConfig) -> list[str]:
-    if len(plan.swapped) > 3 or len(rewritten.graph.nodes) > 30:
+    if not _oracle_reaches(rewritten, plan):
         return []
     oracle = brute_force_makespans(rewritten, plan, cfg)
     if not oracle:
@@ -344,7 +357,7 @@ def run_invariant_suite(instances: int = 200, seed: int = 0) -> dict:
         checks += 1
         failures.extend(f"[lb-monotonicity] instance {i}: {msg}"
                         for msg in check_lb_monotonicity(tg, lb_sel, sim_cfg))
-        if len(plan.swapped) <= 3 and len(rewritten.graph.nodes) <= 30:
+        if _oracle_reaches(rewritten, plan):
             checks += 1
             oracle_runs += 1
             failures.extend(f"[schedule-oracle] instance {i}: {msg}"

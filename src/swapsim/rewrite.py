@@ -13,7 +13,7 @@ from typing import Literal, get_args
 
 from .graph import (
     Count, GraphSpec, NodeSpec, TensorDesc, GraphError, Violation, Schema, bfs_depths, check,
-    check_fields, dumps_canonical, load_document, scope_matches, validate_graph,
+    check_fields, dumps_canonical, gc_paused, load_document, scope_matches, validate_graph,
 )
 from .training import TrainingGraph, cross_phase_tensors, input_nodes
 
@@ -131,6 +131,7 @@ def select_swap_tensors(tg: TrainingGraph, cfg: RewriteConfig) -> list[str]:
     return candidates[:cfg.n_tensors]
 
 
+@gc_paused
 def insert_swap_nodes(tg: TrainingGraph, selection, lb: Count) -> tuple[TrainingGraph, RewritePlan]:
     """Insert one swap_out/swap_in pair per selected tensor.
 
@@ -221,6 +222,49 @@ def plan_checkpoints(tg: TrainingGraph, cfg: RewriteConfig) -> list[str]:
     return [t for t in candidates if t in kept]  # by producer position, as candidates are
 
 
+class _Segment:
+    """The clones that backward segment ``s`` of ``insert_recompute`` needs,
+    each made on first need and shared within the segment. ``resolve``
+    recurses through a method rather than a nested function: a recursive
+    closure is a function-cell reference cycle, which a stage that runs with
+    the collector paused (``gc_paused``) must not leave behind."""
+
+    def __init__(self, s: int, g: GraphSpec, resident: set, tensors: list, clone_map: dict):
+        self.s, self.g, self.resident = s, g, resident
+        self.tensors, self.clone_map = tensors, clone_map  # shared by every segment
+        self.mapping: dict[str, str] = {}  # tensor id -> its clone's output tensor
+        self.clones: list[NodeSpec] = []
+
+    def resolve(self, tid: str) -> str:
+        """The tensor the segment reads for ``tid``: ``tid`` itself when it is
+        resident or not forward-produced, else its clone's output."""
+        if tid in self.resident:
+            return tid
+        if tid in self.mapping:
+            return self.mapping[tid]
+        g, s = self.g, self.s
+        ix = g.index
+        k = ix.tensor_index[tid]
+        prod = ix.nodes[ix.producer[k]]
+        if prod.phase != "forward" or prod.kind == "loss":
+            return tid  # backward-produced tensors are resident during backward
+        if not prod.inputs:
+            raise GraphError(
+                f"segment needs tensor {tid!r} with no preceding checkpoint "
+                f"and no graph input to recompute from")
+        ins = tuple(self.resolve(x) for x in prod.inputs)
+        clone_id, out_id = f"{prod.id}@rc{s}", f"{tid}@rc{s}"
+        src = g.tensors[k]
+        self.clones.append(NodeSpec(clone_id, prod.kind, ins, (out_id,), prod.cost_units,
+                                    prod.scope, "backward"))
+        self.tensors.append(TensorDesc(out_id, clone_id, src.shape, src.channels,
+                                       src.elem_bytes, src.scope))
+        self.clone_map[clone_id] = prod.id
+        self.mapping[tid] = out_id
+        return out_id
+
+
+@gc_paused
 def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, RewritePlan]:
     """Free non-checkpoint cross-phase tensors at the phase boundary and
     re-materialize them with forward-op clones ahead of each backward segment.
@@ -236,15 +280,12 @@ def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, Rew
         if t not in cross:
             raise GraphError(f"checkpoint {t!r} is not a cross-phase tensor")
     kept = set(checkpoints)
-    input_tensors = {n.outputs[0] for n in input_nodes(g)}
+    resident = kept | {n.outputs[0] for n in input_nodes(g)}  # graph inputs are never freed
     boundary = tg.boundary_position
     forward_ids = list(tg.serial_order[:boundary + 1])
     backward_ids = list(tg.serial_order[boundary + 1:])
     ix = g.index
-    rows, index, tindex, producer = ix.nodes, ix.index, ix.tensor_index, ix.producer
-
-    def resident(tid: str) -> bool:
-        return tid in kept or tid in input_tensors
+    rows, index, tindex = ix.nodes, ix.index, ix.tensor_index
 
     # Segment index per forward op: a new segment starts after each
     # checkpoint-producing op. anchors[p] is the last checkpoint that
@@ -270,48 +311,16 @@ def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, Rew
     serial_backward: list[str] = []
     for s, group in groupby(backward_ids, key=lambda gid: seg_of.get(tg.grad_of.get(gid), -1)):
         grad_ids = list(group)
-        mapping: dict[str, str] = {}
-        clones: list[str] = []
-
-        def resolve(tid: str) -> str:
-            if resident(tid):
-                return tid
-            if tid in mapping:
-                return mapping[tid]
-            k = tindex[tid]
-            prod = rows[producer[k]]
-            if prod.phase != "forward" or prod.kind == "loss":
-                return tid  # backward-produced tensors are resident during backward
-            if not prod.inputs and not resident(tid):
-                raise GraphError(
-                    f"segment needs tensor {tid!r} with no preceding checkpoint "
-                    f"and no graph input to recompute from")
-            ins = tuple(resolve(x) for x in prod.inputs)
-            clone_id, out_id = f"{prod.id}@rc{s}", f"{tid}@rc{s}"
-            src = g.tensors[k]
-            new_nodes.append(NodeSpec(clone_id, prod.kind, ins, (out_id,), prod.cost_units,
-                                      prod.scope, "backward"))
-            tensors.append(TensorDesc(out_id, clone_id, src.shape, src.channels,
-                                      src.elem_bytes, src.scope))
-            plan.clone_map[clone_id] = prod.id
-            clones.append(clone_id)
-            mapping[tid] = out_id
-            return out_id
-
+        segment = _Segment(s, g, resident, tensors, plan.clone_map)
         for gid in grad_ids:
             gn = rows[index[gid]]
-            new_inputs = []
-            for tid in gn.inputs:
-                k = tindex.get(tid)
-                if (k is not None and rows[producer[k]].phase == "forward"
-                        and not resident(tid)):
-                    new_inputs.append(resolve(tid))
-                else:
-                    new_inputs.append(tid)
-            rewired[gid] = gn._replace(inputs=tuple(new_inputs))
+            rewired[gid] = gn._replace(inputs=tuple(segment.resolve(t) if t in tindex else t
+                                                    for t in gn.inputs))
+        clones = [n.id for n in segment.clones]
         if clones:
             first_pos = min(tg.position(plan.clone_map[c]) for c in clones)
             segments.append((anchors[first_pos], tuple(plan.clone_map[c] for c in clones)))
+        new_nodes += segment.clones
         serial_backward.extend(clones)
         serial_backward.extend(grad_ids)
     plan.recompute_segments = tuple(segments)
@@ -324,6 +333,7 @@ def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, Rew
     return new_tg, plan
 
 
+@gc_paused
 def apply_rewrite(tg: TrainingGraph, cfg: RewriteConfig) -> tuple[TrainingGraph, RewritePlan]:
     if cfg.mode == "none":
         return tg, RewritePlan(mode="none", lb=cfg.lb)
@@ -334,6 +344,7 @@ def apply_rewrite(tg: TrainingGraph, cfg: RewriteConfig) -> tuple[TrainingGraph,
     return insert_recompute(tg, checkpoints)
 
 
+@gc_paused
 def check_rewrite_validity(original: TrainingGraph, rewritten: TrainingGraph,
                            plan: RewritePlan) -> list[Violation]:
     """Regression guard over a rewrite: structure, bypasses, clone fidelity."""

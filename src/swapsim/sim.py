@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .graph import (Count, NodeSpec, GraphError, Positive, Size, check_fields, dumps_canonical,
-                    successors)
+                    gc_paused, successors)
 from .training import TrainingGraph, check_plan
 
 CHANNELS = ("compute", "d2h", "h2d")
@@ -338,6 +338,7 @@ def _report(v: _CompiledGraph, cfg: SimConfig) -> SimReport:
     )
 
 
+@gc_paused
 def simulate(tg: TrainingGraph, plan=None, cfg: SimConfig | None = None) -> SimReport:
     """Simulate one iteration of ``tg``. ``plan``, when given, must be the
     plan that produced ``tg``: every node and tensor it names has to exist
@@ -389,6 +390,7 @@ def epoch_time(iter_seconds: float, iterations: Count, host_preproc_seconds: flo
     return iterations * max(iter_seconds, host_preproc_seconds)
 
 
+@gc_paused
 def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
     """One summary row per (rewrite config, sim config) cell, sorted by
     (n_tensors, lb, mode, bandwidths). Infeasible cells report their error
@@ -425,6 +427,7 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
     return rows
 
 
+@gc_paused
 def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
                            target_makespan: float) -> float:
     """Binary-search the compute_rate that puts the simulated makespan at the

@@ -11,8 +11,8 @@ from typing import Literal
 
 from .graph import (
     IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, Schema, check, dumps_canonical,
-    graph_from_obj, graph_text, graph_to_obj, list_text, load_document, validate_graph_order,
-    value_text,
+    gc_paused, graph_from_obj, graph_text, graph_to_obj, list_text, load_document,
+    validate_graph_order, value_text,
 )
 
 BACKWARD_COST_RATIO = 2.0  # grad op cost relative to its forward counterpart
@@ -82,6 +82,7 @@ class TrainingGraph:
         return tuple((node(f).outputs[0], gid) for gid, f in self.grad_of.items())
 
 
+@gc_paused
 def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
                           backward_cost_ratio: float = BACKWARD_COST_RATIO) -> TrainingGraph:
     """Add one grad node per forward op, plus a loss bridge if missing.
@@ -280,6 +281,7 @@ def residency(g: GraphSpec, starts, ends) -> list[tuple]:
     return out
 
 
+@gc_paused
 def static_peak_estimate(tg: TrainingGraph, plan=None) -> LivenessReport:
     """Peak of summed resident tensor bytes over the serial positions, by the
     simulator's alloc/free rule (``residency``) with every transfer instant.
@@ -347,6 +349,7 @@ def training_from_obj(obj) -> TrainingGraph:
     return TrainingGraph(**kw | {"graph": graph_from_obj(kw["graph"], "graph")})
 
 
+@gc_paused
 def save_training_graph(tg: TrainingGraph, path) -> None:
     """Write dumps_canonical(training_to_obj(tg)), built row by row."""
     pad = "  "

@@ -452,6 +452,8 @@ def probe_files(rewritten, tmp_path, capsys):
         "sc_report_int": {**chain_scenario, "outputs": {"report": 1}},
         "sc_n_bool": {"generator": {"kind": "chain", "n": True}},
         "sc_bytes_frac": {"generator": {"kind": "chain", "n": 4, "bytes_per_tensor": 1.5}},
+        "sc_dims_0": {"generator": {"kind": "unet3d", "dims": [0, 16, 16]}},
+        "sc_scope_int": {**chain_scenario, "rewrite": {"mode": "swap", "excl_scopes": ["a/*", 3]}},
         "sc_calibrate_no_preset": {**chain_scenario,
                                    "sim": {"calibrate": {"target_seconds": 1.0}}},
         "sc_preset_lb": {**chain_scenario, "rewrite": {"preset": "paper-c4", "lb": 3}},
@@ -569,6 +571,12 @@ BAD_INPUT_PROBES = {
     "scenario-bytes-per-tensor-fraction": (["simulate", "--scenario", "{sc_bytes_frac}"],
                                            "wrong value type at generator.bytes_per_tensor: "
                                            "expected an integer >= 1, got 1.5"),
+    "scenario-unet-dims-0": (["simulate", "--scenario", "{sc_dims_0}"],
+                             "wrong value type at generator.dims[0]: expected an integer >= 1, "
+                             "got 0"),
+    "scenario-excl-scope-int": (["simulate", "--scenario", "{sc_scope_int}"],
+                                "wrong value type at rewrite.excl_scopes[1]: expected a string, "
+                                "got 3"),
     "scenario-calibrate-no-preset": (["simulate", "--scenario", "{sc_calibrate_no_preset}"],
                                      "missing key 'preset' in sim.calibrate"),
     "scenario-preset-and-lb": (["simulate", "--scenario", "{sc_preset_lb}"],

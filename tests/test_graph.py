@@ -3,20 +3,29 @@ import heapq
 import json
 import random
 from collections import Counter, deque
+from inspect import signature
+from types import SimpleNamespace
 
 import pytest
 
+from swapsim import cli as cli_mod
 from swapsim import graph as graph_mod
+from swapsim import models as models_mod
+from swapsim import numeric as numeric_mod
+from swapsim import props as props_mod
+from swapsim import rewrite as rewrite_mod
+from swapsim import sim as sim_mod
 from swapsim import training as training_mod
 from swapsim.graph import (
-    CycleError, GraphError, GraphSpec, NodeSpec, TensorDesc,
+    CycleError, GraphError, GraphSpec, NodeSpec, Schema, TensorDesc,
     bfs_depths, dumps_canonical, graph_from_obj, graph_to_obj, load_document,
     load_graph, save_graph, tensor_bytes, topo_order, validate_graph,
 )
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import random_instance
-from swapsim.rewrite import RewriteConfig, apply_rewrite, check_rewrite_validity, resolve_preset
-from swapsim.sim import simulate
+from swapsim.rewrite import (RewriteConfig, apply_rewrite, check_rewrite_validity,
+                             insert_recompute, insert_swap_nodes, resolve_preset)
+from swapsim.sim import SimConfig, calibrate_compute_rate, simulate, sweep
 from swapsim.training import (
     TrainingGraph, cross_phase_tensors, expand_training_graph, load_training_graph, save_training_graph, static_peak_estimate,
     training_to_obj,
@@ -390,6 +399,81 @@ class TestCanonicalWriter:
                 saved_text(save_training_graph, rewritten, tmp_path)) == expected
 
 
+# ---------------------------------------------------------------------------
+# Every stage that runs with the cyclic collector paused (graph.gc_paused):
+# stage -> (its module, a global of that module the stage calls, the
+# rewrites it runs under in the cycle table, a call of it on inputs ``x``).
+# A stage that reads no rewrite has ``NO_REWRITE``.
+
+MIXED = ("conv", "norm", "activation")
+NO_REWRITE, ANY_REWRITE, RECOMPUTE = (None,), ("swap", "speed", "sqrt_n"), ("speed", "sqrt_n")
+PAUSED_STAGES = {
+    "gen_chain": (models_mod, "check_fields", NO_REWRITE, lambda x: gen_chain(12, kinds=MIXED)),
+    "gen_unet3d": (models_mod, "_conv_block", NO_REWRITE, lambda x: gen_unet3d(TOY)),
+    "save_graph": (graph_mod, "graph_text", NO_REWRITE,
+                   lambda x: save_graph(x.g, x.dir / "saved-g.json")),
+    "validate_graph": (graph_mod, "validate_graph_order", NO_REWRITE,
+                       lambda x: validate_graph(x.g)),
+    "load_graph": (graph_mod, "graph_from_obj", NO_REWRITE, lambda x: load_graph(x.dir / "g.json")),
+    "expand_training_graph": (training_mod, "validate_graph_order", NO_REWRITE,
+                              lambda x: expand_training_graph(x.g)),
+    "apply_rewrite": (rewrite_mod, "select_swap_tensors", ANY_REWRITE,
+                      lambda x: apply_rewrite(x.tg, x.cfg)),
+    "insert_swap_nodes": (rewrite_mod, "cross_phase_tensors", ("swap",),
+                          lambda x: insert_swap_nodes(x.tg, sorted(x.plan.swapped), 2)),
+    "insert_recompute": (rewrite_mod, "input_nodes", RECOMPUTE,
+                         lambda x: insert_recompute(x.tg, x.plan.checkpoints)),
+    "check_rewrite_validity": (rewrite_mod, "validate_graph", ANY_REWRITE,
+                               lambda x: check_rewrite_validity(x.tg, x.rewritten, x.plan)),
+    "static_peak_estimate": (training_mod, "execution_order", ANY_REWRITE,
+                             lambda x: static_peak_estimate(x.rewritten, x.plan)),
+    "save_training_graph": (
+        training_mod, "graph_text", ANY_REWRITE,
+        lambda x: save_training_graph(x.rewritten, x.dir / "saved-tg.json")),
+    "load_training_graph": (training_mod, "training_from_obj", ANY_REWRITE,
+                            lambda x: load_training_graph(x.dir / "tg.json")),
+    "simulate": (sim_mod, "check_plan", ANY_REWRITE,
+                 lambda x: simulate(x.rewritten, x.plan, SimConfig())),
+    "sweep": (rewrite_mod, "apply_rewrite", ANY_REWRITE,
+              lambda x: sweep(x.tg, [x.cfg], [SimConfig()])),
+    "calibrate_compute_rate": (sim_mod, "check_plan", ANY_REWRITE,
+                               lambda x: calibrate_compute_rate(x.rewritten, x.plan, SimConfig(),
+                                                                1.0)),
+}
+STAGE_REWRITES = {"swap": resolve_preset("paper-c1"),
+                  "speed": RewriteConfig(mode="recompute", ckpt_policy="speed"),
+                  "sqrt_n": RewriteConfig(mode="recompute", ckpt_policy="sqrt_n")}
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """Inputs of the paused stages per (graph, rewrite), built once, with the
+    files that the loaders read."""
+    made = {}
+
+    def inputs(graph: str, rewrite):
+        rewrite = rewrite or "swap"
+        if (graph, rewrite) not in made:
+            g = gen_chain(12, kinds=MIXED) if graph == "chain" else gen_unet3d(TOY)
+            tg = expand_training_graph(g)
+            cfg = STAGE_REWRITES[rewrite]
+            rewritten, plan = apply_rewrite(tg, cfg)
+            d = tmp_path_factory.mktemp(f"{graph}-{rewrite}")
+            save_graph(g, d / "g.json")
+            save_training_graph(rewritten, d / "tg.json")
+            made[graph, rewrite] = SimpleNamespace(g=g, tg=tg, cfg=cfg, rewritten=rewritten,
+                                                   plan=plan, dir=d)
+        return made[graph, rewrite]
+    return inputs
+
+
+def paused_functions(*modules) -> set[str]:
+    """Names of the functions that the modules define wrapped by gc_paused."""
+    wrapper = graph_mod.gc_paused(len).__code__
+    return {name for m in modules for name, f in vars(m).items()
+            if getattr(f, "__code__", None) is wrapper and f.__module__ == m.__name__}
+
+
 class TestLoaderGcState:
     @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
     def gc_state(self, request):
@@ -420,6 +504,96 @@ class TestLoaderGcState:
     def test_paused_while_building(self, gc_state, files):
         assert load_document(files / "g.json", "graph", lambda obj: gc.isenabled()) is False
         assert gc.isenabled() is gc_state
+
+    def test_table_lists_every_paused_stage(self):
+        loaders = {"load_graph", "load_training_graph"}  # paused by load_document
+        assert paused_functions(graph_mod, models_mod, training_mod, rewrite_mod, sim_mod) \
+            == set(PAUSED_STAGES) - loaders | {"load_document"}
+        assert paused_functions(props_mod, numeric_mod, cli_mod) == set()
+        # The wrapper keeps the signature that Schema and check_fields read.
+        assert list(signature(gen_chain).parameters) == ["n", "bytes_per_tensor", "cost_per_op",
+                                                         "kinds"]
+        assert Schema(gen_chain).required == {"n"}
+
+    @pytest.mark.parametrize("outcome", ["return", "raise"])
+    @pytest.mark.parametrize("stage", sorted(PAUSED_STAGES))
+    def test_stage_paused_and_state_restored(self, gc_state, stage_inputs, monkeypatch, stage,
+                                             outcome):
+        """The collector is off while the stage runs, and the caller's state
+        is back after it returns or after a GraphError raised inside it."""
+        module, inner, rewrites, run = PAUSED_STAGES[stage]
+        x = stage_inputs("chain", rewrites[0])
+        original, seen = getattr(module, inner), []
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            if outcome == "raise":
+                raise GraphError("raised inside the stage")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, inner, spy)
+        if outcome == "raise":
+            with pytest.raises(GraphError, match="raised inside the stage"):
+                run(x)
+        else:
+            run(x)
+        assert seen and not any(seen)
+        assert gc.isenabled() is gc_state
+
+    GRAPH_ERRORS = {
+        "apply_rewrite-no-backward": (
+            lambda x: apply_rewrite(TrainingGraph(x.g, tuple(n.id for n in x.g.nodes)),
+                                    resolve_preset("paper-c1")),
+            "no backward phase"),
+        "simulate-foreign-plan": (
+            lambda x: simulate(expand_training_graph(gen_chain(4)), x.plan, SimConfig()),
+            "plan does not match the graph"),
+        "insert_recompute-foreign-checkpoint": (
+            lambda x: insert_recompute(x.tg, ["ghost"]), "not a cross-phase tensor"),
+        "save_graph-invalid": (
+            lambda x: save_graph(GraphSpec(nodes=x.g.nodes[1:], tensors=x.g.tensors),
+                                 x.dir / "bad.json"),
+            "refusing to save invalid graph"),
+        "calibrate-unreachable": (
+            lambda x: calibrate_compute_rate(x.rewritten, x.plan, SimConfig(d2h_bw=1e-3), 1.0),
+            "target makespan unreachable"),
+        "gen_chain-no-kinds": (lambda x: gen_chain(3, kinds=()), "kinds"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GRAPH_ERRORS))
+    def test_state_restored_after_graph_error(self, gc_state, stage_inputs, case):
+        run, message = self.GRAPH_ERRORS[case]
+        with pytest.raises(GraphError, match=message):
+            run(stage_inputs("chain", "swap"))
+        assert gc.isenabled() is gc_state
+
+
+CYCLE_CASES = [(graph, rewrite, stage) for graph in ("chain", "unet-toy")
+               for stage, (_, _, rewrites, _) in sorted(PAUSED_STAGES.items())
+               for rewrite in rewrites]
+
+
+class TestPausedStagesLeaveNoCycles:
+    """A paused stage must build no reference cycle, for cyclic garbage would
+    wait for a collection that the pause defers. Each stage runs once to fill
+    first-use caches, then again with the collector off, and a collection
+    after it must find nothing unreachable."""
+
+    @pytest.mark.parametrize("graph,rewrite,stage", CYCLE_CASES,
+                             ids=["-".join(filter(None, case)) for case in CYCLE_CASES])
+    def test_no_unreachable_objects(self, stage_inputs, graph, rewrite, stage):
+        run = PAUSED_STAGES[stage][3]
+        x = stage_inputs(graph, rewrite)
+        run(x)
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run(x)
+            found = gc.collect()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert found == 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ from swapsim.cli import _scenario_from_obj
 from swapsim.graph import GraphError, NodeSpec
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import (
-    check_dependency_soundness, check_memory_conservation, check_schedule_oracle,
-    check_swap_soundness, random_instance, run_invariant_suite,
+    ORACLE_MAX_SWAPS, brute_force_makespans, check_dependency_soundness,
+    check_memory_conservation, check_schedule_oracle, check_swap_soundness, random_instance,
+    run_invariant_suite,
 )
 from swapsim.rewrite import (RewriteConfig, RewritePlan, apply_rewrite, insert_swap_nodes,
                              resolve_preset)
@@ -440,6 +441,15 @@ class TestInputChecks:
         with pytest.raises(GraphError, match="instances must be >= 0, got -3"):
             run_invariant_suite(instances=-3)
 
+    def test_schedule_oracle_refuses_a_rewrite_past_its_limit(self):
+        tg, rewritten, plan, cfg = random_instance(3)  # 6 swaps: 518,400 orderings
+        assert len(plan.swapped) > ORACLE_MAX_SWAPS
+        with pytest.raises(GraphError, match=re.escape(
+                f"schedule oracle: 6 swaps and {len(rewritten.graph.nodes)} nodes exceed its "
+                f"limit of 3 swaps and 30 nodes")):
+            brute_force_makespans(rewritten, plan, cfg)
+        assert check_schedule_oracle(tg, rewritten, plan, cfg) == []
+
     @pytest.mark.parametrize("field", ["compute_rate", "d2h_bw", "h2d_bw", "xfer_latency"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_config_rejected(self, field, value):
@@ -469,11 +479,19 @@ class TestInputChecks:
                                    f"at xfer_latency: expected a finite number >= 0, "
                                    f"got {2**1024}"),
         "unet-dims-float": (lambda: UNetParams(dims=(16.0, 16, 16)),
-                            "at dims: expected tuple[Count, Count, Count], got (16.0, 16, 16)"),
+                            "at dims[0]: expected an integer >= 1, got 16.0"),
+        "unet-dims-0": (lambda: UNetParams(dims=(16, 0, 16)),
+                        "at dims[1]: expected an integer >= 1, got 0"),
+        "unet-dims-two": (lambda: UNetParams(dims=(16, 16)),
+                          "at dims: expected tuple[Count, Count, Count], got (16, 16)"),
+        "rewrite-scope-int": (lambda: RewriteConfig(excl_scopes=("a/*", 3)),
+                              "at excl_scopes[1]: expected a string, got 3"),
         "unet-depth-1": (lambda: UNetParams(dims=(16, 16, 16), depth=1),
                          "depth must be >= 2, got 1"),
         "chain-bytes-fraction": (lambda: gen_chain(3, bytes_per_tensor=2.5),
                                  "at bytes_per_tensor: expected an integer >= 1, got 2.5"),
+        "chain-kinds-empty": (lambda: gen_chain(3, kinds=()),
+                              "kinds must name at least one node kind, got ()"),
         "scenario-lb-0": (lambda: _scenario_from_obj({"generator": {"kind": "chain", "n": 4},
                                                       "rewrite": {"lb": 0}}),
                           "at rewrite.lb: expected an integer >= 1, got 0"),
