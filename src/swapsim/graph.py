@@ -6,6 +6,13 @@ values can be shared freely across threads and scenario workers. Rows are
 named tuples; each graph builds one ``GraphIndex`` of lookups on first use,
 and every stage from validation to simulation reads it.
 
+Every value rule is an annotation, in one vocabulary (``float``, the value
+types ``Positive``, ``Count`` and ``Size``, ``Literal`` and ``tuple``): of
+a document key, a config field, a checked parameter (``check_fields``) or a
+``NodeSpec`` or ``TensorDesc`` row field. Rows are checked a column at a
+time (``_field_violations``), which also states the two row rules that no
+annotation can: an io node costs 0, and a shape is not empty.
+
 Every stage that builds or walks a whole graph (loading, saving,
 validation, generation, expansion, rewriting, liveness and simulation) runs
 with the cyclic garbage collector paused (``gc_paused``). The rows and
@@ -26,15 +33,13 @@ from functools import cache, cached_property, wraps
 from fnmatch import fnmatchcase
 from inspect import Parameter, signature
 from itertools import chain, compress
-from operator import attrgetter
 from types import UnionType
 from typing import Literal, NamedTuple, NewType, Union, get_args, get_origin, get_type_hints
 
-NODE_KINDS = frozenset({
-    "conv", "matmul", "norm", "activation", "concat", "pool", "upsample",
-    "loss", "grad", "swap_out", "swap_in", "recompute", "source", "sink",
-})
-PHASES = frozenset({"forward", "backward", "io"})
+NodeKind = Literal["conv", "matmul", "norm", "activation", "concat", "pool", "upsample",
+                   "loss", "grad", "swap_out", "swap_in", "recompute", "source", "sink"]
+Phase = Literal["forward", "backward", "io"]
+NODE_KINDS = get_args(NodeKind)
 IO_KINDS = frozenset({"swap_out", "swap_in"})
 
 SCHEMA_VERSION = 1
@@ -43,7 +48,6 @@ SCHEMA_VERSION = 1
 MAX_BYTES = 1 << 62
 _INF = float("inf")
 _MAX_FLOAT = math.nextafter(_INF, 0)  # a larger int overflows a float
-_is_str = str.__instancecheck__
 
 
 class GraphError(ValueError):
@@ -78,23 +82,24 @@ def gc_paused(stage):
     return paused
 
 
+# Each row field's annotation is its value rule (see the schemas below).
 class TensorDesc(NamedTuple):
     id: str
     producer: str
-    shape: tuple[int, ...]
-    channels: int
-    elem_bytes: int
+    shape: tuple[Count, ...]  # and not empty
+    channels: Count
+    elem_bytes: Count
     scope: str = ""
 
 
 class NodeSpec(NamedTuple):
     id: str
-    kind: str
+    kind: NodeKind
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
-    cost_units: float = 0.0
+    cost_units: float = 0.0  # 0 on io nodes
     scope: str = ""
-    phase: str = "forward"
+    phase: Phase = "forward"
 
 
 @dataclass(frozen=True)
@@ -131,9 +136,9 @@ class GraphSpec:
         return GraphIndex(self)
 
     @cached_property
-    def field_violations(self) -> list[tuple[str, Violation]]:
-        """(row path, violation) for every row value that breaks its field's
-        rule (``_field_violations``), found on first use."""
+    def field_violations(self) -> list[Violation]:
+        """Every row that breaks a row rule (``_field_violations``), found on
+        first use."""
         return _field_violations(self)
 
     def node(self, node_id: str) -> NodeSpec:
@@ -195,6 +200,17 @@ class GraphIndex:
         return tuple([distinct.setdefault(n, n) for n in map(tensor_bytes, self._tensors)])
 
 
+def unique_index(g: GraphSpec) -> GraphIndex:
+    """``g.index``, once no node id names two rows: the index keeps one row
+    per id, so a graph whose rows share an id is rejected, naming the id."""
+    ix = g.index
+    if len(ix.ids) != len(g.nodes):
+        seen: set[str] = set()
+        twice = next(n.id for n in g.nodes if n.id in seen or seen.add(n.id))
+        raise GraphError(f"node id {twice!r} appears more than once")
+    return ix
+
+
 def successors(g: GraphSpec) -> list[tuple[int, ...]]:
     """Per node index, the indices of its successors over data and control
     edges, one entry per edge; an edge naming a node or tensor the graph lacks
@@ -238,83 +254,42 @@ def scope_matches(scope: str, patterns) -> bool:
     return any(fnmatchcase(scope, p) for p in patterns)
 
 
-def _strs(items) -> bool:
-    return all(map(_is_str, items))
-
-
-def _members(items, allowed: frozenset) -> bool:
-    try:
-        return allowed.issuperset(items)
-    except TypeError:  # an unhashable item
-        return False
-
-
-def _finite_non_negative(numbers) -> bool:
-    numbers = list(numbers)
-    try:
-        return all(issubclass(t, float) for t in {*map(type, numbers)} - {int}) \
-            and all(map(math.isfinite, numbers)) and min(numbers, default=0) >= 0
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _positive_ints(items: list) -> bool:
-    return {*map(type, items)} <= {int} and min(items, default=1) > 0
-
-
-_KIND, _PHASE, _COST, _SHAPE = map(attrgetter, ("kind", "phase", "cost_units", "shape"))
-_NODE_STRS, _REFS = attrgetter("id", "scope"), attrgetter("inputs", "outputs")
-_TENSOR_STRS, _SIZES = attrgetter("id", "producer", "scope"), attrgetter("channels", "elem_bytes")
-
-# Each graph field's value rule, stated once: (violation code, whether a
-# sequence of rows keeps the rule, the message for a row that breaks it).
-# A rule tests all rows in a few passes, and one row at a time only to name
-# the rows that break it. Rules run in order, and the first one that fails
-# ends its row type's checks, since later rules read the fields it rejects.
-_NODE_RULES = (
-    ("bad-id", lambda ns: _strs(chain(chain.from_iterable(map(_NODE_STRS, ns)),
-                                      chain.from_iterable(chain.from_iterable(map(_REFS, ns))))),
-     lambda n: f"node {n.id!r} has scope {n.scope!r}, inputs {list(n.inputs)} and outputs "
-               f"{list(n.outputs)}; ids and scopes must be strings"),
-    ("unknown-kind", lambda ns: _members(map(_KIND, ns), NODE_KINDS),
-     lambda n: f"unknown node kind {n.kind!r}"),
-    ("unknown-phase", lambda ns: _members(map(_PHASE, ns), PHASES),
-     lambda n: f"unknown phase {n.phase!r}"),
-    ("bad-cost", lambda ns: _finite_non_negative(map(_COST, ns)),
-     lambda n: f"node {n.id!r} has cost_units {n.cost_units!r}; cost_units must be a number, "
-               f"finite and >= 0"),
-    ("io-cost", lambda ns: not any(compress(map(_COST, ns), map(IO_KINDS.__contains__,
-                                                                  map(_KIND, ns)))),
-     lambda n: "io node carries nonzero compute cost"),
-)
-_TENSOR_RULES = (
-    ("bad-id", lambda ts: _strs(chain.from_iterable(map(_TENSOR_STRS, ts))),
-     lambda t: f"tensor {t.id!r} has producer {t.producer!r} and scope {t.scope!r}; ids and "
-               f"scopes must be strings"),
-    ("negative-size", lambda ts: all(map(_SHAPE, ts)) and _positive_ints(
-        [*chain.from_iterable(map(_SIZES, ts)), *chain.from_iterable(map(_SHAPE, ts))]),
-     lambda t: f"tensor {t.id!r} has shape {list(t.shape)}, channels {t.channels!r} and "
-               f"elem_bytes {t.elem_bytes!r}; each size must be a positive integer"),
-)
-
-
-def _field_violations(g: GraphSpec) -> list[tuple[str, Violation]]:
-    """(row path, violation) for each row that breaks a field rule. The
-    loaders, ``validate_graph`` and the simulator's compiled view read it."""
-    out = []
-    for name, rows, rules in (("nodes", g.nodes, _NODE_RULES), ("tensors", g.tensors, _TENSOR_RULES)):
-        for code, holds, message in rules:
-            if not holds(rows):
-                out += [(f"{name}[{i}]", Violation(code, str(r.id), message(r)))
-                        for i, r in enumerate(rows) if not holds((r,))]
-                break
+def _field_violations(g: GraphSpec, at: str = "") -> list[Violation]:
+    """Each row value that lacks its field's annotation, named by its row
+    path (``nodes[3].kind``) after ``at``; when every value has it, each row
+    that breaks one of the two rules no annotation states: an io node costs
+    0, and a shape has at least one extent. A column is tested in a few
+    passes (``_all_fit``), and its rows one at a time only to name those
+    that break it. The loaders, ``validate_graph`` and the simulator's
+    compiled view read it."""
+    out, columns = [], {}
+    for name, row in (("nodes", NodeSpec), ("tensors", TensorDesc)):
+        rows = getattr(g, name)
+        for (key, hint), column in zip(_hints(row).items(), zip(*rows)):
+            columns[name, key] = column
+            if not _all_fit(column, hint):
+                out += [Violation("wrong-type", str(r.id),
+                                  str(_wrong(v, hint, f"{at}{name}[{i}].{key}")))
+                        for i, (r, v) in enumerate(zip(rows, column)) if not _fits(v, hint)]
+    if out:
+        return out
+    ids, kinds, costs = (columns.get(("nodes", k), ()) for k in ("id", "kind", "cost_units"))
+    if any(compress(costs, map(IO_KINDS.__contains__, kinds))):
+        out += [Violation("io-cost", n, f"nonzero cost at {at}nodes[{i}].cost_units: an io node "
+                                        f"costs 0, got {c!r}")
+                for i, (n, k, c) in enumerate(zip(ids, kinds, costs)) if c and k in IO_KINDS]
+    shapes = columns.get(("tensors", "shape"), ())
+    if not all(shapes):
+        out += [Violation("empty-shape", t, f"empty shape at {at}tensors[{i}].shape: a tensor "
+                                            f"has at least one extent")
+                for i, (t, shape) in enumerate(zip(columns["tensors", "id"], shapes)) if not shape]
     return out
 
 
 def _structural_violations(g: GraphSpec) -> list[Violation]:
-    """Field-rule violations, or, on rows that keep every field rule, the
+    """Row-rule violations, or, on rows that keep every row rule, the
     structural ones: duplicate ids, producers, dangling ids and edges."""
-    out = [v for _, v in g.field_violations]
+    out = list(g.field_violations)
     if out:
         return out
     seen_nodes: set[str] = set()
@@ -461,9 +436,11 @@ def graph_to_obj(g: GraphSpec) -> dict:
 # Document schemas: each key of a JSON object, with its type, read off the
 # annotations of the row, config or function that declares the key. A field
 # without a default is a required key; a key left out keeps its default. A
-# float is a finite number >= 0, a str or int excludes bools, a tuple is a
-# JSON list or a tuple, and a Literal lists the values allowed. A config
-# checks its own fields by the same rules when it is built (``check_fields``).
+# float is a finite number >= 0 (an int or a float, of a float subclass too),
+# a str or int excludes bools, a tuple is a JSON list or a tuple, and a
+# Literal lists the values allowed. A config checks its own fields by the
+# same rules when it is built (``check_fields``), and a graph its rows, one
+# column at a time (``_field_violations``).
 
 Positive = NewType("Positive", float)  # a finite number > 0
 Count = NewType("Count", int)          # an integer >= 1
@@ -556,10 +533,9 @@ def check_value(value, hint, path: str) -> None:
 
 
 def _fits(value, hint) -> bool:
-    if hint is float:  # NaN fails every comparison
-        return type(value) in (int, float) and 0 <= value <= _MAX_FLOAT
-    if hint is Positive:
-        return type(value) in (int, float) and 0 < value <= _MAX_FLOAT
+    if hint is float or hint is Positive:  # NaN fails every comparison
+        return _number(type(value)) and (0 < value if hint is Positive else 0 <= value) \
+            and value <= _MAX_FLOAT
     if hint is Count or hint is Size:
         return type(value) is int and value >= (hint is Count)
     origin, args = get_origin(hint), get_args(hint)
@@ -576,15 +552,31 @@ def _fits(value, hint) -> bool:
     return type(value) is hint
 
 
+def _number(t: type) -> bool:
+    """Whether a value of type ``t`` is a number: an int (not a bool) or a float."""
+    return t is int or issubclass(t, float)
+
+
 def _all_fit(values, hint) -> bool:
-    """Whether each of ``values`` has the type ``hint``; a long list or map
-    of strs, ints or lists of strs takes a few passes."""
+    """Whether each of ``values`` (a sequence or a dict's values) fits
+    ``hint``, as ``_fits`` decides it one value at a time; a long column of
+    the row fields' types takes a few passes over it."""
+    types, origin, args = {*map(type, values)}, get_origin(hint), get_args(hint)
     if hint in (str, int):
-        return {*map(type, values)} <= {hint}
-    args = get_args(hint)
-    if get_origin(hint) is tuple and {*args} - {...} == {str} and {*map(type, values)} <= {list} \
-            and (args[-1] is ... or {*map(len, values)} <= {len(args)}):
-        return {*map(type, chain.from_iterable(values))} <= {str}
+        return types <= {hint}
+    if hint is float or hint is Positive:
+        try:  # with no NaN among them, the least and the largest bound them all
+            return all(map(_number, types)) and all(map(math.isfinite, values)) \
+                and _fits(min(values, default=1), hint) and _fits(max(values, default=1), hint)
+        except OverflowError:  # an int too large for a float
+            return False
+    if hint is Count or hint is Size:
+        return types <= {int} and _fits(min(values, default=1), hint)
+    if origin is Literal and len({*map(type, args)}) == 1:
+        return types <= {type(args[0])} and {*values} <= {*args}
+    if origin is tuple and types <= {list, tuple} and (  # tuple[X, ...], or tuple[X, X] of length 2
+            args[1:] == (...,) or {*args} == {args[0]} and {*map(len, values)} <= {len(args)}):
+        return _all_fit([*chain.from_iterable(values)], args[0])
     return all(_fits(v, hint) for v in values)
 
 
@@ -600,45 +592,44 @@ def check(obj, schema: Schema, path: str = "") -> dict:
 
 NODE_SCHEMA, TENSOR_SCHEMA = Schema(NodeSpec), Schema(TensorDesc)
 GRAPH_SCHEMA = Schema(GraphSpec, ("version",), version=Literal[SCHEMA_VERSION],
-                      nodes=list, tensors=list)  # rows: checked by _row_objs and the field rules
+                      nodes=list, tensors=list)  # rows: keys by _row_objs, values by annotation
 
 
 def _row_objs(objs, schema: Schema, row, path: str):
-    """(position, object) of each row object of a document's list: one
-    key-set test per row; a key left out gets its declared default, as a
-    list where the row holds a tuple."""
+    """Each row object of a document's list: one key-set test per row; a
+    key left out gets its declared default, as a list where the row holds a
+    tuple."""
     keys = schema.types.keys()
     defaults = {k: list(v) if type(v) is tuple else v for k, v in row._field_defaults.items()}
     for i, obj in enumerate(objs):
         if type(obj) is not dict or obj.keys() != keys:
             check_keys(obj, schema, f"{path}[{i}]")
             obj = defaults | obj
-        yield i, obj
+        yield obj
 
 
 def graph_from_obj(obj, path: str = "") -> GraphSpec:
     """The graph of a graph document that sits at key path ``path`` of its
     file. Raises GraphError naming the first key path that breaks the graph
-    or row schemas, or the first row that breaks a field rule."""
+    or row schemas, or the first row value that breaks its field's rule. A
+    list becomes a tuple; any other value is kept for the field check."""
     at = f"{path}." if path else ""
     kw = {k: v for k, v in check(obj, GRAPH_SCHEMA, path).items() if k != "version"}
     nodes, tensors = [], []
-    for i, nd in _row_objs(kw.get("nodes", ()), NODE_SCHEMA, NodeSpec, f"{at}nodes"):
+    for nd in _row_objs(kw.get("nodes", ()), NODE_SCHEMA, NodeSpec, f"{at}nodes"):
         inputs, outputs, cost = nd["inputs"], nd["outputs"], nd["cost_units"]
-        if type(inputs) is not list or type(outputs) is not list:
-            key = "outputs" if type(inputs) is list else "inputs"
-            raise _wrong(nd[key], list, f"{at}nodes[{i}].{key}")
-        nodes.append(NodeSpec(nd["id"], nd["kind"], tuple(inputs), tuple(outputs),
+        nodes.append(NodeSpec(nd["id"], nd["kind"],
+                              tuple(inputs) if type(inputs) is list else inputs,
+                              tuple(outputs) if type(outputs) is list else outputs,
                               float(cost) if type(cost) is int else cost, nd["scope"], nd["phase"]))
-    for i, td in _row_objs(kw.get("tensors", ()), TENSOR_SCHEMA, TensorDesc, f"{at}tensors"):
-        if type(td["shape"]) is not list:
-            raise _wrong(td["shape"], list, f"{at}tensors[{i}].shape")
-        tensors.append(TensorDesc(td["id"], td["producer"], tuple(td["shape"]), td["channels"],
-                                  td["elem_bytes"], td["scope"]))
+    for td in _row_objs(kw.get("tensors", ()), TENSOR_SCHEMA, TensorDesc, f"{at}tensors"):
+        shape = td["shape"]
+        tensors.append(TensorDesc(td["id"], td["producer"],
+                                  tuple(shape) if type(shape) is list else shape,
+                                  td["channels"], td["elem_bytes"], td["scope"]))
     g = GraphSpec(**kw | {"nodes": nodes, "tensors": tensors})
     if g.field_violations:
-        row, v = g.field_violations[0]
-        raise GraphError(f"{at}{row}: {v.message}")
+        raise GraphError(_field_violations(g, at)[0].message)
     return g
 
 

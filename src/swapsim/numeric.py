@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import GraphError, element_count
+from .graph import GraphError, Positive, Size, check_fields, element_count
 from .training import TrainingGraph, cross_phase_tensors, execution_order, input_nodes
 
 MAX_ELEMENTS = 10_000
@@ -56,12 +56,10 @@ def _base_node_id(node_id: str) -> str:
     return node_id.split("@rc")[0]
 
 
-def _input_block(g, seeds, overrides=None) -> dict[str, np.ndarray]:
+def _input_block(g, seeds: tuple[Size, ...], overrides=None) -> dict[str, np.ndarray]:
     """One row per seed for each graph input; an override (a 1-D value)
     fills every row of its input."""
-    negative = [s for s in seeds if s < 0]
-    if negative:
-        raise GraphError(f"seed {negative[0]} is negative; seeds are integers >= 0")
+    check_fields(_input_block, {"seeds": seeds})
     values = {}
     for n in input_nodes(g):
         tid = n.outputs[0]
@@ -310,15 +308,14 @@ def _kink_distance(tg: TrainingGraph, point) -> float:
     return min(closest)
 
 
-def grad_check(tg: TrainingGraph, seed: int = 0, eps: float = 1e-5,
+def grad_check(tg: TrainingGraph, seed: int = 0, eps: Positive = 1e-5,
                inputs=None) -> GradCheckReport:
     """Max relative error between analytic gradients and central differences.
 
     Sample points that land an activation input on its kink are resampled
     (reported via ``resampled``/``seed_used``).
     """
-    if eps <= 0:
-        raise GraphError("eps must be positive")
+    check_fields(grad_check, {"eps": eps})
     g = tg.graph
     seed_used = seed
     resampled = False

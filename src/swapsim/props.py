@@ -7,12 +7,12 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graph import GraphError, GraphSpec, NodeSpec, TensorDesc, tensor_bytes
+from .graph import GraphError, GraphSpec, NodeSpec, Size, TensorDesc, check_fields, tensor_bytes
 from .training import (
     TrainingGraph, cross_phase_tensors, expand_training_graph, residency, static_peak_estimate,
 )
 from .rewrite import RewriteConfig, RewritePlan, select_swap_tensors, insert_swap_nodes
-from .sim import SimConfig, simulate
+from .sim import SimConfig, op_cost, simulate, xfer_cost
 
 _SCOPES = ("a/x", "a/y", "b/x", "b/y")
 LB_GRID = (1, 2, 3, 5, 8)  # the lookaheads check_lb_monotonicity simulates
@@ -172,54 +172,30 @@ def check_determinism(tg: TrainingGraph, plan, sim_cfg: SimConfig) -> list[str]:
 # Brute-force schedule oracle: enumerate transfer orderings, schedule each by
 # fixpoint, keep the FIFO-consistent ones, compare makespans with the sim.
 
-def _forced_schedule(tg: TrainingGraph, cfg: SimConfig, d2h_order, h2d_order):
-    from .sim import op_cost, xfer_cost
-    g = tg.graph
-    preds: dict[str, list[str]] = {n.id: [] for n in g.nodes}
-    for a, b in g.edges():
-        preds[b].append(a)
-    serial_prev = {nid: tg.serial_order[i - 1]
-                   for i, nid in enumerate(tg.serial_order) if i > 0}
-    chan_prev = {}
-    for order in (d2h_order, h2d_order):
-        for i, nid in enumerate(order):
-            if i > 0:
-                chan_prev[nid] = order[i - 1]
+class _ForcedSchedule:
+    """Every node's (start, end) when each node waits for the nodes in
+    ``after``: its predecessors, then the node before it on its channel
+    (transfers) or in serial order (compute), found by fixpoint. ``end``
+    recurses through a method rather than a nested function: a recursive
+    closure is a function-cell reference cycle, left for the collector."""
 
-    times: dict[str, tuple[float, float]] = {}
-    visiting: set[str] = set()
+    def __init__(self, after: dict, durations: dict):
+        self.after, self.durations = after, durations
+        self.times: dict[str, tuple[float, float]] = {}
+        self.visiting: set[str] = set()
 
-    def duration(nid: str) -> float:
-        n = g.node(nid)
-        if n.kind == "swap_out":
-            return xfer_cost(tensor_bytes(g.tensor(n.inputs[0])), cfg.d2h_bw, cfg.xfer_latency)
-        if n.kind == "swap_in":
-            return xfer_cost(tensor_bytes(g.tensor(n.outputs[0])), cfg.h2d_bw, cfg.xfer_latency)
-        return op_cost(n, cfg)
-
-    def end(nid: str) -> float:
-        if nid in times:
-            return times[nid][1]
-        if nid in visiting:
+    def end(self, nid: str) -> float:
+        if nid in self.times:
+            return self.times[nid][1]
+        if nid in self.visiting:
             raise ValueError("ordering cycle")
-        visiting.add(nid)
+        self.visiting.add(nid)
         ready = 0.0
-        for p in preds[nid]:
-            ready = max(ready, end(p))
-        n = g.node(nid)
-        if n.kind in ("swap_out", "swap_in"):
-            if nid in chan_prev:
-                ready = max(ready, end(chan_prev[nid]))
-        else:
-            if nid in serial_prev:
-                ready = max(ready, end(serial_prev[nid]))
-        visiting.discard(nid)
-        times[nid] = (ready, ready + duration(nid))
-        return times[nid][1]
-
-    for nid in (n.id for n in g.nodes):
-        end(nid)
-    return times
+        for p in self.after[nid]:
+            ready = max(ready, self.end(p))
+        self.visiting.discard(nid)
+        self.times[nid] = span = (ready, ready + self.durations[nid])
+        return span[1]
 
 
 def _fifo_realizable(order, ready, pos, times) -> bool:
@@ -263,13 +239,36 @@ def brute_force_makespans(tg: TrainingGraph, plan: RewritePlan, cfg: SimConfig) 
         in_tensor = g.node(in_id).outputs[0]
         cons_pos[in_id] = min(tg.position(c) for c in g.consumers(in_tensor))
 
+    # Per node: its duration, and the nodes it waits for in any ordering.
+    durations, preds = {}, {n.id: [] for n in g.nodes}
+    for n in g.nodes:
+        if n.kind == "swap_out":
+            durations[n.id] = xfer_cost(tensor_bytes(g.tensor(n.inputs[0])), cfg.d2h_bw,
+                                        cfg.xfer_latency)
+        elif n.kind == "swap_in":
+            durations[n.id] = xfer_cost(tensor_bytes(g.tensor(n.outputs[0])), cfg.h2d_bw,
+                                        cfg.xfer_latency)
+        else:
+            durations[n.id] = op_cost(n, cfg)
+    for a, b in g.edges():
+        preds[b].append(a)
+    for prev, nid in zip(tg.serial_order, tg.serial_order[1:]):
+        preds[nid].append(prev)
+
     results = []
     for d2h_order in itertools.permutations(outs):
         for h2d_order in itertools.permutations(ins):
+            after = dict(preds)
+            for order in (d2h_order, h2d_order):
+                for prev, nid in zip(order, order[1:]):
+                    after[nid] = preds[nid] + [prev]
+            schedule = _ForcedSchedule(after, durations)
             try:
-                times = _forced_schedule(tg, cfg, d2h_order, h2d_order)
+                for n in g.nodes:
+                    schedule.end(n.id)
             except ValueError:
                 continue
+            times = schedule.times
 
             def ready_out(nid):
                 producer = g.tensor(g.node(nid).inputs[0]).producer
@@ -331,10 +330,9 @@ def make_broken_swap_variant(tg: TrainingGraph):
     return broken, plan
 
 
-def run_invariant_suite(instances: int = 200, seed: int = 0) -> dict:
+def run_invariant_suite(instances: Size = 200, seed: int = 0) -> dict:
     """Run all randomized checks; returns counts plus failure descriptions."""
-    if instances < 0:
-        raise GraphError(f"instances must be >= 0, got {instances}")
+    check_fields(run_invariant_suite, {"instances": instances})
     failures: list[str] = []
     checks = 0
     oracle_runs = 0

@@ -186,7 +186,7 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: Count) -> tuple[Training
 def _derived(base: GraphSpec, **rows) -> GraphSpec:
     """A rewrite's graph, with ``base``'s metadata. Each of its rows copies
     the field values of a row of ``base`` or takes constants that keep the
-    field rules, so when ``base`` keeps them it does too, and the rules are
+    row rules, so when ``base`` keeps them it does too, and the rules are
     not run on it again."""
     g = GraphSpec(**rows, metadata=dict(base.metadata))
     if not base.field_violations:

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .graph import (Count, NodeSpec, GraphError, Positive, Size, check_fields, dumps_canonical,
-                    gc_paused, successors)
+                    gc_paused, successors, unique_index)
 from .training import TrainingGraph, check_plan
 
 CHANNELS = ("compute", "d2h", "h2d")
@@ -75,14 +75,13 @@ class SimConfig:
 
 
 def op_cost(n: NodeSpec, cfg: SimConfig) -> float:
-    """Seconds on the compute channel; io nodes, which the field rules hold
-    to cost 0, are charged on copy channels."""
+    """Seconds on the compute channel; io nodes, which the graph's row rules
+    hold to cost 0, are charged on copy channels."""
     return n.cost_units / cfg.compute_rate
 
 
-def xfer_cost(nbytes: int, bw: float, latency: float = 0.0) -> float:
-    if bw <= 0:
-        raise GraphError("bandwidth must be positive")
+def xfer_cost(nbytes: Size, bw: Positive, latency: float = 0.0) -> float:
+    check_fields(xfer_cost, locals())
     return latency + nbytes / bw
 
 
@@ -122,13 +121,13 @@ class _CompiledGraph:
         self.graph = g = tg.graph
         self.static_bytes = tg.static_bytes
         if g.field_violations:
-            raise GraphError(str(g.field_violations[0][1]))
-        ix = g.index
+            raise GraphError(str(g.field_violations[0]))
+        ix = unique_index(g)
         nodes = ix.nodes
-        # O(n) checks in place of a validate_graph per run: the field rules
-        # above; successors resolves every edge; the column loop checks that
-        # each producer outputs its tensor, and a count that each node's
-        # outputs are tensors it produces.
+        # O(n) checks in place of a validate_graph per run: the row rules
+        # above and one row per node id; successors resolves every edge; the
+        # column loop checks that each producer outputs its tensor, and a
+        # count that each node's outputs are tensors it produces.
         self.succ = succ = successors(g)
         self.ids = ids = ix.ids
         n = len(ids)
@@ -136,7 +135,7 @@ class _CompiledGraph:
         self.tensor_size = size = ix.tensor_bytes
         self.refcount = list(map(len, ix.consumers))
         self.channel = chan = [_KIND_CHANNEL.get(r.kind, 0) for r in nodes]
-        self.cost_units = [r.cost_units for r in nodes]  # 0 on io nodes, by the field rule
+        self.cost_units = [r.cost_units for r in nodes]  # 0 on io nodes, by the row rules
         # Per node: the tensors it reads and writes, and the bytes it allocates.
         self.inputs = inputs = [()] * n
         self.outputs = outputs = [()] * n
@@ -429,7 +428,7 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
 
 @gc_paused
 def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
-                           target_makespan: float) -> float:
+                           target_makespan: Positive) -> float:
     """Binary-search the compute_rate that puts the simulated makespan at the
     target, to within CALIBRATION_TOL; makespan is monotone non-increasing
     in compute_rate. The graph is compiled once and every probe run reads
@@ -437,9 +436,7 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
     compute time alone (the sum of the compute costs over the rate) exceeds
     the target is decided "too slow" without a run or a config; the probes
     and the returned rate are the same as when every probe runs."""
-    if not math.isfinite(target_makespan) or target_makespan <= 0:
-        raise GraphError(f"target makespan must be a positive finite number, "
-                         f"got {target_makespan!r}")
+    check_fields(calibrate_compute_rate, {"target_makespan": target_makespan})
     check_plan(tg.graph, plan)
     view = _CompiledGraph(tg)
     # The compute channel runs one node at a time, so no run is shorter than

@@ -4,15 +4,14 @@ estimate over that order. The training graph is the one home of the model's
 static bytes (``TrainingGraph.static_bytes``)."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Literal
 
 from .graph import (
-    IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, Schema, check, dumps_canonical,
-    gc_paused, graph_from_obj, graph_text, graph_to_obj, list_text, load_document,
-    validate_graph_order, value_text,
+    IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, Schema, Size, check, check_fields,
+    dumps_canonical, gc_paused, graph_from_obj, graph_text, graph_to_obj, list_text,
+    load_document, unique_index, validate_graph_order, value_text,
 )
 
 BACKWARD_COST_RATIO = 2.0  # grad op cost relative to its forward counterpart
@@ -32,12 +31,13 @@ class TrainingGraph:
     omits a compute node.
     ``static_bytes``, the bytes that never leave the device (weights,
     gradients, optimizer state), is the graph's ``metadata["static_bytes"]``
-    (0 if absent), read once here and checked to be an int >= 0.
+    (0 if absent), read once here and checked by its annotation.
     """
 
     graph: GraphSpec
     serial_order: tuple[str, ...]
     grad_of: dict[str, str] = field(default_factory=dict)  # grad node id -> forward node id
+    static_bytes: Size = field(init=False)
 
     def position(self, node_id: str) -> int:
         return self._positions[node_id]
@@ -66,8 +66,7 @@ class TrainingGraph:
             raise GraphError(f"serial_order omits compute node {omitted!r}")
         self._boundary_position = last
         self.static_bytes = self.graph.metadata.get("static_bytes", 0)
-        if type(self.static_bytes) is not int or self.static_bytes < 0:
-            raise GraphError(f"static_bytes must be an integer >= 0, got {self.static_bytes!r}")
+        check_fields(TrainingGraph, {"static_bytes": self.static_bytes})
 
     @property
     def boundary_position(self) -> int:
@@ -90,12 +89,9 @@ def expand_training_graph(g: GraphSpec, static_bytes: int = 0,
     grad(f) consumes the gradient contributions produced by the grads of
     f's consumers plus f's own output tensor (the reuse edge), and produces
     one gradient tensor per input of f (a single one for input nodes).
-    Both keyword values go into the metadata, which every rewrite copies;
-    ``backward_cost_ratio`` must be a finite number >= 0.
+    Both keyword values go into the metadata, which every rewrite copies.
     """
-    if not (math.isfinite(backward_cost_ratio) and backward_cost_ratio >= 0):
-        raise GraphError(f"backward_cost_ratio must be a finite number >= 0, "
-                         f"got {backward_cost_ratio!r}")
+    check_fields(expand_training_graph, {"backward_cost_ratio": backward_cost_ratio})
     violations, forward_order = validate_graph_order(g)
     if violations:
         raise GraphError(f"cannot expand invalid graph: {violations[0]}")
@@ -296,13 +292,13 @@ def static_peak_estimate(tg: TrainingGraph, plan=None) -> LivenessReport:
     """
     check_plan(tg.graph, plan)
     g = tg.graph
+    ix = unique_index(g)
     static = tg.static_bytes
     npos = len(tg.serial_order)
     if npos == 0:
         return LivenessReport(intervals={}, peak_bytes=static, peak_position=0,
                               static_bytes=static)
     positions = tg._positions
-    ix = g.index
     index = ix.index
     # Per node index: where it starts and ends on the serial positions.
     starts = [0] * len(ix.ids)

@@ -472,9 +472,11 @@ BAD_INPUT_PROBES = {
     "d2h-bw-inf": (["simulate", "{tg}", "{plan}", "--d2h-bw", "inf"], "d2h_bw"),
     "latency-nan": (["simulate", "{tg}", "{plan}", "--latency", "nan"], "xfer_latency"),
     "calibrate-target-nan": (["simulate", "{tg}", "{plan}", "--calibrate-target", "nan"],
-                             "target makespan"),
+                             "wrong value type at target_makespan: expected a finite number > 0, "
+                             "got nan"),
     "calibrate-target-0": (["simulate", "{tg}", "{plan}", "--calibrate-target", "0"],
-                           "target makespan"),
+                           "wrong value type at target_makespan: expected a finite number > 0, "
+                           "got 0.0"),
     "iterations-0": (["simulate", "{tg}", "{plan}", "--iterations", "0"], "iterations"),
     "plan-of-other-graph": (["simulate", "{chain_tg}", "{plan}"], "plan does not match"),
     "budget-abc": (["simulate", "{tg}", "{plan}", "--budget", "abc"], "invalid byte count 'abc'"),
@@ -484,11 +486,14 @@ BAD_INPUT_PROBES = {
     "static-bytes-1e400": (["sweep", "{chain}", "--presets", "paper-c1", "--static-bytes",
                             "1e400"], "invalid byte count '1e400'"),
     "graph-static-bytes-str": (["simulate", "{static_str}", "{chain_plan}"],
-                               "static_str.json: static_bytes must be an integer >= 0, got 'abc'"),
+                               "static_str.json: wrong value type at static_bytes: expected an "
+                               "integer >= 0, got 'abc'"),
     "graph-static-bytes-negative": (["simulate", "{static_neg}", "{chain_plan}"],
-                                    "static_bytes must be an integer >= 0, got -1"),
+                                    "wrong value type at static_bytes: expected an integer >= 0, "
+                                    "got -1"),
     "graph-static-bytes-bool": (["simulate", "{static_bool}", "{chain_plan}"],
-                                "static_bytes must be an integer >= 0, got True"),
+                                "wrong value type at static_bytes: expected an integer >= 0, "
+                                "got True"),
     "rewrite-static-bytes-nan": (["rewrite", "{chain_tg}", "--static-bytes", "nan"],
                                  "invalid byte count 'nan'"),
     "host-preproc-nan": (["simulate", "{tg}", "{plan}", "--iterations", "3",
@@ -514,11 +519,13 @@ BAD_INPUT_PROBES = {
     "plan-unknown-tensor": (["simulate", "{chain_tg}", "{plan_bogus}"],
                             "tensor 'bogus' is missing from the graph"),
     "plan-list": (["simulate", "{chain_tg}", "{plan_list}"], "plan_list.json"),
-    "cost-units-nan": (["simulate", "{cost_nan}", "{chain_plan}"], "has cost_units nan"),
+    "cost-units-nan": (["simulate", "{cost_nan}", "{chain_plan}"],
+                       "at graph.nodes[1].cost_units: expected a finite number >= 0, got nan"),
     "cost-units-string": (["simulate", "{cost_str}", "{chain_plan}"],
-                          "node 'grad/op1' has cost_units '1e3'; cost_units must be a number"),
+                          "cost_str.json: wrong value type at graph.nodes[1].cost_units: expected "
+                          "a finite number >= 0, got '1e3'"),
     "cost-units-bool": (["simulate", "{cost_bool}", "{chain_plan}"],
-                        "node 'grad/op1' has cost_units True"),
+                        "at graph.nodes[1].cost_units: expected a finite number >= 0, got True"),
     "cost-units-huge": (["simulate", "{cost_huge}", "{chain_plan}"],
                         "bad value: int too large to convert to float"),
     "plan-lb-negative": (["simulate", "{chain_tg}", "{plan_lb_neg}"],
@@ -535,13 +542,13 @@ BAD_INPUT_PROBES = {
     "graph-producer-unknown": (["simulate", "{producer_ghost}", "{chain_plan}"],
                                "[producer-mismatch] grad/op0:0: declared producer 'ghost'"),
     "shape-extent-nan": (["simulate", "{extent_nan}", "{chain_plan}"],
-                         "tensor 'grad/op0:0' has shape [nan]"),
+                         "at graph.tensors[0].shape[0]: expected an integer >= 1, got nan"),
     "shape-extent-fraction": (["simulate", "{extent_frac}", "{chain_plan}"],
-                              "tensor 'grad/op0:0' has shape [2.5]"),
+                              "at graph.tensors[0].shape[0]: expected an integer >= 1, got 2.5"),
     "elem-bytes-negative": (["simulate", "{elem_bytes_neg}", "{chain_plan}"],
-                            "elem_bytes -4; each size must be a positive integer"),
+                            "at graph.tensors[0].elem_bytes: expected an integer >= 1, got -4"),
     "channels-bool": (["simulate", "{channels_bool}", "{chain_plan}"],
-                      "channels True and"),
+                      "at graph.tensors[0].channels: expected an integer >= 1, got True"),
     "scenario-empty": (["simulate", "--scenario", "{sc_empty}"],
                        "sc_empty.json: missing key 'generator'"),
     "scenario-list": (["simulate", "--scenario", "{sc_list}"], "sc_list.json: wrong value type"),
@@ -592,7 +599,8 @@ BAD_INPUT_PROBES = {
                                   "node_cost_unit.json: unknown key 'cost_unit' in "
                                   "graph.nodes[0]"),
     "training-node-scope-int": (["simulate", "{node_scope_int}", "{chain_plan}"],
-                                "graph.nodes[0]: node 'grad/op0' has scope 3"),
+                                "wrong value type at graph.nodes[0].scope: expected a string, "
+                                "got 3"),
     "training-reuse-edges": (["simulate", "{tg_reuse_edges}", "{chain_plan}"],
                              "tg_reuse_edges.json: unknown key 'reuse_edges'"),
     "plan-mode-unknown": (["simulate", "{chain_tg}", "{plan_banana}"],

@@ -1,11 +1,18 @@
+import ast
 import gc
 import heapq
 import json
+import math
 import random
+import re
 from collections import Counter, deque
+from dataclasses import replace
 from inspect import signature
+from pathlib import Path
 from types import SimpleNamespace
+from typing import Literal
 
+import numpy as np
 import pytest
 
 from swapsim import cli as cli_mod
@@ -17,18 +24,18 @@ from swapsim import rewrite as rewrite_mod
 from swapsim import sim as sim_mod
 from swapsim import training as training_mod
 from swapsim.graph import (
-    CycleError, GraphError, GraphSpec, NodeSpec, Schema, TensorDesc,
-    bfs_depths, dumps_canonical, graph_from_obj, graph_to_obj, load_document,
+    Count, CycleError, GraphError, GraphSpec, NodeSpec, Positive, Schema, Size, TensorDesc,
+    _all_fit, _fits, bfs_depths, dumps_canonical, graph_from_obj, graph_to_obj, load_document,
     load_graph, save_graph, tensor_bytes, topo_order, validate_graph,
 )
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
-from swapsim.props import random_instance
-from swapsim.rewrite import (RewriteConfig, apply_rewrite, check_rewrite_validity,
+from swapsim.props import random_instance, run_invariant_suite
+from swapsim.rewrite import (RewriteConfig, RewritePlan, apply_rewrite, check_rewrite_validity,
                              insert_recompute, insert_swap_nodes, resolve_preset)
-from swapsim.sim import SimConfig, calibrate_compute_rate, simulate, sweep
+from swapsim.sim import SimConfig, calibrate_compute_rate, epoch_time, simulate, sweep, xfer_cost
 from swapsim.training import (
-    TrainingGraph, cross_phase_tensors, expand_training_graph, load_training_graph, save_training_graph, static_peak_estimate,
-    training_to_obj,
+    TrainingGraph, cross_phase_tensors, expand_training_graph, load_training_graph,
+    save_training_graph, static_peak_estimate, training_from_obj, training_to_obj,
 )
 
 
@@ -44,6 +51,10 @@ def chain_graph(ids=("a", "b", "c")):
                                   elem_bytes=4, scope=nid))
         prev = nid
     return GraphSpec(nodes=tuple(nodes), tensors=tuple(tensors))
+
+
+KINDS = ("Literal['conv', 'matmul', 'norm', 'activation', 'concat', 'pool', 'upsample', 'loss', "
+         "'grad', 'swap_out', 'swap_in', 'recompute', 'source', 'sink']")
 
 
 class TestValidate:
@@ -75,7 +86,7 @@ class TestValidate:
         t = TensorDesc(id="x:0", producer="x", shape=(0,), channels=1, elem_bytes=4)
         n = NodeSpec(id="x", kind="conv", outputs=("x:0",))
         codes = {v.code for v in validate_graph(GraphSpec(nodes=(n,), tensors=(t,)))}
-        assert "negative-size" in codes
+        assert "wrong-type" in codes
 
     def test_io_node_with_cost(self):
         n = NodeSpec(id="s", kind="swap_out", inputs=(), outputs=(), cost_units=2.0,
@@ -84,9 +95,10 @@ class TestValidate:
         assert "io-cost" in codes
 
     @pytest.mark.parametrize("field, value, code", [
-        ("cost_units", float("nan"), "bad-cost"), ("cost_units", float("inf"), "bad-cost"),
-        ("cost_units", "1", "bad-cost"), ("scope", 3, "bad-id"), ("kind", ["conv"], "unknown-kind"),
-        ("shape", (1.5,), "negative-size"), ("channels", True, "negative-size"),
+        ("cost_units", float("nan"), "wrong-type"), ("cost_units", float("inf"), "wrong-type"),
+        ("cost_units", "1", "wrong-type"), ("scope", 3, "wrong-type"),
+        ("kind", ["conv"], "wrong-type"),
+        ("shape", (1.5,), "wrong-type"), ("channels", True, "wrong-type"),
     ])
     def test_field_rule_broken(self, field, value, code):
         g = chain_graph()
@@ -98,6 +110,87 @@ class TestValidate:
         bad = GraphSpec(nodes=(node,) + g.nodes[1:], tensors=(tensor,) + g.tensors[1:])
         subject = "a" if field in NodeSpec._fields else "a:0"
         assert [(v.code, v.subject) for v in validate_graph(bad)] == [(code, subject)]
+
+    # One row per row field, and the values the loader once caught by hand:
+    # (rows, field, a value that breaks the field's annotation, the message).
+    ONE_RULE = [
+        ("nodes", "id", 3, "wrong value type at nodes[0].id: expected a string, got 3"),
+        ("nodes", "kind", "bogus", f"wrong value type at nodes[0].kind: expected {KINDS}, "
+                                   f"got 'bogus'"),
+        ("nodes", "kind", ["conv"], f"wrong value type at nodes[0].kind: expected {KINDS}, "
+                                    f"got a list of 1 items"),
+        ("nodes", "inputs", [3], "wrong value type at nodes[0].inputs[0]: expected a string, "
+                                 "got 3"),
+        ("nodes", "inputs", "abc", "wrong value type at nodes[0].inputs: expected "
+                                   "tuple[str, ...], got 'abc'"),
+        ("nodes", "outputs", None, "wrong value type at nodes[0].outputs: expected "
+                                   "tuple[str, ...], got None"),
+        ("nodes", "cost_units", -1.0, "wrong value type at nodes[0].cost_units: expected a "
+                                      "finite number >= 0, got -1.0"),
+        ("nodes", "cost_units", True, "wrong value type at nodes[0].cost_units: expected a "
+                                      "finite number >= 0, got True"),
+        ("nodes", "scope", 3, "wrong value type at nodes[0].scope: expected a string, got 3"),
+        ("nodes", "phase", "sideways", "wrong value type at nodes[0].phase: expected "
+                                       "Literal['forward', 'backward', 'io'], got 'sideways'"),
+        ("nodes", "kind", "swap_out", "nonzero cost at nodes[0].cost_units: an io node costs 0, "
+                                      "got 1.0"),
+        ("tensors", "id", None, "wrong value type at tensors[0].id: expected a string, got None"),
+        ("tensors", "producer", 7, "wrong value type at tensors[0].producer: expected a string, "
+                                   "got 7"),
+        ("tensors", "shape", [4, 0], "wrong value type at tensors[0].shape[1]: expected an "
+                                     "integer >= 1, got 0"),
+        ("tensors", "shape", [], "empty shape at tensors[0].shape: a tensor has at least one "
+                                 "extent"),
+        ("tensors", "channels", 2.5, "wrong value type at tensors[0].channels: expected an "
+                                     "integer >= 1, got 2.5"),
+        ("tensors", "elem_bytes", 0, "wrong value type at tensors[0].elem_bytes: expected an "
+                                     "integer >= 1, got 0"),
+        ("tensors", "scope", False, "wrong value type at tensors[0].scope: expected a string, "
+                                    "got False"),
+    ]
+
+    @pytest.mark.parametrize("rows, field, value, message", ONE_RULE)
+    def test_one_annotation_two_checkers(self, rows, field, value, message):
+        """The loader (on a document) and validate_graph (on rows) report a
+        value that breaks its field's annotation in the same words."""
+        g = chain_graph()
+        doc = graph_to_obj(g)
+        doc[rows][0][field] = value
+        with pytest.raises(GraphError) as exc:
+            graph_from_obj(doc)
+        assert str(exc.value) == message
+        first = getattr(g, rows)[0]._replace(**{field: value})
+        bad = replace(g, **{rows: (first,) + getattr(g, rows)[1:]})
+        assert [v.message for v in validate_graph(bad)] == [message]
+
+    def test_every_row_field_has_a_row(self):
+        assert {(rows, f) for rows, f, _, _ in self.ONE_RULE} \
+            == {("nodes", f) for f in NodeSpec._fields} | {("tensors", f) for f in TensorDesc._fields}
+
+    def test_a_document_path_prefixes_the_row(self):
+        doc = training_to_obj(expand_training_graph(chain_graph()))
+        doc["graph"]["tensors"][1]["shape"] = [2.5]
+        with pytest.raises(GraphError, match=re.escape(
+                "wrong value type at graph.tensors[1].shape[0]: expected an integer >= 1, got 2.5")):
+            training_from_obj(doc)
+
+
+BIG = 10 ** 400  # an int too large for a float
+HINTS = [str, int, float, Positive, Count, Size, Literal["a", "b"], Literal[1, "a"],
+         tuple[str, ...], tuple[Count, ...], tuple[str, str], tuple[int, str]]
+COLUMNS = [[], ["a"], ["a", "b", "c"], [1, 2], [0, 1], [-1, 3], [True], [1, 2.5], [0.0, -0.0],
+           [math.nan], [1.0, math.inf], [BIG], [-BIG], [math.nextafter(math.inf, 0)],
+           [1, int(math.nextafter(math.inf, 0)) + 1],
+           [2 ** 1024 - 2 ** 970], [type("F", (float,), {})(2.0)], [np.float64(3.0)],
+           [("a",), ["b", "c"]], [("a", 3)], [(1, 2), (3,)], [(1, 0)], [("a", "b"), ("c", "d")],
+           [("a", "b"), ("c",)], [(1, "a")], [()], ["ab", ("a",)], [[["a"]]], [None], [{"a": 1}]]
+
+
+@pytest.mark.parametrize("hint", HINTS, ids=str)
+def test_a_column_fits_as_its_values_do(hint):
+    """``_all_fit``'s few passes decide a column as ``_fits`` decides each value."""
+    for column in COLUMNS:
+        assert _all_fit(column, hint) == all(_fits(v, hint) for v in column), column
 
 
 class TestTopoOrder:
@@ -594,6 +687,86 @@ class TestPausedStagesLeaveNoCycles:
         finally:
             (gc.enable if was else gc.disable)()
         assert found == 0
+
+
+# ---------------------------------------------------------------------------
+# Every function under src/swapsim that checks a value by its annotation
+# (graph.check_fields or graph.check_value): "module.qualname" -> (a call
+# with a value that breaks the annotation, the error message's tail).
+
+def _toy_tg():
+    return expand_training_graph(gen_chain(2))
+
+
+CHECKED_ENTRY_POINTS = {
+    "cli._scenario_from_obj": (
+        lambda: cli_mod._scenario_from_obj({"generator": {"kind": "bogus"}}),
+        "at generator.kind: expected Literal['unet3d', 'chain'], got 'bogus'"),
+    "models.UNetParams.__post_init__": (lambda: UNetParams(dims=(16, 16, 0)),
+                                        "at dims[2]: expected an integer >= 1, got 0"),
+    "models.gen_chain": (lambda: gen_chain(0), "at n: expected an integer >= 1, got 0"),
+    "rewrite.RewriteConfig.__post_init__": (lambda: RewriteConfig(n_tensors=0),
+                                            "at n_tensors: expected Literal[-1] or an integer "
+                                            ">= 1, got 0"),
+    "rewrite.RewritePlan.__post_init__": (lambda: RewritePlan(lb=2.7),
+                                          "at lb: expected an integer >= 1, got 2.7"),
+    "sim.SimConfig.__post_init__": (lambda: SimConfig(h2d_bw=math.inf),
+                                    "at h2d_bw: expected a finite number > 0, got inf"),
+    "sim.epoch_time": (lambda: epoch_time(1.0, 3, math.nan),
+                       "at host_preproc_seconds: expected a finite number >= 0, got nan"),
+    "sim.xfer_cost": (lambda: xfer_cost(1000, math.nan),
+                      "at bw: expected a finite number > 0, got nan"),
+    "sim.calibrate_compute_rate": (
+        lambda: calibrate_compute_rate(_toy_tg(), None, SimConfig(), -1.0),
+        "at target_makespan: expected a finite number > 0, got -1.0"),
+    "training.TrainingGraph.__post_init__": (
+        lambda: TrainingGraph(GraphSpec(metadata={"static_bytes": 2.0}), ()),
+        "at static_bytes: expected an integer >= 0, got 2.0"),
+    "training.expand_training_graph": (
+        lambda: expand_training_graph(gen_chain(2), backward_cost_ratio=-2.0),
+        "at backward_cost_ratio: expected a finite number >= 0, got -2.0"),
+    "props.run_invariant_suite": (lambda: run_invariant_suite(instances=True),
+                                  "at instances: expected an integer >= 0, got True"),
+    "numeric.grad_check": (lambda: numeric_mod.grad_check(_toy_tg(), eps=0),
+                           "at eps: expected a finite number > 0, got 0"),
+    "numeric._input_block": (lambda: numeric_mod.run_numeric(_toy_tg(), None, seed=-1),
+                             "at seeds[0]: expected an integer >= 0, got -1"),
+}
+CHECKERS = {"graph.check_fields", "graph.check"}  # the vocabulary's own walkers
+
+
+def checked_call_sites() -> set[str]:
+    """"module.qualname" of each function under src/swapsim that calls
+    check_fields or check_value."""
+    sites = set()
+
+    def visit(node, qualname):
+        for child in ast.iter_child_nodes(node):
+            inner = qualname
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{qualname}.{child.name}"
+            elif isinstance(child, ast.Call) and (getattr(child.func, "id", None) or getattr(
+                    child.func, "attr", None)) in ("check_fields", "check_value"):
+                sites.add(qualname)
+            visit(child, inner)
+
+    for path in Path(graph_mod.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sites
+
+
+class TestCheckedEntryPoints:
+    @pytest.mark.parametrize("site", sorted(CHECKED_ENTRY_POINTS))
+    def test_bad_value_named(self, site):
+        call, tail = CHECKED_ENTRY_POINTS[site]
+        with pytest.raises(GraphError) as exc:
+            call()
+        assert str(exc.value).startswith("wrong value type at ")
+        assert str(exc.value).endswith(tail)
+
+    def test_table_lists_every_call_site(self):
+        assert checked_call_sites() - CHECKERS == set(CHECKED_ENTRY_POINTS)
+        assert CHECKERS <= checked_call_sites()
 
 
 # ---------------------------------------------------------------------------

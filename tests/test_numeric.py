@@ -208,7 +208,8 @@ class TestRowBlocks:
         lambda tg: equivalence_check(tg, [], seeds=[3, -1]),
     ])
     def test_negative_seed_rejected(self, check):
-        with pytest.raises(GraphError, match="seed -1 is negative; seeds are integers >= 0"):
+        with pytest.raises(GraphError, match=r"wrong value type at seeds\[\d\]: expected an "
+                                             r"integer >= 0, got -1"):
             check(toy_chain(2))
 
 

@@ -1,12 +1,15 @@
+import gc
 import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 
 import pytest
 
+from swapsim import props as props_mod
 from swapsim.cli import _scenario_from_obj
-from swapsim.graph import GraphError, NodeSpec
+from swapsim.graph import GraphError, NodeSpec, validate_graph
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import (
     ORACLE_MAX_SWAPS, brute_force_makespans, check_dependency_soundness,
@@ -19,7 +22,7 @@ from swapsim.sim import (
     DeadlockError, InfeasibleError, SimConfig, calibrate_compute_rate, emit_trace,
     epoch_time, op_cost, simulate, stall_report, sweep, xfer_cost,
 )
-from swapsim.training import expand_training_graph
+from swapsim.training import expand_training_graph, static_peak_estimate
 
 TOY = UNetParams(dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2,
                  convs_per_level=1)
@@ -46,6 +49,12 @@ class TestCosts:
 
     def test_xfer_halves_with_double_bandwidth(self):
         assert xfer_cost(1000, 2000.0) == xfer_cost(1000, 1000.0) / 2
+
+    @pytest.mark.parametrize("bw", [math.nan, math.inf, 0.0, -1.0])
+    def test_xfer_rejects_a_bandwidth_that_is_not_positive(self, bw):
+        with pytest.raises(GraphError, match=re.escape(
+                f"wrong value type at bw: expected a finite number > 0, got {bw!r}")):
+            xfer_cost(1000, bw)
 
 
 class TestSimulate:
@@ -103,6 +112,30 @@ class TestSimulate:
         rewritten, plan = insert_swap_nodes(tg, ["t0", "t1", "t2"], lb=2)
         cfg = SimConfig(compute_rate=1.0, d2h_bw=1500.0, h2d_bw=800.0)
         assert check_schedule_oracle(tg, rewritten, plan, cfg) == []
+
+    def test_oracle_costs_each_transfer_once(self, monkeypatch):
+        """The oracle works out each io node's duration once per call, not
+        once for each of its 36 orderings."""
+        tg = expand_training_graph(gen_chain(4, bytes_per_tensor=3000, cost_per_op=2.0))
+        rewritten, plan = insert_swap_nodes(tg, ["t0", "t1", "t2"], lb=2)
+        cfg = SimConfig(compute_rate=1.0, d2h_bw=1500.0, h2d_bw=800.0)
+        calls = []
+        monkeypatch.setattr(props_mod, "xfer_cost", lambda *a: calls.append(a) or xfer_cost(*a))
+        assert brute_force_makespans(rewritten, plan, cfg) == [27.75]
+        assert len(calls) == 6
+
+    def test_oracle_leaves_no_cycle(self):
+        """Run with the collector off, the oracle leaves nothing unreachable."""
+        _, rewritten, plan, cfg = random_instance(2)
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert brute_force_makespans(rewritten, plan, cfg)
+            found = gc.collect()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert found == 0
 
     def test_conservation_flags_a_peak_one_byte_off(self):
         _, rewritten, plan, cfg = random_instance(0)
@@ -438,7 +471,8 @@ class TestCalibrationOracle:
 
 class TestInputChecks:
     def test_negative_instance_count_rejected(self):
-        with pytest.raises(GraphError, match="instances must be >= 0, got -3"):
+        with pytest.raises(GraphError, match="wrong value type at instances: expected an "
+                                             "integer >= 0, got -3"):
             run_invariant_suite(instances=-3)
 
     def test_schedule_oracle_refuses_a_rewrite_past_its_limit(self):
@@ -512,9 +546,11 @@ class TestInputChecks:
         g = tg.graph
         nodes = tuple(n._replace(cost_units=cost) if n.id == "op1" else n for n in g.nodes)
         bad = replace(tg, graph=replace(g, nodes=nodes))
-        with pytest.raises(GraphError, match="'op1' has cost_units"):
+        message = re.escape(f"[wrong-type] op1: wrong value type at nodes[1].cost_units: "
+                            f"expected a finite number >= 0, got {cost!r}")
+        with pytest.raises(GraphError, match=message):
             simulate(bad, None, SimConfig())
-        with pytest.raises(GraphError, match="'op1' has cost_units"):
+        with pytest.raises(GraphError, match=message):
             calibrate_compute_rate(bad, None, SimConfig(), 1.0)
 
     @pytest.mark.parametrize("missing, message", [
@@ -525,6 +561,7 @@ class TestInputChecks:
         ("declared-producer", "tensor 't1' names producer 'op0', which does not output it"),
         ("output", "node 'op1' lists outputs ['t1', 'ghost'], but produces ['t1'] in the "
                    "graph's tensor table"),
+        ("duplicate-node", "node id 'op1' appears more than once"),
     ])
     def test_graph_naming_what_it_lacks_rejected(self, missing, message):
         tg = expand_training_graph(gen_chain(4))
@@ -539,6 +576,8 @@ class TestInputChecks:
         elif missing == "output":
             g = replace(g, nodes=tuple(n._replace(outputs=n.outputs + ("ghost",))
                                        if n.id == "op1" else n for n in g.nodes))
+        elif missing == "duplicate-node":
+            g = replace(g, nodes=g.nodes + (g.node("op1")._replace(cost_units=100.0),))
         else:
             g = replace(g, control_edges=g.control_edges + (("ghost", "op2"),))
         bad = replace(tg, graph=g)
@@ -547,10 +586,23 @@ class TestInputChecks:
         with pytest.raises(GraphError, match=re.escape(message)):
             calibrate_compute_rate(bad, None, SimConfig(), 1.0)
 
+    def test_duplicate_node_id_rejected_by_sweep_and_estimator(self):
+        tg = expand_training_graph(gen_chain(4))
+        g = tg.graph
+        bad = replace(tg, graph=replace(g, nodes=g.nodes + (g.node("op1")._replace(
+            cost_units=100.0),)))
+        assert [v.code for v in validate_graph(bad.graph)][0] == "duplicate-node-id"
+        message = "node id 'op1' appears more than once"
+        assert [row["error"] for row in sweep(bad, [RewriteConfig()], [SimConfig()])] == [message]
+        with pytest.raises(GraphError, match=re.escape(message)):
+            static_peak_estimate(bad)
+
     @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -1.0])
     def test_calibrate_rejects_bad_target(self, target):
         tg = expand_training_graph(gen_chain(2))
-        with pytest.raises(GraphError, match="target makespan"):
+        with pytest.raises(GraphError, match=re.escape(
+                f"wrong value type at target_makespan: expected a finite number > 0, "
+                f"got {target!r}")):
             calibrate_compute_rate(tg, None, SimConfig(), target)
 
     def test_plan_from_another_graph_rejected(self):

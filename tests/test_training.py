@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -47,8 +48,9 @@ class TestExpand:
 
     @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -1.0])
     def test_bad_grad_cost_ratio_rejected(self, ratio):
-        with pytest.raises(GraphError, match=f"backward_cost_ratio must be a finite number "
-                                             f">= 0, got {ratio!r}"):
+        with pytest.raises(GraphError, match=re.escape(
+                f"wrong value type at backward_cost_ratio: expected a finite number >= 0, "
+                f"got {ratio!r}")):
             expand_training_graph(gen_chain(3), backward_cost_ratio=ratio)
 
     def test_unet_toy_feature_maps_equal_forward_outputs(self):
