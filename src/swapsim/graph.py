@@ -4,7 +4,9 @@ and the schemas and value types that every document and config must meet.
 Graphs are immutable after construction; every function here is pure, so
 values can be shared freely across threads and scenario workers. Rows are
 named tuples; each graph builds one ``GraphIndex`` of lookups on first use,
-and every stage from validation to simulation reads it.
+or, when it extends another graph by a swap rewrite, derives it from that
+graph's (``extend_index``), and every stage from validation to simulation
+reads it.
 
 Every value rule is an annotation, in one vocabulary (``float``, the value
 types ``Positive``, ``Count`` and ``Size``, ``Literal`` and ``tuple``): of
@@ -27,13 +29,15 @@ import gc
 import heapq
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, cached_property, wraps
-from fnmatch import fnmatchcase
+from functools import cache, cached_property, lru_cache, wraps
+from fnmatch import translate
 from inspect import Parameter, signature
-from itertools import chain, compress
-from types import UnionType
+from itertools import chain, compress, filterfalse
+from operator import itemgetter
+from types import SimpleNamespace, UnionType
 from typing import Literal, NamedTuple, NewType, Union, get_args, get_origin, get_type_hints
 
 NodeKind = Literal["conv", "matmul", "norm", "activation", "concat", "pool", "upsample",
@@ -145,9 +149,6 @@ class GraphSpec:
         ix = self.index
         return ix.nodes[ix.index[node_id]]
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self.index.index
-
     def tensor(self, tensor_id: str) -> TensorDesc:
         return self.tensors[self.index.tensor_index[tensor_id]]
 
@@ -167,37 +168,115 @@ class GraphSpec:
 
 
 class GraphIndex:
-    """One graph's lookups. Nodes are numbered in id order, so comparing two
-    indices compares the ids; ``nodes[i]`` is the (last) row of ``ids[i]``.
+    """One graph's lookups. ``nodes[i]`` is the (last) row of ``ids[i]``.
     Tensors keep their position in ``GraphSpec.tensors``; per tensor,
     ``producer`` is a node index (None if no such node) and ``consumers`` the
     readers' indices in node-list order. Byte sizes are computed on first use.
     Columns are tuples: the cyclic GC stops scanning a tuple of atomic items.
+
+    Built from a graph's rows, the index numbers the nodes in id order.
+    Derived from ``base``, the index of a graph that ``g`` extends, it takes
+    the base's columns, keeps its numbers and numbers the ``added`` rows
+    after them, in their order. So a tie that breaks by node id compares the
+    ids, or their places in id order: ``rank[i]`` is node i's place and
+    ``ranked[r]`` the node in place r (both a ``range`` while the numbers
+    follow id order).
+
+    ``g`` extends the base graph when its rows are the base graph's, in their
+    order, then the io rows ``added``; its tensors the base graph's, then
+    new ones; its control edges the base graph's, then new ones that end at
+    added nodes; and its only other change is ``moved``: for each base
+    tensor index there, the new tensor that its readers among ``rewired``
+    (node index -> that compute node's row in ``g``) read in its place. No
+    id names two nodes or two tensors (``extend_index``). The build from
+    rows is the derivation from the empty graph, with every row added.
     """
 
-    def __init__(self, g: GraphSpec):
-        rows = {n.id: n for n in g.nodes}
-        self.ids = ids = tuple(sorted(rows))
-        self.nodes = tuple(map(rows.__getitem__, ids))
-        numbers = list(range(max(len(ids), len(g.tensors))))  # one int object each, both maps
-        self.index = index = dict(zip(ids, numbers))
-        self.tensor_index = tindex = dict(zip([t.id for t in g.tensors], numbers))
-        self.producer = tuple([index.get(t.producer) for t in g.tensors])
-        readers: list[list[int]] = [[] for _ in g.tensors]
-        for n in g.nodes:
+    def __init__(self, g: GraphSpec, base: GraphIndex | None = None, added=None,
+                 rewired=None, moved=None):
+        self._base_ranked = base and base.ranked  # no reference to the base itself
+        base = base or _EMPTY_INDEX
+        added = g.nodes if added is None else added
+        rewired, moved = rewired or {}, moved or {}
+        nb, nt = len(base.ids), len(base.producer)
+        rows = dict(zip(map(itemgetter(0), added), added))  # the last row of each id
+        new_ids = tuple(sorted(rows) if self._base_ranked is None else rows)
+        self.ids = ids = base.ids + new_ids
+        nodes = list(base.nodes)
+        for i, row in rewired.items():
+            nodes[i] = row
+        self.nodes = tuple(nodes) + tuple(map(rows.__getitem__, new_ids))
+        new_tensors = g.tensors[nt:]
+        first = min(nb, nt)
+        numbers = list(range(first, max(len(ids), len(g.tensors))))  # one int each, both maps
+        self.index = index = base.index.copy()
+        index.update(zip(new_ids, numbers[nb - first:]))
+        self.tensor_index = tindex = base.tensor_index.copy()
+        tindex.update(zip(map(itemgetter(0), new_tensors), numbers[nt - first:]))
+        self.producer = base.producer + tuple(map(index.get, map(itemgetter(1), new_tensors)))
+        readers: list = list(base.consumers) + [[] for _ in new_tensors]
+        rewiring = rewired.__contains__
+        for k, new in moved.items():
+            readers[new] = list(filter(rewiring, readers[k]))
+            readers[k] = tuple(filterfalse(rewiring, readers[k]))
+        for n in added:
             i = index[n.id]
             for tid in n.inputs:
                 k = tindex.get(tid)
-                if k is not None:
+                if k is None:
+                    continue
+                if k < nt:
+                    readers[k] += (i,)  # a base tensor's tuple
+                else:
                     readers[k].append(i)
         self.consumers = tuple(map(tuple, readers))
+        self.moved = moved
         self._tensors = g.tensors
+
+    @cached_property
+    def ranked(self) -> range | tuple[int, ...]:
+        """The node indices in id order, found on first use."""
+        ids, base = self.ids, self._base_ranked
+        if base is None:
+            return range(len(ids))
+        if len(base) == len(ids):
+            return base
+        merged = sorted([*map(ids.__getitem__, base), *ids[len(base):]])
+        return tuple(map(self.index.__getitem__, merged))
+
+    @cached_property
+    def rank(self) -> range | tuple[int, ...]:
+        """Each node's place in id order, found on first use."""
+        ranked = self.ranked
+        if type(ranked) is range:
+            return ranked
+        return tuple(map(dict(zip(ranked, range(len(ranked)))).__getitem__, range(len(ranked))))
 
     @cached_property
     def tensor_bytes(self) -> tuple[int, ...]:
         """``tensor_bytes`` of every tensor, in tensor order."""
         distinct: dict[int, int] = {}  # one int object per size: sizes repeat
         return tuple([distinct.setdefault(n, n) for n in map(tensor_bytes, self._tensors)])
+
+
+_EMPTY_INDEX = SimpleNamespace(ids=(), nodes=(), index={}, tensor_index={}, producer=(),
+                               consumers=())
+
+
+def extend_index(g: GraphSpec, base: GraphSpec, added, rewired, moved) -> bool:
+    """Give ``g``, a graph that extends ``base`` by ``added``, ``rewired``
+    and ``moved`` (``GraphIndex``), an index derived from ``base``'s, and
+    return True; or return False, leaving it to be built from the rows, when
+    an id of either graph names two nodes or two tensors."""
+    ix = base.index
+    new_tensors = g.tensors[len(base.tensors):]
+    ids, tids = set(map(itemgetter(0), added)), set(map(itemgetter(0), new_tensors))
+    if not (len(ix.ids) == len(base.nodes) and len(ix.tensor_index) == len(base.tensors)
+            and len(ids) == len(added) and len(tids) == len(new_tensors)
+            and ids.isdisjoint(ix.index) and tids.isdisjoint(ix.tensor_index)):
+        return False
+    g.index = GraphIndex(g, ix, added, rewired, moved)
+    return True
 
 
 def unique_index(g: GraphSpec) -> GraphIndex:
@@ -250,8 +329,11 @@ def tensor_bytes(t: TensorDesc) -> int:
     return n
 
 
-def scope_matches(scope: str, patterns) -> bool:
-    return any(fnmatchcase(scope, p) for p in patterns)
+@lru_cache(maxsize=256)
+def scope_matcher(patterns: tuple[str, ...]):
+    """The match function of one case-sensitive regex for the fnmatch
+    ``patterns``, which matches a scope that any of them matches."""
+    return re.compile("|".join(map(translate, patterns)) or "(?!)").match
 
 
 def _field_violations(g: GraphSpec, at: str = "") -> list[Violation]:
@@ -336,25 +418,26 @@ def _structural_violations(g: GraphSpec) -> list[Violation]:
 
 
 def _kahn(g: GraphSpec) -> tuple[list[str], set[str]]:
-    """Deterministic Kahn's algorithm on node indices, which follow id order,
-    so ties break by ascending node id.
+    """Deterministic Kahn's algorithm on node ranks (``GraphIndex.rank``), so
+    ties break by ascending node id.
 
     Returns (order, leftover); a non-empty leftover means a cycle.
     """
-    ids = g.index.ids
+    ix = g.index
+    ids, rank, ranked = ix.ids, ix.rank, ix.ranked
     succ = successors(g)
     indeg = [0] * len(ids)
     for m in chain.from_iterable(succ):
         indeg[m] += 1
-    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending: already a heap
+    ready = [r for r, i in enumerate(ranked) if indeg[i] == 0]  # ascending: already a heap
     order: list[int] = []
     while ready:
-        i = heapq.heappop(ready)
+        i = ranked[heapq.heappop(ready)]
         order.append(i)
         for m in succ[i]:
             indeg[m] -= 1
             if indeg[m] == 0:
-                heapq.heappush(ready, m)
+                heapq.heappush(ready, rank[m])
     leftover = {ids[i] for i, d in enumerate(indeg) if d > 0}
     return list(map(ids.__getitem__, order)), leftover
 
@@ -389,18 +472,19 @@ def topo_order(g: GraphSpec) -> list[str]:
 
 def bfs_depths(g: GraphSpec) -> dict[str, int]:
     """Shortest hop count from any source node (a node with no predecessors)."""
-    ids = g.index.ids
+    ix = g.index
+    ids, by_rank = ix.ids, ix.rank.__getitem__
     succ = successors(g)
     depth: list = [0] * len(ids)  # None: has a predecessor and is not reached yet
     for s in succ:
         for m in s:
             depth[m] = None
-    frontier = deque(i for i, d in enumerate(depth) if d == 0)
+    frontier = deque(i for i in ix.ranked if depth[i] == 0)
     depths = {ids[i]: 0 for i in frontier}
     while frontier:
         i = frontier.popleft()
         d = depth[i] + 1
-        for m in sorted(succ[i]):
+        for m in sorted(succ[i], key=by_rank):
             if depth[m] is None:
                 depth[m] = d
                 depths[ids[m]] = d
@@ -612,16 +696,17 @@ def graph_from_obj(obj, path: str = "") -> GraphSpec:
     """The graph of a graph document that sits at key path ``path`` of its
     file. Raises GraphError naming the first key path that breaks the graph
     or row schemas, or the first row value that breaks its field's rule. A
-    list becomes a tuple; any other value is kept for the field check."""
+    list becomes a tuple; any other value is kept for the field check, and
+    an int cost becomes a float once it has passed it."""
     at = f"{path}." if path else ""
     kw = {k: v for k, v in check(obj, GRAPH_SCHEMA, path).items() if k != "version"}
     nodes, tensors = [], []
     for nd in _row_objs(kw.get("nodes", ()), NODE_SCHEMA, NodeSpec, f"{at}nodes"):
-        inputs, outputs, cost = nd["inputs"], nd["outputs"], nd["cost_units"]
+        inputs, outputs = nd["inputs"], nd["outputs"]
         nodes.append(NodeSpec(nd["id"], nd["kind"],
                               tuple(inputs) if type(inputs) is list else inputs,
                               tuple(outputs) if type(outputs) is list else outputs,
-                              float(cost) if type(cost) is int else cost, nd["scope"], nd["phase"]))
+                              nd["cost_units"], nd["scope"], nd["phase"]))
     for td in _row_objs(kw.get("tensors", ()), TENSOR_SCHEMA, TensorDesc, f"{at}tensors"):
         shape = td["shape"]
         tensors.append(TensorDesc(td["id"], td["producer"],
@@ -630,6 +715,9 @@ def graph_from_obj(obj, path: str = "") -> GraphSpec:
     g = GraphSpec(**kw | {"nodes": nodes, "tensors": tensors})
     if g.field_violations:
         raise GraphError(_field_violations(g, at)[0].message)
+    if int in set(map(type, map(itemgetter(4), nodes))):  # cost_units
+        g.nodes = tuple(n._replace(cost_units=float(n.cost_units)) if type(n.cost_units) is int
+                        else n for n in nodes)
     return g
 
 

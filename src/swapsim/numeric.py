@@ -351,12 +351,13 @@ def grad_check(tg: TrainingGraph, seed: int = 0, eps: Positive = 1e-5,
     return GradCheckReport(max_rel_error=worst, seed_used=seed_used, resampled=resampled)
 
 
-def equivalence_check(tg: TrainingGraph, variants, seeds) -> list[dict]:
+def equivalence_check(tg: TrainingGraph, variants, seeds: tuple[Size, ...]) -> list[dict]:
     """Run baseline and each (label, rewritten graph, plan) variant on every
-    seed, ``_BLOCK_ROWS`` seeds per pass; deviation is the max abs
-    difference over the loss and all gradients. Use-after-swap failures
-    surface in the row's ``error`` field."""
+    seed, ``_BLOCK_ROWS`` seeds per pass, once every seed is checked by its
+    annotation; deviation is the max abs difference over the loss and all
+    gradients. Use-after-swap failures surface in the row's ``error`` field."""
     variants, seeds = list(variants), list(seeds)
+    check_fields(equivalence_check, {"seeds": seeds})
     rows = [{"label": label, "deviation": 0.0, "error": ""} for label, _, _ in variants]
     for lo in range(0, len(seeds), _BLOCK_ROWS):
         chunk = seeds[lo:lo + _BLOCK_ROWS]

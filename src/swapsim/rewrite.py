@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Literal, get_args
+from itertools import filterfalse, groupby
+from operator import itemgetter
+from typing import Literal, NamedTuple, get_args
 
 from .graph import (
     Count, GraphSpec, NodeSpec, TensorDesc, GraphError, Violation, Schema, bfs_depths, check,
-    check_fields, dumps_canonical, gc_paused, load_document, scope_matches, validate_graph,
+    check_fields, dumps_canonical, extend_index, gc_paused, load_document, scope_matcher,
+    validate_graph,
 )
 from .training import TrainingGraph, cross_phase_tensors, input_nodes
 
@@ -103,29 +105,54 @@ def load_plan(path) -> RewritePlan:
     return load_document(path, "plan", RewritePlan.from_obj)
 
 
-def _producer_scope(tg: TrainingGraph, tensor_id: str) -> str:
-    return tg.graph.node(tg.graph.tensor(tensor_id).producer).scope
+class SwapCandidate(NamedTuple):
+    """A cross-phase tensor, as the swap rewrite reads it."""
+    tensor: int                # its index in the tensor table
+    scope: str                 # its producer's scope
+    readers: tuple[int, ...]   # its backward readers' node indices, in node-list order
+    first_use: int             # the earliest backward reader's serial position
+
+
+def swap_candidates(tg: TrainingGraph) -> dict[str, SwapCandidate]:
+    """Each cross-phase tensor by id, ordered by its producer's BFS depth
+    (``bfs_depths``), then producer id, then tensor id; derived once per
+    TrainingGraph (``TrainingGraph.derived``), so every swap rewrite of one
+    graph shares it."""
+    table = tg.derived.get("swap_candidates")
+    if table is not None:
+        return table
+    g = tg.graph
+    ix = g.index
+    rows, ids, tindex = ix.nodes, ix.ids, ix.tensor_index
+    depths = bfs_depths(g)
+    keyed = []
+    for tid in cross_phase_tensors(tg):
+        k = tindex[tid]
+        producer = rows[ix.producer[k]]
+        readers = tuple(c for c in ix.consumers[k] if rows[c].phase == "backward")
+        keyed.append((depths[producer.id], producer.id, tid, SwapCandidate(
+            k, producer.scope, readers, min(tg.position(ids[c]) for c in readers))))
+    keyed.sort()
+    table = tg.derived["swap_candidates"] = {tid: c for _, _, tid, c in keyed}
+    return table
 
 
 def select_swap_tensors(tg: TrainingGraph, cfg: RewriteConfig) -> list[str]:
     """Swap candidates ordered by ascending BFS depth of their producer.
 
-    Candidates are the cross-phase tensors; incl_scopes (when nonempty) is a
-    whitelist applied before the excl_scopes blacklist. The first n_tensors
-    are taken (-1 means all); asking for more than exist is not an error.
+    Candidates are the cross-phase tensors (``swap_candidates``); incl_scopes
+    (when nonempty) is a whitelist applied before the excl_scopes blacklist.
+    The first n_tensors are taken (-1 means all); asking for more than exist
+    is not an error.
     """
     if cfg.mode != "swap":
         raise GraphError(f"select_swap_tensors requires mode 'swap', got {cfg.mode!r}")
-    candidates = cross_phase_tensors(tg)
-    if cfg.incl_scopes:
-        candidates = [t for t in candidates
-                      if scope_matches(_producer_scope(tg, t), cfg.incl_scopes)]
-    if cfg.excl_scopes:
-        candidates = [t for t in candidates
-                      if not scope_matches(_producer_scope(tg, t), cfg.excl_scopes)]
-    depths = bfs_depths(tg.graph)
-    producer = {t: tg.graph.tensor(t).producer for t in candidates}
-    candidates.sort(key=lambda t: (depths[producer[t]], producer[t], t))
+    table = swap_candidates(tg)
+    candidates = list(table)
+    for patterns, keep in ((cfg.incl_scopes, filter), (cfg.excl_scopes, filterfalse)):
+        if patterns:
+            kept = set(keep(scope_matcher(patterns), {c.scope for c in table.values()}))
+            candidates = [t for t in candidates if table[t].scope in kept]
     if cfg.n_tensors == -1:
         return candidates
     return candidates[:cfg.n_tensors]
@@ -141,46 +168,56 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: Count) -> tuple[Training
     is never before the first backward node and always strictly before the
     consumer; for a tensor consumed by the very first backward node that
     lands on the phase-boundary (loss) node.
+
+    The new graph has every row. It extends ``tg``'s graph, so it takes its
+    index from ``tg``'s (``GraphIndex``) and its serial order unchecked from
+    ``tg`` (``TrainingGraph.extend``), unless a new node or tensor id is
+    already taken, when both are built from the rows.
     """
     plan = RewritePlan(mode="swap", lb=lb)
-    cross = set(cross_phase_tensors(tg))
     first_backward = tg.boundary_position + 1
     if first_backward >= len(tg.serial_order):
         raise GraphError("graph has no backward phase to swap across")
+    table = swap_candidates(tg)
 
     g = tg.graph
     ix = g.index
-    rows, ids, position = ix.nodes, ix.ids, tg.position
+    rows, ids, serial, nt = ix.nodes, ix.ids, tg.serial_order, len(g.tensors)
     rewired: dict[str, NodeSpec] = {}  # backward consumer id -> its rewired row
     swap_outs: dict[str, NodeSpec] = {}
     swap_ins: dict[str, NodeSpec] = {}
-    tensors = list(g.tensors)
-    control_edges = list(g.control_edges)
+    tensors: list[TensorDesc] = []
+    control_edges: list[tuple[str, str]] = []
+    moved: dict[int, int] = {}  # tensor index -> its @in tensor's index
+    new_row = tuple.__new__  # a row from its field values, in order, without a Python frame
 
     for tid in selection:
-        if tid not in cross:
+        c = table.get(tid)
+        if c is None:
             raise GraphError(f"tensor {tid!r} is not a cross-phase tensor")
-        k = ix.tensor_index[tid]
-        t = g.tensors[k]
-        bw_consumers = [c for c in ix.consumers[k] if rows[c].phase == "backward"]
-        cmin = min(position(ids[c]) for c in bw_consumers)
+        t = g.tensors[c.tensor]
         out_id, in_id, in_tensor = f"swap_out/{tid}", f"swap_in/{tid}", f"{tid}@in"
-        trigger = tg.serial_order[min(cmin - 1, max(first_backward, cmin - lb))]
-        swap_outs[tid] = NodeSpec(out_id, "swap_out", (tid,), (), 0.0, t.scope, "io")
-        swap_ins[tid] = NodeSpec(in_id, "swap_in", (), (in_tensor,), 0.0, t.scope, "io")
-        tensors.append(TensorDesc(in_tensor, in_id, t.shape, t.channels, t.elem_bytes, t.scope))
+        trigger = serial[min(c.first_use - 1, max(first_backward, c.first_use - lb))]
+        swap_outs[tid] = new_row(NodeSpec, (out_id, "swap_out", (tid,), (), 0.0, t.scope, "io"))
+        swap_ins[tid] = new_row(NodeSpec, (in_id, "swap_in", (), (in_tensor,), 0.0, t.scope, "io"))
+        moved[c.tensor] = nt + len(tensors)
+        tensors.append(new_row(TensorDesc, (in_tensor, in_id, *t[2:])))
         control_edges += [(out_id, in_id), (trigger, in_id)]
-        for c in bw_consumers:
-            cn = rewired.get(ids[c], rows[c])
-            rewired[cn.id] = cn._replace(
-                inputs=tuple(in_tensor if x == tid else x for x in cn.inputs))
+        for r in c.readers:
+            cn = rewired.get(ids[r], rows[r])
+            inputs = tuple([in_tensor if x == tid else x for x in cn.inputs])
+            rewired[cn.id] = new_row(NodeSpec, (cn.id, cn.kind, inputs, *cn[3:]))
         plan.swapped[tid] = (out_id, in_id, trigger)
 
-    rewritten = _derived(g, nodes=tuple(rewired.get(n.id, n) for n in g.nodes)
-                         + tuple(swap_outs.values()) + tuple(swap_ins.values()),
-                         tensors=tuple(tensors), control_edges=tuple(control_edges))
-    new_tg = TrainingGraph(graph=rewritten, serial_order=tg.serial_order, grad_of=dict(tg.grad_of))
-    return new_tg, plan
+    added = tuple(swap_outs.values()) + tuple(swap_ins.values())
+    rewritten = _derived(g, nodes=tuple(map(rewired.get, map(itemgetter(0), g.nodes), g.nodes))
+                         + added,
+                         tensors=g.tensors + tuple(tensors),
+                         control_edges=g.control_edges + tuple(control_edges))
+    index = ix.index
+    if extend_index(rewritten, g, added, {index[nid]: row for nid, row in rewired.items()}, moved):
+        return tg.extend(rewritten), plan
+    return TrainingGraph(graph=rewritten, serial_order=serial, grad_of=dict(tg.grad_of)), plan
 
 
 def _derived(base: GraphSpec, **rows) -> GraphSpec:

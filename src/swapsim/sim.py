@@ -24,21 +24,31 @@ Scheduling rules:
 
 Each run works on a compiled view (``_CompiledGraph``): the simulator's own
 columns (channel, cost, tensor indices, allocated bytes, dependency counts,
-copy-queue keys) over the graph's shared index, whose nodes are numbered in
-id order, so ties on the heap and in the copy queues break on (time, channel
-priority, node id) exactly as on the id strings. ``simulate`` compiles once
-per call, ``sweep`` once per rewrite config and ``calibrate_compute_rate``
-once for all its probes; in free-run mode calibration decides a probe whose
-compute time alone exceeds the target without running it.
+copy-queue keys) over the graph's shared index, with its node numbers. Ties
+in the copy queues, among a node's latest dependencies and among events
+break on (time, channel priority, node id), comparing the id strings, so
+they break the same however the nodes are numbered. A graph built from its
+rows compiles its view once per ``simulate`` call, once per rewrite config
+in ``sweep`` and once for all the probes of ``calibrate_compute_rate``. A
+swap rewrite's graph extends its base graph (``TrainingGraph.extend``), so
+its view is derived from the base's: the base compiles its own view once
+and keeps it, and each rewrite appends its io nodes and tensors to it and
+patches only the moved readers' inputs, the successors of the tensors'
+producers and of the trigger nodes, and the dependency counts. In free-run
+mode calibration decides a probe whose compute time alone exceeds the target
+without running it.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import chain, compress
+from operator import is_not, itemgetter
 
 from .graph import (Count, NodeSpec, GraphError, Positive, Size, check_fields, dumps_canonical,
-                    gc_paused, successors, unique_index)
+                    gc_paused, successors, tensor_bytes, unique_index)
 from .training import TrainingGraph, check_plan
 
 CHANNELS = ("compute", "d2h", "h2d")
@@ -110,12 +120,13 @@ class SimReport:
 
 class _CompiledGraph:
     """The simulator's columns over a graph's index, reused for every run on
-    it. Node indices follow id order, so heap, queue and latest-dependency
-    ties break exactly as they would on the id strings."""
+    it, with the index's node numbers. Queue, latest-dependency and event
+    ties break on the node ids, which follow the numbers only in a graph
+    built from its rows."""
 
     __slots__ = ("graph", "static_bytes", "ids", "phases", "channel", "cost_units", "inputs",
-                 "outputs", "out_bytes", "in_bytes", "succ", "pending", "issue_pending",
-                 "tensor_size", "refcount", "serial", "queue_key", "d2h_seed", "h2d_seed")
+                 "outputs", "out_bytes", "succ", "pending", "issue_pending", "tensor_size",
+                 "refcount", "serial", "position", "queue_key", "d2h_seed", "h2d_seed")
 
     def __init__(self, tg: TrainingGraph):
         self.graph = g = tg.graph
@@ -152,7 +163,6 @@ class _CompiledGraph:
             i = next(i for i, r in enumerate(nodes) if len(r.outputs) != len(outputs[i]))
             raise GraphError(f"node {ids[i]!r} lists outputs {list(nodes[i].outputs)}, but produces "
                              f"{[g.tensors[k].id for k in outputs[i]]} in the graph's tensor table")
-        self.in_bytes = [size[ins[0]] if c == 1 else 0 for ins, c in zip(inputs, chan)]
 
         # Dependency counts over data + control edges. A swap_in's trigger
         # dependencies (issue) are counted apart from its swap_out (data).
@@ -164,29 +174,125 @@ class _CompiledGraph:
                 if chan[ib] == 2 and chan[ia] != 1:
                     issue_pending[ib] += 1
 
-        # Queue keys: a swap_out's producer position, a swap_in's earliest
-        # consumer position (0 when there is none).
         self.serial = serial = list(map(ix.index.__getitem__, tg.serial_order))
-        position: list = [None] * n
+        self.position = position = [None] * n
         for p, i in enumerate(serial):
             position[i] = p
-        self.queue_key = key = [0] * n
-        for i, c in enumerate(chan):
-            if c == 2:
-                key[i] = min((position[j] for k in outputs[i] for j in ix.consumers[k]
-                              if position[j] is not None), default=0)
-            elif c == 1:
-                key[i] = position[ix.producer[inputs[i][0]]] or 0
-        # Transfers whose enqueue conditions hold from the start; sorted, so heaps.
-        self.d2h_seed = sorted((0.0, key[i], i) for i in range(n)
-                               if chan[i] == 1 and pending[i] == 0)
-        self.h2d_seed = sorted((0.0, key[i], i) for i in range(n)
-                               if chan[i] == 2 and issue_pending[i] == 0)
+        self.queue_key = [0] * n
+        self.d2h_seed, self.h2d_seed = [], []
+        self._enqueue([i for i, c in enumerate(chan) if c])
+
+    def _enqueue(self, io) -> None:
+        """Queue keys for the io nodes ``io``: a swap_out's producer
+        position, a swap_in's earliest consumer position (0 when there is
+        none); those whose enqueue conditions hold from the start join the
+        seeds, kept sorted, so heaps."""
+        chan, key, position, ids = self.channel, self.queue_key, self.position, self.ids
+        ix, outputs, not_none = self.graph.index, self.outputs, partial(is_not, None)
+        for i in io:
+            if chan[i] == 2:
+                readers = _readers(ix.consumers, outputs[i])
+                key[i] = min(filter(not_none, map(position.__getitem__, readers)), default=0)
+                if self.issue_pending[i] == 0:
+                    self.h2d_seed.append((0.0, key[i], ids[i], i))
+            else:
+                key[i] = position[ix.producer[self.inputs[i][0]]] or 0
+                if self.pending[i] == 0:
+                    self.d2h_seed.append((0.0, key[i], ids[i], i))
+        self.d2h_seed.sort()
+        self.h2d_seed.sort()
+
+    def extend(self, tg: TrainingGraph) -> _CompiledGraph:
+        """The view of ``tg``, whose graph extends this view's graph
+        (``TrainingGraph.extend``) by io nodes: this view's columns with the
+        added nodes and tensors appended, and patched only where an edge
+        changed: the moved readers' inputs, the successors of the producers
+        whose readers changed and of the control sources, and the reference
+        counts of the tensors whose readers changed."""
+        v = object.__new__(type(self))
+        g = tg.graph
+        v.graph, v.static_bytes, v.serial = g, self.static_bytes, self.serial
+        ix, base = g.index, self.graph.index
+        nb, nt = len(self.ids), len(self.tensor_size)
+        v.ids, rows, consumers, producer = ix.ids, ix.nodes[nb:], ix.consumers, ix.producer
+        m = len(rows)
+        added = range(nb, nb + m)
+        v.phases = self.phases | dict(zip(ix.ids[nb:], map(itemgetter(6), rows)))
+        v.tensor_size = size = self.tensor_size + tuple(map(tensor_bytes, g.tensors[nt:]))
+        v.channel = chan = self.channel + [_KIND_CHANNEL.get(r.kind, 0) for r in rows]
+        v.cost_units = self.cost_units + list(map(itemgetter(4), rows))
+        v.position = self.position + [None] * m
+        tget = ix.tensor_index.__getitem__
+        new_inputs = [tuple(sorted(map(tget, ins))) for ins in map(itemgetter(2), rows)]
+        v.inputs = inputs = self.inputs + new_inputs
+        v.outputs = outputs = self.outputs + [()] * m
+        v.out_bytes = out_bytes = self.out_bytes + [0] * m
+        for k in range(nt, len(size)):
+            p = producer[k]
+            outputs[p] += (k,)
+            out_bytes[p] += size[k]
+        # A moved reader reads the new tensor in place of the old, so its
+        # dependency counts stay; an added node counts its own edges.
+        for k, new in ix.moved.items():
+            for c in consumers[new]:
+                ins = inputs[c]
+                inputs[c] = tuple([x for x in ins if x != k]) + (new,) * ins.count(k)
+        changed = {*ix.moved, *filter(nt.__gt__, chain.from_iterable(new_inputs))}  # base tensors
+        v.refcount = refcount = self.refcount + list(map(len, consumers[nt:]))
+        for k in changed:
+            refcount[k] = len(consumers[k])
+        v.pending = pending = self.pending + list(map(len, new_inputs))
+        v.issue_pending = issue = self.issue_pending + [0] * m
+
+        # Successors: a node's data successors (its outputs' readers, in
+        # tensor order), then its control successors, in edge order.
+        v.succ = succ = self.succ + [()] * m
+        for p in set(map(producer.__getitem__, chain(changed, range(nt, len(size))))):
+            data = _readers(consumers, outputs[p])
+            if p < nb:  # its control successors follow its data successors
+                data += succ[p][len(_readers(base.consumers, self.outputs[p])):]
+            succ[p] = data
+        index = ix.index
+        for a, b in g.control_edges[len(self.graph.control_edges):]:
+            ia, ib = index[a], index[b]
+            succ[ia] += (ib,)
+            pending[ib] += 1
+            if chan[ib] == 2 and chan[ia] != 1:
+                issue[ib] += 1
+        v.queue_key = self.queue_key + [0] * m
+        v.d2h_seed, v.h2d_seed = self.d2h_seed[:], self.h2d_seed[:]
+        v._enqueue(compress(added, chan[nb:]))
+        return v
+
+
+def _readers(consumers, tensors) -> tuple[int, ...]:
+    """The readers of each of ``tensors``, in turn, one per data edge."""
+    if len(tensors) == 1:
+        return consumers[tensors[0]]
+    return tuple(chain.from_iterable(map(consumers.__getitem__, tensors)))
+
+
+def _view(tg: TrainingGraph) -> _CompiledGraph:
+    """``tg``'s compiled view: the one it keeps, else one derived from its
+    base's view (which the base then keeps) while the base lives, else one
+    built from its rows. If the base's view cannot be built, neither is one
+    derived from it."""
+    view = tg.derived.get("compiled_view")
+    if view is not None:
+        return view
+    base = tg.base
+    if base is None:
+        return _CompiledGraph(tg)
+    try:
+        view = base.derived["compiled_view"] = _view(base)
+    except GraphError:
+        return _CompiledGraph(tg)
+    return view.extend(tg)
 
 
 def _run(v: _CompiledGraph, cfg: SimConfig):
     """Run the event loop on a compiled view. Returns the makespan plus the
-    raw events (start, channel, node index, end) in start order, the peak
+    raw events (start, channel, node id, end) in start order, the peak
     resident bytes (static bytes excluded), the stalls and busy seconds per
     channel."""
     limited = cfg.enforce_budget and cfg.gpu_budget > 0
@@ -199,11 +305,11 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
 
     ids, chan, cost, succ = v.ids, v.channel, v.cost_units, v.succ
     inputs, outputs, size = v.inputs, v.outputs, v.tensor_size
-    out_bytes, in_bytes, key, serial = v.out_bytes, v.in_bytes, v.queue_key, v.serial
+    out_bytes, key, serial = v.out_bytes, v.queue_key, v.serial
     pending = v.pending[:]
     issue_pending = v.issue_pending[:]
     refcount = v.refcount[:]
-    latest_dep: list = [None] * len(ids)  # node -> (end, dep index)
+    latest_dep: list = [None] * len(ids)  # node -> (end, dep id, dep index)
     d2h_queue = v.d2h_seed[:]
     h2d_queue = v.h2d_seed[:]
     heap: list[tuple[float, int, int]] = []  # (end, channel, node)
@@ -215,7 +321,7 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
     stalls: list[tuple[str, str, float]] = []
     free = [True, True, True]
     busy = [0.0, 0.0, 0.0]
-    n_serial = len(serial)
+    n_serial, n_nodes = len(serial), len(ids)
     compute_idx = 0
     last_compute_end = 0.0
     budget_blocked = False
@@ -236,7 +342,7 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
                                 blocking = "budget"
                             else:
                                 dep = latest_dep[i]
-                                blocking = ids[dep[1]] if dep is not None else ""
+                                blocking = ids[dep[2]] if dep is not None else ""
                             stalls.append((ids[i], blocking, now - last_compute_end))
                         resident += out_bytes[i]
                         dur = cost[i] / rate
@@ -244,23 +350,23 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
                         heappush(heap, (end, 0, i))
                         free[0] = False
                         busy[0] += dur
-                        events.append((now, 0, i, end))
+                        events.append((now, 0, ids[i], end))
                         compute_idx += 1
                         budget_blocked = False
                         progressed = True
                     else:
                         budget_blocked = True
             if free[1] and d2h_queue and d2h_queue[0][0] <= now:
-                i = heappop(d2h_queue)[2]
-                dur = latency + in_bytes[i] / d2h_bw
+                _, _, nid, i = heappop(d2h_queue)
+                dur = latency + size[inputs[i][0]] / d2h_bw
                 end = now + dur
                 heappush(heap, (end, 1, i))
                 free[1] = False
                 busy[1] += dur
-                events.append((now, 1, i, end))
+                events.append((now, 1, nid, end))
                 progressed = True
             if free[2] and h2d_queue:
-                i = h2d_queue[0][2]
+                _, _, nid, i = h2d_queue[0]
                 # Issue-order service: the head may still wait on its swap_out.
                 if pending[i] == 0:
                     need = out_bytes[i]
@@ -272,15 +378,16 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
                         heappush(heap, (end, 2, i))
                         free[2] = False
                         busy[2] += dur
-                        events.append((now, 2, i, end))
+                        events.append((now, 2, nid, end))
                         progressed = True
                     else:
                         budget_blocked = True
-        if done == len(ids):
+        if done == n_nodes:
             break
         if not heap:
             waiting = sorted(set(serial[compute_idx:compute_idx + 1])
-                             | {i for _, _, i in d2h_queue} | {i for _, _, i in h2d_queue})
+                             | {e[3] for e in d2h_queue} | {e[3] for e in h2d_queue},
+                             key=ids.__getitem__)
             detail = "budget wait with nothing in flight to free" if budget_blocked \
                 else "unsatisfiable dependencies"
             raise DeadlockError([ids[i] for i in waiting], detail)
@@ -305,30 +412,30 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
                 if refcount[k] == 0:
                     resident -= size[k]
             from_swap_out = chan[i] == 1
+            dep = (end, ids[i], i)
             for m in succ[i]:
                 pending[m] -= 1
                 prev = latest_dep[m]
-                if prev is None or (end, i) > prev:
-                    latest_dep[m] = (end, i)
+                if prev is None or dep > prev:
+                    latest_dep[m] = dep
                 if chan[m] == 1:
                     if pending[m] == 0:
-                        heappush(d2h_queue, (end, key[m], m))
+                        heappush(d2h_queue, (end, key[m], ids[m], m))
                 elif chan[m] == 2 and not from_swap_out:
                     issue_pending[m] -= 1
                     if issue_pending[m] == 0:
-                        heappush(h2d_queue, (end, key[m], m))
+                        heappush(h2d_queue, (end, key[m], ids[m], m))
 
-    makespan = max((e for _, _, _, e in events), default=0.0)
+    makespan = max(map(itemgetter(3), events), default=0.0)
     return makespan, events, max(peak, resident), stalls, busy
 
 
 def _report(v: _CompiledGraph, cfg: SimConfig) -> SimReport:
     makespan, events, peak, stalls, busy_time = _run(v, cfg)
     events.sort()  # (start, channel priority, node id) -- all distinct
-    ids = v.ids
     return SimReport(
         makespan=makespan,
-        events=[(ids[i], CHANNELS[c], s, e) for s, c, i, e in events],
+        events=[(nid, CHANNELS[c], s, e) for s, c, nid, e in events],
         peak_resident=peak + v.static_bytes,
         stalls=stalls,
         busy={ch: (busy_time[c] / makespan if makespan > 0 else 0.0)
@@ -344,7 +451,7 @@ def simulate(tg: TrainingGraph, plan=None, cfg: SimConfig | None = None) -> SimR
     (``check_plan``)."""
     cfg = cfg or SimConfig()
     check_plan(tg.graph, plan)
-    return _report(_CompiledGraph(tg), cfg)
+    return _report(_view(tg), cfg)
 
 
 def stall_report(r: SimReport) -> dict[str, float]:
@@ -412,7 +519,7 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
             }
             try:
                 if view is None:
-                    view = _CompiledGraph(rewritten)
+                    view = _view(rewritten)
                 rep = _report(view, scfg)
                 srep = stall_report(rep)
                 row.update(makespan=rep.makespan, peak_resident=rep.peak_resident,
@@ -438,7 +545,7 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
     and the returned rate are the same as when every probe runs."""
     check_fields(calibrate_compute_rate, {"target_makespan": target_makespan})
     check_plan(tg.graph, plan)
-    view = _CompiledGraph(tg)
+    view = _view(tg)
     # The compute channel runs one node at a time, so no run is shorter than
     # compute_units / rate. Summing n durations in floats loses at most about
     # n * 2**-53 of the total, far inside the 1e-9 margin, so a probe past

@@ -4,9 +4,11 @@ estimate over that order. The training graph is the one home of the model's
 static bytes (``TrainingGraph.static_bytes``)."""
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Literal
+from weakref import ref
 
 from .graph import (
     IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, Schema, Size, check, check_fields,
@@ -32,6 +34,11 @@ class TrainingGraph:
     ``static_bytes``, the bytes that never leave the device (weights,
     gradients, optimizer state), is the graph's ``metadata["static_bytes"]``
     (0 if absent), read once here and checked by its annotation.
+
+    ``derived`` holds what other stages derive from this graph once and
+    share across its rewrites and runs: the swap rewrite's candidate table,
+    and the simulator's compiled view once a graph that extends this one has
+    been simulated.
     """
 
     graph: GraphSpec
@@ -46,6 +53,7 @@ class TrainingGraph:
         self.serial_order = tuple(self.serial_order)
         self._positions = {nid: i for i, nid in enumerate(self.serial_order)}
         self._cross = None  # cross_phase_tensors, derived on first use
+        self._base, self.derived = None, {}
         ix = self.graph.index
         last = -1
         for i, nid in enumerate(self.serial_order):
@@ -67,6 +75,22 @@ class TrainingGraph:
         self._boundary_position = last
         self.static_bytes = self.graph.metadata.get("static_bytes", 0)
         check_fields(TrainingGraph, {"static_bytes": self.static_bytes})
+
+    def extend(self, graph: GraphSpec) -> TrainingGraph:
+        """This graph's serial order and grad map over ``graph``, a graph
+        whose index extends this graph's (``GraphIndex``) with io nodes and
+        the tensors they produce: every compute row keeps its id, kind and
+        phase, so the order keeps its checks, which are not run again."""
+        tg = copy(self)  # shares the order, its positions and the static bytes
+        tg.graph, tg.grad_of, tg._cross, tg._base, tg.derived = \
+            graph, dict(self.grad_of), None, ref(self), {}
+        return tg
+
+    @property
+    def base(self) -> TrainingGraph | None:
+        """The training graph this one extends (``extend``), while it lives:
+        an extension does not keep its base alive."""
+        return self._base and self._base()
 
     @property
     def boundary_position(self) -> int:
@@ -245,17 +269,18 @@ def check_plan(g: GraphSpec, plan) -> None:
     clone node, a swapped tensor or a checkpoint that the graph lacks."""
     if plan is None:
         return
+    nodes, tensors = g.index.index, g.index.tensor_index
     for tid in sorted(plan.swapped):
         for nid in plan.swapped[tid]:
-            if not g.has_node(nid):
+            if nid not in nodes:
                 raise GraphError(f"plan does not match the graph: swap of tensor {tid!r} "
                                  f"names node {nid!r}, which the graph lacks")
     for nid in sorted(plan.clone_map):
-        if not g.has_node(nid):
+        if nid not in nodes:
             raise GraphError(f"plan does not match the graph: clone node {nid!r} "
                              f"is missing from the graph")
     for tid in sorted(plan.swapped) + sorted(plan.checkpoints):
-        if not g.has_tensor(tid):
+        if tid not in tensors:
             raise GraphError(f"plan does not match the graph: tensor {tid!r} "
                              f"is missing from the graph")
 

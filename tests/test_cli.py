@@ -400,6 +400,7 @@ def probe_files(rewritten, tmp_path, capsys):
     bad = {
         "node_no_id": (chain, edited(("nodes", 0, "id"))),
         "node_row_list": (chain, edited(("nodes", 0), ["op0", "conv"])),
+        "node_cost_huge": (chain, edited(("nodes", 0, "cost_units"), 10 ** 400)),
         "tg_list": (chain_tg, lambda doc: []),
         "tg_row_list": (chain_tg, edited(("graph", "tensors", 1), [])),
         "tg_no_graph": (chain_tg, edited(("graph",))),
@@ -502,6 +503,9 @@ BAD_INPUT_PROBES = {
                           "--host-preproc", "inf"], "host_preproc_seconds"),
     "graph-node-no-id": (["sweep", "{node_no_id}", "--presets", "paper-c1"],
                          "node_no_id.json: missing key 'id'"),
+    "graph-cost-units-huge": (["sweep", "{node_cost_huge}", "--presets", "paper-c1"],
+                              "node_cost_huge.json: wrong value type at nodes[0].cost_units: "
+                              "expected a finite number >= 0, got 1000000000"),
     "graph-node-row-list": (["sweep", "{node_row_list}", "--presets", "paper-c1"],
                             "node_row_list.json: wrong value type"),
     "training-doc-list": (["simulate", "{tg_list}", "{plan}"], "tg_list.json"),
@@ -527,7 +531,8 @@ BAD_INPUT_PROBES = {
     "cost-units-bool": (["simulate", "{cost_bool}", "{chain_plan}"],
                         "at graph.nodes[1].cost_units: expected a finite number >= 0, got True"),
     "cost-units-huge": (["simulate", "{cost_huge}", "{chain_plan}"],
-                        "bad value: int too large to convert to float"),
+                        "cost_huge.json: wrong value type at graph.nodes[1].cost_units: "
+                        "expected a finite number >= 0, got 1000000000"),
     "plan-lb-negative": (["simulate", "{chain_tg}", "{plan_lb_neg}"],
                          "plan_lb_neg.json: wrong value type at lb: expected an integer >= 1, "
                          "got -3"),

@@ -1,0 +1,180 @@
+"""A swap rewrite's graph takes its index, and the simulator its compiled
+view, from the base graph (``GraphIndex``, ``_CompiledGraph.extend``). Each
+row of this table checks that what is derived equals what a fresh
+``GraphSpec`` of the same rows builds, once node numbers are read as node
+ids, and that both simulate to the same report or the same error."""
+import weakref
+
+import pytest
+
+import swapsim.sim as sim_mod
+from swapsim.graph import GraphError, GraphSpec, NodeSpec, TensorDesc
+from swapsim.models import UNetParams, gen_chain, gen_unet3d
+from swapsim.props import random_instance
+from swapsim.rewrite import RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset
+from swapsim.sim import SimConfig, simulate
+from swapsim.training import TrainingGraph, expand_training_graph
+
+TOY = UNetParams(dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2, convs_per_level=1)
+PRESETS = ("paper-c1", "paper-c2", "paper-c3", "paper-c4")
+# The values that perfbench's unet-sweep draws its 13 seeded swap cells from.
+SEEDED_N_TENSORS = (-1, -1, -1, -1, -1, -1, 1, 8, 16, 24, 36, 48, 64)
+SEEDED_LB = (1, 2, 4, 6, 8, 10, 13, 16, 20, 24, 28, 32, 40)
+SEEDED_EXCL_SCOPES = ((), ("synthesis/*",), ("analysis/l0/*",),
+                      ("synthesis/l0/*", "synthesis/l1/*")) * 3 + ((),)
+BUDGET = SimConfig(gpu_budget=16 << 30, enforce_budget=True)
+
+
+def fresh(tg: TrainingGraph) -> TrainingGraph:
+    """``tg``'s rows, order and grad map, built anew from a fresh GraphSpec."""
+    g = tg.graph
+    return TrainingGraph(GraphSpec(g.nodes, g.tensors, g.control_edges, dict(g.metadata)),
+                         tg.serial_order, dict(tg.grad_of))
+
+
+def index_by_name(ix) -> dict:
+    ids = ix.ids
+    name = ids.__getitem__
+    return {"ids": sorted(ids), "nodes": dict(zip(ids, ix.nodes)),
+            "index": {nid: ids[i] for nid, i in ix.index.items()},
+            "tensor_index": ix.tensor_index,
+            "producer": tuple(None if p is None else ids[p] for p in ix.producer),
+            "consumers": tuple(tuple(map(name, c)) for c in ix.consumers),
+            "rank": dict(zip(ids, ix.rank)), "ranked": [ids[i] for i in ix.ranked],
+            "tensor_bytes": ix.tensor_bytes}
+
+
+def view_by_name(v) -> dict:
+    ids = v.ids
+    name = ids.__getitem__
+
+    def per_node(column):
+        return dict(zip(ids, column))
+
+    def seeds(heap):
+        return [(t, key, nid, ids[i]) for t, key, nid, i in heap]
+
+    by_name = {"graph": lambda g: (g.nodes, g.tensors, g.control_edges),
+               "static_bytes": lambda b: b, "ids": sorted, "phases": dict,
+               "channel": per_node, "cost_units": per_node, "inputs": per_node,
+               "outputs": per_node, "out_bytes": per_node,
+               "succ": lambda succ: per_node([tuple(map(name, s)) for s in succ]),
+               "pending": per_node, "issue_pending": per_node, "tensor_size": tuple,
+               "refcount": list, "serial": lambda serial: [ids[i] for i in serial],
+               "position": per_node, "queue_key": per_node, "d2h_seed": seeds,
+               "h2d_seed": seeds}
+    assert set(by_name) == set(type(v).__slots__)
+    return {slot: convert(getattr(v, slot)) for slot, convert in by_name.items()}
+
+
+def outcome(tg: TrainingGraph, cfg: SimConfig) -> str:
+    try:
+        return simulate(tg, None, cfg).to_json()
+    except GraphError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_derived_equals_built(tg: TrainingGraph, rewritten: TrainingGraph, cfgs) -> None:
+    assert rewritten.base is tg  # the derived path, not a build from rows
+    built = fresh(rewritten)
+    assert index_by_name(rewritten.graph.index) == index_by_name(built.graph.index)
+    derived_view = sim_mod._view(rewritten)
+    assert tg.derived["compiled_view"] is not None
+    assert view_by_name(derived_view) == view_by_name(sim_mod._CompiledGraph(built))
+    for cfg in cfgs:
+        assert outcome(rewritten, cfg) == outcome(built, cfg)
+
+
+@pytest.fixture(scope="module")
+def unets():
+    return {name: expand_training_graph(gen_unet3d(p))
+            for name, p in (("toy", TOY), ("192", UNetParams(dims=(192, 192, 192))))}
+
+
+def test_every_random_instance():
+    for seed in range(100):
+        tg, rewritten, _, cfg = random_instance(seed)
+        assert_derived_equals_built(tg, rewritten, [cfg, BUDGET])
+
+
+@pytest.mark.parametrize("graph", ["toy", "192"])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_unet_presets(unets, graph, preset):
+    tg = unets[graph]
+    rewritten, _ = apply_rewrite(tg, resolve_preset(preset))
+    assert_derived_equals_built(tg, rewritten, [SimConfig(compute_rate=2e12), BUDGET])
+
+
+@pytest.mark.parametrize("n_tensors, lb, excl_scopes",
+                         list(zip(SEEDED_N_TENSORS, SEEDED_LB, SEEDED_EXCL_SCOPES)))
+def test_unet_sweep_knobs(unets, n_tensors, lb, excl_scopes):
+    tg = unets["192"]
+    cfg = RewriteConfig(mode="swap", n_tensors=n_tensors, lb=lb, excl_scopes=excl_scopes)
+    rewritten, _ = apply_rewrite(tg, cfg)
+    assert_derived_equals_built(tg, rewritten, [
+        SimConfig(compute_rate=2e12, d2h_bw=16e9, h2d_bw=16e9, xfer_latency=1e-5), BUDGET])
+
+
+def with_node(tg: TrainingGraph, node: NodeSpec, tensor: TensorDesc,
+              serial_order=None) -> TrainingGraph:
+    g = tg.graph
+    return TrainingGraph(GraphSpec(g.nodes + (node,), g.tensors + (tensor,), g.control_edges,
+                                   dict(g.metadata)),
+                         serial_order or tg.serial_order, dict(tg.grad_of))
+
+
+def test_a_reader_of_two_swapped_tensors():
+    """Two backward readers per swapped tensor, one of which reads both."""
+    tg = expand_training_graph(gen_chain(3))
+    tg = with_node(tg, NodeSpec("extra", "grad", ("t0", "t1"), ("e",), 1.0, "", "backward"),
+                   TensorDesc("e", "extra", (2,), 1, 4), tg.serial_order + ("extra",))
+    rewritten, _ = insert_swap_nodes(tg, ["t0", "t1"], 1)
+    assert rewritten.graph.consumers("t0@in") == ("grad/op0", "extra")
+    assert_derived_equals_built(tg, rewritten, [SimConfig(), BUDGET])
+
+
+def test_an_extension_does_not_keep_its_base_alive():
+    tg = expand_training_graph(gen_unet3d(TOY))
+    rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
+    derived = simulate(rewritten, plan).to_json()
+    base = weakref.ref(tg)
+    del tg
+    assert base() is None and rewritten.base is None
+    assert simulate(rewritten, plan).to_json() == derived  # now from the rows
+
+
+class TestNodeIdTaken:
+    """A base graph that already has a node named ``swap_in/t0``: the swap
+    of t0 fails the same way as a build from the same rows."""
+
+    def test_taken_by_a_compute_node(self):
+        forward = gen_chain(3)
+        g = GraphSpec(forward.nodes + (NodeSpec("swap_in/t0", "conv", (), ("x",), 1.0),),
+                      forward.tensors + (TensorDesc("x", "swap_in/t0", (2,), 1, 4),))
+        tg = expand_training_graph(g)
+        with pytest.raises(GraphError) as derived:
+            insert_swap_nodes(tg, ["t0"], 1)
+        rows = tg.graph
+        t0 = rows.tensor("t0")
+        rewired = tuple(n._replace(inputs=tuple("t0@in" if x == "t0" else x for x in n.inputs))
+                        if n.phase == "backward" else n for n in rows.nodes)
+        built = GraphSpec(rewired + (NodeSpec("swap_out/t0", "swap_out", ("t0",), (), 0.0, "",
+                                              "io"),
+                                     NodeSpec("swap_in/t0", "swap_in", (), ("t0@in",), 0.0, "",
+                                              "io")),
+                          rows.tensors + (t0._replace(id="t0@in", producer="swap_in/t0"),),
+                          rows.control_edges, dict(rows.metadata))
+        with pytest.raises(GraphError) as from_rows:
+            TrainingGraph(built, tg.serial_order, dict(tg.grad_of))
+        assert str(derived.value) == str(from_rows.value) \
+            == "serial_order names io node 'swap_in/t0'"
+
+    def test_taken_by_an_io_node(self):
+        tg = expand_training_graph(gen_chain(3))
+        tg = with_node(tg, NodeSpec("swap_in/t0", "swap_in", (), ("y",), 0.0, "", "io"),
+                       TensorDesc("y", "swap_in/t0", (2,), 1, 4))
+        rewritten, _ = insert_swap_nodes(tg, ["t0"], 1)
+        assert rewritten.base is None  # built from its rows
+        for cfg in (SimConfig(), BUDGET):
+            assert outcome(rewritten, cfg) == outcome(fresh(rewritten), cfg) \
+                == "GraphError: node id 'swap_in/t0' appears more than once"

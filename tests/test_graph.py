@@ -129,6 +129,8 @@ class TestValidate:
                                       "finite number >= 0, got -1.0"),
         ("nodes", "cost_units", True, "wrong value type at nodes[0].cost_units: expected a "
                                       "finite number >= 0, got True"),
+        ("nodes", "cost_units", 10 ** 400, "wrong value type at nodes[0].cost_units: expected "
+                                           f"a finite number >= 0, got {10 ** 400}"),
         ("nodes", "scope", 3, "wrong value type at nodes[0].scope: expected a string, got 3"),
         ("nodes", "phase", "sideways", "wrong value type at nodes[0].phase: expected "
                                        "Literal['forward', 'backward', 'io'], got 'sideways'"),
@@ -512,7 +514,7 @@ PAUSED_STAGES = {
                               lambda x: expand_training_graph(x.g)),
     "apply_rewrite": (rewrite_mod, "select_swap_tensors", ANY_REWRITE,
                       lambda x: apply_rewrite(x.tg, x.cfg)),
-    "insert_swap_nodes": (rewrite_mod, "cross_phase_tensors", ("swap",),
+    "insert_swap_nodes": (rewrite_mod, "swap_candidates", ("swap",),
                           lambda x: insert_swap_nodes(x.tg, sorted(x.plan.swapped), 2)),
     "insert_recompute": (rewrite_mod, "input_nodes", RECOMPUTE,
                          lambda x: insert_recompute(x.tg, x.plan.checkpoints)),
@@ -731,6 +733,9 @@ CHECKED_ENTRY_POINTS = {
                            "at eps: expected a finite number > 0, got 0"),
     "numeric._input_block": (lambda: numeric_mod.run_numeric(_toy_tg(), None, seed=-1),
                              "at seeds[0]: expected an integer >= 0, got -1"),
+    "numeric.equivalence_check": (
+        lambda: numeric_mod.equivalence_check(_toy_tg(), [], list(range(64)) + [0, -1]),
+        "at seeds[65]: expected an integer >= 0, got -1"),
 }
 CHECKERS = {"graph.check_fields", "graph.check"}  # the vocabulary's own walkers
 
@@ -871,9 +876,9 @@ class TestGraphIndex:
         built = Counter()
 
         class CountingIndex(graph_mod.GraphIndex):
-            def __init__(self, g):
+            def __init__(self, g, *delta):
                 built[id(g)] += 1
-                super().__init__(g)
+                super().__init__(g, *delta)
 
         monkeypatch.setattr(graph_mod, "GraphIndex", CountingIndex)
         forward = gen_unet3d(TOY)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import zlib
 
 import numpy as np
@@ -211,6 +212,17 @@ class TestRowBlocks:
         with pytest.raises(GraphError, match=r"wrong value type at seeds\[\d\]: expected an "
                                              r"integer >= 0, got -1"):
             check(toy_chain(2))
+
+    def test_bad_seed_past_the_first_block_named_before_any_block_runs(self, monkeypatch):
+        import swapsim.numeric as numeric_mod
+        blocks = []
+        monkeypatch.setattr(numeric_mod, "_execute", lambda *args: blocks.append(args))
+        seeds = list(range(_BLOCK_ROWS)) + [0, -1]
+        with pytest.raises(GraphError, match=re.escape(
+                f"wrong value type at seeds[{_BLOCK_ROWS + 1}]: expected an integer >= 0, "
+                f"got -1")):
+            equivalence_check(toy_chain(2), [], seeds)
+        assert blocks == []
 
 
 class TestResidencyDiscipline:

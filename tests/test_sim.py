@@ -363,20 +363,27 @@ class TestByteIdentity:
 class TestCompileOnce:
     @pytest.fixture()
     def counts(self, monkeypatch):
-        """Count compiled-view builds and event-loop runs."""
+        """Count compiled-view builds from rows, views derived from a base
+        graph's view, and event-loop runs."""
         import swapsim.sim as sim_mod
         real_build, real_run = sim_mod._CompiledGraph, sim_mod._run
-        counts = {"builds": 0, "runs": 0}
+        real_extend = real_build.extend
+        counts = {"builds": 0, "derived": 0, "runs": 0}
 
         def build(tg):
             counts["builds"] += 1
             return real_build(tg)
+
+        def extend(view, tg):
+            counts["derived"] += 1
+            return real_extend(view, tg)
 
         def run(view, cfg):
             counts["runs"] += 1
             return real_run(view, cfg)
 
         monkeypatch.setattr(sim_mod, "_CompiledGraph", build)
+        monkeypatch.setattr(real_build, "extend", extend)
         monkeypatch.setattr(sim_mod, "_run", run)
         return counts
 
@@ -384,7 +391,7 @@ class TestCompileOnce:
         tg = expand_training_graph(gen_unet3d(TOY))
         rewritten, plan = apply_rewrite(tg, PIN_REWRITES["paper-c1"])
         calibrate_compute_rate(rewritten, plan, _pin_cfg(False), 10.0)
-        assert counts["builds"] == 1
+        assert (counts["builds"], counts["derived"]) == (1, 1)  # the base's, and the rewrite's
         assert counts["runs"] > 10
 
     def test_calibrate_runs_only_probes_that_can_meet_the_target(self, counts):
@@ -397,19 +404,23 @@ class TestCompileOnce:
         assert counts["builds"] == 1
         assert 0 < counts["runs"] <= 12
 
-    def test_sweep_builds_one_view_per_rewrite_config(self, counts):
+    def test_sweep_derives_swap_views_from_one_base_view(self, counts):
         tg = expand_training_graph(gen_unet3d(TOY))
         sim_cfgs = [SimConfig(compute_rate=1e6, d2h_bw=bw, h2d_bw=bw) for bw in (1e4, 2e4, 4e4)]
-        rows = sweep(tg, PIN_REWRITES.values(), sim_cfgs)
-        assert len(rows) == 15
-        assert counts["builds"] == len(PIN_REWRITES)
-        assert counts["runs"] == 15
+        configs = [*PIN_REWRITES.values(), RewriteConfig()]
+        rows = sweep(tg, configs, sim_cfgs)
+        assert len(rows) == 18
+        # One build for the base graph, which the four swap configs derive
+        # their views from and the "none" config reuses; one for recompute.
+        assert (counts["builds"], counts["derived"]) == (2, 4)
+        assert counts["runs"] == 18
+        assert tg.derived["compiled_view"] is not None
 
     def test_simulate_builds_one_view_per_call(self, counts):
         tg = expand_training_graph(gen_chain(4))
         simulate(tg, None, SimConfig())
         simulate(tg, None, SimConfig())
-        assert counts == {"builds": 2, "runs": 2}
+        assert counts == {"builds": 2, "derived": 0, "runs": 2}
 
 
 def _reference_calibration(tg, plan, cfg, target, tol=1e-3):
