@@ -177,10 +177,10 @@ class GraphIndex:
     Built from a graph's rows, the index numbers the nodes in id order.
     Derived from ``base``, the index of a graph that ``g`` extends, it takes
     the base's columns, keeps its numbers and numbers the ``added`` rows
-    after them, in their order. So a tie that breaks by node id compares the
-    ids, or their places in id order: ``rank[i]`` is node i's place and
+    after them, also in id order. So a tie that breaks by node id compares
+    the ids, or their places in id order: ``rank[i]`` is node i's place and
     ``ranked[r]`` the node in place r (both a ``range`` while the numbers
-    follow id order).
+    follow id order, and a merge of two sorted runs once they do not).
 
     ``g`` extends the base graph when its rows are the base graph's, in their
     order, then the io rows ``added``; its tensors the base graph's, then
@@ -200,7 +200,7 @@ class GraphIndex:
         rewired, moved = rewired or {}, moved or {}
         nb, nt = len(base.ids), len(base.producer)
         rows = dict(zip(map(itemgetter(0), added), added))  # the last row of each id
-        new_ids = tuple(sorted(rows) if self._base_ranked is None else rows)
+        new_ids = tuple(sorted(rows))
         self.ids = ids = base.ids + new_ids
         nodes = list(base.nodes)
         for i, row in rewired.items():
@@ -241,7 +241,7 @@ class GraphIndex:
             return range(len(ids))
         if len(base) == len(ids):
             return base
-        merged = sorted([*map(ids.__getitem__, base), *ids[len(base):]])
+        merged = sorted([*map(ids.__getitem__, base), *ids[len(base):]])  # two sorted runs
         return tuple(map(self.index.__getitem__, merged))
 
     @cached_property

@@ -4,10 +4,12 @@ oracle proving that swap and recompute rewrites preserve computed values
 exactly (same arithmetic, same order, bit-identical results).
 
 Toy op semantics live in one table, ``_TOY_OPS``: for each forward node kind,
-its forward rule and its backward rule. Every value is a row block, a 2-D
-float64 array of shape (rows, width) holding one sample per row, and row r of
-each output depends only on row r of the inputs: the rules reduce along
-axis 1 and tile, repeat and concatenate along it. One walk, ``_execute``,
+its forward rule, its backward rule and the output widths that the forward
+rule can make from its input widths, which ``_check_sizes`` checks once per
+graph, before its first walk. Every value is a row block, a 2-D float64
+array of shape (rows, width) holding one sample per row, and row r of each
+output depends only on row r of the inputs: the rules reduce along axis 1
+and tile, repeat and concatenate along it. One walk, ``_execute``,
 carries a block through the tape, the loss and the kink probe.
 ``run_numeric`` runs a one-row block; ``grad_check`` evaluates its central
 differences ``_BLOCK_ROWS`` perturbations per forward pass, and
@@ -112,11 +114,21 @@ def _concat_backward(dy: np.ndarray, y, in_sizes, node_id: str) -> list[np.ndarr
     return [dy[:, end - size:end].copy() for size, end in zip(in_sizes, accumulate(in_sizes))]
 
 
+def _same_width(in_sizes) -> tuple[int, int]:
+    return in_sizes[0], in_sizes[0]
+
+
 class _ToyOp(NamedTuple):
     # (input blocks, output width, node id whose coefficients apply) -> output block
     forward: Callable
     # (output gradient block, output block, input widths, node id) -> one gradient block per input
     backward: Callable
+    # input widths -> (least, largest) output width that the forward rule can
+    # make; None when it makes any width
+    widths: Callable | None = None
+
+
+_NOT_TOY_OPS = frozenset({"swap_out", "swap_in", "loss", "grad"})  # the walk runs these
 
 
 class _OpTable(dict):
@@ -129,13 +141,15 @@ _TOY_OPS = _OpTable({
     **dict.fromkeys(("conv", "matmul", "upsample", "source", "sink", "recompute"),
                     _ToyOp(_affine_forward, _affine_backward)),
     "activation": _ToyOp(lambda xs, n_out, nid: np.maximum(xs[0], 0.0),
-                         lambda dy, y, in_sizes, nid: [dy * (y > 0.0)]),
+                         lambda dy, y, in_sizes, nid: [dy * (y > 0.0)], _same_width),
     "norm": _ToyOp(lambda xs, n_out, nid: xs[0] - xs[0].mean(axis=1, keepdims=True),
-                   lambda dy, y, in_sizes, nid: [dy - dy.mean(axis=1, keepdims=True)]),
+                   lambda dy, y, in_sizes, nid: [dy - dy.mean(axis=1, keepdims=True)],
+                   _same_width),
     # block mean, window n_in / n_out
-    "pool": _ToyOp(_pool_forward, _pool_backward),
+    "pool": _ToyOp(_pool_forward, _pool_backward, lambda in_sizes: (1, in_sizes[0])),
     # concatenation in input order
-    "concat": _ToyOp(lambda xs, n_out, nid: np.concatenate(xs, axis=1), _concat_backward),
+    "concat": _ToyOp(lambda xs, n_out, nid: np.concatenate(xs, axis=1), _concat_backward,
+                     lambda in_sizes: (sum(in_sizes),) * 2),
 })
 
 
@@ -186,12 +200,34 @@ def _loss(tape: _Tape, n, rows: int) -> np.ndarray:
     return total
 
 
-def _check_sizes(g) -> None:
+def _check_sizes(tg: TrainingGraph) -> None:
+    """Raise GraphError for the first tensor past ``MAX_ELEMENTS``, or else
+    for the first op whose output width its toy rule cannot make from its
+    input widths (``_ToyOp.widths``). Checked once per graph: a graph that
+    passes is marked in ``TrainingGraph.derived``."""
+    if "numeric_sizes" in tg.derived:
+        return
+    g = tg.graph
     for t in g.tensors:
         n = element_count(t)
         if n > MAX_ELEMENTS:
             raise GraphError(f"tensor {t.id!r} has {n} elements; the numeric "
                              f"executor is capped at {MAX_ELEMENTS}")
+    tindex = g.index.tensor_index
+    for n in g.nodes:
+        if n.kind in _NOT_TOY_OPS or not (n.inputs and n.outputs):
+            continue  # run by the walk itself, or not run
+        widths = _TOY_OPS[n.kind].widths
+        ks = widths and [tindex.get(t) for t in (*n.inputs, n.outputs[0])]
+        if not ks or None in ks:
+            continue  # any width, or a tensor that the walk reports missing
+        *in_sizes, out = (element_count(g.tensors[k]) for k in ks)
+        least, largest = widths(in_sizes)
+        if not least <= out <= largest:
+            need = least if least == largest else f"at most {largest}"  # every width is >= 1
+            raise GraphError(f"node {n.id!r}: a {n.kind} of inputs with {in_sizes} elements "
+                             f"makes {need} elements, but its output {n.outputs[0]!r} has {out}")
+    tg.derived["numeric_sizes"] = True
 
 
 def _execute(tg: TrainingGraph, block, rows: int, plan=None, backward: bool = True,
@@ -201,7 +237,7 @@ def _execute(tg: TrainingGraph, block, rows: int, plan=None, backward: bool = Tr
     stops at the first backward node and returns no gradients; ``look(n,
     xs)``, if given, sees each forward op with its input values."""
     g = tg.graph
-    _check_sizes(g)
+    _check_sizes(tg)
     tape = _Tape()
     for tid, val in block.items():
         tape.write(tid, val)

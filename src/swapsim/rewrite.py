@@ -3,6 +3,10 @@
 Both passes are pure transformations: they return a new TrainingGraph and a
 RewritePlan describing what was inserted; the input graph is never mutated.
 A RewriteConfig is frozen and checks its fields' annotations when it is built.
+Since a rewrite is pure, ``apply_rewrite`` derives it once per (base graph,
+config) while it is in use: as long as a caller holds the rewrite of a
+config, the same graph and plan are returned for it again. The base keeps
+them only weakly, so it never keeps a rewrite alive.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ from dataclasses import dataclass, field
 from itertools import filterfalse, groupby
 from operator import itemgetter
 from typing import Literal, NamedTuple, get_args
+from weakref import WeakValueDictionary
 
 from .graph import (
     Count, GraphSpec, NodeSpec, TensorDesc, GraphError, Violation, Schema, bfs_depths, check,
@@ -37,6 +42,8 @@ class RewriteConfig:
 
     def __post_init__(self):
         check_fields(RewriteConfig, vars(self))
+        for name in ("excl_scopes", "incl_scopes", "manual_ckpts"):  # hashable, as a table key
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 # Table-style tuning presets: (n_tensors, lb, excl_scopes).
@@ -372,13 +379,27 @@ def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, Rew
 
 @gc_paused
 def apply_rewrite(tg: TrainingGraph, cfg: RewriteConfig) -> tuple[TrainingGraph, RewritePlan]:
+    """``tg`` rewritten by ``cfg``, and the plan of the rewrite. Mode "none"
+    returns ``tg`` itself with a new plan. Otherwise the rewrite is looked up
+    in ``tg``'s table of rewrites (``TrainingGraph.derived``), which holds
+    each rewritten graph weakly, and the graph holds its plan: while a caller
+    still holds the rewrite of ``cfg``, the same graph and plan come back,
+    and once nobody does, the rewrite is built again. Both are shared, so
+    neither is changed once returned."""
     if cfg.mode == "none":
         return tg, RewritePlan(mode="none", lb=cfg.lb)
-    if cfg.mode == "swap":
-        selection = select_swap_tensors(tg, cfg)
-        return insert_swap_nodes(tg, selection, cfg.lb)
-    checkpoints = plan_checkpoints(tg, cfg)
-    return insert_recompute(tg, checkpoints)
+    table = tg.derived.get("rewrites")
+    if table is None:
+        table = tg.derived["rewrites"] = WeakValueDictionary()
+    rewritten = table.get(cfg)
+    if rewritten is None:
+        if cfg.mode == "swap":
+            rewritten, plan = insert_swap_nodes(tg, select_swap_tensors(tg, cfg), cfg.lb)
+        else:
+            rewritten, plan = insert_recompute(tg, plan_checkpoints(tg, cfg))
+        rewritten.derived["plan"] = plan
+        table[cfg] = rewritten
+    return rewritten, rewritten.derived["plan"]
 
 
 @gc_paused

@@ -27,16 +27,21 @@ columns (channel, cost, tensor indices, allocated bytes, dependency counts,
 copy-queue keys) over the graph's shared index, with its node numbers. Ties
 in the copy queues, among a node's latest dependencies and among events
 break on (time, channel priority, node id), comparing the id strings, so
-they break the same however the nodes are numbered. A graph built from its
-rows compiles its view once per ``simulate`` call, once per rewrite config
-in ``sweep`` and once for all the probes of ``calibrate_compute_rate``. A
-swap rewrite's graph extends its base graph (``TrainingGraph.extend``), so
-its view is derived from the base's: the base compiles its own view once
-and keeps it, and each rewrite appends its io nodes and tensors to it and
-patches only the moved readers' inputs, the successors of the tensors'
-producers and of the trigger nodes, and the dependency counts. In free-run
-mode calibration decides a probe whose compute time alone exceeds the target
-without running it.
+they break the same however the nodes are numbered. Views are kept in
+``TrainingGraph.derived``, and only by these graphs:
+  - a swap rewrite's graph extends its base graph (``TrainingGraph.extend``),
+    so its view is derived from the base's, by appending its io nodes and
+    tensors and patching only the moved readers' inputs, the successors of
+    the tensors' producers and of the trigger nodes, and the dependency
+    counts. The rewrite keeps its view, so a second ``simulate``,
+    ``calibrate_compute_rate`` or ``sweep`` of it only runs the event loop;
+  - the base compiles its own view once, when a rewrite first derives from
+    it, and keeps it for all its rewrites.
+A graph built from its rows (loaded, generated, expanded and never swapped,
+or a recompute rewrite) keeps no view: it compiles one per ``simulate``
+call, per rewrite config in ``sweep`` and for all the probes of
+``calibrate_compute_rate``. In free-run mode calibration decides a probe
+whose compute time alone exceeds the target without running it.
 """
 from __future__ import annotations
 
@@ -273,10 +278,10 @@ def _readers(consumers, tensors) -> tuple[int, ...]:
 
 
 def _view(tg: TrainingGraph) -> _CompiledGraph:
-    """``tg``'s compiled view: the one it keeps, else one derived from its
-    base's view (which the base then keeps) while the base lives, else one
-    built from its rows. If the base's view cannot be built, neither is one
-    derived from it."""
+    """``tg``'s compiled view: the one it keeps, else, while its base lives,
+    one derived from its base's view, which both then keep, else one built
+    from its rows and kept by nobody. If the base's view cannot be built,
+    neither is one derived from it."""
     view = tg.derived.get("compiled_view")
     if view is not None:
         return view
@@ -287,7 +292,8 @@ def _view(tg: TrainingGraph) -> _CompiledGraph:
         view = base.derived["compiled_view"] = _view(base)
     except GraphError:
         return _CompiledGraph(tg)
-    return view.extend(tg)
+    view = tg.derived["compiled_view"] = view.extend(tg)
+    return view
 
 
 def _run(v: _CompiledGraph, cfg: SimConfig):
@@ -500,7 +506,10 @@ def epoch_time(iter_seconds: float, iterations: Count, host_preproc_seconds: flo
 def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
     """One summary row per (rewrite config, sim config) cell, sorted by
     (n_tensors, lb, mode, bandwidths). Infeasible cells report their error
-    in-row; the sweep continues."""
+    in-row; the sweep continues. Each rewrite config's view serves all its
+    sim configs: a swap rewrite keeps its view, derived from the view that
+    ``tg`` keeps, and a rewrite built from its rows compiles one here and
+    drops it with the rewrite."""
     from .rewrite import apply_rewrite
 
     rewrite_cfgs = list(rewrite_cfgs)

@@ -36,9 +36,21 @@ class TrainingGraph:
     (0 if absent), read once here and checked by its annotation.
 
     ``derived`` holds what other stages derive from this graph once and
-    share across its rewrites and runs: the swap rewrite's candidate table,
-    and the simulator's compiled view once a graph that extends this one has
-    been simulated.
+    share across its rewrites and runs:
+      - ``swap_candidates``, the swap rewrite's candidate table;
+      - ``rewrites``, ``apply_rewrite``'s table of this graph's live
+        rewrites by config, which holds each one weakly, so it never keeps
+        a rewrite alive;
+      - ``plan``, in a graph that ``apply_rewrite`` made, the plan that made
+        it;
+      - ``compiled_view``, the simulator's view (``sim._view``): a graph
+        that extends another keeps the view it derives from the other's,
+        and the other keeps its own to derive from; a graph built from its
+        rows and never extended keeps none;
+      - ``numeric_sizes``, set once the numeric executor's size rules pass
+        (``numeric._check_sizes``).
+    Each value is derived from the graph, or made with it, so the graph is
+    not changed once it is built.
     """
 
     graph: GraphSpec

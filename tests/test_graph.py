@@ -512,8 +512,12 @@ PAUSED_STAGES = {
     "load_graph": (graph_mod, "graph_from_obj", NO_REWRITE, lambda x: load_graph(x.dir / "g.json")),
     "expand_training_graph": (training_mod, "validate_graph_order", NO_REWRITE,
                               lambda x: expand_training_graph(x.g)),
+    # x.tg holds x.rewritten, its live rewrite of x.cfg, which apply_rewrite
+    # would return without running the stage: a new base over the same rows
+    # has no live rewrite.
     "apply_rewrite": (rewrite_mod, "select_swap_tensors", ANY_REWRITE,
-                      lambda x: apply_rewrite(x.tg, x.cfg)),
+                      lambda x: apply_rewrite(TrainingGraph(x.tg.graph, x.tg.serial_order,
+                                                            dict(x.tg.grad_of)), x.cfg)),
     "insert_swap_nodes": (rewrite_mod, "swap_candidates", ("swap",),
                           lambda x: insert_swap_nodes(x.tg, sorted(x.plan.swapped), 2)),
     "insert_recompute": (rewrite_mod, "input_nodes", RECOMPUTE,
@@ -891,6 +895,17 @@ class TestGraphIndex:
             simulate(rewritten, plan)
             graphs.append(rewritten.graph)
         assert built == Counter({id(g): 1 for g in graphs})
+
+    def test_a_derived_index_numbers_its_added_rows_in_id_order(self):
+        """So that ``ranked`` merges two sorted runs: the base's ids in the
+        base's order, and the added ones."""
+        tg = expand_training_graph(gen_unet3d(TOY))
+        nb = len(tg.graph.index.ids)
+        for cfg in TOY_REWRITES[:4]:  # the swaps
+            rewritten, _ = apply_rewrite(tg, cfg)
+            added = rewritten.graph.index.ids[nb:]
+            assert rewritten.base is tg and added
+            assert list(added) == sorted(added)
 
     def test_cross_phase_tensors_derived_once(self, monkeypatch):
         derived = Counter()

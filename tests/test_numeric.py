@@ -10,7 +10,7 @@ from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.numeric import (
     _BLOCK_ROWS, _TOY_OPS, UseAfterSwapError, equivalence_check, grad_check, run_numeric,
 )
-from swapsim.props import make_broken_swap_variant
+from swapsim.props import make_broken_swap_variant, random_instance
 from swapsim.rewrite import (
     PRESETS, RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset,
 )
@@ -105,6 +105,68 @@ class TestGradCheck:
         monkeypatch.setitem(_TOY_OPS, "concat", concat._replace(
             backward=lambda *args: concat.backward(*args)[::-1]))
         assert grad_check(tg, seed=1).max_rel_error >= 1e-4
+
+
+def one_op(kind: str, in_widths, out_width: int) -> TrainingGraph:
+    """Sources of ``in_widths`` feeding one ``kind`` op of ``out_width``."""
+    sources = [NodeSpec(f"s{i}", "source", (), (f"s{i}:0",), 1.0) for i in range(len(in_widths))]
+    op = NodeSpec("op", kind, tuple(n.outputs[0] for n in sources), ("y",), 1.0)
+    tensors = [TensorDesc(f"s{i}:0", f"s{i}", (w,), 1, 4) for i, w in enumerate(in_widths)]
+    return expand_training_graph(GraphSpec(nodes=(*sources, op),
+                                           tensors=(*tensors, TensorDesc("y", "op", (out_width,),
+                                                                         1, 4))))
+
+
+# kind, input widths, output width -> None if the toy rule makes that output,
+# else what the error says the rule makes.
+SIZE_RULES = [
+    ("concat", (3, 5), 8, None), ("concat", (3, 5), 7, "8"), ("concat", (3, 5), 9, "8"),
+    ("activation", (6,), 6, None), ("activation", (6,), 5, "6"),
+    ("norm", (6,), 6, None), ("norm", (6,), 7, "6"),
+    ("pool", (6,), 3, None), ("pool", (6,), 6, None), ("pool", (6,), 7, "at most 6"),
+    ("conv", (6,), 9, None), ("upsample", (4,), 16, None), ("matmul", (9,), 2, None),
+]
+
+
+class TestSizeRules:
+    @pytest.mark.parametrize("kind,in_widths,out_width,makes", SIZE_RULES)
+    def test_rule_of_each_kind(self, kind, in_widths, out_width, makes):
+        tg = one_op(kind, in_widths, out_width)
+        if makes is None:
+            assert np.isfinite(run_numeric(tg, None, seed=1)[0])
+            return
+        with pytest.raises(GraphError, match=re.escape(
+                f"node 'op': a {kind} of inputs with {list(in_widths)} elements makes {makes} "
+                f"elements, but its output 'y' has {out_width}")):
+            run_numeric(tg, None, seed=1)
+
+    def test_random_instances_run_clean_or_name_a_node(self):
+        """Random graphs draw every size at random, concats too: each runs
+        with deviation 0 or is refused naming the first op that breaks its
+        rule, never with a numpy error."""
+        clean = refused = 0
+        for seed in range(100):
+            tg, rewritten, plan, _ = random_instance(seed)
+            try:
+                rows = equivalence_check(tg, [("x", rewritten, plan)], [0])
+            except GraphError as exc:
+                assert re.fullmatch(r"node 'n\d\d': a concat of inputs .* has \d+", str(exc))
+                refused += 1
+                continue
+            assert rows == [{"label": "x", "deviation": 0.0, "error": ""}]
+            clean += 1
+        assert clean and refused
+
+    def test_checked_once_per_graph(self, monkeypatch):
+        """grad_check walks the graph once per block; the rules run once."""
+        calls = []
+        norm = _TOY_OPS["norm"]
+        monkeypatch.setitem(_TOY_OPS, "norm", norm._replace(
+            widths=lambda in_sizes: calls.append(in_sizes) or norm.widths(in_sizes)))
+        tg = toy_chain(6, kinds=("conv", "norm"))
+        grad_check(tg, seed=1)
+        run_numeric(tg, None, seed=2)
+        assert len(calls) == 3  # op1, op3 and op5
 
 
 class TestEquivalence:

@@ -422,6 +422,28 @@ class TestCompileOnce:
         simulate(tg, None, SimConfig())
         assert counts == {"builds": 2, "derived": 0, "runs": 2}
 
+    def test_swap_rewrite_simulated_twice_derives_its_view_once(self, counts):
+        tg = expand_training_graph(gen_unet3d(TOY))
+        rewritten, plan = apply_rewrite(tg, PIN_REWRITES["paper-c1"])
+        first = simulate(rewritten, plan, _pin_cfg(False))
+        assert simulate(rewritten, plan, _pin_cfg(False)) == first
+        assert counts == {"builds": 1, "derived": 1, "runs": 2}  # the base's, and the rewrite's
+
+    def test_calibrated_then_simulated_derives_its_view_once(self, counts):
+        tg = expand_training_graph(gen_unet3d(TOY))
+        rewritten, plan = apply_rewrite(tg, PIN_REWRITES["paper-c4"])
+        calibrate_compute_rate(rewritten, plan, _pin_cfg(False), 10.0)
+        simulate(rewritten, plan, _pin_cfg(True))
+        assert (counts["builds"], counts["derived"]) == (1, 1)
+
+    def test_recompute_rewrite_simulated_twice_builds_twice(self, counts):
+        """A graph built from its rows keeps no view."""
+        tg = expand_training_graph(gen_unet3d(TOY))
+        rewritten, plan = apply_rewrite(tg, PIN_REWRITES["recompute-speed"])
+        simulate(rewritten, plan, _pin_cfg(False))
+        simulate(rewritten, plan, _pin_cfg(False))
+        assert counts == {"builds": 2, "derived": 0, "runs": 2}
+
 
 def _reference_calibration(tg, plan, cfg, target, tol=1e-3):
     """calibrate_compute_rate's bracket and bisection, simulating every probe."""
