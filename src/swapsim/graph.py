@@ -15,6 +15,11 @@ a document key, a config field, a checked parameter (``check_fields``) or a
 time (``_field_violations``), which also states the two row rules that no
 annotation can: an io node costs 0, and a shape is not empty.
 
+Every rule but acyclicity is in one list per graph (``GraphSpec.violations``).
+``validate_graph`` adds the cycle check to it, and every other stage that
+needs the rules kept calls ``checked_index``, which raises the first
+violation, so a fault has one wording wherever it is found.
+
 Every stage that builds or walks a whole graph (loading, saving,
 validation, generation, expansion, rewriting, liveness and simulation) runs
 with the cyclic garbage collector paused (``gc_paused``). The rows and
@@ -145,6 +150,11 @@ class GraphSpec:
         first use."""
         return _field_violations(self)
 
+    @cached_property
+    def violations(self) -> list[Violation]:
+        """Every violation but a cycle (``_violations``), found on first use."""
+        return _violations(self)
+
     def node(self, node_id: str) -> NodeSpec:
         ix = self.index
         return ix.nodes[ix.index[node_id]]
@@ -267,51 +277,39 @@ def extend_index(g: GraphSpec, base: GraphSpec, added, rewired, moved) -> bool:
     """Give ``g``, a graph that extends ``base`` by ``added``, ``rewired``
     and ``moved`` (``GraphIndex``), an index derived from ``base``'s, and
     return True; or return False, leaving it to be built from the rows, when
-    an id of either graph names two nodes or two tensors."""
+    an added node or tensor id is named twice or is already ``base``'s
+    (whose own ids are distinct, as it keeps every rule)."""
     ix = base.index
     new_tensors = g.tensors[len(base.tensors):]
     ids, tids = set(map(itemgetter(0), added)), set(map(itemgetter(0), new_tensors))
-    if not (len(ix.ids) == len(base.nodes) and len(ix.tensor_index) == len(base.tensors)
-            and len(ids) == len(added) and len(tids) == len(new_tensors)
+    if not (len(ids) == len(added) and len(tids) == len(new_tensors)
             and ids.isdisjoint(ix.index) and tids.isdisjoint(ix.tensor_index)):
         return False
     g.index = GraphIndex(g, ix, added, rewired, moved)
     return True
 
 
-def unique_index(g: GraphSpec) -> GraphIndex:
-    """``g.index``, once no node id names two rows: the index keeps one row
-    per id, so a graph whose rows share an id is rejected, naming the id."""
-    ix = g.index
-    if len(ix.ids) != len(g.nodes):
-        seen: set[str] = set()
-        twice = next(n.id for n in g.nodes if n.id in seen or seen.add(n.id))
-        raise GraphError(f"node id {twice!r} appears more than once")
-    return ix
+def checked_index(g: GraphSpec) -> GraphIndex:
+    """``g.index``, once ``g`` keeps every rule of its ``violations``; else
+    GraphError, in the words of the first violation."""
+    if g.violations:
+        raise GraphError(str(g.violations[0]))
+    return g.index
 
 
 def successors(g: GraphSpec) -> list[tuple[int, ...]]:
     """Per node index, the indices of its successors over data and control
-    edges, one entry per edge; an edge naming a node or tensor the graph lacks
-    raises GraphError. A node's successors may reuse the index's tuples."""
-    ix = g.index
-    if sum(map(len, ix.consumers)) != sum(len(r.inputs) for r in g.nodes):
-        nid, tid = next((r.id, t) for r in g.nodes for t in r.inputs if not g.has_tensor(t))
-        raise GraphError(f"node {nid!r} reads tensor {tid!r}, which the graph lacks")
+    edges, one entry per edge, of a graph that keeps every rule
+    (``checked_index``). A node's successors may reuse the index's tuples."""
+    ix = checked_index(g)
     succ: list[tuple[int, ...]] = [()] * len(ix.ids)
-    for t, p, readers in zip(g.tensors, ix.producer, ix.consumers):
-        if p is None:
-            raise GraphError(f"tensor {t.id!r} names producer {t.producer!r}, which the graph lacks")
+    for p, readers in zip(ix.producer, ix.consumers):
         if readers:
             succ[p] += readers
     index = ix.index
     control: dict[int, list[int]] = {}
     for a, b in g.control_edges:
-        ia, ib = index.get(a), index.get(b)
-        if ia is None or ib is None:
-            raise GraphError(f"control edge ({a!r}, {b!r}) names node "
-                             f"{(a if ia is None else b)!r}, which the graph lacks")
-        control.setdefault(ia, []).append(ib)
+        control.setdefault(index[a], []).append(index[b])
     for ia, more in control.items():
         succ[ia] += tuple(more)
     return succ
@@ -342,8 +340,8 @@ def _field_violations(g: GraphSpec, at: str = "") -> list[Violation]:
     that breaks one of the two rules no annotation states: an io node costs
     0, and a shape has at least one extent. A column is tested in a few
     passes (``_all_fit``), and its rows one at a time only to name those
-    that break it. The loaders, ``validate_graph`` and the simulator's
-    compiled view read it."""
+    that break it. The loaders read it, and ``GraphSpec.violations`` lists
+    it first."""
     out, columns = [], {}
     for name, row in (("nodes", NodeSpec), ("tensors", TensorDesc)):
         rows = getattr(g, name)
@@ -368,50 +366,59 @@ def _field_violations(g: GraphSpec, at: str = "") -> list[Violation]:
     return out
 
 
-def _structural_violations(g: GraphSpec) -> list[Violation]:
-    """Row-rule violations, or, on rows that keep every row rule, the
-    structural ones: duplicate ids, producers, dangling ids and edges."""
+def _violations(g: GraphSpec) -> list[Violation]:
+    """The row-rule violations, or, on rows that keep every row rule, the
+    structural ones: repeated node ids; per tensor, a repeated id and a
+    producer other than the one row listing it; per node, inputs and outputs
+    the tensor table lacks; control edges to unknown nodes. Counts and
+    lookups on the index's columns show which rules hold; the rows are
+    scanned only to name what breaks the others."""
     out = list(g.field_violations)
     if out:
         return out
-    seen_nodes: set[str] = set()
-    for n in g.nodes:
-        if n.id in seen_nodes:
-            out.append(Violation("duplicate-node-id", n.id, "node id appears more than once"))
-        seen_nodes.add(n.id)
-
-    seen_tensors: set[str] = set()
-    producers: dict[str, str] = {}
-    for n in g.nodes:
-        for tid in n.outputs:
-            if tid in producers:
-                producers[tid] = producers[tid] + "+"  # marks double production
-            else:
-                producers[tid] = n.id
-    for t in g.tensors:
-        if t.id in seen_tensors:
-            out.append(Violation("duplicate-tensor-id", t.id, "tensor id appears more than once"))
-        seen_tensors.add(t.id)
-        prod = producers.get(t.id)
-        if prod is None:
-            out.append(Violation("no-producer", t.id, "no node lists this tensor as an output"))
-        elif prod.endswith("+"):
-            out.append(Violation("multi-producer", t.id, "more than one node produces this tensor"))
-        elif prod != t.producer:
-            out.append(Violation("producer-mismatch", t.id,
-                                 f"declared producer {t.producer!r} but produced by {prod!r}"))
-    for n in g.nodes:
-        for tid in n.inputs:
-            if tid not in seen_tensors:
-                out.append(Violation("dangling-tensor", n.id,
-                                     f"consumes tensor {tid!r} with no producer"))
-        for tid in n.outputs:
-            if tid not in seen_tensors:
-                out.append(Violation("dangling-tensor", n.id,
-                                     f"produces tensor {tid!r} missing from the tensor table"))
+    ix, nodes, tensors = g.index, g.nodes, g.tensors
+    rows, index, tindex = ix.nodes, ix.index, ix.tensor_index
+    if len(ix.ids) != len(nodes):
+        seen: set[str] = set()
+        out += [Violation("duplicate-node-id", n.id, "node id appears more than once")
+                for n in nodes if n.id in seen or seen.add(n.id)]
+    # Distinct tensor ids, each listed by its declared producer, and no more
+    # outputs listed than tensors: each is listed once, and no other output.
+    produced = len(tindex) == len(tensors) == sum(map(len, map(itemgetter(3), nodes))) and all(
+        p is not None and t.id in rows[p].outputs for t, p in zip(tensors, ix.producer))
+    if not produced:
+        listed: dict[str, list[str]] = {}  # tensor id -> the rows that list it as an output
+        for n in nodes:
+            for tid in n.outputs:
+                listed.setdefault(tid, []).append(n.id)
+        seen = set()
+        for t in tensors:
+            if t.id in seen:
+                out.append(Violation("duplicate-tensor-id", t.id,
+                                     "tensor id appears more than once"))
+            seen.add(t.id)
+            by = listed.get(t.id, ())
+            if not by:
+                out.append(Violation("no-producer", t.id, "no node lists this tensor as an output"))
+            elif len(by) > 1:
+                out.append(Violation("multi-producer", t.id,
+                                     "more than one node produces this tensor"))
+            elif by[0] != t.producer:
+                out.append(Violation("producer-mismatch", t.id,
+                                     f"declared producer {t.producer!r} but produced by {by[0]!r}"))
+    if not produced or sum(map(len, ix.consumers)) != sum(map(len, map(itemgetter(2), nodes))):
+        for n in nodes:
+            for tid in n.inputs:
+                if tid not in tindex:
+                    out.append(Violation("dangling-tensor", n.id,
+                                         f"consumes tensor {tid!r} with no producer"))
+            for tid in n.outputs:
+                if tid not in tindex:
+                    out.append(Violation("dangling-tensor", n.id,
+                                         f"produces tensor {tid!r} missing from the tensor table"))
     for a, b in g.control_edges:
         for end in (a, b):
-            if end not in seen_nodes:
+            if end not in index:
                 out.append(Violation("control-edge-unknown-node", end,
                                      f"control edge ({a!r}, {b!r}) references unknown node"))
     return out
@@ -445,7 +452,7 @@ def _kahn(g: GraphSpec) -> tuple[list[str], set[str]]:
 def validate_graph_order(g: GraphSpec) -> tuple[list[Violation], list[str]]:
     """All violations found in the graph, and the ``topo_order`` of a valid
     one (an empty list when there are violations), from one pass."""
-    out = _structural_violations(g)
+    out = list(g.violations)
     if out:
         return out, []
     order, leftover = _kahn(g)

@@ -28,7 +28,7 @@ def random_forward_graph(rng: random.Random) -> GraphSpec:
     tensors = []
     avail: list[str] = []
 
-    def emit(i, kind, inputs, size):
+    def emit(i, kind, inputs):
         nid = f"n{i:02d}"
         tid = f"v{i:02d}"
         nodes.append(NodeSpec(id=nid, kind=kind, inputs=tuple(inputs), outputs=(tid,),
@@ -39,13 +39,13 @@ def random_forward_graph(rng: random.Random) -> GraphSpec:
                                   scope=nodes[-1].scope))
         avail.append(tid)
 
-    emit(0, "conv", [], 0)
+    emit(0, "conv", [])
     for i in range(1, n_ops):
         if len(avail) >= 2 and rng.random() < 0.25:
             picks = rng.sample(avail, 2)
-            emit(i, "concat", picks, 0)
+            emit(i, "concat", picks)
         else:
-            emit(i, "conv", [rng.choice(avail[-3:])], 0)
+            emit(i, "conv", [rng.choice(avail[-3:])])
     return GraphSpec(nodes=tuple(nodes), tensors=tuple(tensors))
 
 

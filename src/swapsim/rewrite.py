@@ -176,6 +176,8 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: Count) -> tuple[Training
     consumer; for a tensor consumed by the very first backward node that
     lands on the phase-boundary (loss) node.
 
+    ``tg``'s graph must keep every rule: reading its candidates
+    (``swap_candidates``, by ``bfs_depths``) raises its first violation.
     The new graph has every row. It extends ``tg``'s graph, so it takes its
     index from ``tg``'s (``GraphIndex``) and its serial order unchecked from
     ``tg`` (``TrainingGraph.extend``), unless a new node or tensor id is

@@ -22,18 +22,21 @@ Scheduling rules:
     throughout; ``SimConfig`` describes only the machine, and its field
     annotations are its value rules, checked when it is built.
 
-Each run works on a compiled view (``_CompiledGraph``): the simulator's own
-columns (channel, cost, tensor indices, allocated bytes, dependency counts,
-copy-queue keys) over the graph's shared index, with its node numbers. Ties
-in the copy queues, among a node's latest dependencies and among events
-break on (time, channel priority, node id), comparing the id strings, so
-they break the same however the nodes are numbered. Views are kept in
-``TrainingGraph.derived``, and only by these graphs:
+Each run works on a compiled view (``_CompiledGraph``) of a graph that keeps
+every rule (else its first violation is raised, as ``checked_index`` does).
+The view holds the simulator's own columns (channel, cost, tensor indices,
+allocated bytes, dependency counts, copy-queue keys) over the graph's shared
+index, with its node numbers. Ties in the copy queues, among a node's
+latest dependencies and among events break on (time, channel priority, node
+id), comparing the id strings, so they break the same however the nodes are
+numbered. Views are kept in ``TrainingGraph.derived``, and only by these
+graphs:
   - a swap rewrite's graph extends its base graph (``TrainingGraph.extend``),
     so its view is derived from the base's, by appending its io nodes and
     tensors and patching only the moved readers' inputs, the successors of
     the tensors' producers and of the trigger nodes, and the dependency
-    counts. The rewrite keeps its view, so a second ``simulate``,
+    counts, with no rule checked: the rewrite checked the base's. The
+    rewrite keeps its view, so a second ``simulate``,
     ``calibrate_compute_rate`` or ``sweep`` of it only runs the event loop;
   - the base compiles its own view once, when a rewrite first derives from
     it, and keeps it for all its rewrites.
@@ -52,8 +55,8 @@ from functools import partial
 from itertools import chain, compress
 from operator import is_not, itemgetter
 
-from .graph import (Count, NodeSpec, GraphError, Positive, Size, check_fields, dumps_canonical,
-                    gc_paused, successors, tensor_bytes, unique_index)
+from .graph import (Count, NodeSpec, GraphError, Positive, Size, check_fields, checked_index,
+                    dumps_canonical, gc_paused, successors, tensor_bytes)
 from .training import TrainingGraph, check_plan
 
 CHANNELS = ("compute", "d2h", "h2d")
@@ -136,14 +139,10 @@ class _CompiledGraph:
     def __init__(self, tg: TrainingGraph):
         self.graph = g = tg.graph
         self.static_bytes = tg.static_bytes
-        if g.field_violations:
-            raise GraphError(str(g.field_violations[0]))
-        ix = unique_index(g)
+        # No checks of the view's own: the graph's rule set, shared with
+        # validate_graph, raises its first violation.
+        ix = checked_index(g)
         nodes = ix.nodes
-        # O(n) checks in place of a validate_graph per run: the row rules
-        # above and one row per node id; successors resolves every edge; the
-        # column loop checks that each producer outputs its tensor, and a
-        # count that each node's outputs are tensors it produces.
         self.succ = succ = successors(g)
         self.ids = ids = ix.ids
         n = len(ids)
@@ -156,18 +155,11 @@ class _CompiledGraph:
         self.inputs = inputs = [()] * n
         self.outputs = outputs = [()] * n
         self.out_bytes = out_bytes = [0] * n
-        for k, t, p, readers in zip(range(len(size)), g.tensors, ix.producer, ix.consumers):
-            if t.id not in nodes[p].outputs:
-                raise GraphError(f"tensor {t.id!r} names producer {t.producer!r}, "
-                                 f"which does not output it")
+        for k, p, readers in zip(range(len(size)), ix.producer, ix.consumers):
             outputs[p] += (k,)
             out_bytes[p] += size[k]
             for c in readers:
                 inputs[c] += (k,)
-        if sum(map(len, outputs)) != sum(len(r.outputs) for r in nodes):
-            i = next(i for i, r in enumerate(nodes) if len(r.outputs) != len(outputs[i]))
-            raise GraphError(f"node {ids[i]!r} lists outputs {list(nodes[i].outputs)}, but produces "
-                             f"{[g.tensors[k].id for k in outputs[i]]} in the graph's tensor table")
 
         # Dependency counts over data + control edges. A swap_in's trigger
         # dependencies (issue) are counted apart from its swap_out (data).
@@ -280,18 +272,14 @@ def _readers(consumers, tensors) -> tuple[int, ...]:
 def _view(tg: TrainingGraph) -> _CompiledGraph:
     """``tg``'s compiled view: the one it keeps, else, while its base lives,
     one derived from its base's view, which both then keep, else one built
-    from its rows and kept by nobody. If the base's view cannot be built,
-    neither is one derived from it."""
+    from its rows and kept by nobody."""
     view = tg.derived.get("compiled_view")
     if view is not None:
         return view
     base = tg.base
     if base is None:
         return _CompiledGraph(tg)
-    try:
-        view = base.derived["compiled_view"] = _view(base)
-    except GraphError:
-        return _CompiledGraph(tg)
+    view = base.derived["compiled_view"] = _view(base)
     view = tg.derived["compiled_view"] = view.extend(tg)
     return view
 

@@ -12,8 +12,8 @@ from weakref import ref
 
 from .graph import (
     IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, Schema, Size, check, check_fields,
-    dumps_canonical, gc_paused, graph_from_obj, graph_text, graph_to_obj, list_text,
-    load_document, unique_index, validate_graph_order, value_text,
+    checked_index, dumps_canonical, gc_paused, graph_from_obj, graph_text, graph_to_obj,
+    list_text, load_document, validate_graph_order, value_text,
 )
 
 BACKWARD_COST_RATIO = 2.0  # grad op cost relative to its forward counterpart
@@ -37,6 +37,7 @@ class TrainingGraph:
 
     ``derived`` holds what other stages derive from this graph once and
     share across its rewrites and runs:
+      - ``cross_phase``, the ids of ``cross_phase_tensors``;
       - ``swap_candidates``, the swap rewrite's candidate table;
       - ``rewrites``, ``apply_rewrite``'s table of this graph's live
         rewrites by config, which holds each one weakly, so it never keeps
@@ -64,7 +65,6 @@ class TrainingGraph:
     def __post_init__(self):
         self.serial_order = tuple(self.serial_order)
         self._positions = {nid: i for i, nid in enumerate(self.serial_order)}
-        self._cross = None  # cross_phase_tensors, derived on first use
         self._base, self.derived = None, {}
         ix = self.graph.index
         last = -1
@@ -94,8 +94,7 @@ class TrainingGraph:
         the tensors they produce: every compute row keeps its id, kind and
         phase, so the order keeps its checks, which are not run again."""
         tg = copy(self)  # shares the order, its positions and the static bytes
-        tg.graph, tg.grad_of, tg._cross, tg._base, tg.derived = \
-            graph, dict(self.grad_of), None, ref(self), {}
+        tg.graph, tg.grad_of, tg._base, tg.derived = graph, dict(self.grad_of), ref(self), {}
         return tg
 
     @property
@@ -202,16 +201,18 @@ def input_nodes(g: GraphSpec) -> list[NodeSpec]:
 
 def cross_phase_tensors(tg: TrainingGraph) -> list[str]:
     """Cross-boundary tensor ids ordered by producer serial position; derived
-    once per TrainingGraph, and each call returns a new list."""
-    if tg._cross is None:
-        tg._cross = _cross_phase(tg)
-    return list(tg._cross)
+    once per TrainingGraph (``TrainingGraph.derived``), and each call
+    returns a new list."""
+    cross = tg.derived.get("cross_phase")
+    if cross is None:
+        cross = tg.derived["cross_phase"] = _cross_phase(tg)
+    return list(cross)
 
 
 def _cross_phase(tg: TrainingGraph) -> tuple[str, ...]:
     """Forward-produced tensors that a backward node reads, by (producer
-    position, id)."""
-    ix = tg.graph.index
+    position, id), in a graph that keeps every rule (``checked_index``)."""
+    ix = checked_index(tg.graph)
     rows, ids, positions = ix.nodes, ix.ids, tg._positions
     keyed = [(positions[ids[p]], t.id)
              for t, p, readers in zip(tg.graph.tensors, ix.producer, ix.consumers)
@@ -329,7 +330,7 @@ def static_peak_estimate(tg: TrainingGraph, plan=None) -> LivenessReport:
     """
     check_plan(tg.graph, plan)
     g = tg.graph
-    ix = unique_index(g)
+    ix = checked_index(g)
     static = tg.static_bytes
     npos = len(tg.serial_order)
     if npos == 0:

@@ -143,6 +143,17 @@ def test_an_extension_does_not_keep_its_base_alive():
     assert simulate(rewritten, plan).to_json() == derived  # now from the rows
 
 
+def test_a_derived_rewrite_is_simulated_without_a_rule_set_of_its_own():
+    """The base's rule set was found when the rewrite read its candidates,
+    so a derived view checks no rule, and the rewrite finds none."""
+    tg = expand_training_graph(gen_unet3d(TOY))
+    rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
+    assert "violations" in vars(tg.graph)
+    simulate(rewritten, plan)
+    sim_mod.calibrate_compute_rate(rewritten, plan, SimConfig(), 1.0)
+    assert rewritten.base is tg and "violations" not in vars(rewritten.graph)
+
+
 class TestNodeIdTaken:
     """A base graph that already has a node named ``swap_in/t0``: the swap
     of t0 fails the same way as a build from the same rows."""
@@ -177,4 +188,4 @@ class TestNodeIdTaken:
         assert rewritten.base is None  # built from its rows
         for cfg in (SimConfig(), BUDGET):
             assert outcome(rewritten, cfg) == outcome(fresh(rewritten), cfg) \
-                == "GraphError: node id 'swap_in/t0' appears more than once"
+                == "GraphError: [duplicate-node-id] swap_in/t0: node id appears more than once"

@@ -82,6 +82,16 @@ class TestValidate:
         codes = [v.code for v in validate_graph(dup)]
         assert "duplicate-node-id" in codes
 
+    @pytest.mark.parametrize("extra, listed", [
+        ((), []), ((TensorDesc("z", "b", (2,), 1, 4),),
+                   ["[no-producer] z: no node lists this tensor as an output"])])
+    def test_a_node_id_ending_in_plus_is_one_producer(self, extra, listed):
+        g = GraphSpec(nodes=(NodeSpec("a+", "conv", (), ("x",)),
+                             NodeSpec("b", "conv", ("x",), ("y",))),
+                      tensors=(TensorDesc("x", "a+", (2,), 1, 4),
+                               TensorDesc("y", "b", (2,), 1, 4)) + extra)
+        assert [str(v) for v in validate_graph(g)] == listed
+
     def test_negative_size(self):
         t = TensorDesc(id="x:0", producer="x", shape=(0,), channels=1, elem_bytes=4)
         n = NodeSpec(id="x", kind="conv", outputs=("x:0",))

@@ -2,6 +2,7 @@
 a caller holds it: the base keeps a weak table of its live rewrites, and a
 swap rewrite keeps the compiled view that it derives from its base's."""
 import gc
+import re
 import weakref
 
 import pytest
@@ -132,7 +133,8 @@ def test_a_base_that_already_has_a_swap_in_node_falls_back_to_rows():
     assert rewritten.base is None and "t0" in plan.swapped
     assert apply_rewrite(tg, resolve_preset("paper-c1"))[0] is rewritten
     for _ in range(2):
-        with pytest.raises(GraphError, match="node id 'swap_in/t0' appears more than once"):
+        with pytest.raises(GraphError, match=re.escape(
+                "[duplicate-node-id] swap_in/t0: node id appears more than once")):
             simulate(rewritten, plan, SIM)
     assert "compiled_view" not in rewritten.derived
 

@@ -9,7 +9,7 @@ import pytest
 
 from swapsim import props as props_mod
 from swapsim.cli import _scenario_from_obj
-from swapsim.graph import GraphError, NodeSpec, validate_graph
+from swapsim.graph import GraphError, NodeSpec, save_graph, validate_graph
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import (
     ORACLE_MAX_SWAPS, brute_force_makespans, check_dependency_soundness,
@@ -502,6 +502,72 @@ class TestCalibrationOracle:
                 _outcome(_reference_calibration, *args)
 
 
+def _with_row(g, rows: str, row_id: str, **fields):
+    """``g`` with the fields of row ``row_id`` of its ``rows`` replaced."""
+    return replace(g, **{rows: tuple(r._replace(**fields) if r.id == row_id else r
+                                     for r in getattr(g, rows))})
+
+
+def _raised(run, *args) -> str:
+    with pytest.raises(GraphError) as exc:
+        run(*args)
+    return str(exc.value)
+
+
+# One row per structural fault, put in a 4-op chain's graph: the fault, and
+# the graph's full validate_graph list. A duplicate node id also shows a
+# tensor listed by two rows.
+STRUCTURAL_FAULTS = {
+    "missing-producer": (
+        lambda g: _with_row(g, "tensors", "t1", producer="ghost"),
+        ["[producer-mismatch] t1: declared producer 'ghost' but produced by 'op1'"]),
+    "producer-not-outputting": (
+        lambda g: _with_row(g, "tensors", "t1", producer="op0"),
+        ["[producer-mismatch] t1: declared producer 'op0' but produced by 'op1'"]),
+    "input-missing": (
+        lambda g: _with_row(g, "nodes", "op2", inputs=("ghost",)),
+        ["[dangling-tensor] op2: consumes tensor 'ghost' with no producer"]),
+    "output-missing": (
+        lambda g: _with_row(g, "nodes", "op1", outputs=("t1", "ghost")),
+        ["[dangling-tensor] op1: produces tensor 'ghost' missing from the tensor table"]),
+    "duplicate-node-id": (
+        lambda g: replace(g, nodes=g.nodes + (g.node("op1")._replace(cost_units=100.0),)),
+        ["[duplicate-node-id] op1: node id appears more than once",
+         "[multi-producer] t1: more than one node produces this tensor"]),
+    "tensor-nobody-outputs": (
+        lambda g: replace(g, tensors=g.tensors + (g.tensor("t1")._replace(id="t9"),)),
+        ["[no-producer] t9: no node lists this tensor as an output"]),
+    "duplicate-tensor-id": (
+        lambda g: replace(g, tensors=g.tensors + (g.tensor("t1"),)),
+        ["[duplicate-tensor-id] t1: tensor id appears more than once"]),
+    "control-edge-to-unknown-node": (
+        lambda g: replace(g, control_edges=g.control_edges + (("ghost", "op2"),)),
+        ["[control-edge-unknown-node] ghost: control edge ('ghost', 'op2') references "
+         "unknown node"]),
+}
+
+# Each entry point's prefix, and what it reports, run on the faulty training
+# graph, the faulty forward graph and a path to write to. A sweep of mode
+# "none" reports in-row; every other entry point raises.
+ENTRY_POINTS = {
+    "validate_graph": ("", lambda tg, forward, path: str(validate_graph(tg.graph)[0])),
+    "save_graph": ("refusing to save invalid graph: ",
+                   lambda tg, forward, path: _raised(save_graph, tg.graph, path)),
+    "expand_training_graph": ("cannot expand invalid graph: ",
+                              lambda tg, forward, path: _raised(expand_training_graph, forward)),
+    "simulate": ("", lambda tg, forward, path: _raised(simulate, tg, None, SimConfig())),
+    "calibrate_compute_rate": ("", lambda tg, forward, path: _raised(
+        calibrate_compute_rate, tg, None, SimConfig(), 1.0)),
+    "static_peak_estimate": ("", lambda tg, forward, path: _raised(static_peak_estimate, tg)),
+    "sweep": ("", lambda tg, forward, path: sweep(
+        tg, [RewriteConfig()], [SimConfig()])[0]["error"]),
+    "apply_rewrite-swap": ("", lambda tg, forward, path: _raised(
+        apply_rewrite, tg, resolve_preset("paper-c1"))),
+    "apply_rewrite-recompute": ("", lambda tg, forward, path: _raised(
+        apply_rewrite, tg, RewriteConfig(mode="recompute", ckpt_policy="sqrt_n"))),
+}
+
+
 class TestInputChecks:
     def test_negative_instance_count_rejected(self):
         with pytest.raises(GraphError, match="wrong value type at instances: expected an "
@@ -586,49 +652,18 @@ class TestInputChecks:
         with pytest.raises(GraphError, match=message):
             calibrate_compute_rate(bad, None, SimConfig(), 1.0)
 
-    @pytest.mark.parametrize("missing, message", [
-        ("producer", "tensor 't1' names producer 'ghost', which the graph lacks"),
-        ("input", "node 'op2' reads tensor 'ghost', which the graph lacks"),
-        ("control-edge", "control edge ('ghost', 'op2') names node 'ghost', "
-                         "which the graph lacks"),
-        ("declared-producer", "tensor 't1' names producer 'op0', which does not output it"),
-        ("output", "node 'op1' lists outputs ['t1', 'ghost'], but produces ['t1'] in the "
-                   "graph's tensor table"),
-        ("duplicate-node", "node id 'op1' appears more than once"),
-    ])
-    def test_graph_naming_what_it_lacks_rejected(self, missing, message):
-        tg = expand_training_graph(gen_chain(4))
-        g = tg.graph
-        if missing in ("producer", "declared-producer"):
-            producer = "ghost" if missing == "producer" else "op0"
-            g = replace(g, tensors=tuple(t._replace(producer=producer) if t.id == "t1" else t
-                                         for t in g.tensors))
-        elif missing == "input":
-            g = replace(g, nodes=tuple(n._replace(inputs=("ghost",)) if n.id == "op2" else n
-                                       for n in g.nodes))
-        elif missing == "output":
-            g = replace(g, nodes=tuple(n._replace(outputs=n.outputs + ("ghost",))
-                                       if n.id == "op1" else n for n in g.nodes))
-        elif missing == "duplicate-node":
-            g = replace(g, nodes=g.nodes + (g.node("op1")._replace(cost_units=100.0),))
-        else:
-            g = replace(g, control_edges=g.control_edges + (("ghost", "op2"),))
-        bad = replace(tg, graph=g)
-        with pytest.raises(GraphError, match=re.escape(message)):
-            simulate(bad, None, SimConfig())
-        with pytest.raises(GraphError, match=re.escape(message)):
-            calibrate_compute_rate(bad, None, SimConfig(), 1.0)
-
-    def test_duplicate_node_id_rejected_by_sweep_and_estimator(self):
-        tg = expand_training_graph(gen_chain(4))
-        g = tg.graph
-        bad = replace(tg, graph=replace(g, nodes=g.nodes + (g.node("op1")._replace(
-            cost_units=100.0),)))
-        assert [v.code for v in validate_graph(bad.graph)][0] == "duplicate-node-id"
-        message = "node id 'op1' appears more than once"
-        assert [row["error"] for row in sweep(bad, [RewriteConfig()], [SimConfig()])] == [message]
-        with pytest.raises(GraphError, match=re.escape(message)):
-            static_peak_estimate(bad)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("fault", sorted(STRUCTURAL_FAULTS))
+    def test_structural_fault_reported_in_one_wording(self, fault, entry, tmp_path):
+        """Every entry point reports the first entry of the graph's
+        validate_graph list, after its own prefix, and returns nothing."""
+        corrupt, listed = STRUCTURAL_FAULTS[fault]
+        forward = gen_chain(4)
+        tg = expand_training_graph(forward)
+        bad = replace(tg, graph=corrupt(tg.graph))
+        assert [str(v) for v in validate_graph(bad.graph)] == listed
+        prefix, report = ENTRY_POINTS[entry]
+        assert report(bad, corrupt(forward), tmp_path / "g.json") == prefix + listed[0]
 
     @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -1.0])
     def test_calibrate_rejects_bad_target(self, target):
