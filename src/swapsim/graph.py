@@ -273,20 +273,19 @@ _EMPTY_INDEX = SimpleNamespace(ids=(), nodes=(), index={}, tensor_index={}, prod
                                consumers=())
 
 
-def extend_index(g: GraphSpec, base: GraphSpec, added, rewired, moved) -> bool:
+def extend_index(g: GraphSpec, base: GraphSpec, added, rewired, moved) -> None:
     """Give ``g``, a graph that extends ``base`` by ``added``, ``rewired``
-    and ``moved`` (``GraphIndex``), an index derived from ``base``'s, and
-    return True; or return False, leaving it to be built from the rows, when
-    an added node or tensor id is named twice or is already ``base``'s
-    (whose own ids are distinct, as it keeps every rule)."""
+    and ``moved`` (``GraphIndex``), an index derived from ``base``'s; or
+    raise GraphError, in the words of ``g``'s first violation, when an added
+    node or tensor id is named twice or is already ``base``'s (whose own ids
+    are distinct, as it keeps every rule)."""
     ix = base.index
     new_tensors = g.tensors[len(base.tensors):]
     ids, tids = set(map(itemgetter(0), added)), set(map(itemgetter(0), new_tensors))
     if not (len(ids) == len(added) and len(tids) == len(new_tensors)
             and ids.isdisjoint(ix.index) and tids.isdisjoint(ix.tensor_index)):
-        return False
+        checked_index(g)  # a repeated id is a violation
     g.index = GraphIndex(g, ix, added, rewired, moved)
-    return True
 
 
 def checked_index(g: GraphSpec) -> GraphIndex:

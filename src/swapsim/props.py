@@ -167,7 +167,7 @@ def check_determinism(tg: TrainingGraph, plan, report, cfg: SimConfig) -> list[s
     """``report``, a run of ``tg`` under ``cfg``, equals a run of a copy of
     ``tg`` built anew from its rows: for a swap rewrite, a run on the view
     that it derives from its base's view (``sim._view``) against a run on
-    one compiled from the rows."""
+    one built from the empty view."""
     g = tg.graph
     rows = TrainingGraph(GraphSpec(g.nodes, g.tensors, g.control_edges, dict(g.metadata)),
                          tg.serial_order, dict(tg.grad_of))

@@ -180,8 +180,8 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: Count) -> tuple[Training
     (``swap_candidates``, by ``bfs_depths``) raises its first violation.
     The new graph has every row. It extends ``tg``'s graph, so it takes its
     index from ``tg``'s (``GraphIndex``) and its serial order unchecked from
-    ``tg`` (``TrainingGraph.extend``), unless a new node or tensor id is
-    already taken, when both are built from the rows.
+    ``tg`` (``TrainingGraph.extend``); a new id that ``tg``'s graph already
+    has raises the new graph's first violation (``extend_index``).
     """
     plan = RewritePlan(mode="swap", lb=lb)
     first_backward = tg.boundary_position + 1
@@ -201,6 +201,8 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: Count) -> tuple[Training
     new_row = tuple.__new__  # a row from its field values, in order, without a Python frame
 
     for tid in selection:
+        if tid in plan.swapped:
+            raise GraphError(f"tensor {tid!r} is selected twice")
         c = table.get(tid)
         if c is None:
             raise GraphError(f"tensor {tid!r} is not a cross-phase tensor")
@@ -224,9 +226,8 @@ def insert_swap_nodes(tg: TrainingGraph, selection, lb: Count) -> tuple[Training
                          tensors=g.tensors + tuple(tensors),
                          control_edges=g.control_edges + tuple(control_edges))
     index = ix.index
-    if extend_index(rewritten, g, added, {index[nid]: row for nid, row in rewired.items()}, moved):
-        return tg.extend(rewritten), plan
-    return TrainingGraph(graph=rewritten, serial_order=serial, grad_of=dict(tg.grad_of)), plan
+    extend_index(rewritten, g, added, {index[nid]: row for nid, row in rewired.items()}, moved)
+    return tg.extend(rewritten), plan
 
 
 def _derived(base: GraphSpec, **rows) -> GraphSpec:

@@ -29,22 +29,22 @@ allocated bytes, dependency counts, copy-queue keys) over the graph's shared
 index, with its node numbers. Ties in the copy queues, among a node's
 latest dependencies and among events break on (time, channel priority, node
 id), comparing the id strings, so they break the same however the nodes are
-numbered. Views are kept in ``TrainingGraph.derived``, and only by these
-graphs:
+numbered. One builder makes every view (``_CompiledGraph.extend``): a view
+from a graph's rows is the extension of the empty view, as its index is the
+derivation from the empty index. Views are kept in ``TrainingGraph.derived``,
+and only by these graphs:
   - a swap rewrite's graph extends its base graph (``TrainingGraph.extend``),
-    so its view is derived from the base's, by appending its io nodes and
-    tensors and patching only the moved readers' inputs, the successors of
-    the tensors' producers and of the trigger nodes, and the dependency
-    counts, with no rule checked: the rewrite checked the base's. The
-    rewrite keeps its view, so a second ``simulate``,
+    so while the base lives, its view extends the base's by its io nodes and
+    tensors, patched only where their edges change, with no rule checked:
+    the rewrite checked the base's. A second ``simulate``,
     ``calibrate_compute_rate`` or ``sweep`` of it only runs the event loop;
   - the base compiles its own view once, when a rewrite first derives from
     it, and keeps it for all its rewrites.
-A graph built from its rows (loaded, generated, expanded and never swapped,
-or a recompute rewrite) keeps no view: it compiles one per ``simulate``
-call, per rewrite config in ``sweep`` and for all the probes of
-``calibrate_compute_rate``. In free-run mode calibration decides a probe
-whose compute time alone exceeds the target without running it.
+Any other graph (loaded, generated, expanded and never swapped, a recompute
+rewrite, or a swap rewrite whose base has died) keeps no view: it builds
+one per ``simulate`` call, per rewrite config in ``sweep`` and for all the
+probes of ``calibrate_compute_rate``. In free-run mode calibration decides
+a probe whose compute time alone exceeds the target without running it.
 """
 from __future__ import annotations
 
@@ -55,8 +55,8 @@ from functools import partial
 from itertools import chain, compress
 from operator import is_not, itemgetter
 
-from .graph import (Count, NodeSpec, GraphError, Positive, Size, check_fields, checked_index,
-                    dumps_canonical, gc_paused, successors, tensor_bytes)
+from .graph import (Count, GraphError, GraphSpec, NodeSpec, Positive, Size, check_fields,
+                    checked_index, dumps_canonical, gc_paused, tensor_bytes)
 from .training import TrainingGraph, check_plan
 
 CHANNELS = ("compute", "d2h", "h2d")
@@ -130,135 +130,113 @@ class _CompiledGraph:
     """The simulator's columns over a graph's index, reused for every run on
     it, with the index's node numbers. Queue, latest-dependency and event
     ties break on the node ids, which follow the numbers only in a graph
-    built from its rows."""
+    built from its rows. ``extend`` builds every view, from the empty view
+    (``_CompiledGraph()``) or, for a swap rewrite, from its base's."""
 
     __slots__ = ("graph", "static_bytes", "ids", "phases", "channel", "cost_units", "inputs",
                  "outputs", "out_bytes", "succ", "pending", "issue_pending", "tensor_size",
                  "refcount", "serial", "position", "queue_key", "d2h_seed", "h2d_seed")
 
-    def __init__(self, tg: TrainingGraph):
-        self.graph = g = tg.graph
-        self.static_bytes = tg.static_bytes
-        # No checks of the view's own: the graph's rule set, shared with
-        # validate_graph, raises its first violation.
-        ix = checked_index(g)
-        nodes = ix.nodes
-        self.succ = succ = successors(g)
-        self.ids = ids = ix.ids
-        n = len(ids)
-        self.phases = dict(zip(ids, [r.phase for r in nodes]))
-        self.tensor_size = size = ix.tensor_bytes
-        self.refcount = list(map(len, ix.consumers))
-        self.channel = chan = [_KIND_CHANNEL.get(r.kind, 0) for r in nodes]
-        self.cost_units = [r.cost_units for r in nodes]  # 0 on io nodes, by the row rules
-        # Per node: the tensors it reads and writes, and the bytes it allocates.
-        self.inputs = inputs = [()] * n
-        self.outputs = outputs = [()] * n
-        self.out_bytes = out_bytes = [0] * n
-        for k, p, readers in zip(range(len(size)), ix.producer, ix.consumers):
-            outputs[p] += (k,)
-            out_bytes[p] += size[k]
-            for c in readers:
-                inputs[c] += (k,)
-
-        # Dependency counts over data + control edges. A swap_in's trigger
-        # dependencies (issue) are counted apart from its swap_out (data).
-        self.pending = pending = [0] * n
-        self.issue_pending = issue_pending = [0] * n
-        for ia, s in enumerate(succ):
-            for ib in s:
-                pending[ib] += 1
-                if chan[ib] == 2 and chan[ia] != 1:
-                    issue_pending[ib] += 1
-
-        self.serial = serial = list(map(ix.index.__getitem__, tg.serial_order))
-        self.position = position = [None] * n
-        for p, i in enumerate(serial):
-            position[i] = p
-        self.queue_key = [0] * n
-        self.d2h_seed, self.h2d_seed = [], []
-        self._enqueue([i for i, c in enumerate(chan) if c])
-
-    def _enqueue(self, io) -> None:
-        """Queue keys for the io nodes ``io``: a swap_out's producer
-        position, a swap_in's earliest consumer position (0 when there is
-        none); those whose enqueue conditions hold from the start join the
-        seeds, kept sorted, so heaps."""
-        chan, key, position, ids = self.channel, self.queue_key, self.position, self.ids
-        ix, outputs, not_none = self.graph.index, self.outputs, partial(is_not, None)
-        for i in io:
-            if chan[i] == 2:
-                readers = _readers(ix.consumers, outputs[i])
-                key[i] = min(filter(not_none, map(position.__getitem__, readers)), default=0)
-                if self.issue_pending[i] == 0:
-                    self.h2d_seed.append((0.0, key[i], ids[i], i))
-            else:
-                key[i] = position[ix.producer[self.inputs[i][0]]] or 0
-                if self.pending[i] == 0:
-                    self.d2h_seed.append((0.0, key[i], ids[i], i))
-        self.d2h_seed.sort()
-        self.h2d_seed.sort()
+    def __init__(self):
+        """The empty view, of the empty graph; ``extend`` never changes it."""
+        for slot in self.__slots__:
+            setattr(self, slot, [])
+        self.graph, self.phases = GraphSpec(), {}
 
     def extend(self, tg: TrainingGraph) -> _CompiledGraph:
         """The view of ``tg``, whose graph extends this view's graph
-        (``TrainingGraph.extend``) by io nodes: this view's columns with the
-        added nodes and tensors appended, and patched only where an edge
-        changed: the moved readers' inputs, the successors of the producers
-        whose readers changed and of the control sources, and the reference
-        counts of the tensors whose readers changed."""
+        (``GraphIndex``): this view's columns with the added nodes and
+        tensors appended, and patched only where an edge changed: the moved
+        readers' inputs, the successors of the producers whose readers
+        changed and of the control sources, and the reference counts of the
+        tensors whose readers changed. No rule is checked here. From the
+        empty view, the serial order is numbered from ``tg``'s, and the
+        readers that a derived index moved already read their new tensors."""
         v = object.__new__(type(self))
         g = tg.graph
-        v.graph, v.static_bytes, v.serial = g, self.static_bytes, self.serial
         ix, base = g.index, self.graph.index
         nb, nt = len(self.ids), len(self.tensor_size)
-        v.ids, rows, consumers, producer = ix.ids, ix.nodes[nb:], ix.consumers, ix.producer
+        v.graph, v.static_bytes, v.ids = g, tg.static_bytes, ix.ids
+        rows, consumers, producer, index = ix.nodes[nb:], ix.consumers, ix.producer, ix.index
         m = len(rows)
         added = range(nb, nb + m)
-        v.phases = self.phases | dict(zip(ix.ids[nb:], map(itemgetter(6), rows)))
-        v.tensor_size = size = self.tensor_size + tuple(map(tensor_bytes, g.tensors[nt:]))
+        v.phases = phases = self.phases.copy()
+        phases.update(zip(ix.ids[nb:], map(itemgetter(6), rows)))
         v.channel = chan = self.channel + [_KIND_CHANNEL.get(r.kind, 0) for r in rows]
-        v.cost_units = self.cost_units + list(map(itemgetter(4), rows))
-        v.position = self.position + [None] * m
-        tget = ix.tensor_index.__getitem__
-        new_inputs = [tuple(sorted(map(tget, ins))) for ins in map(itemgetter(2), rows)]
-        v.inputs = inputs = self.inputs + new_inputs
+        v.cost_units = self.cost_units + list(map(itemgetter(4), rows))  # 0 on io nodes
+        if nb:
+            v.serial, v.position = self.serial, self.position + [None] * m
+            v.tensor_size = size = self.tensor_size + tuple(map(tensor_bytes, g.tensors[nt:]))
+            moved, tget = ix.moved, ix.tensor_index.__getitem__
+            read = sorted({*filter(nt.__gt__, map(tget, chain.from_iterable(
+                map(itemgetter(2), rows))))})  # the base tensors that added nodes read
+        else:
+            v.serial = serial = list(map(index.__getitem__, tg.serial_order))
+            v.position = position = [None] * m
+            for p, i in enumerate(serial):
+                position[i] = p
+            v.tensor_size = size = ix.tensor_bytes
+            moved, read = {}, ()
+        # Per node, the tensors it reads and writes, one entry per data edge,
+        # in tensor order, the bytes it allocates and its data successors
+        # (its outputs' readers, in tensor order). A new tensor's producer is
+        # an added node; its readers are added nodes or moved readers.
+        v.inputs = inputs = self.inputs + [()] * m
+        for k in read:
+            for c in filter(nb.__le__, consumers[k]):  # its added readers
+                inputs[c] += (k,)
         v.outputs = outputs = self.outputs + [()] * m
         v.out_bytes = out_bytes = self.out_bytes + [0] * m
-        for k in range(nt, len(size)):
-            p = producer[k]
+        v.succ = succ = self.succ + [()] * m
+        for k, p, readers in zip(range(nt, len(size)), producer[nt:], consumers[nt:]):
             outputs[p] += (k,)
             out_bytes[p] += size[k]
-        # A moved reader reads the new tensor in place of the old, so its
-        # dependency counts stay; an added node counts its own edges.
-        for k, new in ix.moved.items():
+            succ[p] += readers
+            for c in readers:
+                inputs[c] += (k,)
+        # A moved reader now reads the new tensor in place of the old, so
+        # its dependency counts stay; an added node counts its own edges.
+        for k, new in moved.items():
             for c in consumers[new]:
-                ins = inputs[c]
-                inputs[c] = tuple([x for x in ins if x != k]) + (new,) * ins.count(k)
-        changed = {*ix.moved, *filter(nt.__gt__, chain.from_iterable(new_inputs))}  # base tensors
+                inputs[c] = tuple([x for x in inputs[c] if x != k])
+        changed = {*moved, *read}  # base tensors whose readers changed
         v.refcount = refcount = self.refcount + list(map(len, consumers[nt:]))
         for k in changed:
             refcount[k] = len(consumers[k])
-        v.pending = pending = self.pending + list(map(len, new_inputs))
+        for p in set(map(producer.__getitem__, changed)):  # base nodes
+            control = succ[p][len(_readers(base.consumers, self.outputs[p])):]
+            succ[p] = _readers(consumers, outputs[p]) + control
+        v.pending = pending = self.pending + list(map(len, inputs[nb:]))
         v.issue_pending = issue = self.issue_pending + [0] * m
-
-        # Successors: a node's data successors (its outputs' readers, in
-        # tensor order), then its control successors, in edge order.
-        v.succ = succ = self.succ + [()] * m
-        for p in set(map(producer.__getitem__, chain(changed, range(nt, len(size))))):
-            data = _readers(consumers, outputs[p])
-            if p < nb:  # its control successors follow its data successors
-                data += succ[p][len(_readers(base.consumers, self.outputs[p])):]
-            succ[p] = data
-        index = ix.index
+        # Then each node's control successors, in edge order. A swap_in is
+        # issued by its edges, control or data, from other nodes than swap_outs.
         for a, b in g.control_edges[len(self.graph.control_edges):]:
             ia, ib = index[a], index[b]
             succ[ia] += (ib,)
             pending[ib] += 1
             if chan[ib] == 2 and chan[ia] != 1:
                 issue[ib] += 1
-        v.queue_key = self.queue_key + [0] * m
-        v.d2h_seed, v.h2d_seed = self.d2h_seed[:], self.h2d_seed[:]
-        v._enqueue(compress(added, chan[nb:]))
+
+        # Queue keys of the added io nodes: a swap_out's producer position,
+        # a swap_in's earliest reader position (0 when there is none). Those
+        # whose enqueue conditions hold from the start join the seeds, kept
+        # sorted, so heaps.
+        v.queue_key = key = self.queue_key + [0] * m
+        v.d2h_seed, v.h2d_seed = d2h, h2d = self.d2h_seed[:], self.h2d_seed[:]
+        position, not_none = v.position, partial(is_not, None)
+        for i in compress(added, chan[nb:]):
+            if chan[i] == 2:
+                issue[i] += sum(chan[producer[k]] != 1 for k in inputs[i])  # its data edges
+                readers = _readers(consumers, outputs[i])
+                key[i] = min(filter(not_none, map(position.__getitem__, readers)), default=0)
+                if issue[i] == 0:
+                    h2d.append((0.0, key[i], v.ids[i], i))
+            else:
+                key[i] = position[producer[inputs[i][0]]] or 0
+                if pending[i] == 0:
+                    d2h.append((0.0, key[i], v.ids[i], i))
+        d2h.sort()
+        h2d.sort()
         return v
 
 
@@ -269,16 +247,21 @@ def _readers(consumers, tensors) -> tuple[int, ...]:
     return tuple(chain.from_iterable(map(consumers.__getitem__, tensors)))
 
 
+_EMPTY_VIEW = _CompiledGraph()
+
+
 def _view(tg: TrainingGraph) -> _CompiledGraph:
     """``tg``'s compiled view: the one it keeps, else, while its base lives,
-    one derived from its base's view, which both then keep, else one built
-    from its rows and kept by nobody."""
+    one derived from its base's view, which both then keep, else the
+    extension of the empty view, once ``tg``'s graph keeps every rule
+    (``checked_index``), kept by nobody."""
     view = tg.derived.get("compiled_view")
     if view is not None:
         return view
     base = tg.base
     if base is None:
-        return _CompiledGraph(tg)
+        checked_index(tg.graph)
+        return _EMPTY_VIEW.extend(tg)
     view = base.derived["compiled_view"] = _view(base)
     view = tg.derived["compiled_view"] = view.extend(tg)
     return view
@@ -496,8 +479,8 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
     (n_tensors, lb, mode, bandwidths). Infeasible cells report their error
     in-row; the sweep continues. Each rewrite config's view serves all its
     sim configs: a swap rewrite keeps its view, derived from the view that
-    ``tg`` keeps, and a rewrite built from its rows compiles one here and
-    drops it with the rewrite."""
+    ``tg`` keeps, and a recompute rewrite builds one here from the empty
+    view and drops it with the rewrite."""
     from .rewrite import apply_rewrite
 
     rewrite_cfgs = list(rewrite_cfgs)

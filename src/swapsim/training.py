@@ -46,8 +46,8 @@ class TrainingGraph:
         it;
       - ``compiled_view``, the simulator's view (``sim._view``): a graph
         that extends another keeps the view it derives from the other's,
-        and the other keeps its own to derive from; a graph built from its
-        rows and never extended keeps none;
+        and the other keeps its own to derive from; any other graph keeps
+        none;
       - ``numeric_sizes``, set once the numeric executor's size rules pass
         (``numeric._check_sizes``).
     Each value is derived from the graph, or made with it, so the graph is

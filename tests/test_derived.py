@@ -1,8 +1,9 @@
 """A swap rewrite's graph takes its index, and the simulator its compiled
 view, from the base graph (``GraphIndex``, ``_CompiledGraph.extend``). Each
 row of this table checks that what is derived equals what a fresh
-``GraphSpec`` of the same rows builds, once node numbers are read as node
-ids, and that both simulate to the same report or the same error."""
+``GraphSpec`` of the same rows builds (its index from the empty index, its
+view from the empty view), once node numbers are read as node ids, and that
+both simulate to the same report or the same error."""
 import weakref
 
 import pytest
@@ -80,7 +81,7 @@ def assert_derived_equals_built(tg: TrainingGraph, rewritten: TrainingGraph, cfg
     assert index_by_name(rewritten.graph.index) == index_by_name(built.graph.index)
     derived_view = sim_mod._view(rewritten)
     assert tg.derived["compiled_view"] is not None
-    assert view_by_name(derived_view) == view_by_name(sim_mod._CompiledGraph(built))
+    assert view_by_name(derived_view) == view_by_name(sim_mod._view(built))
     for cfg in cfgs:
         assert outcome(rewritten, cfg) == outcome(built, cfg)
 
@@ -133,6 +134,17 @@ def test_a_reader_of_two_swapped_tensors():
     assert_derived_equals_built(tg, rewritten, [SimConfig(), BUDGET])
 
 
+def test_a_swapped_tensor_whose_producer_has_a_control_successor():
+    """The producer's successors are patched: its data successors change,
+    and its control successor still follows them."""
+    tg = expand_training_graph(gen_chain(3))
+    g = tg.graph
+    tg = TrainingGraph(GraphSpec(g.nodes, g.tensors, g.control_edges + (("op1", "grad/op0"),),
+                                 dict(g.metadata)), tg.serial_order, dict(tg.grad_of))
+    rewritten, _ = insert_swap_nodes(tg, ["t1"], 1)
+    assert_derived_equals_built(tg, rewritten, [SimConfig(), BUDGET])
+
+
 def test_an_extension_does_not_keep_its_base_alive():
     tg = expand_training_graph(gen_unet3d(TOY))
     rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
@@ -141,6 +153,20 @@ def test_an_extension_does_not_keep_its_base_alive():
     del tg
     assert base() is None and rewritten.base is None
     assert simulate(rewritten, plan).to_json() == derived  # now from the rows
+
+
+def test_a_rewrite_whose_base_died_builds_its_view_from_the_empty_view():
+    """Its index is still derived from the base's, so it has moved readers,
+    but its view extends the empty view, which must not move them again."""
+    tg = expand_training_graph(gen_unet3d(TOY))
+    rewritten, _ = apply_rewrite(tg, resolve_preset("paper-c1"))
+    assert rewritten.graph.index.moved
+    del tg
+    assert rewritten.base is None
+    built = fresh(rewritten)
+    assert view_by_name(sim_mod._view(rewritten)) == view_by_name(sim_mod._view(built))
+    for cfg in (SimConfig(compute_rate=2e12), BUDGET):
+        assert outcome(rewritten, cfg) == outcome(built, cfg)
 
 
 def test_a_derived_rewrite_is_simulated_without_a_rule_set_of_its_own():
@@ -156,7 +182,7 @@ def test_a_derived_rewrite_is_simulated_without_a_rule_set_of_its_own():
 
 class TestNodeIdTaken:
     """A base graph that already has a node named ``swap_in/t0``: the swap
-    of t0 fails the same way as a build from the same rows."""
+    of t0 raises the rewritten graph's first violation."""
 
     def test_taken_by_a_compute_node(self):
         forward = gen_chain(3)
@@ -165,27 +191,20 @@ class TestNodeIdTaken:
         tg = expand_training_graph(g)
         with pytest.raises(GraphError) as derived:
             insert_swap_nodes(tg, ["t0"], 1)
-        rows = tg.graph
-        t0 = rows.tensor("t0")
-        rewired = tuple(n._replace(inputs=tuple("t0@in" if x == "t0" else x for x in n.inputs))
-                        if n.phase == "backward" else n for n in rows.nodes)
-        built = GraphSpec(rewired + (NodeSpec("swap_out/t0", "swap_out", ("t0",), (), 0.0, "",
-                                              "io"),
-                                     NodeSpec("swap_in/t0", "swap_in", (), ("t0@in",), 0.0, "",
-                                              "io")),
-                          rows.tensors + (t0._replace(id="t0@in", producer="swap_in/t0"),),
-                          rows.control_edges, dict(rows.metadata))
-        with pytest.raises(GraphError) as from_rows:
-            TrainingGraph(built, tg.serial_order, dict(tg.grad_of))
-        assert str(derived.value) == str(from_rows.value) \
-            == "serial_order names io node 'swap_in/t0'"
+        assert str(derived.value) \
+            == "[duplicate-node-id] swap_in/t0: node id appears more than once"
 
     def test_taken_by_an_io_node(self):
         tg = expand_training_graph(gen_chain(3))
         tg = with_node(tg, NodeSpec("swap_in/t0", "swap_in", (), ("y",), 0.0, "", "io"),
                        TensorDesc("y", "swap_in/t0", (2,), 1, 4))
-        rewritten, _ = insert_swap_nodes(tg, ["t0"], 1)
-        assert rewritten.base is None  # built from its rows
-        for cfg in (SimConfig(), BUDGET):
-            assert outcome(rewritten, cfg) == outcome(fresh(rewritten), cfg) \
-                == "GraphError: [duplicate-node-id] swap_in/t0: node id appears more than once"
+        with pytest.raises(GraphError) as derived:
+            insert_swap_nodes(tg, ["t0"], 1)
+        assert str(derived.value) \
+            == "[duplicate-node-id] swap_in/t0: node id appears more than once"
+
+
+def test_a_tensor_selected_twice_is_refused():
+    tg = expand_training_graph(gen_chain(3))
+    with pytest.raises(GraphError, match="^tensor 't0' is selected twice$"):
+        insert_swap_nodes(tg, ["t0", "t0"], 1)

@@ -9,7 +9,7 @@ import pytest
 
 from swapsim import props as props_mod
 from swapsim.cli import _scenario_from_obj
-from swapsim.graph import GraphError, NodeSpec, save_graph, validate_graph
+from swapsim.graph import GraphError, GraphSpec, NodeSpec, save_graph, validate_graph
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import (
     ORACLE_MAX_SWAPS, brute_force_makespans, check_dependency_soundness,
@@ -22,7 +22,7 @@ from swapsim.sim import (
     DeadlockError, InfeasibleError, SimConfig, calibrate_compute_rate, emit_trace,
     epoch_time, op_cost, simulate, stall_report, sweep, xfer_cost,
 )
-from swapsim.training import expand_training_graph, static_peak_estimate
+from swapsim.training import TrainingGraph, expand_training_graph, static_peak_estimate
 
 TOY = UNetParams(dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2,
                  convs_per_level=1)
@@ -363,27 +363,21 @@ class TestByteIdentity:
 class TestCompileOnce:
     @pytest.fixture()
     def counts(self, monkeypatch):
-        """Count compiled-view builds from rows, views derived from a base
-        graph's view, and event-loop runs."""
+        """Count compiled-view builds from rows (extensions of the empty
+        view), views derived from a base graph's view, and event-loop runs."""
         import swapsim.sim as sim_mod
-        real_build, real_run = sim_mod._CompiledGraph, sim_mod._run
-        real_extend = real_build.extend
+        real_extend, real_run = sim_mod._CompiledGraph.extend, sim_mod._run
         counts = {"builds": 0, "derived": 0, "runs": 0}
 
-        def build(tg):
-            counts["builds"] += 1
-            return real_build(tg)
-
         def extend(view, tg):
-            counts["derived"] += 1
+            counts["derived" if view.ids else "builds"] += 1
             return real_extend(view, tg)
 
         def run(view, cfg):
             counts["runs"] += 1
             return real_run(view, cfg)
 
-        monkeypatch.setattr(sim_mod, "_CompiledGraph", build)
-        monkeypatch.setattr(real_build, "extend", extend)
+        monkeypatch.setattr(sim_mod._CompiledGraph, "extend", extend)
         monkeypatch.setattr(sim_mod, "_run", run)
         return counts
 
@@ -443,6 +437,22 @@ class TestCompileOnce:
         simulate(rewritten, plan, _pin_cfg(False))
         simulate(rewritten, plan, _pin_cfg(False))
         assert counts == {"builds": 2, "derived": 0, "runs": 2}
+
+
+def test_a_swap_in_is_issued_by_its_data_edges_from_compute_nodes():
+    """A loaded graph may give a swap_in a data edge from a compute node,
+    which issues it as its trigger's control edge does; its swap_out's edge
+    makes it wait, but does not issue it."""
+    import swapsim.sim as sim_mod
+    rewritten, plan = insert_swap_nodes(expand_training_graph(gen_chain(3)), ["t0"], 1)
+    g = rewritten.graph
+    nodes = tuple(n._replace(inputs=("t1",)) if n.id == "swap_in/t0" else n for n in g.nodes)
+    loaded = TrainingGraph(GraphSpec(nodes, g.tensors, g.control_edges, dict(g.metadata)),
+                           rewritten.serial_order, dict(rewritten.grad_of))
+    view = sim_mod._view(loaded)
+    i = view.ids.index("swap_in/t0")
+    assert (view.pending[i], view.issue_pending[i]) == (3, 2)  # + op1's; op1's and trigger's
+    assert simulate(loaded, plan).makespan > 0
 
 
 def _reference_calibration(tg, plan, cfg, target, tol=1e-3):
