@@ -22,17 +22,26 @@ Scheduling rules:
     throughout; ``SimConfig`` describes only the machine, and its field
     annotations are its value rules, checked when it is built.
 
+The event loop (``_run``) keeps times, not reports: each node's start and
+end, the compute stalls (node, gap, whether the budget held it), the busy
+seconds per channel, the peak and the makespan. ``_report`` builds the
+``SimReport`` from them after the run: it sorts the events and names each
+stall's blocker from the end times and the node's dependencies.
+``calibrate_compute_rate`` reads only the makespan, so its probes build no
+report.
+
 Each run works on a compiled view (``_CompiledGraph``) of a graph that keeps
 every rule (else its first violation is raised, as ``checked_index`` does).
 The view holds the simulator's own columns (channel, cost, tensor indices,
-allocated bytes, dependency counts, copy-queue keys) over the graph's shared
-index, with its node numbers. Ties in the copy queues, among a node's
-latest dependencies and among events break on (time, channel priority, node
-id), comparing the id strings, so they break the same however the nodes are
-numbered. One builder makes every view (``_CompiledGraph.extend``): a view
-from a graph's rows is the extension of the empty view, as its index is the
-derivation from the empty index. Views are kept in ``TrainingGraph.derived``,
-and only by these graphs:
+allocated bytes, dependency counts, copy-queue keys, a compute node's
+control sources) over the graph's shared index, with its node numbers.
+Ties in the copy queues, among a stall's latest dependencies and among
+events break on (time, channel priority, node id), comparing the id
+strings, so they break the same however the nodes are numbered. One
+builder makes every view (``_CompiledGraph.extend``): a view from a graph's
+rows is the extension of the empty view, as its index is the derivation
+from the empty index. Views are kept in ``TrainingGraph.derived``, and only
+by these graphs:
   - a swap rewrite's graph extends its base graph (``TrainingGraph.extend``),
     so while the base lives, its view extends the base's by its io nodes and
     tensors, patched only where their edges change, with no rule checked:
@@ -50,7 +59,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress
 from operator import is_not, itemgetter
@@ -128,20 +137,21 @@ class SimReport:
 
 class _CompiledGraph:
     """The simulator's columns over a graph's index, reused for every run on
-    it, with the index's node numbers. Queue, latest-dependency and event
-    ties break on the node ids, which follow the numbers only in a graph
-    built from its rows. ``extend`` builds every view, from the empty view
+    it, with the index's node numbers. Queue, stall-blocker and event ties
+    break on the node ids, which follow the numbers only in a graph built
+    from its rows. ``extend`` builds every view, from the empty view
     (``_CompiledGraph()``) or, for a swap rewrite, from its base's."""
 
     __slots__ = ("graph", "static_bytes", "ids", "phases", "channel", "cost_units", "inputs",
                  "outputs", "out_bytes", "succ", "pending", "issue_pending", "tensor_size",
-                 "refcount", "serial", "position", "queue_key", "d2h_seed", "h2d_seed")
+                 "refcount", "serial", "position", "queue_key", "d2h_seed", "h2d_seed",
+                 "control_src")
 
     def __init__(self):
         """The empty view, of the empty graph; ``extend`` never changes it."""
         for slot in self.__slots__:
             setattr(self, slot, [])
-        self.graph, self.phases = GraphSpec(), {}
+        self.graph, self.phases, self.control_src = GraphSpec(), {}, {}
 
     def extend(self, tg: TrainingGraph) -> _CompiledGraph:
         """The view of ``tg``, whose graph extends this view's graph
@@ -208,13 +218,17 @@ class _CompiledGraph:
             succ[p] = _readers(consumers, outputs[p]) + control
         v.pending = pending = self.pending + list(map(len, inputs[nb:]))
         v.issue_pending = issue = self.issue_pending + [0] * m
-        # Then each node's control successors, in edge order. A swap_in is
+        # Then each node's control successors, in edge order, and a compute
+        # node's control sources, for its stalls' blockers. A swap_in is
         # issued by its edges, control or data, from other nodes than swap_outs.
+        v.control_src = sources = self.control_src.copy()
         for a, b in g.control_edges[len(self.graph.control_edges):]:
             ia, ib = index[a], index[b]
             succ[ia] += (ib,)
             pending[ib] += 1
-            if chan[ib] == 2 and chan[ia] != 1:
+            if chan[ib] == 0:
+                sources[ib] = sources.get(ib, ()) + (ia,)
+            elif chan[ib] == 2 and chan[ia] != 1:
                 issue[ib] += 1
 
         # Queue keys of the added io nodes: a swap_out's producer position,
@@ -267,18 +281,21 @@ def _view(tg: TrainingGraph) -> _CompiledGraph:
     return view
 
 
-def _run(v: _CompiledGraph, cfg: SimConfig):
-    """Run the event loop on a compiled view. Returns the makespan plus the
-    raw events (start, channel, node id, end) in start order, the peak
-    resident bytes (static bytes excluded), the stalls and busy seconds per
-    channel."""
+def _run(v: _CompiledGraph, cfg: SimConfig, rate: float):
+    """Run the event loop on a compiled view at compute ``rate`` (the other
+    settings from ``cfg``), keeping only times. Returns the makespan (the
+    clock at the last completion), each node's start and end (lists by
+    node number), the peak resident bytes (static bytes excluded), the
+    compute stalls as (node, gap, whether the budget held the channel since
+    the last compute start) and the busy seconds per channel, summed in
+    start order. ``_report`` builds the report from these after the run."""
     limited = cfg.enforce_budget and cfg.gpu_budget > 0
     static, budget = v.static_bytes, cfg.gpu_budget
     if limited:
         for t, nbytes in zip(v.graph.tensors, v.tensor_size):
             if static + nbytes > budget:
                 raise InfeasibleError(t.id, nbytes, budget)
-    rate, d2h_bw, h2d_bw, latency = cfg.compute_rate, cfg.d2h_bw, cfg.h2d_bw, cfg.xfer_latency
+    d2h_bw, h2d_bw, latency = cfg.d2h_bw, cfg.h2d_bw, cfg.xfer_latency
 
     ids, chan, cost, succ = v.ids, v.channel, v.cost_units, v.succ
     inputs, outputs, size = v.inputs, v.outputs, v.tensor_size
@@ -286,79 +303,68 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
     pending = v.pending[:]
     issue_pending = v.issue_pending[:]
     refcount = v.refcount[:]
-    latest_dep: list = [None] * len(ids)  # node -> (end, dep id, dep index)
     d2h_queue = v.d2h_seed[:]
     h2d_queue = v.h2d_seed[:]
     heap: list[tuple[float, int, int]] = []  # (end, channel, node)
     heappush, heappop = heapq.heappush, heapq.heappop
 
+    n_serial, n_nodes = len(serial), len(ids)
+    start, finish = [0.0] * n_nodes, [0.0] * n_nodes
+    stalls: list[tuple[int, float, bool]] = []
     resident = 0
     peak = 0
-    events: list[tuple[float, int, int, float]] = []
-    stalls: list[tuple[str, str, float]] = []
     free = [True, True, True]
     busy = [0.0, 0.0, 0.0]
-    n_serial, n_nodes = len(serial), len(ids)
     compute_idx = 0
     last_compute_end = 0.0
     budget_blocked = False
     done = 0
     now = 0.0
     while True:
-        # Start everything that can start at `now`, until nothing more can.
-        progressed = True
-        while progressed:
-            progressed = False
-            # Compute channel: strictly the next node in serial order.
-            if free[0] and compute_idx < n_serial:
-                i = serial[compute_idx]
-                if pending[i] == 0:
-                    if not limited or static + resident + out_bytes[i] <= budget:
-                        if now > last_compute_end:
-                            if budget_blocked:
-                                blocking = "budget"
-                            else:
-                                dep = latest_dep[i]
-                                blocking = ids[dep[2]] if dep is not None else ""
-                            stalls.append((ids[i], blocking, now - last_compute_end))
-                        resident += out_bytes[i]
-                        dur = cost[i] / rate
-                        end = now + dur
-                        heappush(heap, (end, 0, i))
-                        free[0] = False
-                        busy[0] += dur
-                        events.append((now, 0, ids[i], end))
-                        compute_idx += 1
-                        budget_blocked = False
-                        progressed = True
-                    else:
-                        budget_blocked = True
-            if free[1] and d2h_queue and d2h_queue[0][0] <= now:
-                _, _, nid, i = heappop(d2h_queue)
-                dur = latency + size[inputs[i][0]] / d2h_bw
-                end = now + dur
-                heappush(heap, (end, 1, i))
-                free[1] = False
-                busy[1] += dur
-                events.append((now, 1, nid, end))
-                progressed = True
-            if free[2] and h2d_queue:
-                _, _, nid, i = h2d_queue[0]
-                # Issue-order service: the head may still wait on its swap_out.
-                if pending[i] == 0:
-                    need = out_bytes[i]
-                    if not limited or static + resident + need <= budget:
-                        heappop(h2d_queue)
-                        resident += need
-                        dur = latency + need / h2d_bw
-                        end = now + dur
-                        heappush(heap, (end, 2, i))
-                        free[2] = False
-                        busy[2] += dur
-                        events.append((now, 2, nid, end))
-                        progressed = True
-                    else:
-                        budget_blocked = True
+        # Start what can start at `now`. One pass is enough: starting work
+        # on one channel frees no other channel and no bytes.
+        # Compute channel: strictly the next node in serial order.
+        if free[0] and compute_idx < n_serial:
+            i = serial[compute_idx]
+            if pending[i] == 0:
+                if not limited or static + resident + out_bytes[i] <= budget:
+                    if now > last_compute_end:
+                        stalls.append((i, now - last_compute_end, budget_blocked))
+                    resident += out_bytes[i]
+                    dur = cost[i] / rate
+                    start[i] = now
+                    end = finish[i] = now + dur
+                    heappush(heap, (end, 0, i))
+                    free[0] = False
+                    busy[0] += dur
+                    compute_idx += 1
+                    budget_blocked = False
+                else:
+                    budget_blocked = True
+        if free[1] and d2h_queue and d2h_queue[0][0] <= now:
+            i = heappop(d2h_queue)[3]
+            dur = latency + size[inputs[i][0]] / d2h_bw
+            start[i] = now
+            end = finish[i] = now + dur
+            heappush(heap, (end, 1, i))
+            free[1] = False
+            busy[1] += dur
+        if free[2] and h2d_queue:
+            i = h2d_queue[0][3]
+            # Issue-order service: the head may still wait on its swap_out.
+            if pending[i] == 0:
+                need = out_bytes[i]
+                if not limited or static + resident + need <= budget:
+                    heappop(h2d_queue)
+                    resident += need
+                    dur = latency + need / h2d_bw
+                    start[i] = now
+                    end = finish[i] = now + dur
+                    heappush(heap, (end, 2, i))
+                    free[2] = False
+                    busy[2] += dur
+                else:
+                    budget_blocked = True
         if done == n_nodes:
             break
         if not heap:
@@ -389,12 +395,8 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
                 if refcount[k] == 0:
                     resident -= size[k]
             from_swap_out = chan[i] == 1
-            dep = (end, ids[i], i)
             for m in succ[i]:
                 pending[m] -= 1
-                prev = latest_dep[m]
-                if prev is None or dep > prev:
-                    latest_dep[m] = dep
                 if chan[m] == 1:
                     if pending[m] == 0:
                         heappush(d2h_queue, (end, key[m], ids[m], m))
@@ -403,13 +405,40 @@ def _run(v: _CompiledGraph, cfg: SimConfig):
                     if issue_pending[m] == 0:
                         heappush(h2d_queue, (end, key[m], ids[m], m))
 
-    makespan = max(map(itemgetter(3), events), default=0.0)
-    return makespan, events, max(peak, resident), stalls, busy
+    return now, start, finish, max(peak, resident), stalls, busy
 
 
 def _report(v: _CompiledGraph, cfg: SimConfig) -> SimReport:
-    makespan, events, peak, stalls, busy_time = _run(v, cfg)
-    events.sort()  # (start, channel priority, node id) -- all distinct
+    """Run ``v`` at ``cfg`` and assemble the report from the recorded times:
+    the events in (start, channel priority, node id) order; each stall's
+    blocker, ``"budget"`` when the budget held the node, else its data or
+    control dependency with the largest (end, id), else ``""``; and the
+    busy seconds over the makespan."""
+    makespan, start, end, peak, raw_stalls, busy_time = _run(v, cfg, cfg.compute_rate)
+    ids, chan, inputs, control_src = v.ids, v.channel, v.inputs, v.control_src
+    producer = v.graph.index.producer
+    # (start, channel, id) are all distinct. Sorting on the start alone
+    # first, by float comparisons, leaves the full sort only the ties.
+    events = list(zip(start, chan, ids, end))
+    events.sort(key=itemgetter(0))
+    events.sort()
+    stalls = []
+    for i, gap, blocked in raw_stalls:
+        if blocked:
+            stalls.append((ids[i], "budget", gap))
+            continue
+        # (end, id) of the latest dependency, "" if none; two plain loops
+        # cost less per stall than chaining the data and control sources.
+        latest = (0.0, "")
+        for k in inputs[i]:
+            dep = (end[producer[k]], ids[producer[k]])
+            if dep > latest:
+                latest = dep
+        for d in control_src.get(i, ()):
+            dep = (end[d], ids[d])
+            if dep > latest:
+                latest = dep
+        stalls.append((ids[i], latest[1], gap))
     return SimReport(
         makespan=makespan,
         events=[(nid, CHANNELS[c], s, e) for s, c, nid, e in events],
@@ -476,11 +505,14 @@ def epoch_time(iter_seconds: float, iterations: Count, host_preproc_seconds: flo
 @gc_paused
 def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
     """One summary row per (rewrite config, sim config) cell, sorted by
-    (n_tensors, lb, mode, bandwidths). Infeasible cells report their error
-    in-row; the sweep continues. Each rewrite config's view serves all its
-    sim configs: a swap rewrite keeps its view, derived from the view that
-    ``tg`` keeps, and a recompute rewrite builds one here from the empty
-    view and drops it with the rewrite."""
+    (n_tensors, lb, mode, bandwidths). A rewrite config that raises reports
+    its error in each of its rows, with ``swapped`` and the results null; a
+    cell that is infeasible or deadlocks reports its error in its row, with
+    the results null; either way the sweep goes on with the grid. Each
+    rewrite config's view serves all its sim configs: a swap rewrite keeps
+    its view, derived from the view that ``tg`` keeps, and a recompute
+    rewrite builds one here from the empty view and drops it with the
+    rewrite."""
     from .rewrite import apply_rewrite
 
     rewrite_cfgs = list(rewrite_cfgs)
@@ -489,25 +521,30 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
         raise GraphError("sweep grid is empty")
     rows = []
     for rcfg in rewrite_cfgs:
-        rewritten, plan = apply_rewrite(tg, rcfg)
+        try:
+            rewritten, plan = apply_rewrite(tg, rcfg)
+            swapped, error = len(plan.swapped), ""
+        except GraphError as exc:
+            swapped, error = None, str(exc)
         view = None
         for scfg in sim_cfgs:
             row = {
                 "n_tensors": rcfg.n_tensors, "lb": rcfg.lb, "mode": rcfg.mode,
-                "d2h_bw": scfg.d2h_bw, "h2d_bw": scfg.h2d_bw,
-                "swapped": len(plan.swapped),
+                "d2h_bw": scfg.d2h_bw, "h2d_bw": scfg.h2d_bw, "swapped": swapped,
+                "makespan": None, "peak_resident": None,
+                "boundary_stall": None, "backward_stall": None, "error": error,
             }
-            try:
-                if view is None:
-                    view = _view(rewritten)
-                rep = _report(view, scfg)
-                srep = stall_report(rep)
-                row.update(makespan=rep.makespan, peak_resident=rep.peak_resident,
-                           boundary_stall=srep["boundary"],
-                           backward_stall=srep["backward"], error="")
-            except GraphError as exc:
-                row.update(makespan=None, peak_resident=None,
-                           boundary_stall=None, backward_stall=None, error=str(exc))
+            if swapped is not None:
+                try:
+                    if view is None:
+                        view = _view(rewritten)
+                    rep = _report(view, scfg)
+                    srep = stall_report(rep)
+                    row.update(makespan=rep.makespan, peak_resident=rep.peak_resident,
+                               boundary_stall=srep["boundary"],
+                               backward_stall=srep["backward"])
+                except GraphError as exc:
+                    row["error"] = str(exc)
             rows.append(row)
     rows.sort(key=lambda r: (r["n_tensors"], r["lb"], r["mode"], r["d2h_bw"], r["h2d_bw"]))
     return rows
@@ -518,11 +555,13 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
                            target_makespan: Positive) -> float:
     """Binary-search the compute_rate that puts the simulated makespan at the
     target, to within CALIBRATION_TOL; makespan is monotone non-increasing
-    in compute_rate. The graph is compiled once and every probe run reads
-    only its makespan. Without an enforced budget, a probe rate at which the
+    in compute_rate. The graph is compiled once. Each probe passes its rate
+    straight to the event loop (``_run``), with ``cfg`` for the other
+    settings, and reads only the makespan: no config and no report is built
+    per probe. Without an enforced budget, a probe rate at which the
     compute time alone (the sum of the compute costs over the rate) exceeds
-    the target is decided "too slow" without a run or a config; the probes
-    and the returned rate are the same as when every probe runs."""
+    the target is decided "too slow" without a run; the probes and the
+    returned rate are the same as when every probe runs."""
     check_fields(calibrate_compute_rate, {"target_makespan": target_makespan})
     check_plan(tg.graph, plan)
     view = _view(tg)
@@ -539,7 +578,7 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
     def run(rate: float) -> float:
         if free_run and compute_units / rate > too_slow:
             return math.inf
-        return _run(view, replace(cfg, compute_rate=rate))[0]
+        return _run(view, cfg, rate)[0]
 
     lo, hi = 1.0, 1.0
     while run(hi) > target_makespan:

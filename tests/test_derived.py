@@ -63,7 +63,8 @@ def view_by_name(v) -> dict:
                "pending": per_node, "issue_pending": per_node, "tensor_size": tuple,
                "refcount": list, "serial": lambda serial: [ids[i] for i in serial],
                "position": per_node, "queue_key": per_node, "d2h_seed": seeds,
-               "h2d_seed": seeds}
+               "h2d_seed": seeds,
+               "control_src": lambda src: {ids[i]: tuple(map(name, s)) for i, s in src.items()}}
     assert set(by_name) == set(type(v).__slots__)
     return {slot: convert(getattr(v, slot)) for slot, convert in by_name.items()}
 

@@ -9,7 +9,8 @@ import pytest
 
 from swapsim import props as props_mod
 from swapsim.cli import _scenario_from_obj
-from swapsim.graph import GraphError, GraphSpec, NodeSpec, save_graph, validate_graph
+from swapsim.graph import (GraphError, GraphSpec, NodeSpec, TensorDesc, save_graph,
+                           validate_graph)
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import (
     ORACLE_MAX_SWAPS, brute_force_makespans, check_dependency_soundness,
@@ -261,6 +262,21 @@ class TestEpochTime:
             epoch_time(bad, 3)
 
 
+def _base_with_a_swap_in_node():
+    tg = expand_training_graph(gen_chain(4))
+    g = tg.graph
+    return TrainingGraph(
+        GraphSpec(g.nodes + (NodeSpec("swap_in/t0", "swap_in", (), ("y",), 0.0, "", "io"),),
+                  g.tensors + (TensorDesc("y", "swap_in/t0", (2,), 1, 4),),
+                  g.control_edges, dict(g.metadata)),
+        tg.serial_order, dict(tg.grad_of))
+
+
+def _forward_only():
+    g = gen_chain(4)
+    return TrainingGraph(g, tuple(n.id for n in g.nodes))
+
+
 class TestSweep:
     def test_preset_grid_has_four_rows(self):
         tg = expand_training_graph(gen_unet3d(TOY))
@@ -297,6 +313,34 @@ class TestSweep:
                      [SimConfig(gpu_budget=10, enforce_budget=True)])
         assert rows[0]["makespan"] is None
         assert "infeasible" in rows[0]["error"]
+
+    REWRITE_ERRORS = {
+        "node-id-taken": (_base_with_a_swap_in_node, resolve_preset("paper-c1"),
+                          "[duplicate-node-id] swap_in/t0: node id appears more than once"),
+        "no-backward-phase": (_forward_only, resolve_preset("paper-c1"),
+                              "graph has no backward phase to swap across"),
+        "bad-manual-checkpoint": (lambda: expand_training_graph(gen_chain(4)),
+                                  RewriteConfig(mode="recompute", ckpt_policy="manual",
+                                                manual_ckpts=("nope",)),
+                                  "manual checkpoint 'nope' is not a cross-phase tensor"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REWRITE_ERRORS))
+    def test_rewrite_error_reported_in_its_rows(self, case):
+        """A rewrite config that raises fills each of its rows with the
+        error, and the grid's other configs still run."""
+        build, bad, message = self.REWRITE_ERRORS[case]
+        tg = build()
+        sim_cfgs = [SimConfig(), SimConfig(d2h_bw=1e9, h2d_bw=1e9)]
+        rows = sweep(tg, [bad, RewriteConfig()], sim_cfgs)
+        assert len(rows) == 4
+        failed = [r for r in rows if r["mode"] == bad.mode]
+        assert [r["error"] for r in failed] == [message, message]
+        assert all(r[k] is None for r in failed for k in (
+            "swapped", "makespan", "peak_resident", "boundary_stall", "backward_stall"))
+        assert {r["d2h_bw"]: (r["error"], r["swapped"], r["makespan"])
+                for r in rows if r["mode"] == "none"} \
+            == {c.d2h_bw: ("", 0, simulate(tg, None, c).makespan) for c in sim_cfgs}
 
 
 # SHA-256 of outputs on the toy U-Net, recorded before the simulator ran on a
@@ -360,6 +404,90 @@ class TestByteIdentity:
         assert _sha(json.dumps(rows, sort_keys=True)) == PIN_SWEEP_SHA
 
 
+def stall_blocker_faults(tg, report, enforced: bool) -> list[str]:
+    """``report``'s stalls worked out again from its events and ``tg``'s
+    data and control edges, without the simulator. The compute nodes run in
+    serial order; one that starts after the previous one ends (the first,
+    after 0.0) stalls for the gap. Its blocker is the dependency with the
+    largest (end, id), or "" when it has none; under an enforced budget it
+    may be "budget" instead."""
+    times = {nid: (start, end) for nid, _, start, end in report.events}
+    deps: dict = {}
+    for a, b in tg.graph.edges():
+        deps.setdefault(b, []).append(a)
+    expected, last_end = [], 0.0
+    for nid in tg.serial_order:
+        start, end = times[nid]
+        if start > last_end:
+            expected.append((nid, start - last_end))
+        last_end = end
+    faults = []
+    if [(nid, gap) for nid, _, gap in report.stalls] != expected:
+        faults.append(f"stalls {report.stalls} != {expected}")
+    for nid, blocker, _ in report.stalls:
+        latest = max(((times[d][1], d) for d in deps.get(nid, ())), default=(0.0, ""))[1]
+        if blocker != latest and not (enforced and blocker == "budget"):
+            faults.append(f"{nid}: blocker {blocker!r}, expected {latest!r}")
+    return faults
+
+
+class TestStallBlockers:
+    """Every stall and its blocker, checked against ``stall_blocker_faults``."""
+
+    @staticmethod
+    def check(tg, plan, cfg) -> tuple[list[str], int]:
+        """The faults of one run, and its stalls whose blocker is a node."""
+        try:
+            r = simulate(tg, plan, cfg)
+        except GraphError:
+            return [], 0
+        return (stall_blocker_faults(tg, r, cfg.enforce_budget),
+                sum(b not in ("", "budget") for _, b, _ in r.stalls))
+
+    # (share of the static peak enforced as the budget, stalls whose blocker
+    # is a node among the runs that finish); most budgeted runs raise.
+    @pytest.mark.parametrize("share, stalls", [(None, 594), (0.8, 105), (0.7, 49)],
+                             ids=["free", "budget80", "budget70"])
+    def test_random_instances(self, share, stalls):
+        faults, checked = [], 0
+        for seed in range(300):
+            _, rewritten, plan, cfg = random_instance(seed)
+            if share is not None:
+                budget = int(static_peak_estimate(rewritten).peak_bytes * share)
+                cfg = replace(cfg, gpu_budget=budget, enforce_budget=True)
+            found, n = self.check(rewritten, plan, cfg)
+            faults += [f"seed {seed}: {f}" for f in found]
+            checked += n
+        assert faults == []
+        assert checked == stalls
+
+    @pytest.mark.parametrize("budget", [False, True], ids=["free", "budget"])
+    @pytest.mark.parametrize("name", sorted(PIN_REWRITES))
+    def test_toy_unet_cells(self, name, budget):
+        rewritten, plan = apply_rewrite(_pin_tg(budget), PIN_REWRITES[name])
+        assert self.check(rewritten, plan, _pin_cfg(budget))[0] == []
+
+    def test_two_dependencies_that_end_at_once(self):
+        """grad/op0 waits for swap_out/t2 (a control edge of the loaded
+        base) and for swap_in/t0 (added by the rewrite, so numbered after
+        every base node), which both end at 17.0: the larger id names it."""
+        tg = expand_training_graph(gen_chain(3, bytes_per_tensor=1024, cost_per_op=1.0))
+        g = tg.graph
+        out = NodeSpec("swap_out/t2", "swap_out", ("t2",), (), 0.0, "", "io")
+        base = TrainingGraph(GraphSpec(g.nodes + (out,), g.tensors,
+                                       g.control_edges + (("swap_out/t2", "grad/op0"),),
+                                       dict(g.metadata)),
+                             tg.serial_order, dict(tg.grad_of))
+        rewritten, plan = insert_swap_nodes(base, ["t0"], 1)
+        assert rewritten.base is base
+        cfg = SimConfig(compute_rate=1.0, d2h_bw=128.0, h2d_bw=128.0)
+        r = simulate(rewritten, plan, cfg)
+        ends = {nid: end for nid, _, _, end in r.events}
+        assert ends["swap_out/t2"] == ends["swap_in/t0"] == 17.0
+        assert r.stalls == [("grad/op0", "swap_out/t2", 10.0)]
+        assert stall_blocker_faults(rewritten, r, False) == []
+
+
 class TestCompileOnce:
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -373,9 +501,9 @@ class TestCompileOnce:
             counts["derived" if view.ids else "builds"] += 1
             return real_extend(view, tg)
 
-        def run(view, cfg):
+        def run(view, cfg, rate):
             counts["runs"] += 1
-            return real_run(view, cfg)
+            return real_run(view, cfg, rate)
 
         monkeypatch.setattr(sim_mod._CompiledGraph, "extend", extend)
         monkeypatch.setattr(sim_mod, "_run", run)
@@ -437,6 +565,46 @@ class TestCompileOnce:
         simulate(rewritten, plan, _pin_cfg(False))
         simulate(rewritten, plan, _pin_cfg(False))
         assert counts == {"builds": 2, "derived": 0, "runs": 2}
+
+
+# The compute rates that reach the event loop when paper-c1 on the toy U-Net
+# is calibrated to 10 s: under a budget every probe runs; free-running, the
+# probes whose compute time alone exceeds the target are decided unrun.
+BUDGET_PROBES = [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0,
+                 1048576.0, 1.0, 1024.0, 32768.0, 185363.80004736633, 440871.8997605395]
+BISECTION_PROBES = [679917.4164288685, 844360.7551570106, 757690.9549283818,
+                    717751.5423365022, 737450.914647384, 727534.5568326113,
+                    722626.4943037381, 725076.3727282621, 726304.4248128008,
+                    726919.2306107645]
+
+
+@pytest.mark.parametrize("budget, probes", [
+    (False, [1048576.0] + BISECTION_PROBES),
+    (True, BUDGET_PROBES + BISECTION_PROBES)], ids=["free", "budget"])
+def test_calibration_does_no_report_work(monkeypatch, budget, probes):
+    """Each probe passes its rate straight to the event loop and reads only
+    the makespan: no report is built and no config is made per probe."""
+    import swapsim.sim as sim_mod
+    rewritten, plan = apply_rewrite(_pin_tg(budget), PIN_REWRITES["paper-c1"])
+    cfg = _pin_cfg(budget)
+    real_run, rates, configs = sim_mod._run, [], []
+
+    def run(view, run_cfg, rate):
+        assert run_cfg is cfg
+        rates.append(rate)
+        return real_run(view, run_cfg, rate)
+
+    def report(*args):
+        raise AssertionError("calibration built a report")
+
+    real_post_init = SimConfig.__post_init__
+    monkeypatch.setattr(sim_mod, "_run", run)
+    monkeypatch.setattr(sim_mod, "_report", report)
+    monkeypatch.setattr(SimConfig, "__post_init__",
+                        lambda c: configs.append(c) or real_post_init(c))
+    assert repr(calibrate_compute_rate(rewritten, plan, cfg, 10.0)) == "727226.828641178"
+    assert rates == probes
+    assert configs == []
 
 
 def test_a_swap_in_is_issued_by_its_data_edges_from_compute_nodes():
