@@ -543,6 +543,13 @@ def _hints(decl) -> dict:
     return get_type_hints(decl)
 
 
+@cache
+def _form(hint) -> tuple:
+    """A type hint's origin and args (``get_origin``, ``get_args``), read
+    once: a graph's row check reads them for every column."""
+    return get_origin(hint), get_args(hint)
+
+
 class Schema:
     """The keys that ``decl`` (a NamedTuple, dataclass or function, or None)
     declares, plus the document-only keys ``extra``, optional unless named
@@ -571,8 +578,9 @@ _NAMES = {str: "a string", int: "an integer", bool: "true or false", float: "a f
 
 
 def _name(hint) -> str:
-    if get_origin(hint) is Union:
-        return " or ".join(map(_name, get_args(hint)))
+    origin, args = _form(hint)
+    if origin is Union:
+        return " or ".join(map(_name, args))
     return _NAMES.get(hint) or str(hint).replace("typing.", "").replace(f"{__name__}.", "")
 
 
@@ -580,8 +588,8 @@ def _wrong(value, hint, path: str) -> GraphError:
     """The error for a ``value`` that lacks the type ``hint``. In a list or
     tuple of the right length, it names the first item that breaks its own
     rule, by its index (``dims[0]``), and so on down nested tuples."""
-    if get_origin(hint) is tuple and type(value) in (list, tuple):
-        args = get_args(hint)
+    origin, args = _form(hint)
+    if origin is tuple and type(value) in (list, tuple):
         items = args[:1] * len(value) if args[-1] is ... else args
         if len(items) == len(value):
             for i, (item, rule) in enumerate(zip(value, items)):
@@ -628,7 +636,7 @@ def _fits(value, hint) -> bool:
             and value <= _MAX_FLOAT
     if hint is Count or hint is Size:
         return type(value) is int and value >= (hint is Count)
-    origin, args = get_origin(hint), get_args(hint)
+    origin, args = _form(hint)
     if origin in (UnionType, Union):
         return any(_fits(value, h) for h in args)
     if origin is Literal:
@@ -651,8 +659,8 @@ def _all_fit(values, hint) -> bool:
     """Whether each of ``values`` (a sequence or a dict's values) fits
     ``hint``, as ``_fits`` decides it one value at a time; a long column of
     the row fields' types takes a few passes over it."""
-    types, origin, args = {*map(type, values)}, get_origin(hint), get_args(hint)
-    if hint in (str, int):
+    types = {*map(type, values)}
+    if hint is str or hint is int:
         return types <= {hint}
     if hint is float or hint is Positive:
         try:  # with no NaN among them, the least and the largest bound them all
@@ -662,6 +670,7 @@ def _all_fit(values, hint) -> bool:
             return False
     if hint is Count or hint is Size:
         return types <= {int} and _fits(min(values, default=1), hint)
+    origin, args = _form(hint)
     if origin is Literal and len({*map(type, args)}) == 1:
         return types <= {type(args[0])} and {*values} <= {*args}
     if origin is tuple and types <= {list, tuple} and (  # tuple[X, ...], or tuple[X, X] of length 2

@@ -1,11 +1,26 @@
 """Randomized invariant suite: dependency soundness, memory conservation,
 swap soundness, peak/lb monotonicity, determinism, and a brute-force
 schedule oracle. Shared by the ``verify`` subcommand and the test suite.
+
+``run_invariant_suite`` fans its independent instances out over every CPU
+the process may use (``os.sched_getaffinity``), at most one worker per
+``INSTANCES_PER_WORKER`` instances, by ``os.fork``: worker ``k`` of ``w``
+(the parent is worker 0) takes instances ``k, k + w, ...``. Fewer than
+two workers' worth of instances, one CPU (``taskset -c 0``) or a platform
+without ``sched_getaffinity`` runs the suite in-process, and a fork that
+fails leaves its share to the parent. Results merge by instance index, so
+the returned dict is the same as from one process. On Python 3.12 and
+later, ``os.fork`` in a process with other threads (numpy's BLAS threads,
+once ``verify``'s numeric checks ran) warns ``DeprecationWarning``; the
+suite has been run on CPython 3.11.7 only, which does not.
 """
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
 import random
+import signal
 
 from .graph import GraphError, GraphSpec, NodeSpec, Size, TensorDesc, check_fields, tensor_bytes
 from .training import (
@@ -19,6 +34,9 @@ LB_GRID = (1, 2, 3, 5, 8)  # the lookaheads check_lb_monotonicity simulates
 # The largest rewrite the brute-force schedule oracle enumerates: its
 # orderings grow as (swaps!)^2, and each one is scheduled over every node.
 ORACLE_MAX_SWAPS, ORACLE_MAX_NODES = 3, 30
+# The fewest instances worth a worker process of their own: 25 instances
+# take about 60 ms on a 2-core x86 VM, a fork and reap about 2 ms.
+INSTANCES_PER_WORKER = 25
 
 
 def random_forward_graph(rng: random.Random) -> GraphSpec:
@@ -338,35 +356,114 @@ def make_broken_swap_variant(tg: TrainingGraph):
     return broken, plan
 
 
-def run_invariant_suite(instances: Size = 200, seed: int = 0) -> dict:
-    """Run all randomized checks; returns counts plus failure descriptions."""
-    check_fields(run_invariant_suite, {"instances": instances})
+def _instance_checks(i: int, seed: int) -> tuple[int, int, list[str]]:
+    """Run every check on instance ``i`` of the suite at ``seed``: (checks
+    run, schedule-oracle runs, failure descriptions)."""
     failures: list[str] = []
     checks = 0
     oracle_runs = 0
-    for i in range(instances):
-        inst_seed = seed * 100_003 + i
-        rng = random.Random(inst_seed ^ 0x5EED)
-        tg, rewritten, plan, sim_cfg = random_instance(inst_seed)
-        report = simulate(rewritten, plan, sim_cfg)
-        for name, bad in (
-            ("dependency-soundness", check_dependency_soundness(rewritten, report)),
-            ("memory-conservation", check_memory_conservation(rewritten, report, sim_cfg)),
-            ("swap-soundness", check_swap_soundness(rewritten, plan, report)),
-            ("peak-monotonicity", check_peak_monotonicity(tg, rng)),
-            ("determinism", check_determinism(rewritten, plan, report, sim_cfg)),
-        ):
-            checks += 1
-            failures.extend(f"[{name}] instance {i}: {msg}" for msg in bad)
-        candidates = cross_phase_tensors(tg)
-        lb_sel = candidates[:min(4, len(candidates))]
+    inst_seed = seed * 100_003 + i
+    rng = random.Random(inst_seed ^ 0x5EED)
+    tg, rewritten, plan, sim_cfg = random_instance(inst_seed)
+    report = simulate(rewritten, plan, sim_cfg)
+    for name, bad in (
+        ("dependency-soundness", check_dependency_soundness(rewritten, report)),
+        ("memory-conservation", check_memory_conservation(rewritten, report, sim_cfg)),
+        ("swap-soundness", check_swap_soundness(rewritten, plan, report)),
+        ("peak-monotonicity", check_peak_monotonicity(tg, rng)),
+        ("determinism", check_determinism(rewritten, plan, report, sim_cfg)),
+    ):
         checks += 1
-        failures.extend(f"[lb-monotonicity] instance {i}: {msg}"
-                        for msg in check_lb_monotonicity(tg, lb_sel, sim_cfg))
-        if _oracle_reaches(rewritten, plan):
-            checks += 1
-            oracle_runs += 1
-            failures.extend(f"[schedule-oracle] instance {i}: {msg}"
-                            for msg in check_schedule_oracle(tg, rewritten, plan, sim_cfg))
+        failures.extend(f"[{name}] instance {i}: {msg}" for msg in bad)
+    candidates = cross_phase_tensors(tg)
+    lb_sel = candidates[:min(4, len(candidates))]
+    checks += 1
+    failures.extend(f"[lb-monotonicity] instance {i}: {msg}"
+                    for msg in check_lb_monotonicity(tg, lb_sel, sim_cfg))
+    if _oracle_reaches(rewritten, plan):
+        checks += 1
+        oracle_runs += 1
+        failures.extend(f"[schedule-oracle] instance {i}: {msg}"
+                        for msg in check_schedule_oracle(tg, rewritten, plan, sim_cfg))
+    return checks, oracle_runs, failures
+
+
+def _share(indices, seed: int) -> list[tuple[int, tuple]]:
+    """(index, result) of each of ``indices`` in turn, up to the first
+    instance that raises: ``run_invariant_suite`` runs that one again
+    in-process, in index order, so that it raises there."""
+    done = []
+    for i in indices:
+        try:
+            done.append((i, _instance_checks(i, seed)))
+        except Exception:
+            break
+    return done
+
+
+def _worker(indices, seed: int, fd: int):
+    """A forked worker's whole life: pickle its share's results into the
+    pipe ``fd`` and exit by ``os._exit``, so that it never returns into its
+    parent's stack, runs no atexit handler and flushes no inherited stdio."""
+    code = 1
+    try:
+        with open(fd, "wb") as out:
+            pickle.dump(_share(indices, seed), out)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def run_invariant_suite(instances: Size = 200, seed: int = 0) -> dict:
+    """Run all randomized checks; returns counts plus failure descriptions.
+
+    The instances run on the parent and forked workers (see the module
+    docstring). Each worker stops at its first instance that raises; the
+    parent merges the results by instance index and then runs, in-process
+    and in index order, every instance whose result did not come back (a
+    worker's that raised, was killed or never started). So the returned
+    dict, and an exception with its message, are the same as from one
+    process. No child outlives the call: each is reaped, killed first if
+    it is still running."""
+    check_fields(run_invariant_suite, {"instances": instances})
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cpus, instances // INSTANCES_PER_WORKER))
+    running = {}  # pid -> the read end of its pipe, until it is reaped
+    results = {}
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the share runs in-process
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _worker(range(k, instances, workers), seed, w)
+            os.close(w)
+            running[pid] = open(r, "rb")
+        results.update(_share(range(0, instances, workers), seed))
+        for pid, reader in list(running.items()):
+            data = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            del running[pid]
+            reader.close()
+            if os.waitstatus_to_exitcode(status) == 0:
+                results.update(pickle.loads(data))
+    finally:
+        for pid, reader in running.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    checks = oracle_runs = 0
+    failures: list[str] = []
+    for i in range(instances):
+        if i not in results:
+            results[i] = _instance_checks(i, seed)
+        n_checks, n_oracle, bad = results[i]
+        checks += n_checks
+        oracle_runs += n_oracle
+        failures += bad
     return {"instances": instances, "checks": checks,
             "oracle_runs": oracle_runs, "failures": failures}

@@ -281,6 +281,18 @@ def _view(tg: TrainingGraph) -> _CompiledGraph:
     return view
 
 
+def _check_feasible(v: _CompiledGraph, cfg: SimConfig) -> None:
+    """Under an enforced budget, raise InfeasibleError for the first tensor
+    that can never fit beside the static bytes. The answer depends on the
+    view and the budget only, so it is checked once per run (``_report``)
+    or calibration, not per probe."""
+    if cfg.enforce_budget and cfg.gpu_budget > 0:
+        static, budget = v.static_bytes, cfg.gpu_budget
+        for t, nbytes in zip(v.graph.tensors, v.tensor_size):
+            if static + nbytes > budget:
+                raise InfeasibleError(t.id, nbytes, budget)
+
+
 def _run(v: _CompiledGraph, cfg: SimConfig, rate: float):
     """Run the event loop on a compiled view at compute ``rate`` (the other
     settings from ``cfg``), keeping only times. Returns the makespan (the
@@ -288,13 +300,10 @@ def _run(v: _CompiledGraph, cfg: SimConfig, rate: float):
     node number), the peak resident bytes (static bytes excluded), the
     compute stalls as (node, gap, whether the budget held the channel since
     the last compute start) and the busy seconds per channel, summed in
-    start order. ``_report`` builds the report from these after the run."""
+    start order. ``_report`` builds the report from these after the run.
+    The caller has checked that every tensor can fit (``_check_feasible``)."""
     limited = cfg.enforce_budget and cfg.gpu_budget > 0
     static, budget = v.static_bytes, cfg.gpu_budget
-    if limited:
-        for t, nbytes in zip(v.graph.tensors, v.tensor_size):
-            if static + nbytes > budget:
-                raise InfeasibleError(t.id, nbytes, budget)
     d2h_bw, h2d_bw, latency = cfg.d2h_bw, cfg.h2d_bw, cfg.xfer_latency
 
     ids, chan, cost, succ = v.ids, v.channel, v.cost_units, v.succ
@@ -414,6 +423,7 @@ def _report(v: _CompiledGraph, cfg: SimConfig) -> SimReport:
     blocker, ``"budget"`` when the budget held the node, else its data or
     control dependency with the largest (end, id), else ``""``; and the
     busy seconds over the makespan."""
+    _check_feasible(v, cfg)
     makespan, start, end, peak, raw_stalls, busy_time = _run(v, cfg, cfg.compute_rate)
     ids, chan, inputs, control_src = v.ids, v.channel, v.inputs, v.control_src
     producer = v.graph.index.producer
@@ -569,8 +579,10 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
     # compute_units / rate. Summing n durations in floats loses at most about
     # n * 2**-53 of the total, far inside the 1e-9 margin, so a probe past
     # the margin would have simulated to a makespan above the target. Under
-    # an enforced budget every probe runs, so a DeadlockError or
-    # InfeasibleError is raised at the probe that meets it.
+    # an enforced budget every probe runs, so a DeadlockError is raised at
+    # the probe that meets it; an InfeasibleError, which no rate changes,
+    # before the first probe.
+    _check_feasible(view, cfg)
     compute_units = math.fsum(view.cost_units)
     free_run = not (cfg.enforce_budget and cfg.gpu_budget > 0)
     too_slow = target_makespan * (1 + 1e-9)

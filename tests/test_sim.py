@@ -185,6 +185,14 @@ class TestBudget:
         with pytest.raises(InfeasibleError, match="t0"):
             simulate(tg, None, SimConfig(gpu_budget=1000, enforce_budget=True))
 
+    def test_calibration_checks_a_tensor_that_never_fits_before_any_probe(self, monkeypatch):
+        import swapsim.sim as sim_mod
+        tg = expand_training_graph(gen_chain(3, bytes_per_tensor=4096))
+        monkeypatch.setattr(sim_mod, "_run", lambda *args: pytest.fail("a probe ran"))
+        with pytest.raises(InfeasibleError, match="t0"):
+            calibrate_compute_rate(tg, None, SimConfig(gpu_budget=1000, enforce_budget=True),
+                                   1.0)
+
     def test_unswapped_graph_deadlocks_under_budget(self):
         tg = expand_training_graph(gen_chain(3, bytes_per_tensor=1000))
         with pytest.raises(DeadlockError):
