@@ -344,9 +344,9 @@ def _field_violations(g: GraphSpec, at: str = "") -> list[Violation]:
     out, columns = [], {}
     for name, row in (("nodes", NodeSpec), ("tensors", TensorDesc)):
         rows = getattr(g, name)
-        for (key, hint), column in zip(_hints(row).items(), zip(*rows)):
+        for (key, hint, form), column in zip(_column_rules(row), zip(*rows)):
             columns[name, key] = column
-            if not _all_fit(column, hint):
+            if not _all_fit(column, hint, form):
                 out += [Violation("wrong-type", str(r.id),
                                   str(_wrong(v, hint, f"{at}{name}[{i}].{key}")))
                         for i, (r, v) in enumerate(zip(rows, column)) if not _fits(v, hint)]
@@ -546,8 +546,17 @@ def _hints(decl) -> dict:
 @cache
 def _form(hint) -> tuple:
     """A type hint's origin and args (``get_origin``, ``get_args``), read
-    once: a graph's row check reads them for every column."""
+    once."""
     return get_origin(hint), get_args(hint)
+
+
+@cache
+def _column_rules(row) -> tuple:
+    """Each field of a row class with its annotation and the annotation's
+    form, read once per class: a graph's row check reads them for every
+    column, and looking a ``Literal`` up in ``_form``'s cache hashes all its
+    values each time."""
+    return tuple((key, hint, _form(hint)) for key, hint in _hints(row).items())
 
 
 class Schema:
@@ -655,10 +664,11 @@ def _number(t: type) -> bool:
     return t is int or issubclass(t, float)
 
 
-def _all_fit(values, hint) -> bool:
+def _all_fit(values, hint, form=None) -> bool:
     """Whether each of ``values`` (a sequence or a dict's values) fits
     ``hint``, as ``_fits`` decides it one value at a time; a long column of
-    the row fields' types takes a few passes over it."""
+    the row fields' types takes a few passes over it. ``form`` is the hint's
+    ``_form``, when the caller has read it."""
     types = {*map(type, values)}
     if hint is str or hint is int:
         return types <= {hint}
@@ -670,7 +680,7 @@ def _all_fit(values, hint) -> bool:
             return False
     if hint is Count or hint is Size:
         return types <= {int} and _fits(min(values, default=1), hint)
-    origin, args = _form(hint)
+    origin, args = form or _form(hint)
     if origin is Literal and len({*map(type, args)}) == 1:
         return types <= {type(args[0])} and {*values} <= {*args}
     if origin is tuple and types <= {list, tuple} and (  # tuple[X, ...], or tuple[X, X] of length 2

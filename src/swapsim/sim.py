@@ -23,8 +23,8 @@ Scheduling rules:
     annotations are its value rules, checked when it is built.
 
 The event loop (``_run``) keeps times, not reports: each node's start and
-end, the compute stalls (node, gap, whether the budget held it), the busy
-seconds per channel, the peak and the makespan. ``_report`` builds the
+end, the compute stalls (node, gap, whether the budget held that node), the
+busy seconds per channel, the peak and the makespan. ``_report`` builds the
 ``SimReport`` from them after the run: it sorts the events and names each
 stall's blocker from the end times and the node's dependencies.
 ``calibrate_compute_rate`` reads only the makespan, so its probes build no
@@ -52,8 +52,10 @@ by these graphs:
 Any other graph (loaded, generated, expanded and never swapped, a recompute
 rewrite, or a swap rewrite whose base has died) keeps no view: it builds
 one per ``simulate`` call, per rewrite config in ``sweep`` and for all the
-probes of ``calibrate_compute_rate``. In free-run mode calibration decides
-a probe whose compute time alone exceeds the target without running it.
+probes of ``calibrate_compute_rate``. In free-run mode calibration runs a
+few interpolated probes and answers the bisection's comparisons from the
+bounds they set, since makespan does not rise with the compute rate; under
+an enforced budget it runs every probe.
 """
 from __future__ import annotations
 
@@ -73,6 +75,8 @@ CHANNELS = ("compute", "d2h", "h2d")
 # priority; every other kind runs on compute (0).
 _KIND_CHANNEL = {"swap_out": 1, "swap_in": 2}
 CALIBRATION_TOL = 1e-3  # relative width of the final compute_rate bracket
+_GUESSES = 6  # interpolated calibration probes, at most
+_STEP = 1 + CALIBRATION_TOL / 64  # how far past its estimate each one lands
 
 
 class InfeasibleError(GraphError):
@@ -298,9 +302,9 @@ def _run(v: _CompiledGraph, cfg: SimConfig, rate: float):
     settings from ``cfg``), keeping only times. Returns the makespan (the
     clock at the last completion), each node's start and end (lists by
     node number), the peak resident bytes (static bytes excluded), the
-    compute stalls as (node, gap, whether the budget held the channel since
-    the last compute start) and the busy seconds per channel, summed in
-    start order. ``_report`` builds the report from these after the run.
+    compute stalls as (node, gap, whether the node failed its own budget
+    check during the gap) and the busy seconds per channel, summed in start
+    order. ``_report`` builds the report from these after the run.
     The caller has checked that every tensor can fit (``_check_feasible``)."""
     limited = cfg.enforce_budget and cfg.gpu_budget > 0
     static, budget = v.static_bytes, cfg.gpu_budget
@@ -326,7 +330,10 @@ def _run(v: _CompiledGraph, cfg: SimConfig, rate: float):
     busy = [0.0, 0.0, 0.0]
     compute_idx = 0
     last_compute_end = 0.0
-    budget_blocked = False
+    # Whether the budget held the next compute node itself (for its stall),
+    # and whether it held any channel (for a deadlock's detail), since the
+    # last compute start.
+    held = budget_blocked = False
     done = 0
     now = 0.0
     while True:
@@ -338,7 +345,7 @@ def _run(v: _CompiledGraph, cfg: SimConfig, rate: float):
             if pending[i] == 0:
                 if not limited or static + resident + out_bytes[i] <= budget:
                     if now > last_compute_end:
-                        stalls.append((i, now - last_compute_end, budget_blocked))
+                        stalls.append((i, now - last_compute_end, held))
                     resident += out_bytes[i]
                     dur = cost[i] / rate
                     start[i] = now
@@ -347,9 +354,9 @@ def _run(v: _CompiledGraph, cfg: SimConfig, rate: float):
                     free[0] = False
                     busy[0] += dur
                     compute_idx += 1
-                    budget_blocked = False
+                    held = budget_blocked = False
                 else:
-                    budget_blocked = True
+                    held = budget_blocked = True
         if free[1] and d2h_queue and d2h_queue[0][0] <= now:
             i = heappop(d2h_queue)[3]
             dur = latency + size[inputs[i][0]] / d2h_bw
@@ -564,46 +571,100 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
 def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
                            target_makespan: Positive) -> float:
     """Binary-search the compute_rate that puts the simulated makespan at the
-    target, to within CALIBRATION_TOL; makespan is monotone non-increasing
-    in compute_rate. The graph is compiled once. Each probe passes its rate
-    straight to the event loop (``_run``), with ``cfg`` for the other
-    settings, and reads only the makespan: no config and no report is built
-    per probe. Without an enforced budget, a probe rate at which the
-    compute time alone (the sum of the compute costs over the rate) exceeds
-    the target is decided "too slow" without a run; the probes and the
-    returned rate are the same as when every probe runs."""
+    target, to within CALIBRATION_TOL: a bracket of powers of 4 around 1.0,
+    then bisection in log-rate; the bisection alone defines the returned
+    rate. The graph is compiled once. Each run passes its rate straight to
+    the event loop (``_run``), with ``cfg`` for the other settings, and
+    reads only the makespan: no config and no report is built per run.
+
+    Under an enforced budget every comparison of the bisection runs its
+    rate: makespan need not fall as the rate rises there, and a
+    DeadlockError has to be raised at the probe that meets it.
+
+    Without one, makespan is non-increasing in compute_rate, so one run
+    answers for every rate on its side of the target. Three bounds hold
+    what the runs showed: the largest rate known to run longer than the
+    target (at first, the largest whose compute time alone does), and the
+    smallest known to run within it and shorter than it (the bracket's
+    lower end tests "shorter", the bisection "longer"). A comparison they
+    answer is not run. The first one they cannot answer is preceded by a
+    few interpolated probes: at compute_units / target, then secant steps
+    in 1/rate through the last two runs (makespan = compute_units / rate +
+    overhead), each stepped just past its estimate so that the next lands
+    on the other side of the target, until the unknown band is narrower
+    than CALIBRATION_TOL / 16 or _GUESSES runs are made. After them only a
+    rate strictly inside the band runs. The returned rate, and any error,
+    are those of running every probe; calibrating the 192^3 U-Net's
+    paper-c1 asks about 39 rates and runs 4."""
     check_fields(calibrate_compute_rate, {"target_makespan": target_makespan})
     check_plan(tg.graph, plan)
     view = _view(tg)
-    # The compute channel runs one node at a time, so no run is shorter than
-    # compute_units / rate. Summing n durations in floats loses at most about
-    # n * 2**-53 of the total, far inside the 1e-9 margin, so a probe past
-    # the margin would have simulated to a makespan above the target. Under
-    # an enforced budget every probe runs, so a DeadlockError is raised at
-    # the probe that meets it; an InfeasibleError, which no rate changes,
-    # before the first probe.
+    # An InfeasibleError, which no rate changes, is raised before any probe.
     _check_feasible(view, cfg)
+    target = target_makespan
     compute_units = math.fsum(view.cost_units)
     free_run = not (cfg.enforce_budget and cfg.gpu_budget > 0)
-    too_slow = target_makespan * (1 + 1e-9)
+    # Every rate <= slow runs longer than the target, every rate >= at_most
+    # within it and every rate >= below shorter. The compute channel runs
+    # one node at a time, so no run is shorter than compute_units / rate;
+    # summing n durations in floats loses at most about n * 2**-53 of that,
+    # far inside the 1e-9 margin of the first bound.
+    slow, at_most, below = compute_units / (target * (1 + 1e-9)), math.inf, math.inf
+    guessed = False
 
-    def run(rate: float) -> float:
-        if free_run and compute_units / rate > too_slow:
-            return math.inf
-        return _run(view, cfg, rate)[0]
+    def probe(rate: float) -> float:
+        nonlocal slow, at_most, below
+        makespan = _run(view, cfg, rate)[0]
+        if makespan > target:
+            slow = max(slow, rate)
+        else:
+            at_most = min(at_most, rate)
+            if makespan < target:
+                below = min(below, rate)
+        return makespan
+
+    def guess() -> None:
+        nonlocal guessed
+        guessed = True
+        rate, slope, last = compute_units / target, compute_units, None
+        for _ in range(_GUESSES):
+            if not slow < rate < at_most or at_most < slow * (1 + CALIBRATION_TOL / 16):
+                return
+            x, makespan = 1 / rate, probe(rate)
+            if last is not None:
+                slope = (makespan - last[1]) / (x - last[0])
+            if not slope > 0:
+                return
+            last, x = (x, makespan), x + (target - makespan) / slope
+            rate = 1 / x if x > 0 else 0.0  # 0.0: the line meets the target at no finite rate
+            rate = rate * _STEP if makespan > target else rate / _STEP
+            if not slow < rate < at_most:
+                rate = (slow * at_most) ** 0.5
+
+    def answer(rate: float, short: bool) -> bool:
+        """Whether the makespan at ``rate`` falls short of the target
+        (``short``), else whether it exceeds it."""
+        if not free_run:
+            makespan = _run(view, cfg, rate)[0]
+            return makespan < target if short else makespan > target
+        if not guessed and slow < rate < (below if short else at_most):
+            guess()
+        if slow < rate < (below if short else at_most):
+            probe(rate)
+        return rate >= below if short else rate <= slow
 
     lo, hi = 1.0, 1.0
-    while run(hi) > target_makespan:
+    while answer(hi, False):
         hi *= 4.0
         if hi > 1e30:
             raise GraphError("target makespan unreachable: transfers alone exceed it")
-    while run(lo) < target_makespan:
+    while answer(lo, True):
         lo /= 4.0
         if lo < 1e-30:
             raise GraphError("target makespan unreachable at any compute rate")
     for _ in range(80):
         mid = (lo * hi) ** 0.5
-        if run(mid) > target_makespan:
+        if answer(mid, False):
             lo = mid
         else:
             hi = mid

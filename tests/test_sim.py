@@ -412,13 +412,15 @@ class TestByteIdentity:
         assert _sha(json.dumps(rows, sort_keys=True)) == PIN_SWEEP_SHA
 
 
-def stall_blocker_faults(tg, report, enforced: bool) -> list[str]:
+def stall_blocker_faults(tg, report) -> list[str]:
     """``report``'s stalls worked out again from its events and ``tg``'s
     data and control edges, without the simulator. The compute nodes run in
     serial order; one that starts after the previous one ends (the first,
-    after 0.0) stalls for the gap. Its blocker is the dependency with the
-    largest (end, id), or "" when it has none; under an enforced budget it
-    may be "budget" instead."""
+    after 0.0) stalls for the gap. A node that starts when its last
+    dependency ends is blocked by the dependency with the largest (end, id),
+    or "" when it has none; one that starts later, with the channel free
+    and every dependency done, can only have been held by the budget, and
+    its blocker is "budget"."""
     times = {nid: (start, end) for nid, _, start, end in report.events}
     deps: dict = {}
     for a, b in tg.graph.edges():
@@ -433,8 +435,10 @@ def stall_blocker_faults(tg, report, enforced: bool) -> list[str]:
     if [(nid, gap) for nid, _, gap in report.stalls] != expected:
         faults.append(f"stalls {report.stalls} != {expected}")
     for nid, blocker, _ in report.stalls:
-        latest = max(((times[d][1], d) for d in deps.get(nid, ())), default=(0.0, ""))[1]
-        if blocker != latest and not (enforced and blocker == "budget"):
+        end, latest = max(((times[d][1], d) for d in deps.get(nid, ())), default=(0.0, ""))
+        if end < times[nid][0]:
+            latest = "budget"
+        if blocker != latest:
             faults.append(f"{nid}: blocker {blocker!r}, expected {latest!r}")
     return faults
 
@@ -449,12 +453,12 @@ class TestStallBlockers:
             r = simulate(tg, plan, cfg)
         except GraphError:
             return [], 0
-        return (stall_blocker_faults(tg, r, cfg.enforce_budget),
+        return (stall_blocker_faults(tg, r),
                 sum(b not in ("", "budget") for _, b, _ in r.stalls))
 
     # (share of the static peak enforced as the budget, stalls whose blocker
     # is a node among the runs that finish); most budgeted runs raise.
-    @pytest.mark.parametrize("share, stalls", [(None, 594), (0.8, 105), (0.7, 49)],
+    @pytest.mark.parametrize("share, stalls", [(None, 594), (0.8, 145), (0.7, 80)],
                              ids=["free", "budget80", "budget70"])
     def test_random_instances(self, share, stalls):
         faults, checked = [], 0
@@ -493,7 +497,7 @@ class TestStallBlockers:
         ends = {nid: end for nid, _, _, end in r.events}
         assert ends["swap_out/t2"] == ends["swap_in/t0"] == 17.0
         assert r.stalls == [("grad/op0", "swap_out/t2", 10.0)]
-        assert stall_blocker_faults(rewritten, r, False) == []
+        assert stall_blocker_faults(rewritten, r) == []
 
 
 class TestCompileOnce:
@@ -522,17 +526,17 @@ class TestCompileOnce:
         rewritten, plan = apply_rewrite(tg, PIN_REWRITES["paper-c1"])
         calibrate_compute_rate(rewritten, plan, _pin_cfg(False), 10.0)
         assert (counts["builds"], counts["derived"]) == (1, 1)  # the base's, and the rewrite's
-        assert counts["runs"] > 10
+        assert counts["runs"] == 5
 
     def test_calibrate_runs_only_probes_that_can_meet_the_target(self, counts):
-        # 192^3 paper-c1 on NVLink at the README's target: 39 probes, of which
-        # 28 need longer than the target on the compute channel alone.
+        # 192^3 paper-c1 on NVLink at the README's target: the bisection asks
+        # about 39 rates; four interpolated probes answer every question.
         tg = expand_training_graph(gen_unet3d(UNetParams(dims=(192, 192, 192))))
         rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
         nvlink = SimConfig(compute_rate=1.0, d2h_bw=40e9, h2d_bw=40e9)
         calibrate_compute_rate(rewritten, plan, nvlink, 4.726)
         assert counts["builds"] == 1
-        assert 0 < counts["runs"] <= 12
+        assert counts["runs"] == 4
 
     def test_sweep_derives_swap_views_from_one_base_view(self, counts):
         tg = expand_training_graph(gen_unet3d(TOY))
@@ -576,8 +580,8 @@ class TestCompileOnce:
 
 
 # The compute rates that reach the event loop when paper-c1 on the toy U-Net
-# is calibrated to 10 s: under a budget every probe runs; free-running, the
-# probes whose compute time alone exceeds the target are decided unrun.
+# is calibrated to 10 s: under a budget every probe of the bisection runs;
+# free-running, four interpolated probes and one bisection probe run.
 BUDGET_PROBES = [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0,
                  1048576.0, 1.0, 1024.0, 32768.0, 185363.80004736633, 440871.8997605395]
 BISECTION_PROBES = [679917.4164288685, 844360.7551570106, 757690.9549283818,
@@ -587,7 +591,8 @@ BISECTION_PROBES = [679917.4164288685, 844360.7551570106, 757690.9549283818,
 
 
 @pytest.mark.parametrize("budget, probes", [
-    (False, [1048576.0] + BISECTION_PROBES),
+    (False, [551219.2, 724994.4928451176, 727510.398615562, 727543.6807095344,
+             727534.5568326113]),
     (True, BUDGET_PROBES + BISECTION_PROBES)], ids=["free", "budget"])
 def test_calibration_does_no_report_work(monkeypatch, budget, probes):
     """Each probe passes its rate straight to the event loop and reads only
@@ -664,8 +669,9 @@ def _outcome(calibrate, *args):
 
 
 class TestCalibrationOracle:
-    """Probes decided without a run give the rate, or the error, of
-    simulating every probe."""
+    """Calibration gives the rate, or the error, of the same bisection
+    simulating every probe, although a free run answers most of the
+    bisection's comparisons from a few interpolated probes."""
 
     @pytest.mark.parametrize("budget", [False, True], ids=["free", "budget"])
     @pytest.mark.parametrize("name", sorted(PIN_REWRITES) + ["recompute-sqrt_n"])
@@ -678,14 +684,47 @@ class TestCalibrationOracle:
             assert _outcome(calibrate_compute_rate, *args) == \
                 _outcome(_reference_calibration, *args)
 
-    @pytest.mark.parametrize("seed", range(50))
+    @pytest.mark.parametrize("seed", range(300))
     def test_random_instance_matches_reference(self, seed):
+        """At three multiples of the instance's makespan and at its makespan
+        at rate 1e30, about its transfers alone, where a secant step can
+        meet the target only at an infinite rate."""
         _, rewritten, plan, cfg = random_instance(seed)
         makespan = simulate(rewritten, plan, cfg).makespan
-        for target in (0.3 * makespan, 1.7 * makespan):
+        floor = simulate(rewritten, plan, replace(cfg, compute_rate=1e30)).makespan
+        for target in (0.3 * makespan, makespan, 1.7 * makespan, floor):
             args = (rewritten, plan, cfg, target)
             assert _outcome(calibrate_compute_rate, *args) == \
                 _outcome(_reference_calibration, *args)
+
+    def test_free_run_deadlock_matches_reference(self):
+        """A control edge back from grad/op0 to op1 closes a cycle, which a
+        free run meets at any rate: the first probe raises."""
+        tg = expand_training_graph(gen_chain(3))
+        g = tg.graph
+        looped = TrainingGraph(GraphSpec(g.nodes, g.tensors,
+                                         g.control_edges + (("grad/op0", "op1"),),
+                                         dict(g.metadata)),
+                               tg.serial_order, dict(tg.grad_of))
+        for target in (1e-3, 1.0, 1e3):
+            args = (looped, None, SimConfig(), target)
+            outcome = _outcome(calibrate_compute_rate, *args)
+            assert outcome[0] is DeadlockError
+            assert outcome == _outcome(_reference_calibration, *args)
+        # At a rate past the bracket's last one, 4**49, the compute time alone
+        # still exceeds this target, so no rate is run: the bracket's error.
+        with pytest.raises(GraphError, match="^target makespan unreachable: transfers"):
+            calibrate_compute_rate(looped, None, SimConfig(), 1e-40)
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_random_instance_makespan_never_rises_with_rate(self, seed):
+        """The property that lets one probe answer for every rate on its side:
+        in a free run, makespan is non-increasing in compute_rate."""
+        _, rewritten, plan, cfg = random_instance(seed)
+        makespans = [simulate(rewritten, plan, replace(cfg, compute_rate=cfg.compute_rate
+                                                       * 2.0 ** (k / 8))).makespan
+                     for k in range(-80, 81)]
+        assert all(a >= b for a, b in zip(makespans, makespans[1:]))
 
 
 def _with_row(g, rows: str, row_id: str, **fields):
