@@ -18,7 +18,8 @@ annotation can: an io node costs 0, and a shape is not empty.
 Every rule but acyclicity is in one list per graph (``GraphSpec.violations``).
 ``validate_graph`` adds the cycle check to it, and every other stage that
 needs the rules kept calls ``checked_index``, which raises the first
-violation, so a fault has one wording wherever it is found.
+violation; a simulation that deadlocks with no budget wait to explain it
+raises a cycle's violation. So a fault has one wording wherever it is found.
 
 Every stage that builds or walks a whole graph (loading, saving,
 validation, generation, expansion, rewriting, liveness and simulation) runs

@@ -183,9 +183,9 @@ def check_lb_monotonicity(tg: TrainingGraph, selection, sim_cfg: SimConfig) -> l
 
 def check_determinism(tg: TrainingGraph, plan, report, cfg: SimConfig) -> list[str]:
     """``report``, a run of ``tg`` under ``cfg``, equals a run of a copy of
-    ``tg`` built anew from its rows: for a swap rewrite, a run on the view
-    that it derives from its base's view (``sim._view``) against a run on
-    one built from the empty view."""
+    ``tg`` built anew from its rows. A graph keeps its view once built
+    (``sim._view``), so for a swap rewrite this checks the view derived
+    from its base's against one the copy builds from the empty view."""
     g = tg.graph
     rows = TrainingGraph(GraphSpec(g.nodes, g.tensors, g.control_edges, dict(g.metadata)),
                          tg.serial_order, dict(tg.grad_of))

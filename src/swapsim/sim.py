@@ -40,34 +40,28 @@ events break on (time, channel priority, node id), comparing the id
 strings, so they break the same however the nodes are numbered. One
 builder makes every view (``_CompiledGraph.extend``): a view from a graph's
 rows is the extension of the empty view, as its index is the derivation
-from the empty index. Views are kept in ``TrainingGraph.derived``, and only
-by these graphs:
-  - a swap rewrite's graph extends its base graph (``TrainingGraph.extend``),
-    so while the base lives, its view extends the base's by its io nodes and
-    tensors, patched only where their edges change, with no rule checked:
-    the rewrite checked the base's. A second ``simulate``,
-    ``calibrate_compute_rate`` or ``sweep`` of it only runs the event loop;
-  - the base compiles its own view once, when a rewrite first derives from
-    it, and keeps it for all its rewrites.
-Any other graph (loaded, generated, expanded and never swapped, a recompute
-rewrite, or a swap rewrite whose base has died) keeps no view: it builds
-one per ``simulate`` call, per rewrite config in ``sweep`` and for all the
-probes of ``calibrate_compute_rate``. In free-run mode calibration runs a
-few interpolated probes and answers the bisection's comparisons from the
-bounds they set, since makespan does not rise with the compute rate; under
-an enforced budget it runs every probe.
+from the empty index. A training graph keeps its view once one is built
+(``TrainingGraph.derived``): a swap rewrite derives it from its base's view
+while the base lives, checking no rule, and any other graph builds it from
+the empty view. A run that deadlocks with no budget wait to explain it
+raises a cycle in the graph's edges, if there is one, in
+``validate_graph``'s words.
+
+In free-run mode calibration runs a few interpolated probes and answers the
+bisection's comparisons from the bounds they set, since makespan does not
+rise with the compute rate; under an enforced budget it runs every probe.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress
 from operator import is_not, itemgetter
 
 from .graph import (Count, GraphError, GraphSpec, NodeSpec, Positive, Size, check_fields,
-                    checked_index, dumps_canonical, gc_paused, tensor_bytes)
+                    checked_index, dumps_canonical, gc_paused, tensor_bytes, validate_graph)
 from .training import TrainingGraph, check_plan
 
 CHANNELS = ("compute", "d2h", "h2d")
@@ -123,7 +117,7 @@ class SimReport:
     peak_resident: int
     stalls: list          # (waiting node, blocking node or "budget", duration)
     busy: dict            # channel -> busy fraction
-    phases: dict          # node id -> phase, for stall partitioning
+    graph: GraphSpec = field(compare=False, repr=False)  # the simulated graph
 
     def to_obj(self) -> dict:
         return {
@@ -146,16 +140,15 @@ class _CompiledGraph:
     from its rows. ``extend`` builds every view, from the empty view
     (``_CompiledGraph()``) or, for a swap rewrite, from its base's."""
 
-    __slots__ = ("graph", "static_bytes", "ids", "phases", "channel", "cost_units", "inputs",
-                 "outputs", "out_bytes", "succ", "pending", "issue_pending", "tensor_size",
-                 "refcount", "serial", "position", "queue_key", "d2h_seed", "h2d_seed",
-                 "control_src")
+    __slots__ = ("graph", "static_bytes", "ids", "channel", "cost_units", "inputs", "outputs",
+                 "out_bytes", "succ", "pending", "issue_pending", "tensor_size", "refcount",
+                 "serial", "position", "queue_key", "d2h_seed", "h2d_seed", "control_src")
 
     def __init__(self):
         """The empty view, of the empty graph; ``extend`` never changes it."""
         for slot in self.__slots__:
             setattr(self, slot, [])
-        self.graph, self.phases, self.control_src = GraphSpec(), {}, {}
+        self.graph, self.control_src = GraphSpec(), {}
 
     def extend(self, tg: TrainingGraph) -> _CompiledGraph:
         """The view of ``tg``, whose graph extends this view's graph
@@ -174,8 +167,6 @@ class _CompiledGraph:
         rows, consumers, producer, index = ix.nodes[nb:], ix.consumers, ix.producer, ix.index
         m = len(rows)
         added = range(nb, nb + m)
-        v.phases = phases = self.phases.copy()
-        phases.update(zip(ix.ids[nb:], map(itemgetter(6), rows)))
         v.channel = chan = self.channel + [_KIND_CHANNEL.get(r.kind, 0) for r in rows]
         v.cost_units = self.cost_units + list(map(itemgetter(4), rows))  # 0 on io nodes
         if nb:
@@ -269,19 +260,16 @@ _EMPTY_VIEW = _CompiledGraph()
 
 
 def _view(tg: TrainingGraph) -> _CompiledGraph:
-    """``tg``'s compiled view: the one it keeps, else, while its base lives,
-    one derived from its base's view, which both then keep, else the
-    extension of the empty view, once ``tg``'s graph keeps every rule
-    (``checked_index``), kept by nobody."""
+    """``tg``'s compiled view, which ``tg`` keeps once it is built: while its
+    base lives, the extension of the base's view, else, once ``tg``'s graph
+    keeps every rule (``checked_index``), the extension of the empty view."""
     view = tg.derived.get("compiled_view")
-    if view is not None:
-        return view
-    base = tg.base
-    if base is None:
-        checked_index(tg.graph)
-        return _EMPTY_VIEW.extend(tg)
-    view = base.derived["compiled_view"] = _view(base)
-    view = tg.derived["compiled_view"] = view.extend(tg)
+    if view is None:
+        base = tg.base
+        if base is None:
+            checked_index(tg.graph)
+        start = _EMPTY_VIEW if base is None else _view(base)
+        view = tg.derived["compiled_view"] = start.extend(tg)
     return view
 
 
@@ -384,6 +372,11 @@ def _run(v: _CompiledGraph, cfg: SimConfig, rate: float):
         if done == n_nodes:
             break
         if not heap:
+            # A view's graph keeps every rule but acyclicity, so a deadlock that no
+            # budget wait explains is checked for a cycle, and only such a one.
+            violations = [] if budget_blocked else validate_graph(v.graph)
+            if violations:
+                raise GraphError(str(violations[0]))
             waiting = sorted(set(serial[compute_idx:compute_idx + 1])
                              | {e[3] for e in d2h_queue} | {e[3] for e in h2d_queue},
                              key=ids.__getitem__)
@@ -463,7 +456,7 @@ def _report(v: _CompiledGraph, cfg: SimConfig) -> SimReport:
         stalls=stalls,
         busy={ch: (busy_time[c] / makespan if makespan > 0 else 0.0)
               for c, ch in enumerate(CHANNELS)},
-        phases=v.phases,
+        graph=v.graph,
     )
 
 
@@ -480,17 +473,15 @@ def simulate(tg: TrainingGraph, plan=None, cfg: SimConfig | None = None) -> SimR
 def stall_report(r: SimReport) -> dict[str, float]:
     """Idle gaps on the compute channel, split by the phase of the next
     compute node: forward, boundary (the first backward node), backward."""
-    first_backward = None
-    for nid, channel, _, _ in r.events:
-        if channel == "compute" and r.phases.get(nid) == "backward":
-            first_backward = nid
-            break
+    ix = r.graph.index
+    rows, index = ix.nodes, ix.index
+    first_backward = next((nid for nid, channel, _, _ in r.events
+                           if channel == "compute" and rows[index[nid]].phase == "backward"), None)
     out = {"forward": 0.0, "boundary": 0.0, "backward": 0.0}
     for nid, _, duration in r.stalls:
-        phase = r.phases.get(nid, "forward")
         if nid == first_backward:
             out["boundary"] += duration
-        elif phase == "backward":
+        elif rows[index[nid]].phase == "backward":
             out["backward"] += duration
         else:
             out["forward"] += duration
@@ -526,10 +517,8 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
     its error in each of its rows, with ``swapped`` and the results null; a
     cell that is infeasible or deadlocks reports its error in its row, with
     the results null; either way the sweep goes on with the grid. Each
-    rewrite config's view serves all its sim configs: a swap rewrite keeps
-    its view, derived from the view that ``tg`` keeps, and a recompute
-    rewrite builds one here from the empty view and drops it with the
-    rewrite."""
+    rewrite keeps its view once built (``_view``), so one view serves all
+    its sim configs."""
     from .rewrite import apply_rewrite
 
     rewrite_cfgs = list(rewrite_cfgs)
@@ -543,7 +532,6 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
             swapped, error = len(plan.swapped), ""
         except GraphError as exc:
             swapped, error = None, str(exc)
-        view = None
         for scfg in sim_cfgs:
             row = {
                 "n_tensors": rcfg.n_tensors, "lb": rcfg.lb, "mode": rcfg.mode,
@@ -553,9 +541,7 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
             }
             if swapped is not None:
                 try:
-                    if view is None:
-                        view = _view(rewritten)
-                    rep = _report(view, scfg)
+                    rep = _report(_view(rewritten), scfg)
                     srep = stall_report(rep)
                     row.update(makespan=rep.makespan, peak_resident=rep.peak_resident,
                                boundary_stall=srep["boundary"],
@@ -573,7 +559,8 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
     """Binary-search the compute_rate that puts the simulated makespan at the
     target, to within CALIBRATION_TOL: a bracket of powers of 4 around 1.0,
     then bisection in log-rate; the bisection alone defines the returned
-    rate. The graph is compiled once. Each run passes its rate straight to
+    rate. The graph keeps its view once built (``_view``), so the probes
+    and any later run of it share one. Each run passes its rate straight to
     the event loop (``_run``), with ``cfg`` for the other settings, and
     reads only the makespan: no config and no report is built per run.
 
@@ -655,9 +642,11 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
 
     lo, hi = 1.0, 1.0
     while answer(hi, False):
+        if hi * 4.0 > 1e30:  # the bracket's last rate, 4**49, still runs too long
+            alone = "compute alone exceeds it at every rate up to 4**49" \
+                if compute_units / hi > target else "transfers alone exceed it"
+            raise GraphError(f"target makespan unreachable: {alone}")
         hi *= 4.0
-        if hi > 1e30:
-            raise GraphError("target makespan unreachable: transfers alone exceed it")
     while answer(lo, True):
         lo /= 4.0
         if lo < 1e-30:

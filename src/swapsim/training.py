@@ -44,10 +44,9 @@ class TrainingGraph:
         a rewrite alive;
       - ``plan``, in a graph that ``apply_rewrite`` made, the plan that made
         it;
-      - ``compiled_view``, the simulator's view (``sim._view``): a graph
-        that extends another keeps the view it derives from the other's,
-        and the other keeps its own to derive from; any other graph keeps
-        none;
+      - ``compiled_view``, the simulator's view (``sim._view``), kept once
+        built: derived from its base's view while the base lives, else
+        built from the empty view;
       - ``numeric_sizes``, set once the numeric executor's size rules pass
         (``numeric._check_sizes``).
     Each value is derived from the graph, or made with it, so the graph is

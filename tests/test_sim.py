@@ -3,12 +3,13 @@ import hashlib
 import json
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import pytest
 
 from swapsim import props as props_mod
-from swapsim.cli import _scenario_from_obj
+from swapsim.cli import _scenario_from_obj, main
 from swapsim.graph import (GraphError, GraphSpec, NodeSpec, TensorDesc, save_graph,
                            validate_graph)
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
@@ -18,12 +19,13 @@ from swapsim.props import (
     run_invariant_suite,
 )
 from swapsim.rewrite import (RewriteConfig, RewritePlan, apply_rewrite, insert_swap_nodes,
-                             resolve_preset)
+                             resolve_preset, save_plan)
 from swapsim.sim import (
     DeadlockError, InfeasibleError, SimConfig, calibrate_compute_rate, emit_trace,
     epoch_time, op_cost, simulate, stall_report, sweep, xfer_cost,
 )
-from swapsim.training import TrainingGraph, expand_training_graph, static_peak_estimate
+from swapsim.training import (TrainingGraph, expand_training_graph, load_training_graph,
+                              save_training_graph, static_peak_estimate)
 
 TOY = UNetParams(dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2,
                  convs_per_level=1)
@@ -75,7 +77,7 @@ class TestSimulate:
         phases = stall_report(r)
         assert phases["boundary"] > 0
         first_backward = next(nid for nid, ch, _, _ in r.events
-                              if ch == "compute" and r.phases[nid] == "backward")
+                              if ch == "compute" and r.graph.node(nid).phase == "backward")
         assert any(n == first_backward for n, _, _ in r.stalls)
 
     def test_zero_communication_run_has_zero_stalls(self):
@@ -550,11 +552,33 @@ class TestCompileOnce:
         assert counts["runs"] == 18
         assert tg.derived["compiled_view"] is not None
 
-    def test_simulate_builds_one_view_per_call(self, counts):
+    def test_expanded_graph_simulated_twice_builds_one_view(self, counts):
         tg = expand_training_graph(gen_chain(4))
         simulate(tg, None, SimConfig())
         simulate(tg, None, SimConfig())
-        assert counts == {"builds": 2, "derived": 0, "runs": 2}
+        assert counts == {"builds": 1, "derived": 0, "runs": 2}
+        assert tg.derived["compiled_view"] is not None
+
+    def test_loaded_graph_simulated_twice_builds_one_view(self, counts, tmp_path):
+        rewritten, plan = apply_rewrite(expand_training_graph(gen_unet3d(TOY)),
+                                        PIN_REWRITES["paper-c1"])
+        save_training_graph(rewritten, tmp_path / "tg.json")
+        loaded = load_training_graph(tmp_path / "tg.json")
+        simulate(loaded, plan, _pin_cfg(False))
+        simulate(loaded, plan, _pin_cfg(False))
+        assert counts == {"builds": 1, "derived": 0, "runs": 2}
+
+    def test_cli_calibrated_simulate_builds_one_view(self, counts, tmp_path, capsys):
+        """``swapsim simulate --calibrate-target`` calibrates and simulates
+        the loaded graph on one view."""
+        rewritten, plan = apply_rewrite(expand_training_graph(gen_unet3d(TOY)),
+                                        PIN_REWRITES["paper-c1"])
+        save_training_graph(rewritten, tmp_path / "tg.json")
+        save_plan(plan, tmp_path / "plan.json")
+        assert main(["simulate", str(tmp_path / "tg.json"), str(tmp_path / "plan.json"),
+                     "--calibrate-target", "10"]) == 0
+        assert "calibrated compute_rate" in capsys.readouterr().out
+        assert (counts["builds"], counts["derived"]) == (1, 0)
 
     def test_swap_rewrite_simulated_twice_derives_its_view_once(self, counts):
         tg = expand_training_graph(gen_unet3d(TOY))
@@ -570,13 +594,51 @@ class TestCompileOnce:
         simulate(rewritten, plan, _pin_cfg(True))
         assert (counts["builds"], counts["derived"]) == (1, 1)
 
-    def test_recompute_rewrite_simulated_twice_builds_twice(self, counts):
-        """A graph built from its rows keeps no view."""
+    def test_recompute_rewrite_simulated_twice_builds_one_view(self, counts):
+        """A graph built from its rows keeps the view it builds."""
         tg = expand_training_graph(gen_unet3d(TOY))
         rewritten, plan = apply_rewrite(tg, PIN_REWRITES["recompute-speed"])
         simulate(rewritten, plan, _pin_cfg(False))
         simulate(rewritten, plan, _pin_cfg(False))
-        assert counts == {"builds": 2, "derived": 0, "runs": 2}
+        assert counts == {"builds": 1, "derived": 0, "runs": 2}
+
+
+class TestKeptViewsFreeWithTheirGraph:
+    """A training graph keeps its view, which holds the graph's rows but
+    nothing that refers back to the training graph, so reference counting
+    frees both once it is dropped: no collection is needed, and none is run."""
+
+    @pytest.fixture()
+    def collector_off(self):
+        was = gc.isenabled()
+        gc.disable()
+        yield
+        if was:
+            gc.enable()
+
+    @staticmethod
+    def assert_freed(build) -> None:
+        """Simulate the (graph, plan) that ``build`` returns, then drop it."""
+        tg, plan = build()
+        simulate(tg, plan, _pin_cfg(False))
+        assert tg.derived["compiled_view"] is not None
+        graph, training = weakref.ref(tg.graph), weakref.ref(tg)
+        del tg, plan
+        assert graph() is None and training() is None
+
+    def test_expanded_graph(self, collector_off):
+        self.assert_freed(lambda: (expand_training_graph(gen_unet3d(TOY)), None))
+
+    def test_loaded_graph(self, collector_off, tmp_path):
+        save_training_graph(expand_training_graph(gen_unet3d(TOY)), tmp_path / "tg.json")
+        self.assert_freed(lambda: (load_training_graph(tmp_path / "tg.json"), None))
+
+    @pytest.mark.parametrize("name", ["recompute-speed", "paper-c1"])
+    def test_rewrite_then_its_base(self, collector_off, name):
+        """The base keeps its own view, and a swap rewrite derives its from it."""
+        base = [expand_training_graph(gen_unet3d(TOY))]
+        self.assert_freed(lambda: apply_rewrite(base[0], PIN_REWRITES[name]))
+        self.assert_freed(lambda: (base.pop(), None))
 
 
 # The compute rates that reach the event loop when paper-c1 on the toy U-Net
@@ -643,9 +705,12 @@ def _reference_calibration(tg, plan, cfg, target, tol=1e-3):
 
     lo, hi = 1.0, 1.0
     while run(hi) > target:
-        hi *= 4.0
-        if hi > 1e30:
+        if hi * 4.0 > 1e30:
+            if math.fsum(n.cost_units for n in tg.graph.nodes) / hi > target:
+                raise GraphError("target makespan unreachable: "
+                                 "compute alone exceeds it at every rate up to 4**49")
             raise GraphError("target makespan unreachable: transfers alone exceed it")
+        hi *= 4.0
     while run(lo) < target:
         lo /= 4.0
         if lo < 1e-30:
@@ -659,6 +724,50 @@ def _reference_calibration(tg, plan, cfg, target, tol=1e-3):
         if hi / lo < 1 + tol:
             break
     return (lo * hi) ** 0.5
+
+
+def _looped_chain() -> TrainingGraph:
+    """A 3-op chain with a control edge back from grad/op0 to op1."""
+    tg = expand_training_graph(gen_chain(3))
+    g = tg.graph
+    return TrainingGraph(GraphSpec(g.nodes, g.tensors, g.control_edges + (("grad/op0", "op1"),),
+                                   dict(g.metadata)),
+                         tg.serial_order, dict(tg.grad_of))
+
+
+CYCLE = "[cycle] grad/op0: node participates in a cycle"
+
+
+def test_a_cycle_has_validate_graphs_words_at_every_entry_point():
+    """A run that deadlocks on a cycle raises the cycle, as ``validate_graph``
+    words it, from simulate, calibration and every rewrite of a sweep."""
+    looped = _looped_chain()
+    assert [str(v) for v in validate_graph(looped.graph)] == [CYCLE]
+    for cfg in (SimConfig(), SimConfig(gpu_budget=1 << 30, enforce_budget=True)):
+        with pytest.raises(GraphError) as exc:
+            simulate(looped, None, cfg)
+        assert type(exc.value) is GraphError and str(exc.value) == CYCLE
+        with pytest.raises(GraphError) as exc:
+            calibrate_compute_rate(looped, None, cfg, 1.0)
+        assert str(exc.value) == CYCLE
+    rcfgs = [RewriteConfig(mode="none"), resolve_preset("paper-c1"),
+             RewriteConfig(mode="recompute")]
+    assert [row["error"] for row in sweep(looped, rcfgs, [SimConfig()])] == [CYCLE] * 3
+
+
+@pytest.mark.parametrize("budget", [False, True], ids=["free", "budget"])
+def test_an_unreachable_target_names_what_exceeds_it(budget):
+    """The bracket's error says whether the compute time alone exceeds the
+    target at its last rate, 4**49, or only the transfers do."""
+    tg = expand_training_graph(gen_chain(3))
+    rewritten, plan = insert_swap_nodes(tg, ["t0"], 1)
+    cfg = SimConfig(d2h_bw=1e-3, h2d_bw=1e-3, gpu_budget=1 << 30, enforce_budget=budget)
+    with pytest.raises(GraphError, match=r"^target makespan unreachable: compute alone "
+                                         r"exceeds it at every rate up to 4\*\*49$"):
+        calibrate_compute_rate(tg, None, cfg, 1e-40)
+    with pytest.raises(GraphError, match="^target makespan unreachable: transfers alone "
+                                         "exceed it$"):
+        calibrate_compute_rate(rewritten, plan, cfg, 1.0)
 
 
 def _outcome(calibrate, *args):
@@ -699,21 +808,18 @@ class TestCalibrationOracle:
 
     def test_free_run_deadlock_matches_reference(self):
         """A control edge back from grad/op0 to op1 closes a cycle, which a
-        free run meets at any rate: the first probe raises."""
-        tg = expand_training_graph(gen_chain(3))
-        g = tg.graph
-        looped = TrainingGraph(GraphSpec(g.nodes, g.tensors,
-                                         g.control_edges + (("grad/op0", "op1"),),
-                                         dict(g.metadata)),
-                               tg.serial_order, dict(tg.grad_of))
+        free run meets at any rate: the first probe raises it in
+        ``validate_graph``'s words."""
+        looped = _looped_chain()
         for target in (1e-3, 1.0, 1e3):
             args = (looped, None, SimConfig(), target)
             outcome = _outcome(calibrate_compute_rate, *args)
-            assert outcome[0] is DeadlockError
+            assert outcome == (GraphError, CYCLE)
             assert outcome == _outcome(_reference_calibration, *args)
-        # At a rate past the bracket's last one, 4**49, the compute time alone
-        # still exceeds this target, so no rate is run: the bracket's error.
-        with pytest.raises(GraphError, match="^target makespan unreachable: transfers"):
+        # At the bracket's last rate, 4**49, the compute time alone still
+        # exceeds this target, so no rate is run: the bracket's error.
+        with pytest.raises(GraphError, match=r"^target makespan unreachable: compute alone "
+                                             r"exceeds it at every rate up to 4\*\*49$"):
             calibrate_compute_rate(looped, None, SimConfig(), 1e-40)
 
     @pytest.mark.parametrize("seed", range(300))
