@@ -9,13 +9,14 @@ import math
 import sys
 from argparse import SUPPRESS
 from dataclasses import replace
+from functools import partial
 from typing import Literal
 
-from .graph import (GraphError, Schema, check, check_value, dumps_canonical, load_document,
-                    load_graph, save_graph, validate_graph)
+from .graph import (GraphError, Schema, check, check_fields, check_value, dumps_canonical,
+                    load_document, load_graph, save_graph, validate_graph)
 from .models import UNetParams, gen_chain, gen_unet3d
-from .training import (BACKWARD_COST_RATIO, expand_training_graph, load_training_graph,
-                       save_training_graph, static_peak_estimate)
+from .training import (expand_training_graph, load_training_graph, save_training_graph,
+                       static_peak_estimate)
 from .rewrite import (CKPT_POLICIES, MODES, PRESETS, RewriteConfig, apply_rewrite, check_rewrite_validity,
                       load_plan, resolve_preset, save_plan)
 from .sim import (SimConfig, calibrate_compute_rate, emit_trace, epoch_time,
@@ -76,15 +77,12 @@ def parse_seed_spec(text: str) -> list[int]:
                          f"or 1,3,5") from None
     if not seeds:
         raise UsageError(f"no seeds in spec {text!r}")
-    if min(seeds) < 0:
-        raise UsageError(f"invalid seed spec {text!r}: seed {min(seeds)} is negative; "
-                         f"seeds are integers >= 0")
     return seeds
 
 
 def _csv(text: str, kind: type) -> list:
     try:
-        return [kind(x) for x in str(text).split(",") if x.strip()]
+        return [kind(x.strip()) for x in str(text).split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"invalid {kind.__name__} list {text!r}") from None
 
@@ -108,6 +106,18 @@ _SCENARIO = Schema(None, ("generator",), generator=dict, rewrite=_REWRITE, sim=_
                    static_bytes=str | float, outputs=Schema(None, trace=str, report=str))
 
 
+def _expander(m):
+    """``expand_training_graph`` with the arguments that a scenario or the
+    parsed flags give (``static_bytes`` as a byte count such as ``1GiB``,
+    and ``backward_cost_ratio``), checked by their annotations before any
+    graph is read; an argument the mapping lacks keeps the library default."""
+    kw = {k: m[k] for k in ("static_bytes", "backward_cost_ratio") if k in m}
+    if "static_bytes" in kw:
+        kw["static_bytes"] = parse_bytes(kw["static_bytes"])
+    check_fields(expand_training_graph, kw)
+    return partial(expand_training_graph, **kw)
+
+
 def _rewrite_config(m) -> RewriteConfig:
     """A rewrite config from a scenario's ``rewrite`` object or the parsed
     flags; keys the mapping lacks keep RewriteConfig's defaults. A preset
@@ -122,6 +132,12 @@ def _rewrite_config(m) -> RewriteConfig:
         if k in kw:
             kw[k] = _names(kw[k])
     return RewriteConfig(**kw)
+
+
+def _flag_rewrite_config(m) -> RewriteConfig:
+    """``_rewrite_config`` of the ``rewrite`` or ``sweep`` flags, whose mode
+    defaults to the CLI's own ``swap`` (the library's is none)."""
+    return _rewrite_config(m if "preset" in m else {"mode": "swap"} | m)
 
 
 def _sim_config(m) -> SimConfig:
@@ -158,16 +174,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_rewrite(args) -> int:
-    static_bytes = parse_bytes(args.static_bytes)
-    ratio = args.backward_cost_ratio
-    if not (math.isfinite(ratio) and ratio >= 0):
-        raise UsageError(f"invalid --backward-cost-ratio {ratio}: expected a finite number >= 0")
-    tg = expand_training_graph(load_graph(args.graph), static_bytes=static_bytes,
-                               backward_cost_ratio=ratio)
     m = vars(args)
-    if m["preset"] is None:
-        m.setdefault("mode", "swap")  # the CLI's own default; the library's is none
-    rewritten, plan = apply_rewrite(tg, _rewrite_config(m))
+    expand, cfg = _expander(m), _flag_rewrite_config(m)
+    tg = expand(load_graph(args.graph))
+    rewritten, plan = apply_rewrite(tg, cfg)
     violations = check_rewrite_validity(tg, rewritten, plan)
     if violations:
         raise GraphError(f"rewrite produced an invalid graph: {violations[0]}")
@@ -192,8 +202,8 @@ def _scenario_from_obj(sc) -> tuple:
     calibration (rewrite config, target seconds) or None, and output paths."""
     gen = check(sc, _SCENARIO)["generator"]
     check_value(gen.get("kind"), Literal[tuple(_GENERATORS)], "generator.kind")
-    g = _generated_graph(check(gen, _GENERATORS[gen["kind"]], "generator"))
-    tg = expand_training_graph(g, static_bytes=parse_bytes(sc.get("static_bytes", 0)))
+    expand = _expander(sc)
+    tg = expand(_generated_graph(check(gen, _GENERATORS[gen["kind"]], "generator")))
     cfg = _rewrite_config(sc.get("rewrite", {}))
     sm = sc.get("sim", {})
     sim_cfg = _sim_config(sm)
@@ -208,11 +218,11 @@ def cmd_simulate(args) -> int:
     """Flags and a scenario file each give a graph, its plan, a simulator
     config, a calibration (graph, plan, target seconds) or None, and output
     paths; one path runs them. A scenario calibrates on its own rewrite, and
-    it takes no other simulate argument: every simulate option but
-    ``--scenario`` is absent from ``args`` unless given."""
+    it takes no other simulate argument, each of which is absent from
+    ``args`` unless given."""
     m = vars(args)
     calibration = None
-    if args.scenario:
+    if "scenario" in m:
         given = sorted(_FLAGS.get(k, "--" + k.replace("_", "-"))
                        for k in m.keys() - {"command", "func", "scenario"})
         if given:
@@ -258,42 +268,39 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    tg = expand_training_graph(load_graph(args.graph), static_bytes=parse_bytes(args.static_bytes))
-
-    rewrite_cfgs: list[RewriteConfig] = []
-    if args.presets:
-        rewrite_cfgs.extend(resolve_preset(p.strip()) for p in args.presets.split(",") if p.strip())
-    if args.lb or args.n_tensors:
-        # A grid axis left out keeps RewriteConfig's default.
-        lbs = [{"lb": lb} for lb in _csv(args.lb, int)] if args.lb else [{}]
-        nts = [{"n_tensors": nt} for nt in _csv(args.n_tensors, int)] if args.n_tensors else [{}]
-        for nt in nts:
-            for lb in lbs:
-                rewrite_cfgs.append(_rewrite_config({"mode": args.mode, **nt, **lb,
-                                                     "excl_scopes": args.excl_scopes}))
+    """Each preset is a row of its own; any rewrite flag given adds the grid
+    ``--n-tensors`` x ``--lb`` with the other rewrite flags given, and an
+    axis left out keeps RewriteConfig's default."""
+    m = vars(args)
+    expand = _expander(m)
+    rewrite_cfgs = [_rewrite_config({"preset": p}) for p in _csv(m.get("presets", ""), str)]
+    grid = {k: m[k] for k in ("mode", "n_tensors", "lb", "excl_scopes") if m.get(k)}
+    if grid:
+        nts, lbs = ([{k: v} for v in _csv(grid.pop(k), int)] if k in grid else [{}]
+                    for k in ("n_tensors", "lb"))
+        rewrite_cfgs += [_flag_rewrite_config(grid | nt | lb) for nt in nts for lb in lbs]
     if not rewrite_cfgs:
-        raise UsageError("empty sweep grid: give --presets or --lb/--n-tensors")
+        raise UsageError("empty sweep grid: give --presets or a rewrite flag "
+                         "(--mode, --n-tensors, --lb, --excl-scopes)")
 
-    if args.link:
-        sims = [{"link": name.strip()} for name in args.link.split(",") if name.strip()]
-    elif args.bw:
-        sims = [{"d2h_bw": b, "h2d_bw": b} for b in _csv(args.bw, float)]
-    else:
-        sims = [{}]
-    sim_cfgs = [_sim_config({**vars(args), **m}) for m in sims]
+    links = [{"link": name} for name in _csv(m.get("link", ""), str)]
+    bws = [{"d2h_bw": b, "h2d_bw": b} for b in _csv(m.get("bw", ""), float)]
+    sim_cfgs = [_sim_config(m | s) for s in links or bws or [{}]]
 
+    tg = expand(load_graph(args.graph))
     rows = sweep(tg, rewrite_cfgs, sim_cfgs)
-    header = ["n_tensors", "lb", "mode", "d2h_bw", "h2d_bw", "swapped",
-              "makespan", "peak_resident", "boundary_stall", "backward_stall", "error"]
-    widths = [max(len(h), 12) for h in header]
+    header = ["n_tensors", "lb", "mode", "excl_scopes", "incl_scopes", "d2h_bw", "h2d_bw",
+              "swapped", "makespan", "peak_resident", "boundary_stall", "backward_stall", "error"]
+
+    def cell(v) -> str:
+        if isinstance(v, list):  # scope patterns
+            return ",".join(v) or "-"
+        return "-" if v is None else f"{v:g}" if isinstance(v, float) else str(v)
 
     def fmt_row(values):
-        cells = [f"{v:g}" if isinstance(v, float) else str(v) for v in values]
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
+        return "  ".join(cell(v).ljust(max(len(h), 12)) for v, h in zip(values, header))
 
-    lines = [fmt_row(header)]
-    for row in rows:
-        lines.append(fmt_row([row[h] if row[h] is not None else "-" for h in header]))
+    lines = [fmt_row(header)] + [fmt_row([row[h] for h in header]) for row in rows]
     table = "\n".join(lines) + "\n"
     print(table, end="")
     if args.output:
@@ -307,24 +314,24 @@ def cmd_verify(args) -> int:
     from .numeric import equivalence_check, grad_check
     from .props import make_broken_swap_variant, run_invariant_suite
 
-    seeds = parse_seed_spec(args.seeds)
-    if args.instances < 0:
-        raise UsageError(f"--instances must be >= 0, got {args.instances}")
+    m = vars(args)
+    seeds = parse_seed_spec(m["seeds"])
+    check_fields(equivalence_check, {"seeds": seeds})
+    suite_kw = {k: m[k] for k in ("instances", "seed") if k in m}
+    check_fields(run_invariant_suite, suite_kw)
     failures: list[str] = []
 
     chain_tg = expand_training_graph(gen_chain(8, bytes_per_tensor=48,
                                                kinds=("conv", "activation", "norm")))
     unet_tg = expand_training_graph(gen_unet3d(UNetParams(
         dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2, convs_per_level=1)))
+    cfgs = {preset: resolve_preset(preset) for preset in sorted(PRESETS)} | {
+        f"recompute-{policy}": RewriteConfig(mode="recompute", ckpt_policy=policy)
+        for policy in ("speed", "sqrt_n")}
 
     for label, tg in (("chain", chain_tg), ("unet-toy", unet_tg)):
-        variants = []
-        for preset in sorted(PRESETS):
-            variants.append((preset,) + apply_rewrite(tg, resolve_preset(preset)))
-        for policy in ("speed", "sqrt_n"):
-            cfg = _rewrite_config({"mode": "recompute", "ckpt_policy": policy})
-            variants.append((f"recompute-{policy}",) + apply_rewrite(tg, cfg))
-        if label == "chain" and args.inject_use_after_swap:
+        variants = [(name, *apply_rewrite(tg, cfg)) for name, cfg in cfgs.items()]
+        if label == "chain" and "inject_use_after_swap" in m:
             variants.append(("injected-broken-plan",) + make_broken_swap_variant(chain_tg))
         for row in equivalence_check(tg, variants, seeds):
             if row["error"] or row["deviation"] != 0.0:
@@ -335,7 +342,7 @@ def cmd_verify(args) -> int:
             if rep.max_rel_error >= 1e-4:
                 failures.append(f"grad-check[{label}] seed {seed}: {rep.max_rel_error}")
 
-    suite = run_invariant_suite(instances=args.instances, seed=args.seed)
+    suite = run_invariant_suite(**suite_kw)
     failures.extend(suite["failures"])
     print(f"invariant suite: {suite['instances']} instances, {suite['checks']} checks, "
           f"{suite['oracle_runs']} schedule-oracle runs")
@@ -353,12 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Model training graphs under a GPU memory budget: swap/recompute "
                     "rewrites plus a deterministic schedule simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag is absent from the namespace unless given (SUPPRESS), so the
+    # builders above apply the library defaults and value rules to flags and
+    # scenario files alike. The defaults of the CLI's own are output paths,
+    # verify's --seeds and rewrite and sweep's mode (_flag_rewrite_config).
 
     p_gen = sub.add_parser("generate", help="generate a workload graph file")
     gen_sub = p_gen.add_subparsers(dest="workload", required=True)
-    # A flag without a default of its own is absent from the namespace
-    # unless given (SUPPRESS), so the builders above apply the library
-    # defaults to flags and scenario files alike.
     p_unet = gen_sub.add_parser("unet", help="3D U-Net forward graph", argument_default=SUPPRESS)
     p_unet.add_argument("--dims", type=int, nargs=3, required=True)
     p_unet.add_argument("--in-channels", type=int)
@@ -379,28 +387,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_rw = sub.add_parser("rewrite", help="expand to a training graph and apply a rewrite",
                           argument_default=SUPPRESS)
     p_rw.add_argument("graph")
-    p_rw.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p_rw.add_argument("--mode", choices=MODES)  # the CLI's default is swap (cmd_rewrite)
+    p_rw.add_argument("--preset", choices=sorted(PRESETS))
+    p_rw.add_argument("--mode", choices=MODES)
     p_rw.add_argument("--n-tensors", type=int)
     p_rw.add_argument("--lb", type=int)
     p_rw.add_argument("--excl-scopes")
     p_rw.add_argument("--incl-scopes")
     p_rw.add_argument("--ckpt-policy", choices=CKPT_POLICIES)
     p_rw.add_argument("--manual-ckpts")
-    p_rw.add_argument("--static-bytes", default="0")
-    p_rw.add_argument("--backward-cost-ratio", type=float, default=BACKWARD_COST_RATIO)
+    p_rw.add_argument("--static-bytes")
+    p_rw.add_argument("--backward-cost-ratio", type=float)
     p_rw.add_argument("--out-graph", default="training_graph.json")
     p_rw.add_argument("--out-plan", default="plan.json")
     p_rw.add_argument("--liveness", default=None,
                       help="write the per-tensor residency intervals as JSON")
     p_rw.set_defaults(func=cmd_rewrite)
 
-    # Every simulate argument but --scenario is absent unless given.
     p_sim = sub.add_parser("simulate", help="simulate a rewritten training graph",
                            argument_default=SUPPRESS)
     p_sim.add_argument("graph", nargs="?")
     p_sim.add_argument("plan", nargs="?")
-    p_sim.add_argument("--scenario", default=None,
+    p_sim.add_argument("--scenario",
                        help="scenario file binding generator, rewrite and sim configs")
     p_sim.add_argument("--compute-rate", type=float)
     p_sim.add_argument("--d2h-bw", type=float)
@@ -420,23 +427,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="simulate a grid of rewrite/sim configurations",
                           argument_default=SUPPRESS)
     p_sw.add_argument("graph")
-    p_sw.add_argument("--presets", default="")
-    p_sw.add_argument("--mode", choices=MODES, default="swap")
-    p_sw.add_argument("--n-tensors", default="")
-    p_sw.add_argument("--lb", default="")
-    p_sw.add_argument("--excl-scopes", default="")
-    p_sw.add_argument("--bw", default="")
-    p_sw.add_argument("--link", default="")
+    p_sw.add_argument("--presets")
+    p_sw.add_argument("--mode", choices=MODES)
+    p_sw.add_argument("--n-tensors")
+    p_sw.add_argument("--lb")
+    p_sw.add_argument("--excl-scopes")
+    p_sw.add_argument("--bw")
+    p_sw.add_argument("--link")
     p_sw.add_argument("--compute-rate", type=float)
     p_sw.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float)
-    p_sw.add_argument("--static-bytes", default="0")
+    p_sw.add_argument("--static-bytes")
     p_sw.add_argument("-o", "--output", default=None)
     p_sw.set_defaults(func=cmd_sweep)
 
-    p_ver = sub.add_parser("verify", help="equivalence, gradient and invariant suites")
+    p_ver = sub.add_parser("verify", help="equivalence, gradient and invariant suites",
+                           argument_default=SUPPRESS)
     p_ver.add_argument("--seeds", default="1..20")
-    p_ver.add_argument("--instances", type=int, default=200)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--instances", type=int)
+    p_ver.add_argument("--seed", type=int)
     p_ver.add_argument("--inject-use-after-swap", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
     return parser
@@ -445,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and not args.scenario and "graph" not in vars(args):
+    if args.command == "simulate" and not vars(args).keys() & {"scenario", "graph"}:
         parser.error("simulate needs GRAPH PLAN or --scenario")
     try:
         return args.func(args)

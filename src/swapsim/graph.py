@@ -49,7 +49,6 @@ from typing import Literal, NamedTuple, NewType, Union, get_args, get_origin, ge
 NodeKind = Literal["conv", "matmul", "norm", "activation", "concat", "pool", "upsample",
                    "loss", "grad", "swap_out", "swap_in", "recompute", "source", "sink"]
 Phase = Literal["forward", "backward", "io"]
-NODE_KINDS = get_args(NodeKind)
 IO_KINDS = frozenset({"swap_out", "swap_in"})
 
 SCHEMA_VERSION = 1

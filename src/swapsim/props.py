@@ -27,7 +27,7 @@ from .training import (
     TrainingGraph, cross_phase_tensors, expand_training_graph, residency, static_peak_estimate,
 )
 from .rewrite import RewriteConfig, RewritePlan, select_swap_tensors, insert_swap_nodes
-from .sim import SimConfig, op_cost, simulate, xfer_cost
+from .sim import SimConfig, SimReport, op_cost, simulate, xfer_cost
 
 _SCOPES = ("a/x", "a/y", "b/x", "b/y")
 LB_GRID = (1, 2, 3, 5, 8)  # the lookaheads check_lb_monotonicity simulates
@@ -314,17 +314,18 @@ def brute_force_makespans(tg: TrainingGraph, plan: RewritePlan, cfg: SimConfig) 
     return results
 
 
-def check_schedule_oracle(tg: TrainingGraph, rewritten: TrainingGraph,
-                          plan: RewritePlan, cfg: SimConfig) -> list[str]:
+def check_schedule_oracle(rewritten: TrainingGraph, plan: RewritePlan, report: SimReport,
+                          cfg: SimConfig) -> list[str]:
+    """Whether every FIFO-consistent schedule of ``rewritten`` under ``cfg``
+    ends at the makespan of its simulation ``report``."""
     if not _oracle_reaches(rewritten, plan):
         return []
     oracle = brute_force_makespans(rewritten, plan, cfg)
     if not oracle:
         return ["brute-force oracle found no FIFO-consistent schedule"]
-    sim_makespan = simulate(rewritten, plan, cfg).makespan
     for m in oracle:
-        if abs(m - sim_makespan) > 1e-9:
-            return [f"sim makespan {sim_makespan} != oracle makespan {m}"]
+        if abs(m - report.makespan) > 1e-9:
+            return [f"sim makespan {report.makespan} != oracle makespan {m}"]
     return []
 
 
@@ -384,7 +385,7 @@ def _instance_checks(i: int, seed: int) -> tuple[int, int, list[str]]:
         checks += 1
         oracle_runs += 1
         failures.extend(f"[schedule-oracle] instance {i}: {msg}"
-                        for msg in check_schedule_oracle(tg, rewritten, plan, sim_cfg))
+                        for msg in check_schedule_oracle(rewritten, plan, report, sim_cfg))
     return checks, oracle_runs, failures
 
 

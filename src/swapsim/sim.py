@@ -71,6 +71,7 @@ _KIND_CHANNEL = {"swap_out": 1, "swap_in": 2}
 CALIBRATION_TOL = 1e-3  # relative width of the final compute_rate bracket
 _GUESSES = 6  # interpolated calibration probes, at most
 _STEP = 1 + CALIBRATION_TOL / 64  # how far past its estimate each one lands
+_TOP_RATE = 4.0 ** 49  # the calibration bracket's last rate
 
 
 class InfeasibleError(GraphError):
@@ -513,10 +514,11 @@ def epoch_time(iter_seconds: float, iterations: Count, host_preproc_seconds: flo
 @gc_paused
 def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
     """One summary row per (rewrite config, sim config) cell, sorted by
-    (n_tensors, lb, mode, bandwidths). A rewrite config that raises reports
-    its error in each of its rows, with ``swapped`` and the results null; a
-    cell that is infeasible or deadlocks reports its error in its row, with
-    the results null; either way the sweep goes on with the grid. Each
+    (n_tensors, lb, mode, excl_scopes, incl_scopes, bandwidths); the scope
+    filters are lists. A rewrite config that raises reports its error in
+    each of its rows, with ``swapped`` and the results null; a cell that is
+    infeasible or deadlocks reports its error in its row, with the results
+    null; either way the sweep goes on with the grid. Each
     rewrite keeps its view once built (``_view``), so one view serves all
     its sim configs."""
     from .rewrite import apply_rewrite
@@ -535,6 +537,7 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
         for scfg in sim_cfgs:
             row = {
                 "n_tensors": rcfg.n_tensors, "lb": rcfg.lb, "mode": rcfg.mode,
+                "excl_scopes": list(rcfg.excl_scopes), "incl_scopes": list(rcfg.incl_scopes),
                 "d2h_bw": scfg.d2h_bw, "h2d_bw": scfg.h2d_bw, "swapped": swapped,
                 "makespan": None, "peak_resident": None,
                 "boundary_stall": None, "backward_stall": None, "error": error,
@@ -549,7 +552,8 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
                 except GraphError as exc:
                     row["error"] = str(exc)
             rows.append(row)
-    rows.sort(key=lambda r: (r["n_tensors"], r["lb"], r["mode"], r["d2h_bw"], r["h2d_bw"]))
+    rows.sort(key=itemgetter("n_tensors", "lb", "mode", "excl_scopes", "incl_scopes", "d2h_bw",
+                             "h2d_bw"))
     return rows
 
 
@@ -579,10 +583,13 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
     in 1/rate through the last two runs (makespan = compute_units / rate +
     overhead), each stepped just past its estimate so that the next lands
     on the other side of the target, until the unknown band is narrower
-    than CALIBRATION_TOL / 16 or _GUESSES runs are made. After them only a
-    rate strictly inside the band runs. The returned rate, and any error,
-    are those of running every probe; calibrating the 192^3 U-Net's
-    paper-c1 asks about 39 rates and runs 4."""
+    than CALIBRATION_TOL / 16 or _GUESSES runs are made; a secant that meets
+    the target at no finite rate before any run has come in within it makes
+    the next probe the bracket's last rate, whose one run answers every
+    bracket comparison below it. After them only a rate strictly inside
+    the band runs. The returned rate, and any error, are those of running
+    every probe; calibrating the 192^3 U-Net's paper-c1 asks about 39
+    rates and runs 4."""
     check_fields(calibrate_compute_rate, {"target_makespan": target_makespan})
     check_plan(tg.graph, plan)
     view = _view(tg)
@@ -625,6 +632,8 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
             last, x = (x, makespan), x + (target - makespan) / slope
             rate = 1 / x if x > 0 else 0.0  # 0.0: the line meets the target at no finite rate
             rate = rate * _STEP if makespan > target else rate / _STEP
+            if not rate and at_most == math.inf:  # no run has come in within the target:
+                rate = _TOP_RATE  # one run answers every comparison of the bracket below it
             if not slow < rate < at_most:
                 rate = (slow * at_most) ** 0.5
 
@@ -642,7 +651,7 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
 
     lo, hi = 1.0, 1.0
     while answer(hi, False):
-        if hi * 4.0 > 1e30:  # the bracket's last rate, 4**49, still runs too long
+        if hi == _TOP_RATE:  # the bracket's last rate still runs too long
             alone = "compute alone exceeds it at every rate up to 4**49" \
                 if compute_units / hi > target else "transfers alone exceed it"
             raise GraphError(f"target makespan unreachable: {alone}")

@@ -1,13 +1,18 @@
+import argparse
+import inspect
 import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from swapsim.cli import UsageError, _scenario_from_obj, main, parse_bytes, parse_seed_spec
+from swapsim import cli as cli_mod
+from swapsim.cli import (UsageError, _scenario_from_obj, build_parser, main, parse_bytes,
+                         parse_seed_spec)
 from swapsim.graph import load_document, load_graph
 from swapsim.rewrite import load_plan
 from swapsim.training import load_training_graph
@@ -38,6 +43,71 @@ class TestParsers:
         assert parse_seed_spec("1..4") == [1, 2, 3, 4]
         assert parse_seed_spec("7") == [7]
         assert parse_seed_spec("1,3,5") == [1, 3, 5]
+
+
+def subparsers(parser, path=()):
+    """(command path, parser) of every parser under ``parser``, itself included."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from subparsers(child, path + (name,))
+
+
+# The defaults of the CLI's own: output paths and verify's seeds.
+CLI_DEFAULTS = {("rewrite", "out_graph"), ("rewrite", "out_plan"), ("rewrite", "liveness"),
+                ("sweep", "output"), ("verify", "seeds")}
+
+
+class TestParserDefaults:
+    def test_every_flag_is_absent_unless_given(self):
+        """No flag restates a library default, so the config builders and
+        the library apply them; only the CLI's own defaults are set."""
+        found = set()
+        for path, parser in subparsers(build_parser()):
+            assert parser._defaults.keys() <= {"func", "kind"}, path  # set_defaults keys
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    continue
+                if action.default is not argparse.SUPPRESS:
+                    found.add((" ".join(path), action.dest))
+        assert found == CLI_DEFAULTS
+
+    def test_swap_is_the_cli_mode_default_once(self, toy_graph, tmp_path, capsys):
+        """``swap`` is stated once, and both rewrite and a sweep grid take it."""
+        assert inspect.getsource(cli_mod).count('"swap"') == 1
+        og, op = tmp_path / "tg.json", tmp_path / "plan.json"
+        assert run(capsys, "rewrite", str(toy_graph), "--lb", "2", "--out-graph", str(og),
+                   "--out-plan", str(op))[0] == 0
+        assert json.loads(op.read_text())["mode"] == "swap"
+        out = tmp_path / "table.json"
+        assert run(capsys, "sweep", str(toy_graph), "--lb", "2", "-o", str(out))[0] == 0
+        assert [r["mode"] for r in json.loads(out.read_text())["rows"]] == ["swap"]
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``swapsim`` command in README's shell blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.lstrip().startswith("swapsim ")]
+
+
+def test_readme_commands_parse():
+    """Every ``swapsim`` command in README's shell blocks parses, each flag
+    spelt in full (argparse would take a prefix), so a renamed or dropped
+    flag fails here rather than leaving the docs wrong."""
+    parsers = dict(subparsers(build_parser()))
+    commands = readme_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        build_parser().parse_args(argv)
+        parser = parsers.get(tuple(argv[:2])) or parsers[tuple(argv[:1])]
+        for flag in (a.split("=")[0] for a in argv if a.startswith("-")):
+            assert flag in parser._option_string_actions, (argv, flag)
 
 
 class TestGenerate:
@@ -264,9 +334,8 @@ class TestSweep:
                             "--lb", "1,5,20", "--compute-rate", "1e4",
                             "--bw", "5e4")
         assert rc == 0
-        lines = [l for l in stdout.splitlines() if l.strip() and l.split()[0].isdigit()
-                 or l.startswith("-1")]
-        spans = [float(l.split()[6]) for l in lines]
+        header, *lines = stdout.splitlines()
+        spans = [float(l.split()[header.split().index("makespan")]) for l in lines]
         assert spans == sorted(spans, reverse=True)
 
     def test_static_bytes_add_to_every_peak(self, toy_graph, tmp_path, capsys):
@@ -285,7 +354,28 @@ class TestSweep:
     def test_empty_grid_usage_error(self, toy_graph, capsys):
         rc, _, err = run(capsys, "sweep", str(toy_graph))
         assert rc == 2
-        assert "empty" in err
+        assert "empty sweep grid" in err
+
+    def test_presets_and_mode_are_rows_of_their_own(self, toy_graph, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        rc, stdout, _ = run(capsys, "sweep", str(toy_graph), "--presets", "paper-c1,paper-c3",
+                            "--mode", "recompute", "-o", str(out))
+        assert rc == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [(r["mode"], r["excl_scopes"]) for r in rows] == [
+            ("recompute", []), ("swap", []), ("swap", ["synthesis/*"])]
+        assert len(stdout.splitlines()) == 1 + 3 + 1  # header, rows, "wrote"
+
+    def test_scope_filter_alone_is_one_swap_row(self, toy_graph, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        rc, stdout, _ = run(capsys, "sweep", str(toy_graph), "--excl-scopes", "synthesis/*",
+                            "-o", str(out))
+        assert rc == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [(r["mode"], r["excl_scopes"], r["incl_scopes"]) for r in rows] == [
+            ("swap", ["synthesis/*"], [])]
+        header, row = stdout.splitlines()[:2]
+        assert dict(zip(header.split(), row.split()))["excl_scopes"] == "synthesis/*"
 
 
 class TestVerify:
@@ -630,21 +720,26 @@ BAD_INPUT_PROBES = {
     "verify-seeds-1..2..3": (["verify", "--seeds", "1..2..3"],
                              "usage error: invalid seed spec '1..2..3'"),
     "verify-seeds-negative": (["verify", "--seeds=-1"],
-                              "usage error: invalid seed spec '-1': seed -1 is negative"),
+                              "error: wrong value type at seeds[0]: expected an integer >= 0, "
+                              "got -1"),
     "verify-seeds-negative-range": (["verify", "--seeds=-3..-1"],
-                                    "usage error: invalid seed spec '-3..-1': seed -3 is "
-                                    "negative"),
+                                    "error: wrong value type at seeds[0]: expected an integer "
+                                    ">= 0, got -3"),
     "verify-instances-negative": (["verify", "--seeds", "1", "--instances=-3"],
-                                  "usage error: --instances must be >= 0, got -3"),
+                                  "error: wrong value type at instances: expected an integer "
+                                  ">= 0, got -3"),
     "rewrite-backward-cost-ratio-nan": (["rewrite", "{chain}", "--preset", "paper-c1",
                                          "--backward-cost-ratio", "nan"],
-                                        "usage error: invalid --backward-cost-ratio nan"),
+                                        "error: wrong value type at backward_cost_ratio: "
+                                        "expected a finite number >= 0, got nan"),
     "rewrite-backward-cost-ratio-negative": (["rewrite", "{chain}", "--preset", "paper-c1",
                                               "--backward-cost-ratio=-1"],
-                                             "usage error: invalid --backward-cost-ratio -1.0"),
+                                             "error: wrong value type at backward_cost_ratio: "
+                                             "expected a finite number >= 0, got -1.0"),
     "rewrite-backward-cost-ratio-inf": (["rewrite", "{chain}", "--preset", "paper-c1",
                                          "--backward-cost-ratio", "inf"],
-                                        "usage error: invalid --backward-cost-ratio inf"),
+                                        "error: wrong value type at backward_cost_ratio: "
+                                        "expected a finite number >= 0, got inf"),
 }
 
 

@@ -718,6 +718,11 @@ def _toy_tg():
 
 
 CHECKED_ENTRY_POINTS = {
+    "cli._expander": (lambda: cli_mod._expander({"backward_cost_ratio": math.nan}),
+                      "at backward_cost_ratio: expected a finite number >= 0, got nan"),
+    "cli.cmd_verify": (
+        lambda: cli_mod.cmd_verify(cli_mod.build_parser().parse_args(["verify", "--instances=-3"])),
+        "at instances: expected an integer >= 0, got -3"),
     "cli._scenario_from_obj": (
         lambda: cli_mod._scenario_from_obj({"generator": {"kind": "bogus"}}),
         "at generator.kind: expected Literal['unet3d', 'chain'], got 'bogus'"),

@@ -114,7 +114,7 @@ class TestSimulate:
         tg = expand_training_graph(gen_chain(4, bytes_per_tensor=3000, cost_per_op=2.0))
         rewritten, plan = insert_swap_nodes(tg, ["t0", "t1", "t2"], lb=2)
         cfg = SimConfig(compute_rate=1.0, d2h_bw=1500.0, h2d_bw=800.0)
-        assert check_schedule_oracle(tg, rewritten, plan, cfg) == []
+        assert check_schedule_oracle(rewritten, plan, simulate(rewritten, plan, cfg), cfg) == []
 
     def test_oracle_costs_each_transfer_once(self, monkeypatch):
         """The oracle works out each io node's duration once per call, not
@@ -370,7 +370,7 @@ PIN_REPORT_SHA = {
     ("recompute-speed", False): "d4f3b2fd90a585a6e8325930488a6175ff503788391ccd5b8d015540a7e74639",
     ("recompute-speed", True): "886a50bf7abf31fb2d08282fbb2ff7ed3f412a443d917136cd838916bb4e637d",
 }
-PIN_SWEEP_SHA = "25b0cbb1e82a93ccdd38cc77d7814b77d57a2c591d56664067b042227726a239"
+PIN_SWEEP_SHA = "f6f838acd0d925c71b62ef934c2caaeb2b9e07d9bfe5a8224d988caa924e7b96"
 
 
 def _pin_tg(budget: bool):
@@ -412,6 +412,15 @@ class TestByteIdentity:
                         for b in (False, True))
         rows = [row for pair in zip(free, budget) for row in pair]
         assert _sha(json.dumps(rows, sort_keys=True)) == PIN_SWEEP_SHA
+
+    def test_sweep_rows_name_their_scope_filters(self):
+        """paper-c1 and paper-c3 differ only in their excluded scopes, which
+        their rows name and sort by, whatever the order they are given in."""
+        rcfgs = [resolve_preset("paper-c3"), RewriteConfig(mode="swap", incl_scopes=("x/*",)),
+                 resolve_preset("paper-c1")]
+        rows = sweep(_pin_tg(False), rcfgs, [_pin_cfg(False)])
+        assert [(r["excl_scopes"], r["incl_scopes"]) for r in rows] == \
+            [([], []), ([], ["x/*"]), (["synthesis/*"], [])]
 
 
 def stall_blocker_faults(tg, report) -> list[str]:
@@ -770,6 +779,23 @@ def test_an_unreachable_target_names_what_exceeds_it(budget):
         calibrate_compute_rate(rewritten, plan, cfg, 1.0)
 
 
+def test_an_unreachable_target_runs_the_bracket_once_at_its_last_rate(monkeypatch):
+    """When the secant meets the target at no finite rate and no run has come
+    in within it, one run at the bracket's last rate, 4**49, answers every
+    bracket comparison below it: two runs in all, where the reference runs
+    all 50 bracket rates, with the same error."""
+    import swapsim.sim as sim_mod
+    rewritten, plan = insert_swap_nodes(expand_training_graph(gen_chain(3)), ["t0"], 1)
+    cfg = SimConfig(d2h_bw=1e-3, h2d_bw=1e-3)
+    real_run, rates = sim_mod._run, []
+    monkeypatch.setattr(sim_mod, "_run", lambda view, c, rate: rates.append(rate)
+                        or real_run(view, c, rate))
+    outcome = _outcome(calibrate_compute_rate, rewritten, plan, cfg, 1.0)
+    assert rates == [9.0, 4.0 ** 49]
+    assert outcome == _outcome(_reference_calibration, rewritten, plan, cfg, 1.0) == \
+        (GraphError, "target makespan unreachable: transfers alone exceed it")
+
+
 def _outcome(calibrate, *args):
     try:
         return repr(calibrate(*args))
@@ -912,7 +938,7 @@ class TestInputChecks:
                 f"schedule oracle: 6 swaps and {len(rewritten.graph.nodes)} nodes exceed its "
                 f"limit of 3 swaps and 30 nodes")):
             brute_force_makespans(rewritten, plan, cfg)
-        assert check_schedule_oracle(tg, rewritten, plan, cfg) == []
+        assert check_schedule_oracle(rewritten, plan, simulate(rewritten, plan, cfg), cfg) == []
 
     @pytest.mark.parametrize("field", ["compute_rate", "d2h_bw", "h2d_bw", "xfer_latency"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
