@@ -142,13 +142,16 @@ def _flag_rewrite_config(m) -> RewriteConfig:
 
 def _sim_config(m) -> SimConfig:
     """A simulator config from a scenario's ``sim`` object or the parsed
-    flags; keys the mapping lacks keep SimConfig's defaults, and a ``link``
-    preset sets both bandwidths."""
+    flags; keys the mapping lacks keep SimConfig's defaults. A ``link``
+    preset sets both bandwidths, so it takes neither of them beside it."""
     kw = {k: m[k] for k in _SIM.types if k not in ("gpu_budget", "link", "calibrate") and k in m}
     if m.get("link"):
         if m["link"] not in LINKS:
             raise UsageError(f"unknown link preset {m['link']!r}; "
                              f"expected one of {sorted(LINKS)}")
+        if kw.keys() & {"d2h_bw", "h2d_bw"}:
+            raise UsageError(f"link {m['link']!r} sets both bandwidths, so it takes "
+                             f"no d2h_bw or h2d_bw")
         kw["d2h_bw"], kw["h2d_bw"] = LINKS[m["link"]]
     return SimConfig(**kw, gpu_budget=parse_bytes(m.get("gpu_budget") or 0))
 
@@ -270,27 +273,26 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     """Each preset is a row of its own; any rewrite flag given adds the grid
     ``--n-tensors`` x ``--lb`` with the other rewrite flags given, and an
-    axis left out keeps RewriteConfig's default."""
+    axis left out keeps RewriteConfig's default. The sim cells are
+    ``--link`` x ``--bw``, so a link beside a bandwidth is refused."""
     m = vars(args)
     expand = _expander(m)
     rewrite_cfgs = [_rewrite_config({"preset": p}) for p in _csv(m.get("presets", ""), str)]
-    grid = {k: m[k] for k in ("mode", "n_tensors", "lb", "excl_scopes") if m.get(k)}
+    grid = {k: m[k] for k in _REWRITE.types if m.get(k)}  # RewriteConfig's fields; sweep takes --presets
     if grid:
         nts, lbs = ([{k: v} for v in _csv(grid.pop(k), int)] if k in grid else [{}]
                     for k in ("n_tensors", "lb"))
         rewrite_cfgs += [_flag_rewrite_config(grid | nt | lb) for nt in nts for lb in lbs]
     if not rewrite_cfgs:
-        raise UsageError("empty sweep grid: give --presets or a rewrite flag "
-                         "(--mode, --n-tensors, --lb, --excl-scopes)")
+        raise UsageError("empty sweep grid: give --presets or a rewrite flag")
 
-    links = [{"link": name} for name in _csv(m.get("link", ""), str)]
-    bws = [{"d2h_bw": b, "h2d_bw": b} for b in _csv(m.get("bw", ""), float)]
-    sim_cfgs = [_sim_config(m | s) for s in links or bws or [{}]]
+    links = [{"link": name} for name in _csv(m.get("link", ""), str)] or [{}]
+    bws = [{"d2h_bw": b, "h2d_bw": b} for b in _csv(m.get("bw", ""), float)] or [{}]
+    sim_cfgs = [_sim_config(m | link | bw) for link in links for bw in bws]
 
     tg = expand(load_graph(args.graph))
     rows = sweep(tg, rewrite_cfgs, sim_cfgs)
-    header = ["n_tensors", "lb", "mode", "excl_scopes", "incl_scopes", "d2h_bw", "h2d_bw",
-              "swapped", "makespan", "peak_resident", "boundary_stall", "backward_stall", "error"]
+    header = list(rows[0])  # the row keys, in sim.sweep's order
 
     def cell(v) -> str:
         if isinstance(v, list):  # scope patterns
@@ -300,9 +302,7 @@ def cmd_sweep(args) -> int:
     def fmt_row(values):
         return "  ".join(cell(v).ljust(max(len(h), 12)) for v, h in zip(values, header))
 
-    lines = [fmt_row(header)] + [fmt_row([row[h] for h in header]) for row in rows]
-    table = "\n".join(lines) + "\n"
-    print(table, end="")
+    print("\n".join([fmt_row(header)] + [fmt_row(row.values()) for row in rows]))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical({"version": 1, "rows": rows}))
@@ -354,6 +354,21 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _rewrite_flags(p: argparse.ArgumentParser, knob: type) -> None:
+    """The flags that ``rewrite`` and ``sweep`` share: RewriteConfig's
+    fields, ``--n-tensors`` and ``--lb`` read by ``knob``, and the training
+    graph's static bytes and backward cost ratio (``_expander``)."""
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--n-tensors", type=knob)
+    p.add_argument("--lb", type=knob)
+    p.add_argument("--excl-scopes")
+    p.add_argument("--incl-scopes")
+    p.add_argument("--ckpt-policy", choices=CKPT_POLICIES)
+    p.add_argument("--manual-ckpts")
+    p.add_argument("--static-bytes")
+    p.add_argument("--backward-cost-ratio", type=float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapsim",
@@ -388,15 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                           argument_default=SUPPRESS)
     p_rw.add_argument("graph")
     p_rw.add_argument("--preset", choices=sorted(PRESETS))
-    p_rw.add_argument("--mode", choices=MODES)
-    p_rw.add_argument("--n-tensors", type=int)
-    p_rw.add_argument("--lb", type=int)
-    p_rw.add_argument("--excl-scopes")
-    p_rw.add_argument("--incl-scopes")
-    p_rw.add_argument("--ckpt-policy", choices=CKPT_POLICIES)
-    p_rw.add_argument("--manual-ckpts")
-    p_rw.add_argument("--static-bytes")
-    p_rw.add_argument("--backward-cost-ratio", type=float)
+    _rewrite_flags(p_rw, int)
     p_rw.add_argument("--out-graph", default="training_graph.json")
     p_rw.add_argument("--out-plan", default="plan.json")
     p_rw.add_argument("--liveness", default=None,
@@ -428,15 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
                           argument_default=SUPPRESS)
     p_sw.add_argument("graph")
     p_sw.add_argument("--presets")
-    p_sw.add_argument("--mode", choices=MODES)
-    p_sw.add_argument("--n-tensors")
-    p_sw.add_argument("--lb")
-    p_sw.add_argument("--excl-scopes")
+    _rewrite_flags(p_sw, str)  # --n-tensors and --lb as comma-separated lists
     p_sw.add_argument("--bw")
     p_sw.add_argument("--link")
     p_sw.add_argument("--compute-rate", type=float)
     p_sw.add_argument("--latency", dest="xfer_latency", metavar="LATENCY", type=float)
-    p_sw.add_argument("--static-bytes")
     p_sw.add_argument("-o", "--output", default=None)
     p_sw.set_defaults(func=cmd_sweep)
 

@@ -372,7 +372,8 @@ def insert_recompute(tg: TrainingGraph, checkpoints) -> tuple[TrainingGraph, Rew
         serial_backward.extend(grad_ids)
     plan.recompute_segments = tuple(segments)
 
-    # Clones are spliced into the node list right where they run.
+    # Clones follow the base rows in the node list; the serial order runs
+    # each segment's clones right ahead of its grads.
     rewritten = _derived(g, nodes=tuple(rewired.get(n.id, n) for n in g.nodes) + tuple(new_nodes),
                          tensors=tuple(tensors), control_edges=g.control_edges)
     serial = tuple(forward_ids) + tuple(serial_backward)

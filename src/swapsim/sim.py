@@ -26,9 +26,11 @@ The event loop (``_run``) keeps times, not reports: each node's start and
 end, the compute stalls (node, gap, whether the budget held that node), the
 busy seconds per channel, the peak and the makespan. ``_report`` builds the
 ``SimReport`` from them after the run: it sorts the events and names each
-stall's blocker from the end times and the node's dependencies.
-``calibrate_compute_rate`` reads only the makespan, so its probes build no
-report.
+stall's blocker from the end times and the node's dependencies. The stall
+seconds by phase are summed once per run, from the raw stalls
+(``_stall_phases``), for the report and for a ``sweep`` row alike.
+``calibrate_compute_rate`` reads only the makespan and ``sweep`` only the
+makespan, the peak and the phases, so neither builds a report.
 
 Each run works on a compiled view (``_CompiledGraph``) of a graph that keeps
 every rule (else its first violation is raised, as ``checked_index`` does).
@@ -118,7 +120,7 @@ class SimReport:
     peak_resident: int
     stalls: list          # (waiting node, blocking node or "budget", duration)
     busy: dict            # channel -> busy fraction
-    graph: GraphSpec = field(compare=False, repr=False)  # the simulated graph
+    phases: dict = field(compare=False, repr=False)  # stall seconds by phase (stall_report)
 
     def to_obj(self) -> dict:
         return {
@@ -277,8 +279,8 @@ def _view(tg: TrainingGraph) -> _CompiledGraph:
 def _check_feasible(v: _CompiledGraph, cfg: SimConfig) -> None:
     """Under an enforced budget, raise InfeasibleError for the first tensor
     that can never fit beside the static bytes. The answer depends on the
-    view and the budget only, so it is checked once per run (``_report``)
-    or calibration, not per probe."""
+    view and the budget only, so it is checked once per run (``_report``, a
+    sweep cell) or calibration, not per probe."""
     if cfg.enforce_budget and cfg.gpu_budget > 0:
         static, budget = v.static_bytes, cfg.gpu_budget
         for t, nbytes in zip(v.graph.tensors, v.tensor_size):
@@ -457,8 +459,25 @@ def _report(v: _CompiledGraph, cfg: SimConfig) -> SimReport:
         stalls=stalls,
         busy={ch: (busy_time[c] / makespan if makespan > 0 else 0.0)
               for c, ch in enumerate(CHANNELS)},
-        graph=v.graph,
+        phases=_stall_phases(v, raw_stalls),
     )
+
+
+def _stall_phases(v: _CompiledGraph, stalls) -> dict[str, float]:
+    """A run's compute stalls (``_run``'s (node, gap, held) list) summed by
+    the phase of the node that waited: forward, boundary (the first backward
+    node in serial order) or backward."""
+    rows = v.graph.index.nodes
+    boundary = next((i for i in v.serial if rows[i].phase == "backward"), None)
+    out = {"forward": 0.0, "boundary": 0.0, "backward": 0.0}
+    for i, gap, _ in stalls:
+        if i == boundary:
+            out["boundary"] += gap
+        elif rows[i].phase == "backward":
+            out["backward"] += gap
+        else:
+            out["forward"] += gap
+    return out
 
 
 @gc_paused
@@ -472,21 +491,10 @@ def simulate(tg: TrainingGraph, plan=None, cfg: SimConfig | None = None) -> SimR
 
 
 def stall_report(r: SimReport) -> dict[str, float]:
-    """Idle gaps on the compute channel, split by the phase of the next
-    compute node: forward, boundary (the first backward node), backward."""
-    ix = r.graph.index
-    rows, index = ix.nodes, ix.index
-    first_backward = next((nid for nid, channel, _, _ in r.events
-                           if channel == "compute" and rows[index[nid]].phase == "backward"), None)
-    out = {"forward": 0.0, "boundary": 0.0, "backward": 0.0}
-    for nid, _, duration in r.stalls:
-        if nid == first_backward:
-            out["boundary"] += duration
-        elif rows[index[nid]].phase == "backward":
-            out["backward"] += duration
-        else:
-            out["forward"] += duration
-    return out
+    """Idle gaps on the compute channel, split by the phase of the compute
+    node that waited: forward, boundary (the first backward node in serial
+    order), backward."""
+    return dict(r.phases)
 
 
 def emit_trace(r: SimReport, path) -> None:
@@ -518,9 +526,10 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
     filters are lists. A rewrite config that raises reports its error in
     each of its rows, with ``swapped`` and the results null; a cell that is
     infeasible or deadlocks reports its error in its row, with the results
-    null; either way the sweep goes on with the grid. Each
-    rewrite keeps its view once built (``_view``), so one view serves all
-    its sim configs."""
+    null; either way the sweep goes on with the grid. A cell is one run
+    (``_run``), whose makespan, peak and stall phases (``_stall_phases``)
+    make its row; no report is built. Each rewrite keeps its view once
+    built (``_view``), so one view serves all its sim configs."""
     from .rewrite import apply_rewrite
 
     rewrite_cfgs = list(rewrite_cfgs)
@@ -544,11 +553,12 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
             }
             if swapped is not None:
                 try:
-                    rep = _report(_view(rewritten), scfg)
-                    srep = stall_report(rep)
-                    row.update(makespan=rep.makespan, peak_resident=rep.peak_resident,
-                               boundary_stall=srep["boundary"],
-                               backward_stall=srep["backward"])
+                    view = _view(rewritten)
+                    _check_feasible(view, scfg)
+                    makespan, _, _, peak, stalls, _ = _run(view, scfg, scfg.compute_rate)
+                    phases = _stall_phases(view, stalls)
+                    row.update(makespan=makespan, peak_resident=peak + view.static_bytes,
+                               boundary_stall=phases["boundary"], backward_stall=phases["backward"])
                 except GraphError as exc:
                     row["error"] = str(exc)
             rows.append(row)

@@ -14,8 +14,9 @@ from swapsim import cli as cli_mod
 from swapsim.cli import (UsageError, _scenario_from_obj, build_parser, main, parse_bytes,
                          parse_seed_spec)
 from swapsim.graph import load_document, load_graph
-from swapsim.rewrite import load_plan
-from swapsim.training import load_training_graph
+from swapsim.rewrite import RewriteConfig, load_plan
+from swapsim.sim import SimConfig, sweep
+from swapsim.training import expand_training_graph, load_training_graph
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -108,6 +109,22 @@ def test_readme_commands_parse():
         parser = parsers.get(tuple(argv[:2])) or parsers[tuple(argv[:1])]
         for flag in (a.split("=")[0] for a in argv if a.startswith("-")):
             assert flag in parser._option_string_actions, (argv, flag)
+
+
+def test_readme_tuning_flags_parse_alike_under_rewrite_and_sweep():
+    """Every flag that README's "Explicit tuning flags" sentence names is
+    taken by both ``rewrite`` and ``sweep``, into the same field."""
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"Explicit tuning flags are available instead of presets:(.*?)\. A ",
+                         text, re.S).group(1)
+    flags = [f.split()[0] for f in re.findall(r"`(--[a-z-]+)", sentence)]
+    assert len(flags) >= 7
+    parsers = dict(subparsers(build_parser()))
+    for flag in flags:
+        dests = {name: parsers[(name,)]._option_string_actions[flag].dest
+                 for name in ("rewrite", "sweep")
+                 if flag in parsers[(name,)]._option_string_actions}
+        assert len(dests) == 2 and len(set(dests.values())) == 1, (flag, dests)
 
 
 class TestGenerate:
@@ -366,6 +383,19 @@ class TestSweep:
             ("recompute", []), ("swap", []), ("swap", ["synthesis/*"])]
         assert len(stdout.splitlines()) == 1 + 3 + 1  # header, rows, "wrote"
 
+    def test_checkpoint_policy_is_one_recompute_row(self, toy_graph, tmp_path, capsys):
+        """``--ckpt-policy`` alone, as ``rewrite`` takes it, makes one grid
+        cell: the row that the library's sweep gives for that config."""
+        out = tmp_path / "table.json"
+        rc, _, _ = run(capsys, "sweep", str(toy_graph), "--mode", "recompute",
+                       "--ckpt-policy", "sqrt_n", "-o", str(out))
+        assert rc == 0
+        tg = expand_training_graph(load_graph(toy_graph))
+        expected = sweep(tg, [RewriteConfig(mode="recompute", ckpt_policy="sqrt_n")],
+                         [SimConfig()])
+        assert json.loads(out.read_text())["rows"] == expected
+        assert [r["mode"] for r in expected] == ["recompute"]
+
     def test_scope_filter_alone_is_one_swap_row(self, toy_graph, tmp_path, capsys):
         out = tmp_path / "table.json"
         rc, stdout, _ = run(capsys, "sweep", str(toy_graph), "--excl-scopes", "synthesis/*",
@@ -548,6 +578,7 @@ def probe_files(rewritten, tmp_path, capsys):
         "sc_calibrate_no_preset": {**chain_scenario,
                                    "sim": {"calibrate": {"target_seconds": 1.0}}},
         "sc_preset_lb": {**chain_scenario, "rewrite": {"preset": "paper-c4", "lb": 3}},
+        "sc_link_d2h_bw": {**chain_scenario, "sim": {"link": "pcie3", "d2h_bw": 5.0}},
     }
     for name, doc in scenarios.items():
         files[name] = str(tmp_path / f"{name}.json")
@@ -706,6 +737,16 @@ BAD_INPUT_PROBES = {
     "plan-swapped-two-items": (["simulate", "{chain_tg}", "{plan_two_items}"],
                                "wrong value type at swapped: expected "
                                "dict[str, tuple[str, str, str]], got an object"),
+    "link-and-d2h-bw": (["simulate", "{tg}", "{plan}", "--link", "pcie3", "--d2h-bw", "1e3"],
+                        "usage error: link 'pcie3' sets both bandwidths, so it takes no d2h_bw "
+                        "or h2d_bw"),
+    "sweep-link-and-bw": (["sweep", "{chain}", "--presets", "paper-c1", "--link", "pcie3",
+                           "--bw", "1e9"],
+                          "usage error: link 'pcie3' sets both bandwidths, so it takes no "
+                          "d2h_bw or h2d_bw"),
+    "scenario-link-and-d2h-bw": (["simulate", "--scenario", "{sc_link_d2h_bw}"],
+                                 "bad value: link 'pcie3' sets both bandwidths, so it takes no "
+                                 "d2h_bw or h2d_bw"),
     "sweep-link-unknown": (["sweep", "{chain}", "--presets", "paper-c1", "--link", "foo"],
                            "usage error: unknown link preset 'foo'"),
     "sweep-bw-abc": (["sweep", "{chain}", "--presets", "paper-c1", "--bw", "abc"],

@@ -76,8 +76,8 @@ class TestSimulate:
         r = simulate(rewritten, plan, SimConfig(compute_rate=1.0, d2h_bw=500.0, h2d_bw=500.0))
         phases = stall_report(r)
         assert phases["boundary"] > 0
-        first_backward = next(nid for nid, ch, _, _ in r.events
-                              if ch == "compute" and r.graph.node(nid).phase == "backward")
+        first_backward = next(nid for nid in rewritten.serial_order
+                              if rewritten.graph.node(nid).phase == "backward")
         assert any(n == first_backward for n, _, _ in r.stalls)
 
     def test_zero_communication_run_has_zero_stalls(self):
@@ -351,6 +351,103 @@ class TestSweep:
         assert {r["d2h_bw"]: (r["error"], r["swapped"], r["makespan"])
                 for r in rows if r["mode"] == "none"} \
             == {c.d2h_bw: ("", 0, simulate(tg, None, c).makespan) for c in sim_cfgs}
+
+
+def _event_scan_phases(tg, r) -> dict[str, float]:
+    """The stall split as it was once read off the events: the boundary is
+    the first backward compute event in (start, channel, id) order."""
+    node = tg.graph.node
+    first = next((nid for nid, ch, _, _ in r.events
+                  if ch == "compute" and node(nid).phase == "backward"), None)
+    out = {"forward": 0.0, "boundary": 0.0, "backward": 0.0}
+    for nid, _, gap in r.stalls:
+        out["boundary" if nid == first else
+            "backward" if node(nid).phase == "backward" else "forward"] += gap
+    return out
+
+
+PHASE_REWRITES = (resolve_preset("paper-c1"), RewriteConfig(mode="swap", lb=3),
+                  RewriteConfig(mode="recompute", ckpt_policy="sqrt_n"))
+
+
+def _phase_cells():
+    """(seed, expanded graph, rewrite config, its rewrite and plan or the
+    GraphError it raised, sim configs) over random_instance 0..299: each of
+    PHASE_REWRITES, run free and at 80% of its rewrite's static peak."""
+    for seed in range(300):
+        tg, _, _, cfg = random_instance(seed)
+        for rcfg in PHASE_REWRITES:
+            try:
+                rewritten, plan = apply_rewrite(tg, rcfg)
+            except GraphError as exc:
+                yield seed, tg, rcfg, exc, [cfg]
+                continue
+            budget = int(static_peak_estimate(rewritten).peak_bytes * 0.8)
+            yield seed, tg, rcfg, (rewritten, plan), \
+                [cfg, replace(cfg, gpu_budget=budget, enforce_budget=True)]
+
+
+class TestStallPhases:
+    def test_a_zero_cost_tie_at_the_boundary_is_the_boundary_stall(self):
+        """grad/op10 costs nothing and starts at the instant grad/op11, the
+        first backward node in serial order, does; its id sorts first, but
+        the stall is grad/op11's, at the boundary."""
+        tg = expand_training_graph(gen_chain(12, 64, 0.0, ("conv",)))
+        rcfg = RewriteConfig(mode="swap", incl_scopes=("chain/op11",))
+        cfg = SimConfig(compute_rate=1e3, d2h_bw=1e3, h2d_bw=1e3)
+        r = simulate(*apply_rewrite(tg, rcfg), cfg)
+        starts = {nid: s for nid, ch, s, _ in r.events if ch == "compute"}
+        assert starts["grad/op10"] == starts["grad/op11"]
+        assert r.stalls == [("grad/op11", "swap_in/t11", 0.128)]
+        assert stall_report(r) == {"forward": 0.0, "boundary": 0.128, "backward": 0.0}
+        row, = sweep(tg, [rcfg], [cfg])
+        assert (row["boundary_stall"], row["backward_stall"]) == (0.128, 0.0)
+
+    def test_the_event_scan_agrees_where_no_zero_cost_node_ties(self):
+        checked = at_boundary = 0
+        for seed, _, rcfg, rewrite, cfgs in _phase_cells():
+            if isinstance(rewrite, GraphError):
+                continue
+            for cfg in cfgs:
+                try:
+                    r = simulate(*rewrite, cfg)
+                except GraphError:
+                    continue
+                phases = stall_report(r)
+                assert phases == _event_scan_phases(rewrite[0], r), (seed, rcfg, cfg)
+                checked += 1
+                at_boundary += phases["boundary"] > 0
+        assert (checked, at_boundary) == (1009, 709)  # the other cells raise
+
+    def test_sweep_rows_are_the_runs_of_their_cells(self):
+        """Each sweep row holds what simulate and stall_report give for its
+        cell, or the error that the rewrite or the run raised."""
+        for seed, tg, rcfg, rewrite, cfgs in _phase_cells():
+            expected = []
+            for cfg in cfgs:
+                if isinstance(rewrite, GraphError):
+                    expected.append((None, None, None, None, str(rewrite)))
+                    continue
+                try:
+                    r = simulate(*rewrite, cfg)
+                except GraphError as exc:
+                    expected.append((None, None, None, None, str(exc)))
+                    continue
+                phases = stall_report(r)
+                expected.append((r.makespan, r.peak_resident, phases["boundary"],
+                                 phases["backward"], ""))
+            rows = sweep(tg, [rcfg], cfgs)
+            assert [(row["makespan"], row["peak_resident"], row["boundary_stall"],
+                     row["backward_stall"], row["error"]) for row in rows] == expected, seed
+
+    def test_sweep_builds_no_report(self, monkeypatch):
+        import swapsim.sim as sim_mod
+        calls = []
+        real_report = sim_mod._report
+        monkeypatch.setattr(sim_mod, "_report", lambda *a: calls.append(a) or real_report(*a))
+        rows = sweep(_pin_tg(True), PIN_REWRITES.values(), [_pin_cfg(True), _pin_cfg(False)])
+        assert len(rows) == 10 and any(row["makespan"] is not None for row in rows)
+        assert calls == []
 
 
 # SHA-256 of outputs on the toy U-Net, recorded before the simulator ran on a
