@@ -278,7 +278,8 @@ def cmd_sweep(args) -> int:
     m = vars(args)
     expand = _expander(m)
     rewrite_cfgs = [_rewrite_config({"preset": p}) for p in _csv(m.get("presets", ""), str)]
-    grid = {k: m[k] for k in _REWRITE.types if m.get(k)}  # RewriteConfig's fields; sweep takes --presets
+    # The RewriteConfig fields given (sweep's own key is presets, not preset).
+    grid = {k: m[k] for k in _REWRITE.types if m.get(k)}
     if grid:
         nts, lbs = ([{k: v} for v in _csv(grid.pop(k), int)] if k in grid else [{}]
                     for k in ("n_tensors", "lb"))
