@@ -4,9 +4,8 @@ compute/copy-channel simulator, and a toy numeric executor that proves the
 rewrites preserve computation."""
 
 from .graph import (
-    CycleError, GraphError, GraphSpec, NodeSpec, TensorDesc, Violation,
-    bfs_depths, element_count, load_graph, save_graph, tensor_bytes,
-    topo_order, validate_graph,
+    GraphError, GraphSpec, NodeSpec, TensorDesc, Violation, bfs_depths,
+    element_count, load_graph, save_graph, tensor_bytes, validate_graph,
 )
 from .models import UNetParams, gen_chain, gen_unet3d
 from .training import (

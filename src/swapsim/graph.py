@@ -12,14 +12,17 @@ Every value rule is an annotation, in one vocabulary (``float``, the value
 types ``Positive``, ``Count`` and ``Size``, ``Literal`` and ``tuple``): of
 a document key, a config field, a checked parameter (``check_fields``) or a
 ``NodeSpec`` or ``TensorDesc`` row field. Rows are checked a column at a
-time (``_field_violations``), which also states the two row rules that no
-annotation can: an io node costs 0, and a shape is not empty.
+time (``_field_violations``), which also states the three row rules that
+no annotation can: an io node costs 0, it moves exactly one tensor, and a
+shape is not empty.
 
 Every rule but acyclicity is in one list per graph (``GraphSpec.violations``).
-``validate_graph`` adds the cycle check to it, and every other stage that
-needs the rules kept calls ``checked_index``, which raises the first
-violation; a simulation that deadlocks with no budget wait to explain it
-raises a cycle's violation. So a fault has one wording wherever it is found.
+``validate_graph`` adds the cycle check to it and runs every rule on any
+graph. Every other stage that needs the rules kept calls ``checked_index``,
+which raises the first violation, or trusts an index derived from a base
+that keeps them (``extend_index``) without running them again; a
+simulation that deadlocks with no budget wait to explain it raises a
+cycle's violation. So a fault has one wording wherever it is found.
 
 Every stage that builds or walks a whole graph (loading, saving,
 validation, generation, expansion, rewriting, liveness and simulation) runs
@@ -50,6 +53,8 @@ NodeKind = Literal["conv", "matmul", "norm", "activation", "concat", "pool", "up
                    "loss", "grad", "swap_out", "swap_in", "recompute", "source", "sink"]
 Phase = Literal["forward", "backward", "io"]
 IO_KINDS = frozenset({"swap_out", "swap_in"})
+# Per io kind, the (inputs, outputs) counts of its row: it moves one tensor.
+_IO_ARITY = {"swap_out": (1, 0), "swap_in": (0, 1)}
 
 SCHEMA_VERSION = 1
 
@@ -61,12 +66,6 @@ _MAX_FLOAT = math.nextafter(_INF, 0)  # a larger int overflows a float
 
 class GraphError(ValueError):
     """Structurally invalid graph, or an operation applied to one."""
-
-
-class CycleError(GraphError):
-    def __init__(self, member: str):
-        super().__init__(f"graph contains a cycle through node {member!r}")
-        self.member = member
 
 
 def gc_paused(stage):
@@ -190,7 +189,10 @@ class GraphIndex:
     after them, also in id order. So a tie that breaks by node id compares
     the ids, or their places in id order: ``rank[i]`` is node i's place and
     ``ranked[r]`` the node in place r (both a ``range`` while the numbers
-    follow id order, and a merge of two sorted runs once they do not).
+    follow id order, and a merge of two sorted runs once they do not). A
+    derived index also takes the base's byte sizes and sizes only the new
+    tensors, and it is ``derived``: only ``extend_index`` derives one, from
+    a base that keeps every rule, so ``checked_index`` runs no rule on it.
 
     ``g`` extends the base graph when its rows are the base graph's, in their
     order, then the io rows ``added``; its tensors the base graph's, then
@@ -204,7 +206,9 @@ class GraphIndex:
 
     def __init__(self, g: GraphSpec, base: GraphIndex | None = None, added=None,
                  rewired=None, moved=None):
+        self.derived = base is not None
         self._base_ranked = base and base.ranked  # no reference to the base itself
+        self._base_bytes = base.tensor_bytes if base else ()
         base = base or _EMPTY_INDEX
         added = g.nodes if added is None else added
         rewired, moved = rewired or {}, moved or {}
@@ -240,7 +244,6 @@ class GraphIndex:
                 else:
                     readers[k].append(i)
         self.consumers = tuple(map(tuple, readers))
-        self.moved = moved
         self._tensors = g.tensors
 
     @cached_property
@@ -264,9 +267,12 @@ class GraphIndex:
 
     @cached_property
     def tensor_bytes(self) -> tuple[int, ...]:
-        """``tensor_bytes`` of every tensor, in tensor order."""
+        """``tensor_bytes`` of every tensor, in tensor order: the base's
+        sizes, then those of the tensors the base lacks."""
+        base = self._base_bytes
         distinct: dict[int, int] = {}  # one int object per size: sizes repeat
-        return tuple([distinct.setdefault(n, n) for n in map(tensor_bytes, self._tensors)])
+        return base + tuple([distinct.setdefault(n, n)
+                             for n in map(tensor_bytes, self._tensors[len(base):])])
 
 
 _EMPTY_INDEX = SimpleNamespace(ids=(), nodes=(), index={}, tensor_index={}, producer=(),
@@ -275,11 +281,12 @@ _EMPTY_INDEX = SimpleNamespace(ids=(), nodes=(), index={}, tensor_index={}, prod
 
 def extend_index(g: GraphSpec, base: GraphSpec, added, rewired, moved) -> None:
     """Give ``g``, a graph that extends ``base`` by ``added``, ``rewired``
-    and ``moved`` (``GraphIndex``), an index derived from ``base``'s; or
-    raise GraphError, in the words of ``g``'s first violation, when an added
-    node or tensor id is named twice or is already ``base``'s (whose own ids
-    are distinct, as it keeps every rule)."""
-    ix = base.index
+    and ``moved`` (``GraphIndex``), an index derived from ``base``'s, once
+    ``base`` keeps every rule (``checked_index``); or raise GraphError, in
+    the words of ``g``'s first violation, when an added node or tensor id is
+    named twice or is already ``base``'s. So ``g`` keeps every rule, and
+    ``checked_index`` trusts its index; ``validate_graph`` still runs them."""
+    ix = checked_index(base)
     new_tensors = g.tensors[len(base.tensors):]
     ids, tids = set(map(itemgetter(0), added)), set(map(itemgetter(0), new_tensors))
     if not (len(ids) == len(added) and len(tids) == len(new_tensors)
@@ -290,8 +297,9 @@ def extend_index(g: GraphSpec, base: GraphSpec, added, rewired, moved) -> None:
 
 def checked_index(g: GraphSpec) -> GraphIndex:
     """``g.index``, once ``g`` keeps every rule of its ``violations``; else
-    GraphError, in the words of the first violation."""
-    if g.violations:
+    GraphError, in the words of the first violation. A derived index
+    (``extend_index``) is returned without running the rules."""
+    if not getattr(vars(g).get("index"), "derived", False) and g.violations:
         raise GraphError(str(g.violations[0]))
     return g.index
 
@@ -336,11 +344,12 @@ def scope_matcher(patterns: tuple[str, ...]):
 def _field_violations(g: GraphSpec, at: str = "") -> list[Violation]:
     """Each row value that lacks its field's annotation, named by its row
     path (``nodes[3].kind``) after ``at``; when every value has it, each row
-    that breaks one of the two rules no annotation states: an io node costs
-    0, and a shape has at least one extent. A column is tested in a few
-    passes (``_all_fit``), and its rows one at a time only to name those
-    that break it. The loaders read it, and ``GraphSpec.violations`` lists
-    it first."""
+    that breaks one of the three rules no annotation states: an io node
+    costs 0 and moves one tensor (a swap_out reads one and writes none, a
+    swap_in reads none and writes one), and a shape has at least one
+    extent. A column is tested in a few passes (``_all_fit``), and its rows
+    one at a time only to name those that break it. The loaders read it,
+    and ``GraphSpec.violations`` lists it first."""
     out, columns = [], {}
     for name, row in (("nodes", NodeSpec), ("tensors", TensorDesc)):
         rows = getattr(g, name)
@@ -357,6 +366,13 @@ def _field_violations(g: GraphSpec, at: str = "") -> list[Violation]:
         out += [Violation("io-cost", n, f"nonzero cost at {at}nodes[{i}].cost_units: an io node "
                                         f"costs 0, got {c!r}")
                 for i, (n, k, c) in enumerate(zip(ids, kinds, costs)) if c and k in IO_KINDS]
+    ins, outs = columns.get(("nodes", "inputs"), ()), columns.get(("nodes", "outputs"), ())
+    for i in compress(range(len(kinds)), map(IO_KINDS.__contains__, kinds)):
+        arity, (reads, writes) = (len(ins[i]), len(outs[i])), _IO_ARITY[kinds[i]]
+        if arity != (reads, writes):
+            out.append(Violation("io-arity", ids[i], f"wrong arity at {at}nodes[{i}]: a "
+                                 f"{kinds[i]} reads {reads} and writes {writes} tensors, "
+                                 f"got {arity[0]} and {arity[1]}"))
     shapes = columns.get(("tensors", "shape"), ())
     if not all(shapes):
         out += [Violation("empty-shape", t, f"empty shape at {at}tensors[{i}].shape: a tensor "
@@ -449,8 +465,9 @@ def _kahn(g: GraphSpec) -> tuple[list[str], set[str]]:
 
 
 def validate_graph_order(g: GraphSpec) -> tuple[list[Violation], list[str]]:
-    """All violations found in the graph, and the ``topo_order`` of a valid
-    one (an empty list when there are violations), from one pass."""
+    """All violations found in the graph, and, of a valid one, its
+    dependency-respecting node order with ties broken by ascending node id
+    (an empty list when there are violations), from one pass."""
     out = list(g.violations)
     if out:
         return out, []
@@ -464,16 +481,6 @@ def validate_graph_order(g: GraphSpec) -> tuple[list[Violation], list[str]]:
 def validate_graph(g: GraphSpec) -> list[Violation]:
     """All violations found in the graph; an empty list means valid."""
     return validate_graph_order(g)[0]
-
-
-def topo_order(g: GraphSpec) -> list[str]:
-    """Dependency-respecting node order, ties broken by ascending node id."""
-    violations, order = validate_graph_order(g)
-    if violations and violations[0].code == "cycle":
-        raise CycleError(violations[0].subject)
-    if violations:
-        raise GraphError(f"graph is not valid: {violations[0]}")
-    return order
 
 
 def bfs_depths(g: GraphSpec) -> dict[str, int]:

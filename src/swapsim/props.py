@@ -130,7 +130,7 @@ def check_memory_conservation(tg: TrainingGraph, report, cfg: SimConfig) -> list
     derived_peak = max((resident for _, resident in trace), default=0) + tg.static_bytes
     if derived_peak != report.peak_resident:
         bad.append(f"derived peak {derived_peak} != reported {report.peak_resident}")
-    if cfg.enforce_budget and cfg.gpu_budget > 0 and report.peak_resident > cfg.gpu_budget:
+    if cfg.limited and report.peak_resident > cfg.gpu_budget:
         bad.append(f"peak {report.peak_resident} exceeds enforced budget {cfg.gpu_budget}")
     return bad
 
@@ -183,9 +183,9 @@ def check_lb_monotonicity(tg: TrainingGraph, selection, sim_cfg: SimConfig) -> l
 
 def check_determinism(tg: TrainingGraph, plan, report, cfg: SimConfig) -> list[str]:
     """``report``, a run of ``tg`` under ``cfg``, equals a run of a copy of
-    ``tg`` built anew from its rows. A graph keeps its view once built
-    (``sim._view``), so for a swap rewrite this checks the view derived
-    from its base's against one the copy builds from the empty view."""
+    ``tg`` built anew from its rows. Every view is built from its graph's
+    index (``sim._view``), so for a swap rewrite this checks the index
+    derived from its base's against the one the copy builds from its rows."""
     g = tg.graph
     rows = TrainingGraph(GraphSpec(g.nodes, g.tensors, g.control_edges, dict(g.metadata)),
                          tg.serial_order, dict(tg.grad_of))

@@ -39,14 +39,12 @@ allocated bytes, dependency counts, copy-queue keys, a compute node's
 control sources) over the graph's shared index, with its node numbers.
 Ties in the copy queues, among a stall's latest dependencies and among
 events break on (time, channel priority, node id), comparing the id
-strings, so they break the same however the nodes are numbered. One
-builder makes every view (``_CompiledGraph.extend``): a view from a graph's
-rows is the extension of the empty view, as its index is the derivation
-from the empty index. A training graph keeps its view once one is built
-(``TrainingGraph.derived``): a swap rewrite derives it from its base's view
-while the base lives, checking no rule, and any other graph builds it from
-the empty view. A run that deadlocks with no budget wait to explain it
-raises a cycle in the graph's edges, if there is one, in
+strings, so they break the same however the nodes are numbered. Every
+view is built from the graph's index (``_CompiledGraph``), whether the
+index was built from the rows or a swap rewrite derived it from its base's,
+and a training graph keeps its view once one is built
+(``TrainingGraph.derived``). A run that deadlocks with no budget wait to
+explain it raises a cycle in the graph's edges, if there is one, in
 ``validate_graph``'s words.
 
 In free-run mode calibration runs a few interpolated probes and answers the
@@ -57,13 +55,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import partial
-from itertools import chain, compress
+from itertools import compress
 from operator import is_not, itemgetter
 
-from .graph import (Count, GraphError, GraphSpec, NodeSpec, Positive, Size, check_fields,
-                    checked_index, dumps_canonical, gc_paused, tensor_bytes, validate_graph)
+from .graph import (Count, GraphError, NodeSpec, Positive, Size, check_fields, checked_index,
+                    dumps_canonical, gc_paused, validate_graph)
 from .training import TrainingGraph, check_plan
 
 CHANNELS = ("compute", "d2h", "h2d")
@@ -101,6 +99,11 @@ class SimConfig:
     def __post_init__(self):
         check_fields(SimConfig, vars(self))
 
+    @property
+    def limited(self) -> bool:
+        """Whether a run holds to the budget: it is enforced, and not 0."""
+        return self.enforce_budget and self.gpu_budget > 0
+
 
 def op_cost(n: NodeSpec, cfg: SimConfig) -> float:
     """Seconds on the compute channel; io nodes, which the graph's row rules
@@ -137,90 +140,51 @@ class SimReport:
 
 
 class _CompiledGraph:
-    """The simulator's columns over a graph's index, reused for every run on
-    it, with the index's node numbers. Queue, stall-blocker and event ties
-    break on the node ids, which follow the numbers only in a graph built
-    from its rows. ``extend`` builds every view, from the empty view
-    (``_CompiledGraph()``) or, for a swap rewrite, from its base's."""
+    """The simulator's columns over a graph's index, built from the index
+    for every graph and reused for every run on it, with the index's node
+    numbers. Queue, stall-blocker and event ties break on the node ids,
+    which follow the numbers only in a graph built from its rows. No rule
+    is checked here."""
 
     __slots__ = ("graph", "static_bytes", "ids", "channel", "cost_units", "inputs", "outputs",
                  "out_bytes", "succ", "pending", "issue_pending", "tensor_size", "refcount",
                  "serial", "position", "queue_key", "d2h_seed", "h2d_seed", "control_src")
 
-    def __init__(self):
-        """The empty view, of the empty graph; ``extend`` never changes it."""
-        for slot in self.__slots__:
-            setattr(self, slot, [])
-        self.graph, self.control_src = GraphSpec(), {}
-
-    def extend(self, tg: TrainingGraph) -> _CompiledGraph:
-        """The view of ``tg``, whose graph extends this view's graph
-        (``GraphIndex``): this view's columns with the added nodes and
-        tensors appended, and patched only where an edge changed: the moved
-        readers' inputs, the successors of the producers whose readers
-        changed and of the control sources, and the reference counts of the
-        tensors whose readers changed. No rule is checked here. From the
-        empty view, the serial order is numbered from ``tg``'s, and the
-        readers that a derived index moved already read their new tensors."""
-        v = object.__new__(type(self))
+    def __init__(self, tg: TrainingGraph):
         g = tg.graph
-        ix, base = g.index, self.graph.index
-        nb, nt = len(self.ids), len(self.tensor_size)
-        v.graph, v.static_bytes, v.ids = g, tg.static_bytes, ix.ids
-        rows, consumers, producer, index = ix.nodes[nb:], ix.consumers, ix.producer, ix.index
-        m = len(rows)
-        added = range(nb, nb + m)
-        v.channel = chan = self.channel + [_KIND_CHANNEL.get(r.kind, 0) for r in rows]
-        v.cost_units = self.cost_units + list(map(itemgetter(4), rows))  # 0 on io nodes
-        if nb:
-            v.serial, v.position = self.serial, self.position + [None] * m
-            v.tensor_size = size = self.tensor_size + tuple(map(tensor_bytes, g.tensors[nt:]))
-            moved, tget = ix.moved, ix.tensor_index.__getitem__
-            read = sorted({*filter(nt.__gt__, map(tget, chain.from_iterable(
-                map(itemgetter(2), rows))))})  # the base tensors that added nodes read
-        else:
-            v.serial = serial = list(map(index.__getitem__, tg.serial_order))
-            v.position = position = [None] * m
-            for p, i in enumerate(serial):
-                position[i] = p
-            v.tensor_size = size = ix.tensor_bytes
-            moved, read = {}, ()
+        ix = g.index
+        ids, rows, index = ix.ids, ix.nodes, ix.index
+        consumers, producer, n = ix.consumers, ix.producer, len(rows)
+        self.graph, self.static_bytes, self.ids = g, tg.static_bytes, ids
+        self.channel = chan = [_KIND_CHANNEL.get(r.kind, 0) for r in rows]
+        self.cost_units = list(map(itemgetter(4), rows))  # 0 on io nodes
+        self.serial = serial = list(map(index.__getitem__, tg.serial_order))
+        self.position = position = [None] * n
+        for p, i in enumerate(serial):
+            position[i] = p
+        self.tensor_size = size = ix.tensor_bytes
         # Per node, the tensors it reads and writes, one entry per data edge,
         # in tensor order, the bytes it allocates and its data successors
-        # (its outputs' readers, in tensor order). A new tensor's producer is
-        # an added node; its readers are added nodes or moved readers.
-        v.inputs = inputs = self.inputs + [()] * m
-        for k in read:
-            for c in filter(nb.__le__, consumers[k]):  # its added readers
-                inputs[c] += (k,)
-        v.outputs = outputs = self.outputs + [()] * m
-        v.out_bytes = out_bytes = self.out_bytes + [0] * m
-        v.succ = succ = self.succ + [()] * m
-        for k, p, readers in zip(range(nt, len(size)), producer[nt:], consumers[nt:]):
+        # (its outputs' readers, in tensor order).
+        self.inputs = inputs = [()] * n
+        self.outputs = outputs = [()] * n
+        self.out_bytes = out_bytes = [0] * n
+        self.succ = succ = [()] * n
+        for k, (p, readers) in enumerate(zip(producer, consumers)):
             outputs[p] += (k,)
             out_bytes[p] += size[k]
             succ[p] += readers
             for c in readers:
                 inputs[c] += (k,)
-        # A moved reader now reads the new tensor in place of the old, so
-        # its dependency counts stay; an added node counts its own edges.
-        for k, new in moved.items():
-            for c in consumers[new]:
-                inputs[c] = tuple([x for x in inputs[c] if x != k])
-        changed = {*moved, *read}  # base tensors whose readers changed
-        v.refcount = refcount = self.refcount + list(map(len, consumers[nt:]))
-        for k in changed:
-            refcount[k] = len(consumers[k])
-        for p in set(map(producer.__getitem__, changed)):  # base nodes
-            control = succ[p][len(_readers(base.consumers, self.outputs[p])):]
-            succ[p] = _readers(consumers, outputs[p]) + control
-        v.pending = pending = self.pending + list(map(len, inputs[nb:]))
-        v.issue_pending = issue = self.issue_pending + [0] * m
+        self.refcount = list(map(len, consumers))
+        self.pending = pending = list(map(len, inputs))
+        self.issue_pending = issue = [0] * n
         # Then each node's control successors, in edge order, and a compute
-        # node's control sources, for its stalls' blockers. A swap_in is
-        # issued by its edges, control or data, from other nodes than swap_outs.
-        v.control_src = sources = self.control_src.copy()
-        for a, b in g.control_edges[len(self.graph.control_edges):]:
+        # node's control sources, for its stalls' blockers. A swap_in, which
+        # reads no tensor, is issued by its control edges from other nodes
+        # than swap_outs.
+        self.control_src = sources = {}
+        for a, b in g.control_edges:
             ia, ib = index[a], index[b]
             succ[ia] += (ib,)
             pending[ib] += 1
@@ -229,50 +193,34 @@ class _CompiledGraph:
             elif chan[ib] == 2 and chan[ia] != 1:
                 issue[ib] += 1
 
-        # Queue keys of the added io nodes: a swap_out's producer position,
-        # a swap_in's earliest reader position (0 when there is none). Those
-        # whose enqueue conditions hold from the start join the seeds, kept
+        # Queue keys of the io nodes: a swap_out's producer position, a
+        # swap_in's earliest reader position (0 when there is none). Those
+        # whose enqueue conditions hold from the start are the seeds, kept
         # sorted, so heaps.
-        v.queue_key = key = self.queue_key + [0] * m
-        v.d2h_seed, v.h2d_seed = d2h, h2d = self.d2h_seed[:], self.h2d_seed[:]
-        position, not_none = v.position, partial(is_not, None)
-        for i in compress(added, chan[nb:]):
+        self.queue_key = key = [0] * n
+        self.d2h_seed, self.h2d_seed = d2h, h2d = [], []
+        not_none = partial(is_not, None)
+        for i in compress(range(n), chan):
             if chan[i] == 2:
-                issue[i] += sum(chan[producer[k]] != 1 for k in inputs[i])  # its data edges
-                readers = _readers(consumers, outputs[i])
+                readers = consumers[outputs[i][0]]
                 key[i] = min(filter(not_none, map(position.__getitem__, readers)), default=0)
                 if issue[i] == 0:
-                    h2d.append((0.0, key[i], v.ids[i], i))
+                    h2d.append((0.0, key[i], ids[i], i))
             else:
                 key[i] = position[producer[inputs[i][0]]] or 0
                 if pending[i] == 0:
-                    d2h.append((0.0, key[i], v.ids[i], i))
+                    d2h.append((0.0, key[i], ids[i], i))
         d2h.sort()
         h2d.sort()
-        return v
-
-
-def _readers(consumers, tensors) -> tuple[int, ...]:
-    """The readers of each of ``tensors``, in turn, one per data edge."""
-    if len(tensors) == 1:
-        return consumers[tensors[0]]
-    return tuple(chain.from_iterable(map(consumers.__getitem__, tensors)))
-
-
-_EMPTY_VIEW = _CompiledGraph()
 
 
 def _view(tg: TrainingGraph) -> _CompiledGraph:
-    """``tg``'s compiled view, which ``tg`` keeps once it is built: while its
-    base lives, the extension of the base's view, else, once ``tg``'s graph
-    keeps every rule (``checked_index``), the extension of the empty view."""
+    """``tg``'s compiled view, built once ``tg``'s graph keeps every rule
+    (``checked_index``), and kept by ``tg`` once built."""
     view = tg.derived.get("compiled_view")
     if view is None:
-        base = tg.base
-        if base is None:
-            checked_index(tg.graph)
-        start = _EMPTY_VIEW if base is None else _view(base)
-        view = tg.derived["compiled_view"] = start.extend(tg)
+        checked_index(tg.graph)
+        view = tg.derived["compiled_view"] = _CompiledGraph(tg)
     return view
 
 
@@ -281,7 +229,7 @@ def _check_feasible(v: _CompiledGraph, cfg: SimConfig) -> None:
     that can never fit beside the static bytes. The answer depends on the
     view and the budget only, so it is checked once per run (``_report``, a
     sweep cell) or calibration, not per probe."""
-    if cfg.enforce_budget and cfg.gpu_budget > 0:
+    if cfg.limited:
         static, budget = v.static_bytes, cfg.gpu_budget
         for t, nbytes in zip(v.graph.tensors, v.tensor_size):
             if static + nbytes > budget:
@@ -297,7 +245,7 @@ def _run(v: _CompiledGraph, cfg: SimConfig, rate: float):
     check during the gap) and the busy seconds per channel, summed in start
     order. ``_report`` builds the report from these after the run.
     The caller has checked that every tensor can fit (``_check_feasible``)."""
-    limited = cfg.enforce_budget and cfg.gpu_budget > 0
+    limited = cfg.limited
     static, budget = v.static_bytes, cfg.gpu_budget
     d2h_bw, h2d_bw, latency = cfg.d2h_bw, cfg.h2d_bw, cfg.xfer_latency
 
@@ -521,17 +469,19 @@ def epoch_time(iter_seconds: float, iterations: Count, host_preproc_seconds: flo
 
 @gc_paused
 def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
-    """One summary row per (rewrite config, sim config) cell, sorted by
-    (n_tensors, lb, mode, excl_scopes, incl_scopes, bandwidths); the scope
-    filters are lists. A rewrite config that raises reports its error in
-    each of its rows, with ``swapped`` and the results null; a cell that is
-    infeasible or deadlocks reports its error in its row, with the results
-    null; either way the sweep goes on with the grid. A cell is one run
-    (``_run``), whose makespan, peak and stall phases (``_stall_phases``)
-    make its row; no report is built. Each rewrite keeps its view once
-    built (``_view``), so one view serves all its sim configs."""
-    from .rewrite import apply_rewrite
+    """One summary row per (rewrite config, sim config) cell, keyed and
+    sorted by every ``RewriteConfig`` field, in field order, then the
+    bandwidths; the tuple fields are lists. A rewrite config that raises
+    reports its error in each of its rows, with ``swapped`` and the results
+    null; a cell that is infeasible or deadlocks reports its error in its
+    row, with the results null; either way the sweep goes on with the grid.
+    A cell is one run (``_run``), whose makespan, peak and stall phases
+    (``_stall_phases``) make its row; no report is built. Each rewrite
+    keeps its view once built (``_view``), so one view serves all its sim
+    configs."""
+    from .rewrite import RewriteConfig, apply_rewrite
 
+    names = [f.name for f in fields(RewriteConfig)]
     rewrite_cfgs = list(rewrite_cfgs)
     sim_cfgs = list(sim_cfgs)
     if not rewrite_cfgs or not sim_cfgs:
@@ -544,9 +494,8 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
         except GraphError as exc:
             swapped, error = None, str(exc)
         for scfg in sim_cfgs:
-            row = {
-                "n_tensors": rcfg.n_tensors, "lb": rcfg.lb, "mode": rcfg.mode,
-                "excl_scopes": list(rcfg.excl_scopes), "incl_scopes": list(rcfg.incl_scopes),
+            row = {k: list(v) if type(v) is tuple else v for k, v in zip(names, astuple(rcfg))}
+            row |= {
                 "d2h_bw": scfg.d2h_bw, "h2d_bw": scfg.h2d_bw, "swapped": swapped,
                 "makespan": None, "peak_resident": None,
                 "boundary_stall": None, "backward_stall": None, "error": error,
@@ -562,8 +511,7 @@ def sweep(tg: TrainingGraph, rewrite_cfgs, sim_cfgs) -> list[dict]:
                 except GraphError as exc:
                     row["error"] = str(exc)
             rows.append(row)
-    rows.sort(key=itemgetter("n_tensors", "lb", "mode", "excl_scopes", "incl_scopes", "d2h_bw",
-                             "h2d_bw"))
+    rows.sort(key=itemgetter(*names, "d2h_bw", "h2d_bw"))
     return rows
 
 
@@ -607,7 +555,7 @@ def calibrate_compute_rate(tg: TrainingGraph, plan, cfg: SimConfig,
     _check_feasible(view, cfg)
     target = target_makespan
     compute_units = math.fsum(view.cost_units)
-    free_run = not (cfg.enforce_budget and cfg.gpu_budget > 0)
+    free_run = not cfg.limited
     # Every rate <= slow runs longer than the target, every rate >= at_most
     # within it and every rate >= below shorter. The compute channel runs
     # one node at a time, so no run is shorter than compute_units / rate;

@@ -8,7 +8,6 @@ from copy import copy
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Literal
-from weakref import ref
 
 from .graph import (
     IO_KINDS, GraphSpec, NodeSpec, TensorDesc, GraphError, Schema, Size, check, check_fields,
@@ -45,8 +44,7 @@ class TrainingGraph:
       - ``plan``, in a graph that ``apply_rewrite`` made, the plan that made
         it;
       - ``compiled_view``, the simulator's view (``sim._view``), kept once
-        built: derived from its base's view while the base lives, else
-        built from the empty view;
+        built from the graph's index;
       - ``numeric_sizes``, set once the numeric executor's size rules pass
         (``numeric._check_sizes``).
     Each value is derived from the graph, or made with it, so the graph is
@@ -64,7 +62,7 @@ class TrainingGraph:
     def __post_init__(self):
         self.serial_order = tuple(self.serial_order)
         self._positions = {nid: i for i, nid in enumerate(self.serial_order)}
-        self._base, self.derived = None, {}
+        self.derived = {}
         ix = self.graph.index
         last = -1
         for i, nid in enumerate(self.serial_order):
@@ -93,14 +91,8 @@ class TrainingGraph:
         the tensors they produce: every compute row keeps its id, kind and
         phase, so the order keeps its checks, which are not run again."""
         tg = copy(self)  # shares the order, its positions and the static bytes
-        tg.graph, tg.grad_of, tg._base, tg.derived = graph, dict(self.grad_of), ref(self), {}
+        tg.graph, tg.grad_of, tg.derived = graph, dict(self.grad_of), {}
         return tg
-
-    @property
-    def base(self) -> TrainingGraph | None:
-        """The training graph this one extends (``extend``), while it lives:
-        an extension does not keep its base alive."""
-        return self._base and self._base()
 
     @property
     def boundary_position(self) -> int:

@@ -494,6 +494,14 @@ def edited(path, value=_DROP):
     return change
 
 
+def node_edited(node_id, key, value):
+    """An edit that sets ``key`` of the training graph's node ``node_id``."""
+    def change(doc):
+        next(n for n in doc["graph"]["nodes"] if n["id"] == node_id)[key] = value
+        return doc
+    return change
+
+
 def corrupt(src, dst, change):
     """Write dst as the JSON document of src passed through change."""
     with open(src, encoding="utf-8") as fh:
@@ -536,6 +544,7 @@ def probe_files(rewritten, tmp_path, capsys):
         "plan_lb_frac": (chain_plan, edited(("lb",), 2.7)),
         "plan_lb_bool": (chain_plan, edited(("lb",), True)),
         "input_ghost": (chain_tg, edited(("graph", "nodes", 0, "inputs"), ["ghost"])),
+        "swap_out_no_input": (chain_tg, node_edited("swap_out/t0", "inputs", [])),
         "producer_ghost": (chain_tg, edited(("graph", "tensors", 0, "producer"), "ghost")),
         "extent_nan": (chain_tg, edited(("graph", "tensors", 0, "shape", 0), float("nan"))),
         "extent_frac": (chain_tg, edited(("graph", "tensors", 0, "shape", 0), 2.5)),
@@ -665,6 +674,9 @@ BAD_INPUT_PROBES = {
                      "got True"),
     "graph-input-unknown": (["simulate", "{input_ghost}", "{chain_plan}"],
                             "[dangling-tensor] grad/op0: consumes tensor 'ghost'"),
+    "swap-out-no-input": (["simulate", "{swap_out_no_input}", "{chain_plan}"],
+                          "swap_out_no_input.json: wrong arity at graph.nodes[13]: a swap_out "
+                          "reads 1 and writes 0 tensors, got 0 and 0"),
     "graph-producer-unknown": (["simulate", "{producer_ghost}", "{chain_plan}"],
                                "[producer-mismatch] grad/op0:0: declared producer 'ghost'"),
     "shape-extent-nan": (["simulate", "{extent_nan}", "{chain_plan}"],

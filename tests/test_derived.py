@@ -1,20 +1,22 @@
-"""A swap rewrite's graph takes its index, and the simulator its compiled
-view, from the base graph (``GraphIndex``, ``_CompiledGraph.extend``). Each
-row of this table checks that what is derived equals what a fresh
-``GraphSpec`` of the same rows builds (its index from the empty index, its
-view from the empty view), once node numbers are read as node ids, and that
-both simulate to the same report or the same error."""
+"""A swap rewrite's graph derives its index from the base graph's
+(``GraphIndex``, ``extend_index``), and the simulator builds the compiled
+view from that index (``_CompiledGraph``). Each row of this table checks
+that the derived index, and the view built from it, equal what a fresh
+``GraphSpec`` of the same rows builds from its rows, once node numbers are
+read as node ids, and that both simulate to the same report or the same
+error."""
 import weakref
 
 import pytest
 
 import swapsim.sim as sim_mod
-from swapsim.graph import GraphError, GraphSpec, NodeSpec, TensorDesc
+from swapsim.graph import (GraphError, GraphSpec, NodeSpec, TensorDesc, checked_index,
+                           extend_index, validate_graph)
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import random_instance
 from swapsim.rewrite import RewriteConfig, apply_rewrite, insert_swap_nodes, resolve_preset
 from swapsim.sim import SimConfig, simulate
-from swapsim.training import TrainingGraph, expand_training_graph
+from swapsim.training import TrainingGraph, expand_training_graph, static_peak_estimate
 
 TOY = UNetParams(dims=(8, 8, 8), in_channels=1, base_filters=1, depth=2, convs_per_level=1)
 PRESETS = ("paper-c1", "paper-c2", "paper-c3", "paper-c4")
@@ -77,12 +79,11 @@ def outcome(tg: TrainingGraph, cfg: SimConfig) -> str:
 
 
 def assert_derived_equals_built(tg: TrainingGraph, rewritten: TrainingGraph, cfgs) -> None:
-    assert rewritten.base is tg  # the derived path, not a build from rows
+    assert rewritten.graph.index.derived  # the derived path, not a build from rows
     built = fresh(rewritten)
+    assert not built.graph.index.derived
     assert index_by_name(rewritten.graph.index) == index_by_name(built.graph.index)
-    derived_view = sim_mod._view(rewritten)
-    assert tg.derived["compiled_view"] is not None
-    assert view_by_name(derived_view) == view_by_name(sim_mod._view(built))
+    assert view_by_name(sim_mod._view(rewritten)) == view_by_name(sim_mod._view(built))
     for cfg in cfgs:
         assert outcome(rewritten, cfg) == outcome(built, cfg)
 
@@ -146,45 +147,59 @@ def test_a_swapped_tensor_whose_producer_has_a_control_successor():
     assert_derived_equals_built(tg, rewritten, [SimConfig(), BUDGET])
 
 
-def test_an_extension_does_not_keep_its_base_alive():
+def test_a_rewrite_whose_base_died_simulates_to_the_same_report():
+    """A rewrite does not keep its base alive. It simulates to the same
+    report once its base is gone, whether its view was built before (the
+    view it kept) or after (from its derived index, which already names the
+    moved readers' new tensors)."""
     tg = expand_training_graph(gen_unet3d(TOY))
     rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
-    derived = simulate(rewritten, plan).to_json()
+    derived = [simulate(rewritten, plan, cfg).to_json() for cfg in (SimConfig(), BUDGET)]
     base = weakref.ref(tg)
     del tg
-    assert base() is None and rewritten.base is None
-    assert simulate(rewritten, plan).to_json() == derived  # on the view it kept
-    # A rewrite whose base died before its first run builds its view from
-    # the empty view.
+    assert base() is None
+    assert [simulate(rewritten, plan, cfg).to_json() for cfg in (SimConfig(), BUDGET)] == derived
     orphan, plan = apply_rewrite(expand_training_graph(gen_unet3d(TOY)),
                                  resolve_preset("paper-c1"))
-    assert orphan.base is None and "compiled_view" not in orphan.derived
-    assert simulate(orphan, plan).to_json() == derived
-
-
-def test_a_rewrite_whose_base_died_builds_its_view_from_the_empty_view():
-    """Its index is still derived from the base's, so it has moved readers,
-    but its view extends the empty view, which must not move them again."""
-    tg = expand_training_graph(gen_unet3d(TOY))
-    rewritten, _ = apply_rewrite(tg, resolve_preset("paper-c1"))
-    assert rewritten.graph.index.moved
-    del tg
-    assert rewritten.base is None
-    built = fresh(rewritten)
-    assert view_by_name(sim_mod._view(rewritten)) == view_by_name(sim_mod._view(built))
-    for cfg in (SimConfig(compute_rate=2e12), BUDGET):
-        assert outcome(rewritten, cfg) == outcome(built, cfg)
+    assert orphan.graph.index.derived and "compiled_view" not in orphan.derived
+    built = fresh(orphan)
+    assert view_by_name(sim_mod._view(orphan)) == view_by_name(sim_mod._view(built))
+    assert [simulate(orphan, plan, cfg).to_json() for cfg in (SimConfig(), BUDGET)] == derived
 
 
 def test_a_derived_rewrite_is_simulated_without_a_rule_set_of_its_own():
     """The base's rule set was found when the rewrite read its candidates,
-    so a derived view checks no rule, and the rewrite finds none."""
+    so the stages that need the rules kept run none on the derived graph."""
     tg = expand_training_graph(gen_unet3d(TOY))
     rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
     assert "violations" in vars(tg.graph)
     simulate(rewritten, plan)
     sim_mod.calibrate_compute_rate(rewritten, plan, SimConfig(), 1.0)
-    assert rewritten.base is tg and "violations" not in vars(rewritten.graph)
+    static_peak_estimate(rewritten, plan)
+    assert rewritten.graph.index.derived and "violations" not in vars(rewritten.graph)
+
+
+def test_the_rule_trust_stops_at_checked_index():
+    """A derived index is trusted by ``checked_index`` alone:
+    ``validate_graph`` still runs every rule on the derived graph's rows and
+    finds a dangling output that the derivation let through."""
+    tg = expand_training_graph(gen_chain(3))
+    g = tg.graph
+    ghost = NodeSpec("swap_in/t0", "swap_in", (), ("ghost",), 0.0, "", "io")
+    planted = GraphSpec(g.nodes + (ghost,), g.tensors, g.control_edges, dict(g.metadata))
+    extend_index(planted, g, (ghost,), {}, {})
+    assert planted.index.derived and checked_index(planted) is planted.index
+    assert [str(v) for v in validate_graph(planted)] == [
+        "[dangling-tensor] swap_in/t0: produces tensor 'ghost' missing from the tensor table"]
+
+
+def test_a_derivation_needs_a_base_that_keeps_every_rule():
+    tg = expand_training_graph(gen_chain(3))
+    g = tg.graph
+    broken = GraphSpec(g.nodes, g.tensors, g.control_edges + (("op0", "nowhere"),))
+    with pytest.raises(GraphError, match=r"^\[control-edge-unknown-node\] nowhere: "):
+        extend_index(GraphSpec(broken.nodes, broken.tensors, broken.control_edges), broken,
+                     (), {}, {})
 
 
 class TestNodeIdTaken:

@@ -24,9 +24,9 @@ from swapsim import rewrite as rewrite_mod
 from swapsim import sim as sim_mod
 from swapsim import training as training_mod
 from swapsim.graph import (
-    Count, CycleError, GraphError, GraphSpec, NodeSpec, Positive, Schema, Size, TensorDesc,
-    _all_fit, _fits, bfs_depths, dumps_canonical, graph_from_obj, graph_to_obj, load_document,
-    load_graph, save_graph, tensor_bytes, topo_order, validate_graph,
+    Count, GraphError, GraphSpec, NodeSpec, Positive, Schema, Size, TensorDesc, _all_fit,
+    _fits, bfs_depths, dumps_canonical, graph_from_obj, graph_to_obj,
+    load_document, load_graph, save_graph, tensor_bytes, validate_graph, validate_graph_order,
 )
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import random_instance, run_invariant_suite
@@ -104,6 +104,34 @@ class TestValidate:
         codes = {v.code for v in validate_graph(GraphSpec(nodes=(n,)))}
         assert "io-cost" in codes
 
+    # An io node moves one tensor: the four arities beside each kind's own.
+    IO_ARITY = [
+        ("swap_out", (), (), "got 0 and 0"), ("swap_out", ("a:0", "b:0"), (), "got 2 and 0"),
+        ("swap_in", ("a:0",), ("s:0",), "got 1 and 1"), ("swap_in", (), (), "got 0 and 0"),
+    ]
+
+    @pytest.mark.parametrize("kind, inputs, outputs, got", IO_ARITY)
+    def test_io_node_arity(self, kind, inputs, outputs, got):
+        g = chain_graph()
+        s = NodeSpec("s", kind, inputs, outputs, 0.0, "", "io")
+        tensors = (TensorDesc("s:0", "s", (4,), 1, 4),) if outputs else ()
+        bad = GraphSpec(nodes=g.nodes + (s,), tensors=g.tensors + tensors)
+        reads, writes = (1, 0) if kind == "swap_out" else (0, 1)
+        assert [str(v) for v in validate_graph(bad)] == [
+            f"[io-arity] s: wrong arity at nodes[3]: a {kind} reads {reads} and writes "
+            f"{writes} tensors, {got}"]
+        doc = graph_to_obj(bad)
+        with pytest.raises(GraphError, match=re.escape(f"wrong arity at nodes[3]: a {kind}")):
+            graph_from_obj(doc)
+
+    @pytest.mark.parametrize("kind, inputs, outputs", [
+        ("swap_out", ("a:0",), ()), ("swap_in", (), ("s:0",))])
+    def test_io_node_of_its_arity(self, kind, inputs, outputs):
+        g = chain_graph()
+        s = NodeSpec("s", kind, inputs, outputs, 0.0, "", "io")
+        tensors = (TensorDesc("s:0", "s", (4,), 1, 4),) if outputs else ()
+        assert validate_graph(GraphSpec(nodes=g.nodes + (s,), tensors=g.tensors + tensors)) == []
+
     @pytest.mark.parametrize("field, value, code", [
         ("cost_units", float("nan"), "wrong-type"), ("cost_units", float("inf"), "wrong-type"),
         ("cost_units", "1", "wrong-type"), ("scope", 3, "wrong-type"),
@@ -144,8 +172,8 @@ class TestValidate:
         ("nodes", "scope", 3, "wrong value type at nodes[0].scope: expected a string, got 3"),
         ("nodes", "phase", "sideways", "wrong value type at nodes[0].phase: expected "
                                        "Literal['forward', 'backward', 'io'], got 'sideways'"),
-        ("nodes", "kind", "swap_out", "nonzero cost at nodes[0].cost_units: an io node costs 0, "
-                                      "got 1.0"),
+        ("nodes", "kind", "swap_in", "nonzero cost at nodes[0].cost_units: an io node costs 0, "
+                                     "got 1.0"),
         ("tensors", "id", None, "wrong value type at tensors[0].id: expected a string, got None"),
         ("tensors", "producer", 7, "wrong value type at tensors[0].producer: expected a string, "
                                    "got 7"),
@@ -206,8 +234,11 @@ def test_a_column_fits_as_its_values_do(hint):
 
 
 class TestTopoOrder:
+    """The dependency-respecting order of a valid graph, the one that
+    ``expand_training_graph`` runs the forward ops in."""
+
     def test_chain(self):
-        assert topo_order(chain_graph()) == ["a", "b", "c"]
+        assert validate_graph_order(chain_graph())[1] == ["a", "b", "c"]
 
     def test_diamond_tie_breaks_lexicographically(self):
         nodes = (
@@ -217,17 +248,19 @@ class TestTopoOrder:
             NodeSpec(id="d", kind="concat", inputs=("b:0", "c:0"), outputs=("d:0",)),
         )
         tensors = tuple(TensorDesc(f"{n.id}:0", n.id, (2,), 1, 4) for n in nodes)
-        assert topo_order(GraphSpec(nodes=nodes, tensors=tensors)) == ["a", "b", "c", "d"]
+        assert validate_graph_order(GraphSpec(nodes=nodes, tensors=tensors))[1] \
+            == ["a", "b", "c", "d"]
 
     def test_empty_graph(self):
-        assert topo_order(GraphSpec()) == []
+        assert validate_graph_order(GraphSpec()) == ([], [])
 
     def test_cycle_names_a_member(self):
         g = chain_graph()
         cyclic = GraphSpec(nodes=g.nodes, tensors=g.tensors, control_edges=(("c", "a"),))
-        with pytest.raises(CycleError) as exc:
-            topo_order(cyclic)
-        assert exc.value.member in {"a", "b", "c"}
+        violations, order = validate_graph_order(cyclic)
+        assert order == [] and [(v.code, v.message) for v in violations] \
+            == [("cycle", "node participates in a cycle")]
+        assert violations[0].subject in {"a", "b", "c"}
 
 
 class TestBfsDepths:
@@ -351,7 +384,7 @@ class TestProperties:
         rng = random.Random(7)
         for _ in range(50):
             g = random_dag(rng)
-            order = topo_order(g)
+            order = validate_graph_order(g)[1]
             assert sorted(order) == sorted(n.id for n in g.nodes)
             pos = {nid: i for i, nid in enumerate(order)}
             for u, v in g.edges():
@@ -371,12 +404,9 @@ class TestProperties:
                 # corrupt: add a back control edge to force a cycle
                 g = GraphSpec(nodes=g.nodes, tensors=g.tensors,
                               control_edges=((g.nodes[-1].id, g.nodes[0].id),))
-            ok = not validate_graph(g)
-            try:
-                topo_order(g)
-                assert ok
-            except GraphError:
-                assert not ok
+            violations, order = validate_graph_order(g)
+            assert violations == validate_graph(g)
+            assert bool(violations) != (sorted(order) == sorted(n.id for n in g.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +898,7 @@ class TestGraphIndex:
     def test_orders_and_lookups_match_the_string_references(self):
         for name, g in indexed_graphs():
             assert g.edges() == reference_edges(g), name
-            assert topo_order(g) == reference_topo(g), name
+            assert validate_graph_order(g)[1] == reference_topo(g), name
             assert list(bfs_depths(g).items()) == list(reference_depths(g).items()), name
             for t in g.tensors:
                 assert g.consumers(t.id) == tuple(n.id for n in g.nodes for tid in n.inputs
@@ -922,7 +952,7 @@ class TestGraphIndex:
         for cfg in TOY_REWRITES[:4]:  # the swaps
             rewritten, _ = apply_rewrite(tg, cfg)
             added = rewritten.graph.index.ids[nb:]
-            assert rewritten.base is tg and added
+            assert rewritten.graph.index.derived and added
             assert list(added) == sorted(added)
 
     def test_cross_phase_tensors_derived_once(self, monkeypatch):

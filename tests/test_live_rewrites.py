@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 import swapsim.rewrite as rewrite_mod
-import swapsim.sim as sim_mod
+import swapsim.graph as graph_mod
 from swapsim.graph import GraphError, GraphSpec, NodeSpec, TensorDesc, dumps_canonical
 from swapsim.models import UNetParams, gen_chain, gen_unet3d
 from swapsim.props import run_invariant_suite
@@ -147,20 +147,18 @@ def test_a_sweep_over_links_rewrites_once_per_held_config(builds):
 
 
 def test_invariant_suite_compares_each_derived_view_with_the_rows(monkeypatch):
-    """The suite's determinism check runs each rewrite on the view it
-    derives and keeps, and a copy built from its rows (from the empty view):
-    a derivation from a base's view that doubles every compute cost is
-    reported there."""
+    """The suite's determinism check runs each rewrite on its derived index
+    and on a copy built from its rows: a derivation of an index from its
+    base's that doubles every compute cost is reported there."""
     assert run_invariant_suite(instances=5, seed=1)["failures"] == []
-    extend = sim_mod._CompiledGraph.extend
+    derive = graph_mod.GraphIndex.__init__
 
-    def slow(view, tg):
-        derived = extend(view, tg)
-        if view.ids:  # a derivation, not a build from rows
-            derived.cost_units = [2 * c for c in derived.cost_units]
-        return derived
+    def slow(ix, g, base=None, *delta):
+        derive(ix, g, base, *delta)
+        if base is not None:  # a derivation, not a build from rows
+            ix.nodes = tuple(n._replace(cost_units=2 * n.cost_units) for n in ix.nodes)
 
-    monkeypatch.setattr(sim_mod._CompiledGraph, "extend", slow)
+    monkeypatch.setattr(graph_mod.GraphIndex, "__init__", slow)
     failures = run_invariant_suite(instances=5, seed=1)["failures"]
     assert [f for f in failures if f.startswith("[determinism]")] == [
         f"[determinism] instance {i}: a run of the graph differs from a run of a copy built "

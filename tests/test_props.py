@@ -8,7 +8,7 @@ import time
 import pytest
 
 import swapsim.props as props
-import swapsim.sim as sim_mod
+import swapsim.graph as graph_mod
 from swapsim.cli import main
 from swapsim.props import run_invariant_suite
 
@@ -58,18 +58,17 @@ def test_one_worker_per_25_instances_at_most(cpus, monkeypatch, instances, worke
 
 
 def test_a_mutant_fails_alike_in_workers(cpus, monkeypatch):
-    """A derivation of a view from its base's view that doubles every
-    compute cost fails the determinism check on the same instances, in the
-    same order, forked or not."""
-    extend = sim_mod._CompiledGraph.extend
+    """A derivation of an index from its base's that doubles every compute
+    cost fails the determinism check on the same instances, in the same
+    order, forked or not."""
+    derive = graph_mod.GraphIndex.__init__
 
-    def slow(view, tg):
-        derived = extend(view, tg)
-        if view.ids:  # a derivation, not a build from rows
-            derived.cost_units = [2 * c for c in derived.cost_units]
-        return derived
+    def slow(ix, g, base=None, *delta):
+        derive(ix, g, base, *delta)
+        if base is not None:  # a derivation, not a build from rows
+            ix.nodes = tuple(n._replace(cost_units=2 * n.cost_units) for n in ix.nodes)
 
-    monkeypatch.setattr(sim_mod._CompiledGraph, "extend", slow)
+    monkeypatch.setattr(graph_mod.GraphIndex, "__init__", slow)
     cpus(3)
     forked = run_invariant_suite(instances=60, seed=1)["failures"]
     assert_no_child_left()

@@ -4,7 +4,7 @@ import json
 import math
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -467,7 +467,9 @@ PIN_REPORT_SHA = {
     ("recompute-speed", False): "d4f3b2fd90a585a6e8325930488a6175ff503788391ccd5b8d015540a7e74639",
     ("recompute-speed", True): "886a50bf7abf31fb2d08282fbb2ff7ed3f412a443d917136cd838916bb4e637d",
 }
-PIN_SWEEP_SHA = "f6f838acd0d925c71b62ef934c2caaeb2b9e07d9bfe5a8224d988caa924e7b96"
+# The rows name every RewriteConfig field; without ckpt_policy and
+# manual_ckpts they hash to the rows pinned before, f6f838ac...
+PIN_SWEEP_SHA = "bd6e97fe47d11742ca68f61ce25191a50449e45c80dcbc7caadf527f9e767b2f"
 
 
 def _pin_tg(budget: bool):
@@ -509,6 +511,16 @@ class TestByteIdentity:
                         for b in (False, True))
         rows = [row for pair in zip(free, budget) for row in pair]
         assert _sha(json.dumps(rows, sort_keys=True)) == PIN_SWEEP_SHA
+
+    def test_sweep_rows_name_every_rewrite_field(self):
+        """Recompute rows that differ only in their checkpoint policy name
+        it and sort by it, and the rows' keys start with the config's fields."""
+        tg = expand_training_graph(gen_chain(16, 1000, 1000.0))
+        rcfgs = [RewriteConfig(mode="recompute", ckpt_policy=p) for p in ("sqrt_n", "speed")]
+        rows = sweep(tg, rcfgs, [SimConfig()])
+        assert [list(r)[:7] for r in rows] == [[f.name for f in fields(RewriteConfig)]] * 2
+        assert [(r["ckpt_policy"], r["manual_ckpts"], r["peak_resident"]) for r in rows] == \
+            [("speed", [], 17000), ("sqrt_n", [], 9000)]
 
     def test_sweep_rows_name_their_scope_filters(self):
         """paper-c1 and paper-c3 differ only in their excluded scopes, which
@@ -599,7 +611,7 @@ class TestStallBlockers:
                                        dict(g.metadata)),
                              tg.serial_order, dict(tg.grad_of))
         rewritten, plan = insert_swap_nodes(base, ["t0"], 1)
-        assert rewritten.base is base
+        assert rewritten.graph.index.derived
         cfg = SimConfig(compute_rate=1.0, d2h_bw=128.0, h2d_bw=128.0)
         r = simulate(rewritten, plan, cfg)
         ends = {nid: end for nid, _, _, end in r.events}
@@ -611,21 +623,21 @@ class TestStallBlockers:
 class TestCompileOnce:
     @pytest.fixture()
     def counts(self, monkeypatch):
-        """Count compiled-view builds from rows (extensions of the empty
-        view), views derived from a base graph's view, and event-loop runs."""
+        """Count compiled-view builds, each from a graph's index, and
+        event-loop runs."""
         import swapsim.sim as sim_mod
-        real_extend, real_run = sim_mod._CompiledGraph.extend, sim_mod._run
-        counts = {"builds": 0, "derived": 0, "runs": 0}
+        real_init, real_run = sim_mod._CompiledGraph.__init__, sim_mod._run
+        counts = {"builds": 0, "runs": 0}
 
-        def extend(view, tg):
-            counts["derived" if view.ids else "builds"] += 1
-            return real_extend(view, tg)
+        def init(view, tg):
+            counts["builds"] += 1
+            real_init(view, tg)
 
         def run(view, cfg, rate):
             counts["runs"] += 1
             return real_run(view, cfg, rate)
 
-        monkeypatch.setattr(sim_mod._CompiledGraph, "extend", extend)
+        monkeypatch.setattr(sim_mod._CompiledGraph, "__init__", init)
         monkeypatch.setattr(sim_mod, "_run", run)
         return counts
 
@@ -633,8 +645,8 @@ class TestCompileOnce:
         tg = expand_training_graph(gen_unet3d(TOY))
         rewritten, plan = apply_rewrite(tg, PIN_REWRITES["paper-c1"])
         calibrate_compute_rate(rewritten, plan, _pin_cfg(False), 10.0)
-        assert (counts["builds"], counts["derived"]) == (1, 1)  # the base's, and the rewrite's
-        assert counts["runs"] == 5
+        assert counts == {"builds": 1, "runs": 5}  # the rewrite's view alone
+        assert "compiled_view" not in tg.derived
 
     def test_calibrate_runs_only_probes_that_can_meet_the_target(self, counts):
         # 192^3 paper-c1 on NVLink at the README's target: the bisection asks
@@ -643,26 +655,24 @@ class TestCompileOnce:
         rewritten, plan = apply_rewrite(tg, resolve_preset("paper-c1"))
         nvlink = SimConfig(compute_rate=1.0, d2h_bw=40e9, h2d_bw=40e9)
         calibrate_compute_rate(rewritten, plan, nvlink, 4.726)
-        assert counts["builds"] == 1
-        assert counts["runs"] == 4
+        assert counts == {"builds": 1, "runs": 4}
 
-    def test_sweep_derives_swap_views_from_one_base_view(self, counts):
+    def test_sweep_builds_one_view_per_rewrite(self, counts):
         tg = expand_training_graph(gen_unet3d(TOY))
         sim_cfgs = [SimConfig(compute_rate=1e6, d2h_bw=bw, h2d_bw=bw) for bw in (1e4, 2e4, 4e4)]
         configs = [*PIN_REWRITES.values(), RewriteConfig()]
         rows = sweep(tg, configs, sim_cfgs)
         assert len(rows) == 18
-        # One build for the base graph, which the four swap configs derive
-        # their views from and the "none" config reuses; one for recompute.
-        assert (counts["builds"], counts["derived"]) == (2, 4)
-        assert counts["runs"] == 18
+        # One view per swap config and for recompute, and the base graph's,
+        # for the "none" config.
+        assert counts == {"builds": 6, "runs": 18}
         assert tg.derived["compiled_view"] is not None
 
     def test_expanded_graph_simulated_twice_builds_one_view(self, counts):
         tg = expand_training_graph(gen_chain(4))
         simulate(tg, None, SimConfig())
         simulate(tg, None, SimConfig())
-        assert counts == {"builds": 1, "derived": 0, "runs": 2}
+        assert counts == {"builds": 1, "runs": 2}
         assert tg.derived["compiled_view"] is not None
 
     def test_loaded_graph_simulated_twice_builds_one_view(self, counts, tmp_path):
@@ -672,7 +682,7 @@ class TestCompileOnce:
         loaded = load_training_graph(tmp_path / "tg.json")
         simulate(loaded, plan, _pin_cfg(False))
         simulate(loaded, plan, _pin_cfg(False))
-        assert counts == {"builds": 1, "derived": 0, "runs": 2}
+        assert counts == {"builds": 1, "runs": 2}
 
     def test_cli_calibrated_simulate_builds_one_view(self, counts, tmp_path, capsys):
         """``swapsim simulate --calibrate-target`` calibrates and simulates
@@ -684,21 +694,21 @@ class TestCompileOnce:
         assert main(["simulate", str(tmp_path / "tg.json"), str(tmp_path / "plan.json"),
                      "--calibrate-target", "10"]) == 0
         assert "calibrated compute_rate" in capsys.readouterr().out
-        assert (counts["builds"], counts["derived"]) == (1, 0)
+        assert counts["builds"] == 1
 
-    def test_swap_rewrite_simulated_twice_derives_its_view_once(self, counts):
+    def test_swap_rewrite_simulated_twice_builds_its_view_once(self, counts):
         tg = expand_training_graph(gen_unet3d(TOY))
         rewritten, plan = apply_rewrite(tg, PIN_REWRITES["paper-c1"])
         first = simulate(rewritten, plan, _pin_cfg(False))
         assert simulate(rewritten, plan, _pin_cfg(False)) == first
-        assert counts == {"builds": 1, "derived": 1, "runs": 2}  # the base's, and the rewrite's
+        assert counts == {"builds": 1, "runs": 2}
 
-    def test_calibrated_then_simulated_derives_its_view_once(self, counts):
+    def test_calibrated_then_simulated_builds_its_view_once(self, counts):
         tg = expand_training_graph(gen_unet3d(TOY))
         rewritten, plan = apply_rewrite(tg, PIN_REWRITES["paper-c4"])
         calibrate_compute_rate(rewritten, plan, _pin_cfg(False), 10.0)
         simulate(rewritten, plan, _pin_cfg(True))
-        assert (counts["builds"], counts["derived"]) == (1, 1)
+        assert counts["builds"] == 1
 
     def test_recompute_rewrite_simulated_twice_builds_one_view(self, counts):
         """A graph built from its rows keeps the view it builds."""
@@ -706,7 +716,7 @@ class TestCompileOnce:
         rewritten, plan = apply_rewrite(tg, PIN_REWRITES["recompute-speed"])
         simulate(rewritten, plan, _pin_cfg(False))
         simulate(rewritten, plan, _pin_cfg(False))
-        assert counts == {"builds": 1, "derived": 0, "runs": 2}
+        assert counts == {"builds": 1, "runs": 2}
 
 
 class TestKeptViewsFreeWithTheirGraph:
@@ -741,7 +751,7 @@ class TestKeptViewsFreeWithTheirGraph:
 
     @pytest.mark.parametrize("name", ["recompute-speed", "paper-c1"])
     def test_rewrite_then_its_base(self, collector_off, name):
-        """The base keeps its own view, and a swap rewrite derives its from it."""
+        """The base and its rewrite each keep the view built from their index."""
         base = [expand_training_graph(gen_unet3d(TOY))]
         self.assert_freed(lambda: apply_rewrite(base[0], PIN_REWRITES[name]))
         self.assert_freed(lambda: (base.pop(), None))
@@ -788,20 +798,23 @@ def test_calibration_does_no_report_work(monkeypatch, budget, probes):
     assert configs == []
 
 
-def test_a_swap_in_is_issued_by_its_data_edges_from_compute_nodes():
-    """A loaded graph may give a swap_in a data edge from a compute node,
-    which issues it as its trigger's control edge does; its swap_out's edge
-    makes it wait, but does not issue it."""
+def test_a_swap_in_is_issued_by_its_trigger_alone():
+    """A swap_in reads no tensor: its trigger's control edge issues it, and
+    its swap_out's makes it wait without issuing it. A graph that gives it a
+    data edge breaks the io-arity rule, and is not simulated."""
     import swapsim.sim as sim_mod
     rewritten, plan = insert_swap_nodes(expand_training_graph(gen_chain(3)), ["t0"], 1)
+    view = sim_mod._view(rewritten)
+    i = view.ids.index("swap_in/t0")
+    assert (view.pending[i], view.issue_pending[i]) == (2, 1)
     g = rewritten.graph
     nodes = tuple(n._replace(inputs=("t1",)) if n.id == "swap_in/t0" else n for n in g.nodes)
     loaded = TrainingGraph(GraphSpec(nodes, g.tensors, g.control_edges, dict(g.metadata)),
                            rewritten.serial_order, dict(rewritten.grad_of))
-    view = sim_mod._view(loaded)
-    i = view.ids.index("swap_in/t0")
-    assert (view.pending[i], view.issue_pending[i]) == (3, 2)  # + op1's; op1's and trigger's
-    assert simulate(loaded, plan).makespan > 0
+    with pytest.raises(GraphError, match=re.escape(
+            "[io-arity] swap_in/t0: wrong arity at nodes[8]: a swap_in reads 0 and writes 1 "
+            "tensors, got 1 and 1")):
+        simulate(loaded, plan)
 
 
 def _reference_calibration(tg, plan, cfg, target, tol=1e-3):
